@@ -405,19 +405,7 @@ impl<'p, 'a, const STATS: bool> Machine<'p, 'a, STATS> {
                 }
                 table[i as usize]
             }
-            CExpr::ListRank { list, args } => {
-                let mut key = std::mem::take(&mut self.key_buf);
-                key.clear();
-                for a in args {
-                    key.push(self.eval(a)?);
-                }
-                let l = self.lists[*list as usize].as_ref().ok_or_else(|| {
-                    ExecError::UnboundList(self.prog.lists[*list as usize].clone())
-                })?;
-                let r = l.rank(&key);
-                self.key_buf = key;
-                r?
-            }
+            CExpr::ListRank { list, args } => self.list_rank(*list, args)?,
             CExpr::ListLen(list) => {
                 let l = self.lists[*list as usize].as_ref().ok_or_else(|| {
                     ExecError::UnboundList(self.prog.lists[*list as usize].clone())
@@ -437,6 +425,23 @@ impl<'p, 'a, const STATS: bool> Machine<'p, 'a, STATS> {
             CExpr::Min(a, b) => self.eval(a)?.min(self.eval(b)?),
             CExpr::Max(a, b) => self.eval(a)?.max(self.eval(b)?),
         })
+    }
+
+    /// `list.rank(args...)`, kept out of line so that [`Machine::eval`]
+    /// stays small for plans without a permutation.
+    #[inline(never)]
+    fn list_rank(&mut self, list: u32, args: &[CExpr]) -> Result<i64, ExecError> {
+        let mut key = std::mem::take(&mut self.key_buf);
+        key.clear();
+        for a in args {
+            key.push(self.eval(a)?);
+        }
+        let l = self.lists[list as usize]
+            .as_mut()
+            .ok_or_else(|| ExecError::UnboundList(self.prog.lists[list as usize].clone()))?;
+        let r = l.rank_next(&key);
+        self.key_buf = key;
+        Ok(r?)
     }
 
     fn run_block(&mut self, block: &'p [CStmt]) -> Result<(), ExecError> {

@@ -12,10 +12,9 @@
 //! valid inputs it must produce bit-identical outputs to the synthesized
 //! SPF-IR plan for the same conversion (the differential suite in
 //! `sparse-synthesis` enforces this). In particular the permutation sorts
-//! reproduce the stable first-occurrence semantics of
-//! [`crate::runtime::OrderedList`] by tie-breaking on the original
-//! position, and the Morton sort mirrors `OrderedList::finalize` exactly
-//! (same bit-width selection, same encoded-vs-comparator split).
+//! call `sort_keys`, the same packed-key sort (position tie-break
+//! included) that [`crate::runtime::OrderedList`]'s `finalize` runs, so
+//! their order is the interpreter's by construction.
 //!
 //! # Preconditions
 //!
@@ -25,7 +24,7 @@
 //! panic via slice indexing rather than corrupt memory; callers that
 //! cannot guarantee validation must not call these.
 
-use crate::morton::{bits_for_extent, morton_cmp, morton_encode};
+use crate::runtime::{sort_keys, KeyOrder};
 
 /// Counting-sort a COO triplet stream into CSR parts
 /// `(rowptr, col, val)` for an `nr`-row matrix.
@@ -122,58 +121,28 @@ pub fn expand_ptr(ptr: &[i64]) -> Vec<i64> {
 }
 
 /// Returns the permutation sorting entries lexicographically by
-/// `(row, col)` — the COO "sorted row-major" order. Keys are read once
-/// and the unstable sort tie-breaks on the source position, reproducing a
-/// stable sort's order without its allocation profile.
+/// `(row, col)` — the COO "sorted row-major" order. This is
+/// `sort_keys`, the packed-key sort `OrderedList::finalize` runs, so
+/// the order is the interpreter's by construction.
 pub fn lex_sort_perm(row: &[i64], col: &[i64]) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..row.len()).collect();
-    if perm.windows(2).all(|w| {
-        (row[w[0]], col[w[0]]) <= (row[w[1]], col[w[1]])
-    }) {
-        return perm;
-    }
-    perm.sort_unstable_by_key(|&p| (row[p], col[p], p));
+    let mut perm = Vec::with_capacity(row.len());
+    let cols = [row, col];
+    sort_keys(row.len(), 2, KeyOrder::Lexicographic, |p, d| cols[d][p], |p, _| perm.push(p));
     perm
 }
 
 /// Returns the permutation sorting entries into Morton (Z-curve) order
 /// over the given coordinate columns (one slice per dimension, equal
-/// lengths).
+/// lengths, at most
+/// [`MAX_KEY_WIDTH`](crate::runtime::MAX_KEY_WIDTH) of them).
 ///
-/// Mirrors `OrderedList::finalize`'s Morton path bit-for-bit: the code
-/// width is chosen from the maximum coordinate, codes are materialized as
-/// `u128` whenever `rank * bits <= 128` (position tie-break keeps equal
-/// codes in insertion order), and wider spaces fall back to the
-/// comparator-based [`morton_cmp`] with the same tie-break.
+/// This is `sort_keys`, the packed-key sort `OrderedList::finalize`
+/// runs for Morton lists, so the order is the interpreter's by
+/// construction.
 pub fn morton_sort_perm(dims: &[&[i64]]) -> Vec<usize> {
     let n = dims.first().map_or(0, |d| d.len());
-    let rank = dims.len() as u32;
-    let mut perm: Vec<usize> = (0..n).collect();
-    let max = dims
-        .iter()
-        .flat_map(|d| d.iter().copied())
-        .max()
-        .unwrap_or(0)
-        .max(0);
-    let bits = bits_for_extent(max as usize + 1);
-    if rank * bits <= 128 {
-        let mut keyed: Vec<(u128, usize)> = perm
-            .iter()
-            .map(|&p| {
-                let coords: Vec<i64> = dims.iter().map(|d| d[p]).collect();
-                (morton_encode(&coords, bits), p)
-            })
-            .collect();
-        keyed.sort_unstable_by_key(|&(code, p)| (code, p));
-        for (slot, (_, p)) in perm.iter_mut().zip(keyed) {
-            *slot = p;
-        }
-    } else {
-        let key = |p: usize| -> Vec<i64> { dims.iter().map(|d| d[p]).collect() };
-        perm.sort_unstable_by(|&a, &b| {
-            morton_cmp(&key(a), &key(b)).then(a.cmp(&b))
-        });
-    }
+    let mut perm = Vec::with_capacity(n);
+    sort_keys(n, dims.len(), KeyOrder::Morton, |p, d| dims[d][p], |p, _| perm.push(p));
     perm
 }
 
@@ -190,6 +159,7 @@ pub fn permute_f64(src: &[f64], perm: &[usize]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morton::morton_cmp;
 
     #[test]
     fn coo_to_csr_sorts_within_rows() {

@@ -74,13 +74,43 @@ pub fn morton_encode(coords: &[i64], bits: u32) -> u128 {
             bits == 64 || (c as u128) < (1u128 << bits),
             "coordinate {c} does not fit in {bits} bits"
         );
-        let c = c as u128;
-        for b in 0..bits {
-            code |= ((c >> b) & 1) << (b * rank + d as u32);
+        if let Some(spread) = SPREAD.get(rank as usize - 1) {
+            // A byte at a time: byte `k` of `c` lands at bit `8 * k * rank`.
+            for k in 0..bits.div_ceil(8).min(8) {
+                let byte = (c as u64 >> (8 * k)) as u8;
+                code |= (spread[byte as usize] as u128) << (8 * k * rank + d as u32);
+            }
+        } else {
+            let c = c as u128;
+            for b in 0..bits {
+                code |= ((c >> b) & 1) << (b * rank + d as u32);
+            }
         }
     }
     code
 }
+
+/// `SPREAD[r - 1][b]` has bit `i` of byte `b` at bit `i * r`: one byte of
+/// a coordinate interleaved for rank `r`.
+static SPREAD: [[u32; 256]; 4] = {
+    let mut t = [[0u32; 256]; 4];
+    let mut r = 0;
+    while r < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut i = 0;
+            while i < 8 {
+                if (b >> i) & 1 == 1 {
+                    t[r][b] |= 1 << (i * (r + 1));
+                }
+                i += 1;
+            }
+            b += 1;
+        }
+        r += 1;
+    }
+    t
+};
 
 /// Decodes a Morton code produced by [`morton_encode`] back into
 /// coordinates.
@@ -111,6 +141,34 @@ mod tests {
             let code = morton_encode(&[i, j], 10);
             assert_eq!(morton_decode(code, 2, 10), vec![i, j]);
         }
+    }
+
+    #[test]
+    fn encode_matches_bitwise_interleave() {
+        let bitwise = |coords: &[i64], bits: u32| {
+            let rank = coords.len() as u32;
+            let mut code = 0u128;
+            for (d, &c) in coords.iter().enumerate() {
+                for b in 0..bits {
+                    code |= ((c as u128 >> b) & 1) << (b * rank + d as u32);
+                }
+            }
+            code
+        };
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for rank in 1..=5u32 {
+            let bits = (128 / rank).min(63);
+            for _ in 0..200 {
+                let coords: Vec<i64> = (0..rank)
+                    .map(|_| {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        ((x >> 1) >> (63 - bits)) as i64
+                    })
+                    .collect();
+                assert_eq!(morton_encode(&coords, bits), bitwise(&coords, bits), "{coords:?}");
+            }
+        }
+        assert_eq!(morton_encode(&[i64::MAX], 64), i64::MAX as u128);
     }
 
     #[test]

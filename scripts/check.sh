@@ -8,6 +8,9 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
+# default-members in Cargo.toml makes this every crate's tests: the
+# differential, fault-injection, observability and concurrency suites
+# included.
 cargo test -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -20,23 +23,6 @@ echo "==> no-panic gate: hardened crates deny unwrap/expect in non-test code"
 # this step. (The flags live in the crates, not on the command line,
 # because trailing clippy flags leak into workspace-internal deps.)
 cargo clippy -q -p sparse-engine -p sparse-formats --lib
-
-echo "==> fault-injection suite (zero-panic execution contract)"
-cargo test -q -p sparse-engine --test fault_injection
-cargo test -q -p sparse-matgen corrupt
-
-echo "==> observability suite (obs crate + span/counter/exposition contracts)"
-# The sparse-obs unit tests (ring overflow accounting, histogram bucket
-# edges, exposition formatting) plus the engine-level contracts: stage
-# span coverage, exact counter semantics under faults and concurrency,
-# and the metrics_text() snapshot (metric names are stable API).
-cargo test -q -p sparse-obs
-cargo test -q -p sparse-engine --test observability
-cargo test -q -p sparse-engine --test concurrency
-
-echo "==> differential suite (kernel/interpreter bit-identity)"
-cargo test -q -p sparse-synthesis --test differential
-cargo test -q -p sparse-engine --test backend
 
 echo "==> cargo run --release --example lint_descriptor (static-analysis gate)"
 # Lints every catalog descriptor and statically verifies every
