@@ -24,6 +24,8 @@ use std::time::{Duration, Instant};
 
 use sparse_engine::{Engine, EngineConfig};
 use sparse_formats::{descriptors, AnyMatrix, CooMatrix};
+use sparse_synthesis::{bind_matrix, extract_matrix, Conversion};
+use spf_codegen::runtime::RtEnv;
 
 /// Deterministic scattered matrix, sorted row-major, ~143k nnz.
 fn large_scoo() -> CooMatrix {
@@ -48,6 +50,18 @@ fn time<R>(mut f: impl FnMut() -> R) -> Duration {
 fn median(mut samples: Vec<Duration>) -> Duration {
     samples.sort();
     samples[samples.len() / 2]
+}
+
+/// The interpreter path's stages called bare — bind, execute with
+/// `ExecStats` compiled out, extract — with no validation, spans,
+/// counters, or panic guards: the uninstrumented baseline the engine's
+/// layers are measured against.
+fn bare_run(plan: &Conversion, input: &AnyMatrix) -> AnyMatrix {
+    let (nr, nc) = input.dims();
+    let mut env = RtEnv::new();
+    bind_matrix(&mut env, &plan.synth.src, input.as_ref()).unwrap();
+    plan.execute_env_quiet(&mut env).unwrap();
+    extract_matrix(&mut env, &plan.synth.dst, nr, nc).unwrap()
 }
 
 fn main() {
@@ -107,8 +121,8 @@ fn main() {
     eprintln!("  convert: warm (run only)      {warm_convert:>12.2?}   cold/warm = {e2e_ratio:.2}x");
 
     // 3. Input-validation overhead: the structural checks the hardened
-    //    path (`run_matrix`) adds on top of raw execution
-    //    (`run_matrix_unchecked`). Validation cost is measured directly
+    //    path adds on top of raw execution (`bare_run`: bind, execute,
+    //    extract). Validation cost is measured directly
     //    (it is deterministic) rather than by differencing two noisy
     //    end-to-end timings, and must stay in the noise (<5%) next to
     //    the interpreter.
@@ -124,7 +138,7 @@ fn main() {
     );
     let unchecked = median(
         (0..SAMPLES * 3)
-            .map(|_| time(|| plan.run_matrix_unchecked(&input).unwrap()))
+            .map(|_| time(|| bare_run(&plan, &input)))
             .collect(),
     );
     let overhead = validate_only.as_secs_f64() / unchecked.as_secs_f64();
@@ -143,24 +157,31 @@ fn main() {
     //    *instrumented* pipeline — stage timers, span emission, the
     //    event ring, per-pair histograms — with the default
     //    `NoopSubscriber`. That whole layer must stay invisible next to
-    //    the uninstrumented baseline (validation + raw execution),
-    //    i.e. what the same warm conversion cost before the
-    //    observability layer existed.
-    let observed = median(
-        (0..SAMPLES * 3)
-            .map(|_| time(|| engine.convert(&src, &dst, &input).unwrap()))
-            .collect(),
-    );
-    let baseline = median(
-        (0..SAMPLES * 3)
-            .map(|_| {
-                time(|| {
-                    sparse_formats::validate_matrix(&plan.synth.src, (&input).into()).unwrap();
-                    plan.run_matrix_unchecked(&input).unwrap()
-                })
-            })
-            .collect(),
-    );
+    //    the same stages called bare (`validate_matrix`, then
+    //    `bare_run`), so both sides do identical conversion work and
+    //    differ only in the engine's instrumentation.
+    //    The samples interleave the two sides, alternating which runs
+    //    first: timed as two back-to-back blocks, this identical work
+    //    read anywhere from -7% to +2% on a 2-vCPU VM, so block order
+    //    alone can hide or fake a regression the size of the bound.
+    let convert = || time(|| engine.convert(&src, &dst, &input).unwrap());
+    let bare = || {
+        time(|| {
+            sparse_formats::validate_matrix(&plan.synth.src, (&input).into()).unwrap();
+            bare_run(&plan, &input)
+        })
+    };
+    let (mut observed, mut baseline) = (Vec::new(), Vec::new());
+    for k in 0..SAMPLES * 3 {
+        if k % 2 == 0 {
+            observed.push(convert());
+            baseline.push(bare());
+        } else {
+            baseline.push(bare());
+            observed.push(convert());
+        }
+    }
+    let (observed, baseline) = (median(observed), median(baseline));
     let obs_overhead = observed.as_secs_f64() / baseline.as_secs_f64() - 1.0;
     eprintln!("  obs: baseline (validate+run)  {baseline:>12.2?}");
     eprintln!(

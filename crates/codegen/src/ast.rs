@@ -92,8 +92,7 @@ pub enum Expr {
     Sub(Box<Expr>, Box<Expr>),
     /// `a * b`.
     Mul(Box<Expr>, Box<Expr>),
-    /// `a / b` (Euclidean floor division; used by loop unrolling and
-    /// tiling transforms).
+    /// `a / b` (Euclidean floor division).
     Div(Box<Expr>, Box<Expr>),
     /// `min(a, b)`.
     Min(Box<Expr>, Box<Expr>),

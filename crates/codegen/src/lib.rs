@@ -58,8 +58,6 @@ pub mod kernels;
 pub mod morton;
 pub mod runtime;
 pub mod scan;
-pub mod tile;
-pub mod unroll;
 
 pub use ast::{CmpOp, Cond, Expr, Slot, SlotAlloc, Stmt};
 pub use cemit::{emit_c99_block, emit_c_block, emit_c_function, Dialect, C_PRELUDE};
@@ -68,5 +66,3 @@ pub use interp::{compile, execute, execute_quiet, ExecError, ExecStats, Program}
 pub use morton::{morton_cmp, morton_decode, morton_encode};
 pub use runtime::{ListError, ListOrder, OrderedList, RtEnv};
 pub use scan::{lower_set, LoweredVars, ScanError};
-pub use tile::tile_loops;
-pub use unroll::unroll_loops;

@@ -19,7 +19,7 @@
 //! 3. [`run`] executes the compiled inspector on real containers.
 //!
 //! ```
-//! use sparse_formats::{descriptors, CooMatrix, CsrMatrix};
+//! use sparse_formats::{descriptors, AnyMatrix, CooMatrix, CsrMatrix};
 //! use sparse_synthesis::{Conversion, SynthesisOptions};
 //!
 //! // The paper's headline experiment: sorted COO -> CSR.
@@ -34,8 +34,8 @@
 //!
 //! let coo = CooMatrix::from_triplets(
 //!     3, 3, vec![0, 0, 2], vec![0, 2, 1], vec![1.0, 2.0, 3.0]).unwrap();
-//! let (csr, _stats) = conv.run_coo_to_csr(&coo).unwrap();
-//! assert_eq!(csr, CsrMatrix::from_coo(&coo));
+//! let (csr, _stats) = conv.run_matrix(&coo).unwrap();
+//! assert_eq!(csr, AnyMatrix::from(CsrMatrix::from_coo(&coo)));
 //! ```
 
 #![warn(missing_docs)]

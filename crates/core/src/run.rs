@@ -170,7 +170,7 @@ impl Conversion {
     /// verified plan does. An `Err` from the kernel (including its own
     /// decline on inputs whose semantics it cannot reproduce, e.g.
     /// duplicate coordinates) means the caller should fall back to
-    /// [`Conversion::run_matrix_quiet`]; it never means the conversion
+    /// [`Conversion::run_matrix_observed`]; it never means the conversion
     /// itself is impossible.
     pub fn run_matrix_kernel<'a>(
         &self,
@@ -246,32 +246,15 @@ impl Conversion {
         Ok(self.compiled.execute_quiet(env, &self.comparators)?)
     }
 
-    /// Binds a COO matrix as the conversion source (zero-copy: the
-    /// matrix's arrays enter the environment borrowed).
-    ///
-    /// # Errors
-    /// Returns [`RunError::Descriptor`] if the source descriptor lacks
-    /// the coordinate UFs a COO binding needs.
-    pub fn bind_coo_source<'a>(
-        &self,
-        env: &mut RtEnv<'a>,
-        m: &'a CooMatrix,
-    ) -> Result<(), RunError> {
-        bind_coo(env, &self.synth.src, m)
-    }
-
     /// Converts any rank-2 matrix: validates `m` against the *source*
     /// descriptor's quantifier obligations, binds it under the source
-    /// descriptor's names, runs the inspector, and extracts the container
-    /// the *destination* descriptor's [`FormatKind`] calls for. This is
-    /// the one dispatch path every `run_x_to_y` shim (and the engine's
-    /// `convert`) goes through.
+    /// descriptor's names, runs the inspector with [`ExecStats`] counting
+    /// on, and extracts the container the *destination* descriptor's
+    /// [`FormatKind`] calls for.
     ///
     /// Inputs are untrusted: the static verifier only proves the plan
     /// correct *assuming* the source obligations hold, so they are
-    /// established here first (see `sparse_formats::validate`). Use
-    /// [`Conversion::run_matrix_unchecked`] to skip the `O(nnz)`
-    /// validation sweep for inputs already known valid.
+    /// established here first (see `sparse_formats::validate`).
     ///
     /// # Errors
     /// Returns [`RunError::InvalidInput`] on a violated obligation; fails
@@ -284,23 +267,6 @@ impl Conversion {
     ) -> Result<(AnyMatrix, ExecStats), RunError> {
         let m = m.into();
         sparse_formats::validate_matrix(&self.synth.src, m)?;
-        self.run_matrix_unchecked(m)
-    }
-
-    /// [`Conversion::run_matrix`] without the input-validation sweep: the
-    /// caller asserts `m` satisfies the source descriptor's obligations
-    /// (e.g. it was just produced by a validated conversion). On inputs
-    /// that don't, the inspector may return a typed execution error or
-    /// silently produce garbage — it will not have its preconditions.
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_matrix`], minus
-    /// [`RunError::InvalidInput`].
-    pub fn run_matrix_unchecked<'a>(
-        &self,
-        m: impl Into<MatrixRef<'a>>,
-    ) -> Result<(AnyMatrix, ExecStats), RunError> {
-        let m = m.into();
         let (nr, nc) = m.dims();
         let mut env = RtEnv::new();
         bind_matrix(&mut env, &self.synth.src, m)?;
@@ -309,27 +275,16 @@ impl Conversion {
         Ok((out, stats))
     }
 
-    /// [`Conversion::run_matrix_unchecked`] with interpreter statistics
-    /// compiled out: the engine's interpreter hot path. Same conversion
-    /// semantics; only the [`ExecStats`] counters are dropped.
+    /// The engine's interpreter path: binds `m` (which the caller has
+    /// already validated), runs the inspector with [`ExecStats`] counting
+    /// compiled out, and extracts the destination container, emitting
+    /// `interp` and `extract` stage spans into `obs` keyed by the
+    /// caller's `pair` plan fingerprint. Pass a
+    /// [`sparse_obs::NoopSubscriber`] for the uninstrumented hot path.
     ///
     /// # Errors
-    /// Same contract as [`Conversion::run_matrix_unchecked`].
-    pub fn run_matrix_quiet<'a>(
-        &self,
-        m: impl Into<MatrixRef<'a>>,
-    ) -> Result<AnyMatrix, RunError> {
-        self.run_matrix_observed(m, 0, &sparse_obs::NoopSubscriber)
-    }
-
-    /// [`Conversion::run_matrix_quiet`] emitting `interp` and `extract`
-    /// stage spans into `obs` (keyed by the caller's `pair` plan
-    /// fingerprint). This is the engine's instrumented interpreter path;
-    /// a [`sparse_obs::NoopSubscriber`] makes it behaviorally identical
-    /// to the quiet variant.
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_matrix_unchecked`].
+    /// Same contract as [`Conversion::run_matrix`], minus
+    /// [`RunError::InvalidInput`].
     pub fn run_matrix_observed<'a>(
         &self,
         m: impl Into<MatrixRef<'a>>,
@@ -371,20 +326,6 @@ impl Conversion {
     ) -> Result<(AnyTensor, ExecStats), RunError> {
         let t = t.into();
         sparse_formats::validate_tensor(&self.synth.src, t)?;
-        self.run_tensor_unchecked(t)
-    }
-
-    /// [`Conversion::run_tensor`] without the input-validation sweep;
-    /// tensor analogue of [`Conversion::run_matrix_unchecked`].
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_tensor`], minus
-    /// [`RunError::InvalidInput`].
-    pub fn run_tensor_unchecked<'a>(
-        &self,
-        t: impl Into<TensorRef<'a>>,
-    ) -> Result<(AnyTensor, ExecStats), RunError> {
-        let t = t.into();
         let dims = t.dims();
         let mut env = RtEnv::new();
         bind_tensor(&mut env, &self.synth.src, t)?;
@@ -393,21 +334,10 @@ impl Conversion {
         Ok((out, stats))
     }
 
-    /// Order-3 analogue of [`Conversion::run_matrix_quiet`].
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_tensor_unchecked`].
-    pub fn run_tensor_quiet<'a>(
-        &self,
-        t: impl Into<TensorRef<'a>>,
-    ) -> Result<AnyTensor, RunError> {
-        self.run_tensor_observed(t, 0, &sparse_obs::NoopSubscriber)
-    }
-
     /// Order-3 analogue of [`Conversion::run_matrix_observed`].
     ///
     /// # Errors
-    /// Same contract as [`Conversion::run_tensor_unchecked`].
+    /// Same contract as [`Conversion::run_matrix_observed`].
     pub fn run_tensor_observed<'a>(
         &self,
         t: impl Into<TensorRef<'a>>,
@@ -436,158 +366,6 @@ impl Conversion {
             ok: out.is_ok(),
         });
         out
-    }
-
-    /// Converts a COO matrix to CSR (destination descriptor must be
-    /// CSR-shaped).
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_csr(&self, m: &CooMatrix) -> Result<(CsrMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csr(out)?, stats))
-    }
-
-    /// Converts a COO matrix to CSC.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_csc(&self, m: &CooMatrix) -> Result<(CscMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csc(out)?, stats))
-    }
-
-    /// Converts a CSR matrix to CSC.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_csr_to_csc(&self, m: &CsrMatrix) -> Result<(CscMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csc(out)?, stats))
-    }
-
-    /// Converts a CSR matrix to COO.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_csr_to_coo(&self, m: &CsrMatrix) -> Result<(CooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_coo(out)?, stats))
-    }
-
-    /// Converts a COO matrix to DIA.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_dia(&self, m: &CooMatrix) -> Result<(DiaMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        match out {
-            AnyMatrix::Dia(d) => Ok((d, stats)),
-            other => Err(unexpected_output("dia", other.label())),
-        }
-    }
-
-    /// Converts a COO matrix to Morton-ordered COO.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_mcoo(
-        &self,
-        m: &CooMatrix,
-    ) -> Result<(MortonCooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        match out {
-            AnyMatrix::MortonCoo(mc) => Ok((mc, stats)),
-            other => Err(unexpected_output("mcoo", other.label())),
-        }
-    }
-
-    /// Converts a COO matrix to sorted COO (row-major).
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_scoo(&self, m: &CooMatrix) -> Result<(CooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_coo(out)?, stats))
-    }
-
-    /// Converts a CSC matrix to CSR.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_csc_to_csr(&self, m: &CscMatrix) -> Result<(CsrMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csr(out)?, stats))
-    }
-
-    /// Converts a CSC matrix to COO (kept in the source's column-major
-    /// order).
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_csc_to_coo(&self, m: &CscMatrix) -> Result<(CooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_coo(out)?, stats))
-    }
-
-    /// Converts an ELL matrix to CSR (compacting the padding).
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_ell_to_csr(&self, m: &EllMatrix) -> Result<(CsrMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csr(out)?, stats))
-    }
-
-    /// Converts an ELL matrix to COO.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_ell_to_coo(&self, m: &EllMatrix) -> Result<(CooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_coo(out)?, stats))
-    }
-
-    /// Converts an order-3 COO tensor to Morton-ordered COO3.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo3_to_mcoo3(
-        &self,
-        t: &Coo3Tensor,
-    ) -> Result<(MortonCoo3Tensor, ExecStats), RunError> {
-        let (out, stats) = self.run_tensor(t)?;
-        match out {
-            AnyTensor::MortonCoo3(mt) => Ok((mt, stats)),
-            AnyTensor::Coo3(_) => Err(unexpected_output("mcoo3", "coo3")),
-        }
-    }
-}
-
-fn unexpected_output(wanted: &str, got: &str) -> RunError {
-    RunError::Unsupported(format!(
-        "destination descriptor produced `{got}`, caller expected `{wanted}`"
-    ))
-}
-
-fn expect_coo(out: AnyMatrix) -> Result<CooMatrix, RunError> {
-    match out {
-        AnyMatrix::Coo(m) => Ok(m),
-        other => Err(unexpected_output("coo", other.label())),
-    }
-}
-
-fn expect_csr(out: AnyMatrix) -> Result<CsrMatrix, RunError> {
-    match out {
-        AnyMatrix::Csr(m) => Ok(m),
-        other => Err(unexpected_output("csr", other.label())),
-    }
-}
-
-fn expect_csc(out: AnyMatrix) -> Result<CscMatrix, RunError> {
-    match out {
-        AnyMatrix::Csc(m) => Ok(m),
-        other => Err(unexpected_output("csc", other.label())),
     }
 }
 
@@ -974,18 +752,4 @@ pub fn extract_dia(
     let off = take_uf(env, &sole_uf(desc, "offset")?)?;
     let data = take_data(env, &desc.data_name)?;
     Ok(DiaMatrix::new(nr, nc, off, data)?)
-}
-
-/// Convenience: synthesize with `options` and convert in one call.
-///
-/// # Errors
-/// Propagates synthesis and execution failures.
-pub fn convert_coo_to_csr(
-    src: &FormatDescriptor,
-    dst: &FormatDescriptor,
-    m: &CooMatrix,
-    options: SynthesisOptions,
-) -> Result<CsrMatrix, RunError> {
-    let conv = Conversion::new(src, dst, options)?;
-    Ok(conv.run_coo_to_csr(m)?.0)
 }

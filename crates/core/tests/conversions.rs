@@ -5,8 +5,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparse_formats::descriptors;
 use sparse_formats::{
-    Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, MortonCoo3Tensor,
-    MortonCooMatrix,
+    AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix,
+    MortonCoo3Tensor, MortonCooMatrix,
 };
 use sparse_synthesis::{Conversion, PermutationKind, SynthesisOptions};
 
@@ -84,8 +84,8 @@ fn scoo_to_csr_matches_oracle_and_elides_permutation() {
     for seed in 0..5 {
         let mut coo = random_coo(40, 30, 200, seed, true);
         coo.sort_row_major();
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "seed {seed}");
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        assert_eq!(got, AnyMatrix::from(CsrMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -101,8 +101,8 @@ fn unsorted_coo_to_csr_uses_permutation() {
     assert!(matches!(conv.synth.permutation, PermutationKind::Ordered { .. }));
     for seed in 0..5 {
         let coo = random_coo(25, 35, 150, seed, false);
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "seed {seed}");
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        assert_eq!(got, AnyMatrix::from(CsrMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -119,8 +119,8 @@ fn scoo_to_csc_matches_oracle() {
     for seed in 0..5 {
         let mut coo = random_coo(30, 20, 180, seed, true);
         coo.sort_row_major();
-        let (got, _) = conv.run_coo_to_csc(&coo).unwrap();
-        assert_eq!(got, CscMatrix::from_coo(&coo), "seed {seed}");
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        assert_eq!(got, AnyMatrix::from(CscMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -134,8 +134,8 @@ fn csr_to_csc_matches_oracle() {
     .unwrap();
     for seed in 0..5 {
         let csr = CsrMatrix::from_coo(&random_coo(35, 25, 160, seed, true));
-        let (got, _) = conv.run_csr_to_csc(&csr).unwrap();
-        assert_eq!(got, CscMatrix::from_csr(&csr), "seed {seed}");
+        let (got, _) = conv.run_matrix(&csr).unwrap();
+        assert_eq!(got, AnyMatrix::from(CscMatrix::from_csr(&csr)), "seed {seed}");
     }
 }
 
@@ -148,8 +148,8 @@ fn csr_to_coo_matches_oracle() {
     )
     .unwrap();
     let csr = CsrMatrix::from_coo(&random_coo(20, 20, 80, 7, true));
-    let (got, _) = conv.run_csr_to_coo(&csr).unwrap();
-    assert_eq!(got, csr.to_coo());
+    let (got, _) = conv.run_matrix(&csr).unwrap();
+    assert_eq!(got, AnyMatrix::from(csr.to_coo()));
 }
 
 #[test]
@@ -163,7 +163,8 @@ fn scoo_to_dia_matches_oracle_linear_search() {
     for seed in 0..4 {
         let mut coo = banded_coo(30, &[-3, -1, 0, 2, 5], seed);
         coo.sort_row_major();
-        let (got, _) = conv.run_coo_to_dia(&coo).unwrap();
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        let AnyMatrix::Dia(got) = got else { panic!("expected DIA, got {}", got.label()) };
         let want = DiaMatrix::from_coo(&coo);
         assert_eq!(got, want, "seed {seed}");
         got.validate().unwrap();
@@ -186,8 +187,9 @@ fn scoo_to_dia_binary_search_agrees_with_linear() {
     .unwrap();
     let mut coo = banded_coo(50, &[-7, -2, 0, 1, 4, 9], 42);
     coo.sort_row_major();
-    let (a, stats_lin) = linear.run_coo_to_dia(&coo).unwrap();
-    let (b, stats_bin) = binary.run_coo_to_dia(&coo).unwrap();
+    let (a, stats_lin) = linear.run_matrix(&coo).unwrap();
+    let (b, stats_bin) = binary.run_matrix(&coo).unwrap();
+    assert!(matches!(a, AnyMatrix::Dia(_)), "expected DIA, got {}", a.label());
     assert_eq!(a, b);
     // The binary search does asymptotically less work in the copy loop.
     assert!(
@@ -210,8 +212,8 @@ fn coo_to_mcoo_matches_oracle() {
     for seed in 0..4 {
         let mut coo = random_coo(32, 32, 120, seed, true);
         coo.sort_row_major();
-        let (got, _) = conv.run_coo_to_mcoo(&coo).unwrap();
-        let want = MortonCooMatrix::from_coo(&coo);
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        let want = AnyMatrix::from(MortonCooMatrix::from_coo(&coo));
         assert_eq!(got, want, "seed {seed}");
     }
 }
@@ -246,8 +248,8 @@ fn coo3_to_mcoo3_matches_oracle() {
     .unwrap();
     for seed in 0..3 {
         let t = random_coo3((16, 16, 16), 200, seed);
-        let (got, _) = conv.run_coo3_to_mcoo3(&t).unwrap();
-        let want = MortonCoo3Tensor::from_coo3(&t);
+        let (got, _) = conv.run_tensor(&t).unwrap();
+        let want = AnyTensor::from(MortonCoo3Tensor::from_coo3(&t));
         assert_eq!(got, want, "seed {seed}");
     }
 }
@@ -262,7 +264,8 @@ fn coo_to_scoo_sorts() {
     .unwrap();
     let coo = random_coo(20, 20, 90, 11, false);
     assert!(!coo.is_sorted_row_major());
-    let (got, _) = conv.run_coo_to_scoo(&coo).unwrap();
+    let (got, _) = conv.run_matrix(&coo).unwrap();
+    let AnyMatrix::Coo(got) = got else { panic!("expected COO, got {}", got.label()) };
     assert!(got.is_sorted_row_major());
     let mut want = coo.clone();
     want.sort_row_major();
@@ -278,7 +281,8 @@ fn empty_matrix_converts() {
     )
     .unwrap();
     let coo = CooMatrix::from_triplets(5, 5, vec![], vec![], vec![]).unwrap();
-    let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
+    let (got, _) = conv.run_matrix(&coo).unwrap();
+    let AnyMatrix::Csr(got) = got else { panic!("expected CSR, got {}", got.label()) };
     assert_eq!(got.rowptr, vec![0; 6]);
     assert!(got.col.is_empty());
 }
@@ -300,7 +304,8 @@ fn empty_rows_leading_and_trailing() {
         vec![1.0, 2.0],
     )
     .unwrap();
-    let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
+    let (got, _) = conv.run_matrix(&coo).unwrap();
+    let AnyMatrix::Csr(got) = got else { panic!("expected CSR, got {}", got.label()) };
     assert_eq!(got, CsrMatrix::from_coo(&coo));
     assert_eq!(got.rowptr, vec![0, 0, 0, 2, 2, 2, 2]);
 }
@@ -314,7 +319,8 @@ fn single_element_matrix() {
     )
     .unwrap();
     let coo = CooMatrix::from_triplets(3, 3, vec![1], vec![2], vec![9.0]).unwrap();
-    let (got, _) = conv.run_coo_to_dia(&coo).unwrap();
+    let (got, _) = conv.run_matrix(&coo).unwrap();
+    let AnyMatrix::Dia(got) = got else { panic!("expected DIA, got {}", got.label()) };
     assert_eq!(got.off, vec![1]);
     assert_eq!(got.get(1, 2), 9.0);
 }
@@ -337,9 +343,10 @@ fn naive_and_optimized_agree() {
     .unwrap();
     let mut coo = random_coo(30, 30, 140, 5, true);
     coo.sort_row_major();
-    let (a, stats_opt) = opt.run_coo_to_csr(&coo).unwrap();
-    let (b, stats_naive) = naive.run_coo_to_csr(&coo).unwrap();
+    let (a, stats_opt) = opt.run_matrix(&coo).unwrap();
+    let (b, stats_naive) = naive.run_matrix(&coo).unwrap();
     assert_eq!(a, b);
+    assert_eq!(a, AnyMatrix::from(CsrMatrix::from_coo(&coo)));
     // Optimization strictly reduces executed statements.
     assert!(stats_opt.statements < stats_naive.statements);
 }
@@ -397,8 +404,8 @@ fn ell_to_csr_compacts_padding() {
     for seed in 0..3 {
         let coo = random_coo(18, 22, 90, seed, true);
         let ell = EllMatrix::from_coo(&coo);
-        let (got, _) = conv.run_ell_to_csr(&ell).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "seed {seed}");
+        let (got, _) = conv.run_matrix(&ell).unwrap();
+        assert_eq!(got, AnyMatrix::from(CsrMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -424,8 +431,8 @@ fn ell_to_coo_preserves_order_via_insertion_permutation() {
         m
     };
     let ell = EllMatrix::from_coo(&coo);
-    let (got, _) = conv.run_ell_to_coo(&ell).unwrap();
-    assert_eq!(got, coo);
+    let (got, _) = conv.run_matrix(&ell).unwrap();
+    assert_eq!(got, AnyMatrix::from(coo));
 }
 
 #[test]
@@ -441,8 +448,8 @@ fn csc_to_csr_matches_oracle() {
     for seed in 0..4 {
         let coo = random_coo(22, 18, 120, seed, true);
         let csc = CscMatrix::from_coo(&coo);
-        let (got, _) = conv.run_csc_to_csr(&csc).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "seed {seed}");
+        let (got, _) = conv.run_matrix(&csc).unwrap();
+        assert_eq!(got, AnyMatrix::from(CsrMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -456,9 +463,9 @@ fn csc_to_coo_keeps_column_major_order() {
     .unwrap();
     let coo = random_coo(15, 15, 60, 2, true);
     let csc = CscMatrix::from_coo(&coo);
-    let (got, _) = conv.run_csc_to_coo(&csc).unwrap();
+    let (got, _) = conv.run_matrix(&csc).unwrap();
     // Unordered destination keeps the source (column-major) order.
-    assert_eq!(got, csc.to_coo());
+    assert_eq!(got, AnyMatrix::from(csc.to_coo()));
 }
 
 #[test]

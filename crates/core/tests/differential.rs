@@ -15,6 +15,7 @@ use sparse_formats::descriptors;
 use sparse_formats::{AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix,
     FormatDescriptor, MortonCooMatrix};
 use sparse_matgen::generators::{power_law, random_uniform};
+use sparse_obs::NoopSubscriber;
 use sparse_synthesis::{Conversion, SynthesisOptions};
 
 /// How to present a generated COO matrix to a conversion's *source*
@@ -93,7 +94,7 @@ fn assert_kernel_matches_interpreter(
         .unwrap_or_else(|| panic!("{pair}: no kernel registered"))
         .unwrap_or_else(|e| panic!("{pair}: kernel declined a valid input: {e}"));
     let interp = conv
-        .run_matrix_quiet(input.as_ref())
+        .run_matrix_observed(input.as_ref(), 0, &NoopSubscriber)
         .unwrap_or_else(|e| panic!("{pair}: interpreter failed: {e}"));
     assert_eq!(kernel, interp, "{pair}: kernel and interpreter disagree");
 }
@@ -188,7 +189,7 @@ fn tensor_kernels_match_interpreter() {
                 .unwrap_or_else(|| panic!("{pair}: no kernel"))
                 .unwrap_or_else(|e| panic!("{pair}: kernel declined: {e}"));
             let interp = conv
-                .run_tensor_quiet(input.as_ref())
+                .run_tensor_observed(input.as_ref(), 0, &NoopSubscriber)
                 .unwrap_or_else(|e| panic!("{pair}: interpreter failed: {e}"));
             assert_eq!(kernel, interp, "{pair} seed {seed}");
         }
@@ -197,7 +198,7 @@ fn tensor_kernels_match_interpreter() {
             Coo3Tensor::from_coords((3, 3, 3), vec![], vec![], vec![], vec![]).unwrap(),
         );
         let kernel = conv.run_tensor_kernel(empty.as_ref()).unwrap().unwrap();
-        let interp = conv.run_tensor_quiet(empty.as_ref()).unwrap();
+        let interp = conv.run_tensor_observed(empty.as_ref(), 0, &NoopSubscriber).unwrap();
         assert_eq!(kernel, interp, "{pair} empty");
     }
 }

@@ -25,11 +25,11 @@
 //!   verifier at synthesis time: plans with error-severity findings are
 //!   refused (and never cached), and batch fan-out is gated on the
 //!   verifier's dependence verdict.
-//! * **Native kernel backend** — under [`Backend::Auto`] (the default
-//!   policy), conversions whose plan is *statically verified* and whose
-//!   inputs are *validated* may be served by a fused hand-optimized
-//!   kernel from the [`sparse_synthesis::KernelRegistry`] instead of the
-//!   SPF-IR interpreter, keyed by the pair's structural fingerprints.
+//! * **Native kernel backend** — conversions whose plan is *statically
+//!   verified* and whose inputs are *validated* may be served by a fused
+//!   hand-optimized kernel from the [`sparse_synthesis::KernelRegistry`]
+//!   instead of the SPF-IR interpreter, keyed by the pair's structural
+//!   fingerprints.
 //!   Kernels are bit-identical to the interpreter (differential-tested);
 //!   any miss, decline, or contained kernel panic falls back to the
 //!   interpreter transparently — fallback is never an error.
@@ -83,7 +83,7 @@ use std::time::{Duration, Instant};
 
 use sparse_analyze::AnalysisReport;
 use sparse_formats::descriptors::StructuralHasher;
-use sparse_formats::{AnyMatrix, AnyTensor, FormatDescriptor};
+use sparse_formats::{AnyMatrix, AnyTensor, FormatDescriptor, ValidationError};
 use sparse_obs::{Event, EventKind, EventRing, PairHistograms, PairSnapshot, Span, Stage};
 use sparse_synthesis::{Conversion, RunError, SynthesisOptions};
 
@@ -161,26 +161,6 @@ impl From<RunError> for EngineError {
     }
 }
 
-/// Which execution backend the engine may use for a conversion.
-///
-/// The selection rule under [`Backend::Auto`] is: structural fingerprint
-/// match in the [`sparse_synthesis::KernelRegistry`] **and** the plan
-/// carries a clean static-verification report **and** input validation is
-/// on — then the native kernel runs; anything else executes on the SPF-IR
-/// interpreter. Falling back is never an error, and a kernel that
-/// declines an input (or panics) falls back transparently too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Prefer a registered native kernel when the plan is verified and
-    /// inputs are validated; interpret otherwise (the default).
-    #[default]
-    Auto,
-    /// Always execute on the SPF-IR interpreter, even when a kernel is
-    /// registered for the pair. Useful for differential testing and for
-    /// benchmarking the interpreter itself.
-    InterpreterOnly,
-}
-
 /// Engine construction knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -218,11 +198,6 @@ pub struct EngineConfig {
     /// [`RunError::DeadlineExceeded`]; items already executing run to
     /// completion.
     pub batch_deadline: Option<Duration>,
-    /// Execution backend policy (default [`Backend::Auto`]). Kernels only
-    /// ever run behind validated inputs *and* verified plans, so engines
-    /// with `verify_plans: false` (the default) or `validate_inputs:
-    /// false` behave identically under either variant.
-    pub backend: Backend,
     /// Capacity of the exceptional-event ring buffer (default 1024).
     /// When full, the oldest event is overwritten and the dropped-event
     /// counter increments; writers never block. Minimum 1.
@@ -239,7 +214,6 @@ impl Default for EngineConfig {
             validate_inputs: true,
             memory_budget: None,
             batch_deadline: None,
-            backend: Backend::Auto,
             event_capacity: 1024,
         }
     }
@@ -477,7 +451,7 @@ impl Engine {
         input: &AnyMatrix,
     ) -> Result<AnyMatrix, EngineError> {
         let plan = self.plan(src, dst)?;
-        self.execute_one(&plan, input)
+        self.execute(&plan, input)
     }
 
     /// Converts one order-3 tensor from `src` to `dst`.
@@ -491,81 +465,7 @@ impl Engine {
         input: &AnyTensor,
     ) -> Result<AnyTensor, EngineError> {
         let plan = self.plan(src, dst)?;
-        let pair = plan.pair;
-        let nnz = input.nnz() as u64;
-        let started = Instant::now();
-        if self.config.validate_inputs {
-            let t0 = Instant::now();
-            let checked = sparse_formats::validate_tensor(&plan.synth.src, input.as_ref());
-            self.span_validate(pair, t0.elapsed().as_nanos() as u64, checked.is_ok());
-            if let Err(e) = checked {
-                StatsInner::add(&self.stats.inputs_rejected, 1);
-                self.note(EventKind::InputRejected, pair, 0, nnz);
-                return Err(EngineError::Run(e.into()));
-            }
-        }
-        if let Some(budget) = self.config.memory_budget {
-            let t0 = Instant::now();
-            let (what, needed) =
-                admission::estimate_tensor_output_bytes(&plan.synth.dst, input.as_ref());
-            self.span_admission(pair, t0.elapsed().as_nanos() as u64, needed <= budget);
-            if needed > budget {
-                StatsInner::add(&self.stats.inputs_rejected, 1);
-                self.note(EventKind::AdmissionRejected, pair, 0, nnz);
-                return Err(EngineError::Run(RunError::ResourceExhausted {
-                    what: what.to_string(),
-                    needed,
-                    budget,
-                }));
-            }
-        }
-        if self.kernel_eligible(&plan) {
-            let t0 = Instant::now();
-            let hit = catch_unwind(AssertUnwindSafe(|| plan.run_tensor_kernel(input.as_ref())));
-            let kernel_nanos = t0.elapsed().as_nanos() as u64;
-            if let Some(out) = self.settle_kernel_attempt(hit, pair, kernel_nanos, nnz) {
-                self.pairs.record(
-                    pair,
-                    || plan.pair_label(),
-                    started.elapsed().as_nanos() as u64,
-                    nnz,
-                );
-                return Ok(out);
-            }
-            // Declined, missing, or panicked: the interpreter is the
-            // answer, never an error.
-        }
-        let t0 = Instant::now();
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            plan.run_tensor_observed(input.as_ref(), pair, &*self.subscriber)
-        }));
-        let exec_nanos = t0.elapsed().as_nanos() as u64;
-        StatsInner::add(&self.stats.exec_nanos, exec_nanos);
-        match out {
-            Ok(Ok(out)) => {
-                StatsInner::add(&self.stats.conversions, 1);
-                StatsInner::add(&self.stats.interp_fallbacks, 1);
-                StatsInner::add(&self.stats.nnz_moved, nnz);
-                self.pairs.record(
-                    pair,
-                    || plan.pair_label(),
-                    started.elapsed().as_nanos() as u64,
-                    nnz,
-                );
-                Ok(out)
-            }
-            Ok(Err(e)) => {
-                StatsInner::add(&self.stats.conversions_failed, 1);
-                self.note(EventKind::RunFailed, pair, exec_nanos, nnz);
-                Err(EngineError::Run(e))
-            }
-            Err(payload) => {
-                StatsInner::add(&self.stats.conversions_failed, 1);
-                StatsInner::add(&self.stats.panics_caught, 1);
-                self.note(EventKind::InterpPanic, pair, exec_nanos, nnz);
-                Err(EngineError::Panicked(panic_message(&*payload)))
-            }
-        }
+        self.execute(&plan, input)
     }
 
     /// Converts a batch of matrices from `src` to `dst` across this
@@ -656,7 +556,7 @@ impl Engine {
             for (input, slot) in inputs.iter().zip(results.iter_mut()) {
                 if slot.as_ref().is_err_and(transient) {
                     StatsInner::add(&self.stats.degraded_conversions, 1);
-                    *slot = self.execute_one(&plan, input);
+                    *slot = self.execute(&plan, input);
                 }
             }
         }
@@ -681,7 +581,7 @@ impl Engine {
                 return Err(EngineError::Run(RunError::DeadlineExceeded { deadline: budget }));
             }
         }
-        self.execute_one(plan, input)
+        self.execute(plan, input)
     }
 
     /// A point-in-time snapshot of this engine's counters.
@@ -886,17 +786,19 @@ impl Engine {
         self.cache.clear();
     }
 
-    /// The single-item execution path shared by [`Engine::convert`] and
-    /// every batch item: validate → admission check → execute under
-    /// `catch_unwind`. The panic guard makes this the engine's fault
-    /// boundary — nothing downstream of it can take out a caller.
-    fn execute_one(&self, plan: &Plan, input: &AnyMatrix) -> Result<AnyMatrix, EngineError> {
+    /// The one execution path behind [`Engine::convert`],
+    /// [`Engine::convert_tensor`] and every batch item, for either rank:
+    /// validate → admission check → kernel attempt → interpreter, the
+    /// last two under `catch_unwind`. The panic guards make this the
+    /// engine's fault boundary — nothing downstream of it can take out a
+    /// caller.
+    fn execute<I: Operand>(&self, plan: &Plan, input: &I) -> Result<I, EngineError> {
         let pair = plan.pair;
         let nnz = input.nnz() as u64;
         let started = Instant::now();
         if self.config.validate_inputs {
             let t0 = Instant::now();
-            let checked = sparse_formats::validate_matrix(&plan.synth.src, input.as_ref());
+            let checked = input.validate(&plan.synth.src);
             self.span_validate(pair, t0.elapsed().as_nanos() as u64, checked.is_ok());
             if let Err(e) = checked {
                 StatsInner::add(&self.stats.inputs_rejected, 1);
@@ -906,8 +808,7 @@ impl Engine {
         }
         if let Some(budget) = self.config.memory_budget {
             let t0 = Instant::now();
-            let (what, needed) =
-                admission::estimate_matrix_output_bytes(&plan.synth.dst, input.as_ref());
+            let (what, needed) = input.estimate_output_bytes(&plan.synth.dst);
             self.span_admission(pair, t0.elapsed().as_nanos() as u64, needed <= budget);
             if needed > budget {
                 StatsInner::add(&self.stats.inputs_rejected, 1);
@@ -921,7 +822,7 @@ impl Engine {
         }
         if self.kernel_eligible(plan) {
             let t0 = Instant::now();
-            let hit = catch_unwind(AssertUnwindSafe(|| plan.run_matrix_kernel(input.as_ref())));
+            let hit = catch_unwind(AssertUnwindSafe(|| input.run_kernel(plan)));
             let kernel_nanos = t0.elapsed().as_nanos() as u64;
             if let Some(out) = self.settle_kernel_attempt(hit, pair, kernel_nanos, nnz) {
                 self.pairs.record(
@@ -937,9 +838,8 @@ impl Engine {
             // cost and cause were attributed by `settle_kernel_attempt`.
         }
         let t0 = Instant::now();
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            plan.run_matrix_observed(input.as_ref(), pair, &*self.subscriber)
-        }));
+        let out =
+            catch_unwind(AssertUnwindSafe(|| input.run_observed(plan, pair, &*self.subscriber)));
         let exec_nanos = t0.elapsed().as_nanos() as u64;
         StatsInner::add(&self.stats.exec_nanos, exec_nanos);
         match out {
@@ -1039,15 +939,75 @@ impl Engine {
     }
 
     /// The kernel-backend gate: a native kernel may serve a conversion
-    /// only when the policy allows it ([`Backend::Auto`]), the inputs
-    /// have passed source-descriptor validation, the plan carries a
-    /// clean static-verification report, and a kernel is registered for
-    /// the pair's structural fingerprints. Everything else interprets.
+    /// only when the inputs have passed source-descriptor validation, the
+    /// plan carries a clean static-verification report, and a kernel is
+    /// registered for the pair's structural fingerprints. Everything else
+    /// interprets.
     fn kernel_eligible(&self, plan: &Plan) -> bool {
-        self.config.backend == Backend::Auto
-            && self.config.validate_inputs
+        self.config.validate_inputs
             && plan.verification.is_some()
             && plan.has_kernel()
+    }
+}
+
+/// A container [`Engine::execute`] converts: the rank-specific step
+/// behind each stage of the one execution path, with one impl per rank.
+trait Operand: Sized {
+    fn nnz(&self) -> usize;
+    fn validate(&self, src: &FormatDescriptor) -> Result<(), ValidationError>;
+    fn estimate_output_bytes(&self, dst: &FormatDescriptor) -> (&'static str, u64);
+    fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>>;
+    fn run_observed(
+        &self,
+        plan: &Conversion,
+        pair: u64,
+        obs: &dyn Subscriber,
+    ) -> Result<Self, RunError>;
+}
+
+impl Operand for AnyMatrix {
+    fn nnz(&self) -> usize {
+        AnyMatrix::nnz(self)
+    }
+    fn validate(&self, src: &FormatDescriptor) -> Result<(), ValidationError> {
+        sparse_formats::validate_matrix(src, self.as_ref())
+    }
+    fn estimate_output_bytes(&self, dst: &FormatDescriptor) -> (&'static str, u64) {
+        admission::estimate_matrix_output_bytes(dst, self.as_ref())
+    }
+    fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>> {
+        plan.run_matrix_kernel(self.as_ref())
+    }
+    fn run_observed(
+        &self,
+        plan: &Conversion,
+        pair: u64,
+        obs: &dyn Subscriber,
+    ) -> Result<Self, RunError> {
+        plan.run_matrix_observed(self.as_ref(), pair, obs)
+    }
+}
+
+impl Operand for AnyTensor {
+    fn nnz(&self) -> usize {
+        AnyTensor::nnz(self)
+    }
+    fn validate(&self, src: &FormatDescriptor) -> Result<(), ValidationError> {
+        sparse_formats::validate_tensor(src, self.as_ref())
+    }
+    fn estimate_output_bytes(&self, dst: &FormatDescriptor) -> (&'static str, u64) {
+        admission::estimate_tensor_output_bytes(dst, self.as_ref())
+    }
+    fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>> {
+        plan.run_tensor_kernel(self.as_ref())
+    }
+    fn run_observed(
+        &self,
+        plan: &Conversion,
+        pair: u64,
+        obs: &dyn Subscriber,
+    ) -> Result<Self, RunError> {
+        plan.run_tensor_observed(self.as_ref(), pair, obs)
     }
 }
 
@@ -1142,7 +1102,7 @@ mod tests {
             .unwrap(),
         );
 
-        let err = engine.execute_one(&plan, &input).unwrap_err();
+        let err = engine.execute(&plan, &input).unwrap_err();
         match err {
             EngineError::Panicked(m) => assert!(m.contains("comparator exploded"), "{m}"),
             other => panic!("expected a contained panic, got: {other}"),
@@ -1198,7 +1158,7 @@ mod tests {
         let plan = kernel_plan(|_| panic!("kernel exploded"));
         assert!(engine.kernel_eligible(&plan), "the test must exercise the kernel gate");
 
-        let out = engine.execute_one(&plan, &sorted_input()).unwrap();
+        let out = engine.execute(&plan, &sorted_input()).unwrap();
         assert!(matches!(out, AnyMatrix::Csr(_)), "fallback must still answer");
         let stats = engine.stats();
         assert_eq!(stats.kernel_panics, 1, "the kernel panic must be counted");
@@ -1221,7 +1181,7 @@ mod tests {
             Err(RunError::Unsupported("declined by test".into()))
         });
 
-        let out = engine.execute_one(&plan, &sorted_input()).unwrap();
+        let out = engine.execute(&plan, &sorted_input()).unwrap();
         assert!(matches!(out, AnyMatrix::Csr(_)));
         let stats = engine.stats();
         assert_eq!(stats.kernel_declines, 1);

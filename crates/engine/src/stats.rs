@@ -137,9 +137,9 @@ pub struct EngineStats {
     /// Total stored entries moved across all successful conversions
     /// (input nnz, padding excluded).
     pub nnz_moved: u64,
-    /// Conversions served by a native fused kernel (see
-    /// [`crate::Backend`]). Every successful conversion is either a
-    /// kernel hit or an interpreter execution: `kernels_hit +
+    /// Conversions served by a native fused kernel (only behind a
+    /// verified plan and validated inputs). Every successful conversion
+    /// is either a kernel hit or an interpreter execution: `kernels_hit +
     /// interp_fallbacks == conversions` always holds.
     pub kernels_hit: u64,
     /// Kernel attempts that declined the input (returned an error); the
@@ -152,9 +152,8 @@ pub struct EngineStats {
     pub kernel_panics: u64,
     /// Successful conversions executed by the SPF-IR interpreter —
     /// because no kernel is registered for the pair, the plan was not
-    /// verified, the backend is [`crate::Backend::InterpreterOnly`], or
-    /// a kernel declined/panicked on the input. Falling back is never an
-    /// error.
+    /// verified, inputs were not validated, or a kernel declined/panicked
+    /// on the input. Falling back is never an error.
     pub interp_fallbacks: u64,
     /// Cumulative wall time spent in synthesis + lowering.
     pub synth_time: Duration,

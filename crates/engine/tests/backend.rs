@@ -1,10 +1,9 @@
 //! Execution-backend contract tests: the native kernel path engages
-//! exactly when policy, validation, verification, and registration all
-//! line up; every other conversion interprets; and the accounting
+//! exactly when validation, verification, and registration all line up; every other conversion interprets; and the accounting
 //! invariant `kernels_hit + interp_fallbacks == conversions` holds
 //! unconditionally.
 
-use sparse_engine::{Backend, Engine, EngineConfig, EngineStats};
+use sparse_engine::{Engine, EngineConfig, EngineStats};
 use sparse_formats::descriptors;
 use sparse_formats::{AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CsrMatrix, MortonCoo3Tensor};
 
@@ -54,11 +53,9 @@ fn verified_engine_serves_hot_pair_from_kernel() {
 #[test]
 fn backend_choice_does_not_change_results() {
     let auto = verified();
-    let interp_only = Engine::with_config(EngineConfig {
-        verify_plans: true,
-        backend: Backend::InterpreterOnly,
-        ..Default::default()
-    });
+    // Kernels only run behind verified plans, so an unverified engine is
+    // the interpreter-only reference.
+    let interp_only = Engine::new();
     let coo = sample_scoo(15, 12, 2);
     for (src, dst, input) in [
         (descriptors::scoo(), descriptors::csr(), AnyMatrix::Coo(coo.clone())),
@@ -70,7 +67,7 @@ fn backend_choice_does_not_change_results() {
         assert_eq!(a, b, "{} -> {}", src.name, dst.name);
     }
     assert!(auto.stats().kernels_hit >= 1);
-    assert_eq!(interp_only.stats().kernels_hit, 0, "InterpreterOnly must never use kernels");
+    assert_eq!(interp_only.stats().kernels_hit, 0, "unverified engines must never use kernels");
     assert_eq!(interp_only.stats().interp_fallbacks, interp_only.stats().conversions);
     assert_invariant(&auto.stats());
     assert_invariant(&interp_only.stats());

@@ -689,7 +689,7 @@ mod tests {
     }
 
     /// `{[i, j] -> [j, i]}` (interchange)
-    fn interchange() -> Relation {
+    fn swap_ij() -> Relation {
         let mut c = Conjunction::new(4);
         c.add(Constraint::eq(E::var(v(2)), E::var(v(1))));
         c.add(Constraint::eq(E::var(v(3)), E::var(v(0))));
@@ -702,7 +702,7 @@ mod tests {
 
     #[test]
     fn inverse_swaps_tuples() {
-        let r = interchange();
+        let r = swap_ij();
         let inv = r.inverse();
         assert_eq!(inv.in_tuple(), &["jo", "io"]);
         assert_eq!(inv.out_tuple(), &["i", "j"]);
@@ -720,7 +720,7 @@ mod tests {
 
     #[test]
     fn double_inverse_is_identity() {
-        let r = interchange();
+        let r = swap_ij();
         let mut rr = r.inverse().inverse();
         let mut orig = r.clone();
         rr.simplify();
@@ -731,7 +731,7 @@ mod tests {
     #[test]
     fn apply_interchange_to_rectangle() {
         let s = rect_set();
-        let r = interchange();
+        let r = swap_ij();
         let mut out = r.apply(&s);
         out.simplify();
         assert_eq!(out.tuple(), &["jo", "io"]);
@@ -753,7 +753,7 @@ mod tests {
 
     #[test]
     fn compose_interchange_twice_is_identity_map() {
-        let r = interchange();
+        let r = swap_ij();
         let mut id = r.compose(&r);
         id.simplify();
         assert_eq!(id.conjunctions().len(), 1);
@@ -840,7 +840,7 @@ mod tests {
 
     #[test]
     fn is_function_detects_affine_maps() {
-        assert!(interchange().is_function());
+        assert!(swap_ij().is_function());
         // {[i] -> [p] : p >= i} is not a function.
         let mut c = Conjunction::new(2);
         c.add(Constraint::ge(E::var(v(1)), E::var(v(0))));
@@ -947,7 +947,7 @@ mod tests {
         let txt = s.to_string();
         assert!(txt.starts_with("{ [i, j] :"));
         assert!(txt.contains("&&"));
-        let r = interchange();
+        let r = swap_ij();
         assert!(r.to_string().contains("[i, j] -> [jo, io]"));
     }
 }

@@ -14,8 +14,7 @@
 //!   stage (stage name, pair fingerprint, nanoseconds, outcome). The
 //!   default [`NoopSubscriber`] compiles to a virtual call that does
 //!   nothing, keeping the instrumented hot path within noise of the
-//!   uninstrumented one (asserted in the `engine_cache`/`bench4`
-//!   benches).
+//!   uninstrumented one (asserted in the `engine_cache` bench).
 //! * **Event ring** — a lock-free fixed-size ring buffer of [`Event`]s
 //!   (kernel panics, declined kernels, failed runs, rejected inputs).
 //!   Writers never block and never allocate: when the ring is full the

@@ -5,7 +5,7 @@
 //! *"Code Synthesis for Sparse Tensor Format Conversion and Optimization"*
 //! (CGO 2023): computations made of statements with iteration spaces and
 //! schedules, composable transformations (redundancy removal, dead-code
-//! elimination, loop fusion, interchange), C code generation, and direct
+//! elimination, loop fusion), C code generation, and direct
 //! in-process execution.
 //!
 //! ```
@@ -44,7 +44,4 @@ pub mod transform;
 pub use computation::{Compiled, ComparatorRegistry, Computation, LowerError};
 pub use stmt::{FindSpec, Kernel, ListOrderSpec, Stmt};
 pub use graph::to_dot;
-pub use transform::{
-    dead_code_elimination, fuse_loops, interchange, optimize, remove_redundant, shift,
-    skew,
-};
+pub use transform::{dead_code_elimination, fuse_loops, optimize, remove_redundant};

@@ -15,14 +15,10 @@
 //!   conservative dependence test. DIA's copy loop correctly does *not*
 //!   fuse with the loop building `off`, reproducing the limitation the
 //!   paper reports.
-//! * [`interchange`] — classic loop interchange on one statement's
-//!   iteration space, as an example of the wider SPF transformation
-//!   repertoire.
 
 use std::collections::BTreeSet;
 
-use spf_ir::expr::{LinExpr, VarId};
-use spf_ir::formula::{Relation, Set};
+use spf_ir::formula::Set;
 
 use crate::computation::Computation;
 use crate::stmt::Kernel;
@@ -158,237 +154,11 @@ pub fn optimize(comp: &mut Computation) -> (usize, usize, usize) {
     (r, d, f)
 }
 
-/// Interchanges two tuple positions of one statement's iteration space by
-/// applying the permutation relation `{[..a..b..] -> [..b..a..]}` — the
-/// textbook SPF transformation from §2.1 of the paper.
-///
-/// # Panics
-/// Panics when `stmt_idx` or the positions are out of range.
-pub fn interchange(comp: &mut Computation, stmt_idx: usize, p: usize, q: usize) {
-    let stmt = &mut comp.stmts[stmt_idx];
-    let arity = stmt.iter_space.arity() as usize;
-    assert!(p < arity && q < arity, "interchange positions out of range");
-    let in_names: Vec<String> = stmt.iter_space.tuple().to_vec();
-    let mut out_names = in_names.clone();
-    out_names.swap(p, q);
-    let mut conj = spf_ir::Conjunction::new(2 * arity as u32);
-    for k in 0..arity {
-        let src = if k == p {
-            q
-        } else if k == q {
-            p
-        } else {
-            k
-        };
-        conj.add(spf_ir::Constraint::eq(
-            LinExpr::var(VarId((arity + k) as u32)),
-            LinExpr::var(VarId(src as u32)),
-        ));
-    }
-    let rel = Relation::from_conjunctions(in_names, out_names, vec![conj]);
-    let mut new_space = rel.apply(&stmt.iter_space);
-    new_space.simplify();
-    // Kernel expressions index tuple positions; remap them.
-    let remap = |e: &LinExpr| -> LinExpr {
-        e.map_vars(&mut |v: VarId| {
-            let idx = v.index();
-            let new = if idx == p {
-                q
-            } else if idx == q {
-                p
-            } else {
-                idx
-            };
-            LinExpr::var(VarId(new as u32))
-        })
-    };
-    stmt.kernel = match &stmt.kernel {
-        Kernel::UfWrite { uf, idx, value } => Kernel::UfWrite {
-            uf: uf.clone(),
-            idx: remap(idx),
-            value: remap(value),
-        },
-        Kernel::UfMin { uf, idx, value } => Kernel::UfMin {
-            uf: uf.clone(),
-            idx: remap(idx),
-            value: remap(value),
-        },
-        Kernel::UfMax { uf, idx, value } => Kernel::UfMax {
-            uf: uf.clone(),
-            idx: remap(idx),
-            value: remap(value),
-        },
-        Kernel::ListInsert { list, args } => Kernel::ListInsert {
-            list: list.clone(),
-            args: args.iter().map(remap).collect(),
-        },
-        Kernel::Copy { dst, dst_idx, src, src_idx } => Kernel::Copy {
-            dst: dst.clone(),
-            dst_idx: remap(dst_idx),
-            src: src.clone(),
-            src_idx: remap(src_idx),
-        },
-        setup => setup.clone(),
-    };
-    stmt.iter_space = new_space;
-}
-
-/// Skews tuple position `p` of one statement's iteration space by
-/// `factor` times position `q` (`p' = p + factor * q`), applying the
-/// relation `{[.., x, .., y, ..] -> [.., x + factor*y, .., y, ..]}` and
-/// compensating in the kernel — the loop-skewing transformation the paper
-/// lists among SPF's repertoire.
-///
-/// # Panics
-/// Panics when indices are out of range or equal.
-pub fn skew(comp: &mut Computation, stmt_idx: usize, p: usize, q: usize, factor: i64) {
-    let stmt = &mut comp.stmts[stmt_idx];
-    let arity = stmt.iter_space.arity() as usize;
-    assert!(p < arity && q < arity && p != q, "skew positions invalid");
-    let in_names: Vec<String> = stmt.iter_space.tuple().to_vec();
-    let out_names = in_names.clone();
-    let mut conj = spf_ir::Conjunction::new(2 * arity as u32);
-    for k in 0..arity {
-        let mut rhs = LinExpr::var(VarId(k as u32));
-        if k == p {
-            rhs = rhs.add(&LinExpr::var(VarId(q as u32)).scaled(factor));
-        }
-        conj.add(spf_ir::Constraint::eq(
-            LinExpr::var(VarId((arity + k) as u32)),
-            rhs,
-        ));
-    }
-    let rel = Relation::from_conjunctions(in_names, out_names, vec![conj]);
-    let mut new_space = rel.apply(&stmt.iter_space);
-    new_space.simplify();
-    // Kernel sees p' = p + factor*q, so substitute p := p' - factor*q.
-    let repl = LinExpr::var(VarId(p as u32))
-        .add(&LinExpr::var(VarId(q as u32)).scaled(-factor));
-    let remap = |e: &LinExpr| -> LinExpr { e.substitute_var(VarId(p as u32), &repl) };
-    stmt.kernel = remap_kernel(&stmt.kernel, &remap);
-    stmt.iter_space = new_space;
-}
-
-/// Applies an expression rewriter to every expression of a loop kernel.
-fn remap_kernel(k: &Kernel, remap: &dyn Fn(&LinExpr) -> LinExpr) -> Kernel {
-    match k {
-        Kernel::UfWrite { uf, idx, value } => Kernel::UfWrite {
-            uf: uf.clone(),
-            idx: remap(idx),
-            value: remap(value),
-        },
-        Kernel::UfMin { uf, idx, value } => Kernel::UfMin {
-            uf: uf.clone(),
-            idx: remap(idx),
-            value: remap(value),
-        },
-        Kernel::UfMax { uf, idx, value } => Kernel::UfMax {
-            uf: uf.clone(),
-            idx: remap(idx),
-            value: remap(value),
-        },
-        Kernel::ListInsert { list, args } => Kernel::ListInsert {
-            list: list.clone(),
-            args: args.iter().map(remap).collect(),
-        },
-        Kernel::Copy { dst, dst_idx, src, src_idx } => Kernel::Copy {
-            dst: dst.clone(),
-            dst_idx: remap(dst_idx),
-            src: src.clone(),
-            src_idx: remap(src_idx),
-        },
-        Kernel::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => Kernel::DataAxpy {
-            y: y.clone(),
-            y_idx: remap(y_idx),
-            a: a.clone(),
-            a_idx: remap(a_idx),
-            x: x.clone(),
-            x_idx: remap(x_idx),
-        },
-        setup => setup.clone(),
-    }
-}
-
-/// Shifts tuple position `p` of one statement's iteration space by a
-/// constant `offset`, applying the relation
-/// `{[.., x, ..] -> [.., x + offset, ..]}` and compensating in the kernel
-/// expressions — another member of the standard SPF repertoire (loop
-/// shifting/retiming).
-///
-/// # Panics
-/// Panics when `stmt_idx` or `p` are out of range.
-pub fn shift(comp: &mut Computation, stmt_idx: usize, p: usize, offset: i64) {
-    let stmt = &mut comp.stmts[stmt_idx];
-    let arity = stmt.iter_space.arity() as usize;
-    assert!(p < arity, "shift position out of range");
-    let in_names: Vec<String> = stmt.iter_space.tuple().to_vec();
-    let out_names = in_names.clone();
-    let mut conj = spf_ir::Conjunction::new(2 * arity as u32);
-    for k in 0..arity {
-        let mut rhs = LinExpr::var(VarId(k as u32));
-        if k == p {
-            rhs = rhs.add(&LinExpr::constant(offset));
-        }
-        conj.add(spf_ir::Constraint::eq(
-            LinExpr::var(VarId((arity + k) as u32)),
-            rhs,
-        ));
-    }
-    let rel = Relation::from_conjunctions(in_names, out_names, vec![conj]);
-    let mut new_space = rel.apply(&stmt.iter_space);
-    new_space.simplify();
-    // Kernel expressions see the shifted variable; substitute x := x - offset.
-    let remap = |e: &LinExpr| -> LinExpr {
-        e.substitute_var(
-            VarId(p as u32),
-            &LinExpr::var(VarId(p as u32)).add(&LinExpr::constant(-offset)),
-        )
-    };
-    stmt.kernel = match &stmt.kernel {
-        Kernel::UfWrite { uf, idx, value } => Kernel::UfWrite {
-            uf: uf.clone(),
-            idx: remap(idx),
-            value: remap(value),
-        },
-        Kernel::UfMin { uf, idx, value } => Kernel::UfMin {
-            uf: uf.clone(),
-            idx: remap(idx),
-            value: remap(value),
-        },
-        Kernel::UfMax { uf, idx, value } => Kernel::UfMax {
-            uf: uf.clone(),
-            idx: remap(idx),
-            value: remap(value),
-        },
-        Kernel::ListInsert { list, args } => Kernel::ListInsert {
-            list: list.clone(),
-            args: args.iter().map(remap).collect(),
-        },
-        Kernel::Copy { dst, dst_idx, src, src_idx } => Kernel::Copy {
-            dst: dst.clone(),
-            dst_idx: remap(dst_idx),
-            src: src.clone(),
-            src_idx: remap(src_idx),
-        },
-        Kernel::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => Kernel::DataAxpy {
-            y: y.clone(),
-            y_idx: remap(y_idx),
-            a: a.clone(),
-            a_idx: remap(a_idx),
-            x: x.clone(),
-            x_idx: remap(x_idx),
-        },
-        setup => setup.clone(),
-    };
-    stmt.iter_space = new_space;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::computation::ComparatorRegistry;
     use crate::stmt::Stmt;
-    use spf_codegen::runtime::RtEnv;
+    use spf_ir::expr::{LinExpr, VarId};
     use spf_ir::parse_set;
     use spf_ir::UfCall;
 
@@ -548,79 +318,6 @@ mod tests {
         assert_eq!(fuse_loops(&mut comp), 0);
         let c = comp.codegen("unfused").unwrap();
         assert_eq!(c.matches("for (").count(), 2);
-    }
-
-    #[test]
-    fn interchange_swaps_loop_order() {
-        let mut comp = Computation::new();
-        comp.add_stmt(Stmt::new(
-            "visit",
-            Kernel::UfWrite {
-                uf: "cell".into(),
-                idx: LinExpr::var(VarId(0))
-                    .scaled(4)
-                    .add(&LinExpr::var(VarId(1))),
-                value: LinExpr::constant(1),
-            },
-            space("{ [i, j] : 0 <= i < 3 && 0 <= j < 4 }"),
-        ));
-        interchange(&mut comp, 0, 0, 1);
-        let c = comp.codegen("ic").unwrap();
-        // Outer loop now runs to 4 (old j), inner to 3 (old i).
-        let outer = c.find("< 4").unwrap();
-        let inner = c.find("< 3").unwrap();
-        assert!(outer < inner, "{c}");
-        // Execute and confirm all 12 cells visited.
-        let compiled = comp.lower().unwrap();
-        let mut env = RtEnv::new().with_uf("cell", vec![0; 12]);
-        compiled.execute(&mut env, &ComparatorRegistry::new()).unwrap();
-        assert!(env.ufs["cell"].iter().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn shift_preserves_semantics() {
-        use crate::computation::ComparatorRegistry;
-        use spf_codegen::runtime::RtEnv;
-        let mut comp = Computation::new();
-        comp.add_stmt(Stmt::new(
-            "fill",
-            Kernel::UfWrite {
-                uf: "out".into(),
-                idx: LinExpr::var(VarId(0)),
-                value: LinExpr::var(VarId(0)).scaled(3),
-            },
-            space("{ [n] : 0 <= n < 5 }"),
-        ));
-        shift(&mut comp, 0, 0, 10);
-        // Loop now runs 10..15 but writes the same elements.
-        let c = comp.codegen("shifted").unwrap();
-        assert!(c.contains("= 10;"), "{c}");
-        let compiled = comp.lower().unwrap();
-        let mut env = RtEnv::new().with_uf("out", vec![0; 5]);
-        compiled.execute(&mut env, &ComparatorRegistry::new()).unwrap();
-        assert_eq!(env.ufs["out"], vec![0, 3, 6, 9, 12]);
-    }
-
-    #[test]
-    fn skew_preserves_semantics() {
-        use crate::computation::ComparatorRegistry;
-        use spf_codegen::runtime::RtEnv;
-        // Visit a 3x4 rectangle writing cell[4i + j]; skew j by i.
-        let mut comp = Computation::new();
-        comp.add_stmt(Stmt::new(
-            "visit",
-            Kernel::UfWrite {
-                uf: "cell".into(),
-                idx: LinExpr::var(VarId(0)).scaled(4).add(&LinExpr::var(VarId(1))),
-                value: LinExpr::constant(1),
-            },
-            space("{ [i, j] : 0 <= i < 3 && 0 <= j < 4 }"),
-        ));
-        skew(&mut comp, 0, 1, 0, 1); // j' = j + i: wavefront schedule
-        let compiled = comp.lower().unwrap();
-        let mut env = RtEnv::new().with_uf("cell", vec![0; 12]);
-        compiled.execute(&mut env, &ComparatorRegistry::new()).unwrap();
-        assert!(env.ufs["cell"].iter().all(|&x| x == 1), "{:?}", env.ufs["cell"]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use sparse_synth::baselines::hicoo_morton_sort3;
-use sparse_synth::formats::{descriptors, MortonCoo3Tensor};
+use sparse_synth::formats::{descriptors, AnyTensor, MortonCoo3Tensor};
 use sparse_synth::matgen::skewed_tensor;
 use sparse_synth::synthesis::{Conversion, SynthesisOptions};
 
@@ -35,8 +35,9 @@ fn main() {
 
     // Synthesized conversion.
     let t0 = Instant::now();
-    let (ours, _) = conv.run_coo3_to_mcoo3(&t).expect("conversion runs");
+    let (ours, _) = conv.run_tensor(&t).expect("conversion runs");
     let ours_time = t0.elapsed();
+    let AnyTensor::MortonCoo3(ours) = ours else { panic!("expected MCOO3, got {}", ours.label()) };
 
     // The hand-written HiCOO-style comparator.
     let t0 = Instant::now();

@@ -51,8 +51,7 @@ fn main() {
     };
     let run = |options: SynthesisOptions| {
         let conv = Conversion::new(&src, &dst, options).unwrap();
-        let (out, stats) = conv.run_coo_to_csr(&coo).unwrap();
-        (out, stats)
+        conv.run_matrix(&coo).unwrap()
     };
     let (a, naive_stats) = run(naive_opts);
     let (b, opt_stats) = run(SynthesisOptions::default());

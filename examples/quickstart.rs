@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use sparse_synth::formats::{descriptors, CooMatrix, CsrMatrix};
+use sparse_synth::formats::{descriptors, AnyMatrix, CooMatrix, CsrMatrix};
 use sparse_synth::synthesis::{Conversion, SynthesisOptions};
 
 fn main() {
@@ -55,7 +55,8 @@ fn main() {
         vec![10.0, 20.0, 30.0, 40.0, 50.0],
     )
     .expect("valid COO");
-    let (csr, stats) = conv.run_coo_to_csr(&coo).expect("conversion runs");
+    let (csr, stats) = conv.run_matrix(&coo).expect("conversion runs");
+    let AnyMatrix::Csr(csr) = csr else { panic!("expected CSR, got {}", csr.label()) };
     println!("=== Result ===");
     println!("rowptr = {:?}", csr.rowptr);
     println!("col    = {:?}", csr.col);

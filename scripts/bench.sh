@@ -1,28 +1,28 @@
 #!/usr/bin/env bash
 # Benchmark driver: runs the criterion benches in quick mode (the
-# vendored criterion shim is already sample-bounded; quick mode just
-# trims the matrix subset via the benches' own constants) and then the
-# kernel-vs-interpreter measurement, emitting BENCH_4.json at the repo
-# root (per-pair ns/nnz for both backends plus speedups).
+# vendored criterion shim is already sample-bounded) and then the
+# engine-level benchmark (perfbench, the command BENCHMARK.json names)
+# on its three workloads, one JSON result line per workload in
+# target/perfbench/<workload>.json.
 #
-# Usage: scripts/bench.sh [--full]
-#   default: quick — small matrices for the JSON artifact (fast sanity)
-#   --full:  the acceptance configuration (10k x 10k, 1M nnz)
+# Usage: scripts/bench.sh [SECONDS]
+#   SECONDS: measurement time per workload (default 20, as BENCHMARK.json)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MODE="${1:-quick}"
+SECONDS_PER_RUN="${1:-20}"
 
 echo "==> criterion benches (quick mode)"
 cargo bench -q -p sparse-bench --bench fig2_conversions
 cargo bench -q -p sparse-bench --bench table4_morton
 
-echo "==> kernel backend vs interpreter (BENCH_4.json)"
-if [ "$MODE" = "--full" ]; then
-    cargo run -q --release -p sparse-bench --bin bench4 -- --out BENCH_4.json
-else
-    cargo run -q --release -p sparse-bench --bin bench4 -- \
-        --n 2000 --nnz 200000 --reps 3 --out BENCH_4.json
-fi
+echo "==> perfbench (BENCHMARK.json workloads)"
+mkdir -p target/perfbench
+for workload in bulk-default bulk-verified stream-small; do
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml \
+        --target-dir target -- \
+        --workload "$workload" --seconds "$SECONDS_PER_RUN" --trace 0 \
+        | tail -n 1 | tee "target/perfbench/$workload.json"
+done
 
-echo "Wrote BENCH_4.json"
+echo "Wrote target/perfbench/{bulk-default,bulk-verified,stream-small}.json"

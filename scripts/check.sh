@@ -29,4 +29,18 @@ echo "==> cargo run --release --example lint_descriptor (static-analysis gate)"
 # synthesizable conversion plan; exits nonzero on any error or warning.
 cargo run --release --example lint_descriptor
 
+echo "==> perfbench stream-small (engine-level correctness gate)"
+# Converts every executable catalog pair (31 matrix, 6 tensor) through
+# Engine::convert / convert_tensor and checks each output bit-exactly;
+# building it also proves the public API the benchmark pins still
+# exists. The last line of stdout is the run's JSON result. It builds
+# into the workspace's target/ so perfbench/ itself stays untouched.
+PERF_LAST=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml --target-dir target -- \
+    --workload stream-small --seconds 1 --trace 1 | tail -n 1)
+echo "$PERF_LAST"
+case "$PERF_LAST" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "perfbench stream-small: wrong outputs or failed conversions" >&2; exit 1 ;;
+esac
+
 echo "All checks passed."

@@ -23,7 +23,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use sparse_synth::formats::{descriptors, CooMatrix};
+//! use sparse_synth::formats::{descriptors, AnyMatrix, CooMatrix};
 //! use sparse_synth::synthesis::{Conversion, SynthesisOptions};
 //!
 //! // Synthesize sorted-COO -> CSR (the paper's headline conversion).
@@ -39,7 +39,8 @@
 //! // Run it on a real matrix.
 //! let coo = CooMatrix::from_triplets(
 //!     2, 2, vec![0, 1], vec![1, 0], vec![1.0, 2.0]).unwrap();
-//! let (csr, _) = conv.run_coo_to_csr(&coo).unwrap();
+//! let (out, _) = conv.run_matrix(&coo).unwrap();
+//! let AnyMatrix::Csr(csr) = out else { panic!("expected CSR") };
 //! assert_eq!(csr.rowptr, vec![0, 1, 2]);
 //!
 //! // Or inspect the synthesized C code.

@@ -3,7 +3,9 @@
 //! synthetic evaluation suite, checked against the reference conversions.
 
 use sparse_synth::baselines::{self, Library};
-use sparse_synth::formats::{descriptors, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix};
+use sparse_synth::formats::{
+    descriptors, AnyMatrix, AnyTensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix,
+};
 use sparse_synth::matgen::suite::{table3_suite, table4_suite};
 use sparse_synth::synthesis::{Conversion, SynthesisOptions};
 
@@ -25,8 +27,8 @@ fn coo_to_csr_whole_suite() {
     )
     .unwrap();
     for (name, coo) in suite_matrices() {
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "{name}");
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        assert_eq!(got, AnyMatrix::from(CsrMatrix::from_coo(&coo)), "{name}");
     }
 }
 
@@ -39,8 +41,8 @@ fn coo_to_csc_whole_suite() {
     )
     .unwrap();
     for (name, coo) in suite_matrices() {
-        let (got, _) = conv.run_coo_to_csc(&coo).unwrap();
-        assert_eq!(got, CscMatrix::from_coo(&coo), "{name}");
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        assert_eq!(got, AnyMatrix::from(CscMatrix::from_coo(&coo)), "{name}");
     }
 }
 
@@ -54,8 +56,8 @@ fn csr_to_csc_whole_suite() {
     .unwrap();
     for (name, coo) in suite_matrices() {
         let csr = CsrMatrix::from_coo(&coo);
-        let (got, _) = conv.run_csr_to_csc(&csr).unwrap();
-        assert_eq!(got, CscMatrix::from_csr(&csr), "{name}");
+        let (got, _) = conv.run_matrix(&csr).unwrap();
+        assert_eq!(got, AnyMatrix::from(CscMatrix::from_csr(&csr)), "{name}");
     }
 }
 
@@ -73,8 +75,9 @@ fn coo_to_dia_banded_suite_linear_and_binary() {
                 continue;
             }
             let coo = spec.generate(SCALE);
-            let (got, _) = conv.run_coo_to_dia(&coo).unwrap();
-            assert_eq!(got, DiaMatrix::from_coo(&coo), "{} bs={binary_search}", spec.name);
+            let (got, _) = conv.run_matrix(&coo).unwrap();
+            let want = AnyMatrix::from(DiaMatrix::from_coo(&coo));
+            assert_eq!(got, want, "{} bs={binary_search}", spec.name);
         }
     }
 }
@@ -89,7 +92,8 @@ fn coo3_to_mcoo3_tensor_suite() {
     .unwrap();
     for spec in table4_suite() {
         let t = spec.generate(SCALE * 32);
-        let (got, _) = conv.run_coo3_to_mcoo3(&t).unwrap();
+        let (got, _) = conv.run_tensor(&t).unwrap();
+        let AnyTensor::MortonCoo3(got) = got else { panic!("expected MCOO3, got {}", got.label()) };
         got.validate().unwrap();
         // Agreement with the hand-written HiCOO comparator: identical
         // coordinate sequences.
@@ -111,11 +115,11 @@ fn baselines_agree_with_synthesized_on_suite_sample() {
     )
     .unwrap();
     for (name, coo) in suite_matrices().into_iter().take(6) {
-        let (ours, _) = conv.run_coo_to_csr(&coo).unwrap();
+        let (ours, _) = conv.run_matrix(&coo).unwrap();
         for lib in Library::ALL {
             let routine = baselines::coo_to_csr(lib);
             let (theirs, _) = baselines::run_coo_to_csr(&routine, &coo).unwrap();
-            assert_eq!(ours, theirs, "{name} vs {}", lib.name());
+            assert_eq!(ours, AnyMatrix::from(theirs), "{name} vs {}", lib.name());
         }
     }
 }
@@ -133,37 +137,24 @@ fn spmv_is_preserved_across_all_conversions() {
         a.iter().zip(b).all(|(p, q)| (p - q).abs() < 1e-9)
     };
 
-    let csr = Conversion::new(
-        &descriptors::scoo(),
-        &descriptors::csr(),
-        SynthesisOptions::default(),
-    )
-    .unwrap()
-    .run_coo_to_csr(&coo)
-    .unwrap()
-    .0;
+    let convert = |dst, options| {
+        Conversion::new(&descriptors::scoo(), &dst, options).unwrap().run_matrix(&coo).unwrap().0
+    };
+
+    let AnyMatrix::Csr(csr) = convert(descriptors::csr(), SynthesisOptions::default()) else {
+        panic!("expected CSR")
+    };
     assert!(close(&csr.spmv(&x), &want));
 
-    let csc = Conversion::new(
-        &descriptors::scoo(),
-        &descriptors::csc(),
-        SynthesisOptions::default(),
-    )
-    .unwrap()
-    .run_coo_to_csc(&coo)
-    .unwrap()
-    .0;
+    let AnyMatrix::Csc(csc) = convert(descriptors::csc(), SynthesisOptions::default()) else {
+        panic!("expected CSC")
+    };
     assert!(close(&csc.spmv(&x), &want));
 
-    let dia = Conversion::new(
-        &descriptors::scoo(),
-        &descriptors::dia(),
-        SynthesisOptions { optimize: true, binary_search: true },
-    )
-    .unwrap()
-    .run_coo_to_dia(&coo)
-    .unwrap()
-    .0;
+    let binary = SynthesisOptions { optimize: true, binary_search: true };
+    let AnyMatrix::Dia(dia) = convert(descriptors::dia(), binary) else {
+        panic!("expected DIA")
+    };
     assert!(close(&dia.spmv(&x), &want));
 }
 
@@ -184,8 +175,9 @@ fn chained_conversions_round_trip() {
         SynthesisOptions::default(),
     )
     .unwrap();
-    let (csr, _) = to_csr.run_coo_to_csr(&coo).unwrap();
-    let (csc, _) = to_csc.run_csr_to_csc(&csr).unwrap();
+    let (csr, _) = to_csr.run_matrix(&coo).unwrap();
+    let (csc, _) = to_csc.run_matrix(&csr).unwrap();
+    let AnyMatrix::Csc(csc) = csc else { panic!("expected CSC, got {}", csc.label()) };
     assert_eq!(csc.to_dense(), coo.to_dense());
 }
 
@@ -229,7 +221,8 @@ fn synthesized_reorder_feeds_hicoo_construction() {
         SynthesisOptions::default(),
     )
     .unwrap();
-    let (mcoo3, _) = conv.run_coo3_to_mcoo3(&t).unwrap();
+    let (mcoo3, _) = conv.run_tensor(&t).unwrap();
+    let AnyTensor::MortonCoo3(mcoo3) = mcoo3 else { panic!("expected MCOO3, got {}", mcoo3.label()) };
     let via_synthesis = HicooTensor::from_mcoo3(&mcoo3, 4);
     let from_scratch = HicooTensor::from_coo3(&t, 4);
     assert_eq!(via_synthesis, from_scratch);

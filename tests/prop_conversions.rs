@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sparse_synth::formats::{
-    descriptors, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, MortonCooMatrix,
+    descriptors, AnyMatrix, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, MortonCooMatrix,
 };
 use sparse_synth::synthesis::{Conversion, SynthesisOptions};
 
@@ -43,8 +43,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::scoo(), &descriptors::csr(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        prop_assert_eq!(got, CsrMatrix::from_coo(&coo));
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        prop_assert_eq!(got, AnyMatrix::from(CsrMatrix::from_coo(&coo)));
     }
 
     /// Unsorted COO -> CSR through the full permutation machinery.
@@ -53,8 +53,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::coo(), &descriptors::csr(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        prop_assert_eq!(got, CsrMatrix::from_coo(&coo));
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        prop_assert_eq!(got, AnyMatrix::from(CsrMatrix::from_coo(&coo)));
     }
 
     /// Sorted COO -> CSC (permutation required even for sorted input).
@@ -63,8 +63,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::scoo(), &descriptors::csc(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_coo_to_csc(&coo).unwrap();
-        prop_assert_eq!(got, CscMatrix::from_coo(&coo));
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        prop_assert_eq!(got, AnyMatrix::from(CscMatrix::from_coo(&coo)));
     }
 
     /// CSR -> CSC transposition.
@@ -74,8 +74,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::csr(), &descriptors::csc(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_csr_to_csc(&csr).unwrap();
-        prop_assert_eq!(got, CscMatrix::from_csr(&csr));
+        let (got, _) = conv.run_matrix(&csr).unwrap();
+        prop_assert_eq!(got, AnyMatrix::from(CscMatrix::from_csr(&csr)));
     }
 
     /// COO -> DIA, both search strategies.
@@ -86,8 +86,8 @@ proptest! {
             &descriptors::dia(),
             SynthesisOptions { optimize: true, binary_search: binary },
         ).unwrap();
-        let (got, _) = conv.run_coo_to_dia(&coo).unwrap();
-        prop_assert_eq!(got, DiaMatrix::from_coo(&coo));
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        prop_assert_eq!(got, AnyMatrix::from(DiaMatrix::from_coo(&coo)));
     }
 
     /// COO -> Morton COO: the ordering quantifier holds and values are
@@ -97,8 +97,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::scoo(), &descriptors::mcoo(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_coo_to_mcoo(&coo).unwrap();
-        prop_assert_eq!(got, MortonCooMatrix::from_coo(&coo));
+        let (got, _) = conv.run_matrix(&coo).unwrap();
+        prop_assert_eq!(got, AnyMatrix::from(MortonCooMatrix::from_coo(&coo)));
     }
 
     /// Naive (unoptimized) and optimized computations agree — the §3.3
@@ -112,8 +112,9 @@ proptest! {
         let opt = Conversion::new(
             &descriptors::scoo(), &descriptors::csr(), SynthesisOptions::default(),
         ).unwrap();
-        let (a, _) = naive.run_coo_to_csr(&coo).unwrap();
-        let (b, _) = opt.run_coo_to_csr(&coo).unwrap();
+        let (a, _) = naive.run_matrix(&coo).unwrap();
+        let (b, _) = opt.run_matrix(&coo).unwrap();
+        prop_assert!(matches!(a, AnyMatrix::Csr(_)), "expected CSR, got {}", a.label());
         prop_assert_eq!(a, b);
     }
 
@@ -126,8 +127,9 @@ proptest! {
         let to_csc = Conversion::new(
             &descriptors::csr(), &descriptors::csc(), SynthesisOptions::default(),
         ).unwrap();
-        let (csr, _) = to_csr.run_coo_to_csr(&coo).unwrap();
-        let (csc, _) = to_csc.run_csr_to_csc(&csr).unwrap();
+        let (csr, _) = to_csr.run_matrix(&coo).unwrap();
+        let (csc, _) = to_csc.run_matrix(&csr).unwrap();
+        let AnyMatrix::Csc(csc) = csc else { panic!("expected CSC, got {}", csc.label()) };
         prop_assert_eq!(csc.to_dense(), coo.to_dense());
     }
 }
