@@ -135,14 +135,14 @@ fn coo_ref<'a>(m: MatrixRef<'a>) -> Option<&'a CooMatrix> {
 fn k_coo_to_csr(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     let c = coo_ref(m).ok_or_else(|| wrong_container("coo->csr", m.label()))?;
     let (rowptr, col, val) = coo_to_csr_parts(c.nr, &c.row, &c.col, &c.val);
-    Ok(AnyMatrix::Csr(CsrMatrix::new(c.nr, c.nc, rowptr, col, val)?))
+    Ok(AnyMatrix::Csr(CsrMatrix::new(c.nr, c.nc, rowptr, col, val).map_err(RunError::Format)?))
 }
 
 fn k_coo_to_csc(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     let c = coo_ref(m).ok_or_else(|| wrong_container("coo->csc", m.label()))?;
     // Role-swapped counting sort: histogram columns, order rows inside.
     let (colptr, row, val) = coo_to_csr_parts(c.nc, &c.col, &c.row, &c.val);
-    Ok(AnyMatrix::Csc(CscMatrix::new(c.nr, c.nc, colptr, row, val)?))
+    Ok(AnyMatrix::Csc(CscMatrix::new(c.nr, c.nc, colptr, row, val).map_err(RunError::Format)?))
 }
 
 fn k_coo_to_scoo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
@@ -160,7 +160,8 @@ fn k_coo_to_scoo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
         permute_i64(&c.row, &perm),
         permute_i64(&c.col, &perm),
         permute_f64(&c.val, &perm),
-    )?;
+    )
+    .map_err(RunError::Format)?;
     Ok(AnyMatrix::Coo(out))
 }
 
@@ -170,14 +171,15 @@ fn k_coo_to_mcoo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     if perm.windows(2).any(|w| c.row[w[0]] == c.row[w[1]] && c.col[w[0]] == c.col[w[1]]) {
         return Err(decline("coo->mcoo", "duplicate coordinates"));
     }
-    let out = CooMatrix::from_triplets(
-        c.nr,
-        c.nc,
-        permute_i64(&c.row, &perm),
-        permute_i64(&c.col, &perm),
-        permute_f64(&c.val, &perm),
-    )?;
-    Ok(AnyMatrix::MortonCoo(MortonCooMatrix::new(out)?))
+    // `MortonCooMatrix::new` checks the storage and the order in one go.
+    let out = CooMatrix {
+        nr: c.nr,
+        nc: c.nc,
+        row: permute_i64(&c.row, &perm),
+        col: permute_i64(&c.col, &perm),
+        val: permute_f64(&c.val, &perm),
+    };
+    Ok(AnyMatrix::MortonCoo(MortonCooMatrix::new(out).map_err(RunError::Format)?))
 }
 
 fn k_csr_to_csc(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
@@ -185,7 +187,7 @@ fn k_csr_to_csc(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
         return Err(wrong_container("csr->csc", m.label()));
     };
     let (colptr, row, val) = csr_to_csc_parts(c.nr, c.nc, &c.rowptr, &c.col, &c.val);
-    Ok(AnyMatrix::Csc(CscMatrix::new(c.nr, c.nc, colptr, row, val)?))
+    Ok(AnyMatrix::Csc(CscMatrix::new(c.nr, c.nc, colptr, row, val).map_err(RunError::Format)?))
 }
 
 fn k_csc_to_csr(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
@@ -195,7 +197,7 @@ fn k_csc_to_csr(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     // A CSC is the CSR of the transpose; transposing it back is the same
     // scatter with the roles swapped.
     let (rowptr, col, val) = csr_to_csc_parts(c.nc, c.nr, &c.colptr, &c.row, &c.val);
-    Ok(AnyMatrix::Csr(CsrMatrix::new(c.nr, c.nc, rowptr, col, val)?))
+    Ok(AnyMatrix::Csr(CsrMatrix::new(c.nr, c.nc, rowptr, col, val).map_err(RunError::Format)?))
 }
 
 fn k_csr_to_coo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
@@ -203,13 +205,10 @@ fn k_csr_to_coo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
         return Err(wrong_container("csr->coo", m.label()));
     };
     let row = expand_ptr(&c.rowptr);
-    Ok(AnyMatrix::Coo(CooMatrix::from_triplets(
-        c.nr,
-        c.nc,
-        row,
-        c.col.clone(),
-        c.val.clone(),
-    )?))
+    Ok(AnyMatrix::Coo(
+        CooMatrix::from_triplets(c.nr, c.nc, row, c.col.clone(), c.val.clone())
+            .map_err(RunError::Format)?,
+    ))
 }
 
 fn k_csc_to_coo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
@@ -217,13 +216,10 @@ fn k_csc_to_coo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
         return Err(wrong_container("csc->coo", m.label()));
     };
     let col = expand_ptr(&c.colptr);
-    Ok(AnyMatrix::Coo(CooMatrix::from_triplets(
-        c.nr,
-        c.nc,
-        c.row.clone(),
-        col,
-        c.val.clone(),
-    )?))
+    Ok(AnyMatrix::Coo(
+        CooMatrix::from_triplets(c.nr, c.nc, c.row.clone(), col, c.val.clone())
+            .map_err(RunError::Format)?,
+    ))
 }
 
 fn k_coo3_to_mcoo3(t: TensorRef<'_>) -> Result<AnyTensor, RunError> {
@@ -237,14 +233,16 @@ fn k_coo3_to_mcoo3(t: TensorRef<'_>) -> Result<AnyTensor, RunError> {
     }) {
         return Err(decline("coo3->mcoo3", "duplicate coordinates"));
     }
-    let out = Coo3Tensor::from_coords(
-        (c.nr, c.nc, c.nz),
-        permute_i64(&c.i0, &perm),
-        permute_i64(&c.i1, &perm),
-        permute_i64(&c.i2, &perm),
-        permute_f64(&c.val, &perm),
-    )?;
-    Ok(AnyTensor::MortonCoo3(MortonCoo3Tensor::new(out)?))
+    let out = Coo3Tensor {
+        nr: c.nr,
+        nc: c.nc,
+        nz: c.nz,
+        i0: permute_i64(&c.i0, &perm),
+        i1: permute_i64(&c.i1, &perm),
+        i2: permute_i64(&c.i2, &perm),
+        val: permute_f64(&c.val, &perm),
+    };
+    Ok(AnyTensor::MortonCoo3(MortonCoo3Tensor::new(out).map_err(RunError::Format)?))
 }
 
 #[cfg(test)]

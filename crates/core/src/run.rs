@@ -9,8 +9,8 @@ use std::time::Instant;
 
 use sparse_formats::{
     AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix,
-    FormatDescriptor, FormatError, FormatKind, MatrixRef, MortonCoo3Tensor, MortonCooMatrix,
-    TensorRef, ValidationError,
+    FormatDescriptor, FormatKind, MatrixRef, MortonCoo3Tensor, MortonCooMatrix, TensorRef,
+    ValidationError,
 };
 use sparse_obs::{Span, Stage, Subscriber};
 use spf_codegen::interp::{ExecError, ExecStats};
@@ -29,8 +29,10 @@ pub enum RunError {
     /// Execution failed.
     Exec(ExecError),
     /// The produced destination data violates the format's invariants
-    /// (this would indicate a synthesis bug).
-    Format(FormatError),
+    /// (this would indicate a synthesis or kernel bug). The error names
+    /// the failed check with the same [`sparse_formats::InputCheck`]
+    /// vocabulary as input validation.
+    Format(ValidationError),
     /// A name expected in the environment after execution is missing.
     MissingOutput(String),
     /// The descriptor is malformed for its structural kind (missing
@@ -107,12 +109,8 @@ impl From<ExecError> for RunError {
     }
 }
 
-impl From<FormatError> for RunError {
-    fn from(e: FormatError) -> Self {
-        RunError::Format(e)
-    }
-}
-
+/// A failed *input* check. Output sites map their errors explicitly with
+/// `.map_err(RunError::Format)`.
 impl From<ValidationError> for RunError {
     fn from(e: ValidationError) -> Self {
         RunError::InvalidInput { check: e.check.as_str(), detail: e.detail }
@@ -460,8 +458,8 @@ pub fn extract_matrix(
             Ok(AnyMatrix::Coo(extract_coo(env, desc, nr, nc)?))
         }
         FormatKind::MortonCoo => {
-            let coo = extract_coo(env, desc, nr, nc)?;
-            Ok(AnyMatrix::MortonCoo(MortonCooMatrix::new(coo)?))
+            let coo = take_coo(env, desc, nr, nc)?;
+            Ok(AnyMatrix::MortonCoo(MortonCooMatrix::new(coo).map_err(RunError::Format)?))
         }
         FormatKind::Csr => Ok(AnyMatrix::Csr(extract_csr(env, desc, nr, nc)?)),
         FormatKind::Csc => Ok(AnyMatrix::Csc(extract_csc(env, desc, nr, nc)?)),
@@ -487,8 +485,8 @@ pub fn extract_tensor(
     match desc.kind() {
         FormatKind::Coo3 => Ok(AnyTensor::Coo3(extract_coo3(env, desc, dims)?)),
         FormatKind::MortonCoo3 => {
-            let coo = extract_coo3(env, desc, dims)?;
-            Ok(AnyTensor::MortonCoo3(MortonCoo3Tensor::new(coo)?))
+            let coo = take_coo3(env, desc, dims)?;
+            Ok(AnyTensor::MortonCoo3(MortonCoo3Tensor::new(coo).map_err(RunError::Format)?))
         }
         kind => Err(RunError::Unsupported(format!(
             "no tensor extractor for destination descriptor `{}` (kind {kind:?})",
@@ -688,7 +686,7 @@ pub fn extract_csr(
     let rowptr = take_uf(env, &pointer_uf(desc)?)?;
     let col = take_uf(env, &coord_uf(desc, 1, "column UF")?)?;
     let val = take_data(env, &desc.data_name)?;
-    Ok(CsrMatrix::new(nr, nc, rowptr, col, val)?)
+    CsrMatrix::new(nr, nc, rowptr, col, val).map_err(RunError::Format)
 }
 
 /// Extracts a (validated) CSC matrix.
@@ -704,7 +702,22 @@ pub fn extract_csc(
     let colptr = take_uf(env, &pointer_uf(desc)?)?;
     let row = take_uf(env, &coord_uf(desc, 0, "row UF")?)?;
     let val = take_data(env, &desc.data_name)?;
-    Ok(CscMatrix::new(nr, nc, colptr, row, val)?)
+    CscMatrix::new(nr, nc, colptr, row, val).map_err(RunError::Format)
+}
+
+/// The coordinate arrays written under `desc`'s names, not yet
+/// validated: the Morton extractors check them once, together with
+/// their order.
+fn take_coo(
+    env: &mut RtEnv<'_>,
+    desc: &FormatDescriptor,
+    nr: usize,
+    nc: usize,
+) -> Result<CooMatrix, RunError> {
+    let row = take_uf(env, &coord_uf(desc, 0, "row UF")?)?;
+    let col = take_uf(env, &coord_uf(desc, 1, "column UF")?)?;
+    let val = take_data(env, &desc.data_name)?;
+    Ok(CooMatrix { nr, nc, row, col, val })
 }
 
 /// Extracts a (validated) COO matrix.
@@ -717,10 +730,21 @@ pub fn extract_coo(
     nr: usize,
     nc: usize,
 ) -> Result<CooMatrix, RunError> {
-    let row = take_uf(env, &coord_uf(desc, 0, "row UF")?)?;
-    let col = take_uf(env, &coord_uf(desc, 1, "column UF")?)?;
+    let CooMatrix { row, col, val, .. } = take_coo(env, desc, nr, nc)?;
+    CooMatrix::from_triplets(nr, nc, row, col, val).map_err(RunError::Format)
+}
+
+/// Order-3 analogue of [`take_coo`].
+fn take_coo3(
+    env: &mut RtEnv<'_>,
+    desc: &FormatDescriptor,
+    (nr, nc, nz): (usize, usize, usize),
+) -> Result<Coo3Tensor, RunError> {
+    let i0 = take_uf(env, &coord_uf(desc, 0, "mode-0 UF")?)?;
+    let i1 = take_uf(env, &coord_uf(desc, 1, "mode-1 UF")?)?;
+    let i2 = take_uf(env, &coord_uf(desc, 2, "mode-2 UF")?)?;
     let val = take_data(env, &desc.data_name)?;
-    Ok(CooMatrix::from_triplets(nr, nc, row, col, val)?)
+    Ok(Coo3Tensor { nr, nc, nz, i0, i1, i2, val })
 }
 
 /// Extracts a (validated) order-3 COO tensor.
@@ -732,11 +756,8 @@ pub fn extract_coo3(
     desc: &FormatDescriptor,
     dims: (usize, usize, usize),
 ) -> Result<Coo3Tensor, RunError> {
-    let i0 = take_uf(env, &coord_uf(desc, 0, "mode-0 UF")?)?;
-    let i1 = take_uf(env, &coord_uf(desc, 1, "mode-1 UF")?)?;
-    let i2 = take_uf(env, &coord_uf(desc, 2, "mode-2 UF")?)?;
-    let val = take_data(env, &desc.data_name)?;
-    Ok(Coo3Tensor::from_coords(dims, i0, i1, i2, val)?)
+    let Coo3Tensor { i0, i1, i2, val, .. } = take_coo3(env, desc, dims)?;
+    Coo3Tensor::from_coords(dims, i0, i1, i2, val).map_err(RunError::Format)
 }
 
 /// Extracts a (validated) DIA matrix.
@@ -751,5 +772,5 @@ pub fn extract_dia(
 ) -> Result<DiaMatrix, RunError> {
     let off = take_uf(env, &sole_uf(desc, "offset")?)?;
     let data = take_data(env, &desc.data_name)?;
-    Ok(DiaMatrix::new(nr, nc, off, data)?)
+    DiaMatrix::new(nr, nc, off, data).map_err(RunError::Format)
 }

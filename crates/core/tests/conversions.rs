@@ -523,3 +523,39 @@ fn missing_custom_comparator_surfaces_as_error() {
     let err = conv.execute_env(&mut env).unwrap_err();
     assert!(err.to_string().contains("comparator NOT_REGISTERED"), "{err}");
 }
+
+/// A corrupt *output* fails as `RunError::Format` naming the shared
+/// check, never as `InvalidInput` (which a bare `?` through
+/// `From<ValidationError>` would produce).
+#[test]
+fn corrupt_outputs_fail_as_format_errors() {
+    use sparse_formats::{InputCheck, MatrixRef, TensorRef};
+    use sparse_synthesis::run::{bind_matrix, bind_tensor, extract_matrix, extract_tensor};
+    use sparse_synthesis::RunError;
+    use spf_codegen::runtime::RtEnv;
+
+    // Bound under the CSR descriptor's names, a non-monotone `rowptr` is
+    // exactly what a faulty inspector would leave for the extractor.
+    let csr = CsrMatrix::from_coo(&random_coo(4, 4, 6, 1, true));
+    let mut bad = csr.clone();
+    bad.rowptr = vec![0, 3, 1, 5, 6];
+    let desc = descriptors::csr();
+    let mut env = RtEnv::new();
+    bind_matrix(&mut env, &desc, MatrixRef::Csr(&bad)).unwrap();
+    match extract_matrix(&mut env, &desc, bad.nr, bad.nc) {
+        Err(RunError::Format(e)) => assert_eq!(e.check, InputCheck::PointerMonotone, "{e}"),
+        other => panic!("expected RunError::Format, got {other:?}"),
+    }
+
+    // Two nonzeros out of Z-order under the MCOO3 descriptor's names.
+    let t = Coo3Tensor::from_coords((4, 4, 4), vec![3, 0], vec![3, 0], vec![3, 0], vec![1.0, 2.0])
+        .unwrap();
+    let bad = MortonCoo3Tensor { coo: t };
+    let desc = descriptors::mcoo3();
+    let mut env = RtEnv::new();
+    bind_tensor(&mut env, &desc, TensorRef::MortonCoo3(&bad)).unwrap();
+    match extract_tensor(&mut env, &desc, (4, 4, 4)) {
+        Err(RunError::Format(e)) => assert_eq!(e.check, InputCheck::Ordering, "{e}"),
+        other => panic!("expected RunError::Format, got {other:?}"),
+    }
+}

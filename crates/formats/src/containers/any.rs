@@ -226,7 +226,7 @@ impl<'a> From<&'a AnyTensor> for TensorRef<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FormatError;
+    use crate::ValidationError;
 
     fn sample_coo() -> CooMatrix {
         CooMatrix::from_triplets(3, 4, vec![0, 1, 2], vec![1, 0, 3], vec![1.0, 2.0, 3.0])
@@ -234,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn dims_and_nnz_agree_across_variants() -> Result<(), FormatError> {
+    fn dims_and_nnz_agree_across_variants() -> Result<(), ValidationError> {
         let coo = sample_coo();
         let any = AnyMatrix::from(coo.clone());
         assert_eq!(any.dims(), (3, 4));

@@ -7,7 +7,7 @@
 
 use super::coo::CooMatrix;
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use crate::validate::{validate_bcsr, ValidationError};
 
 /// A BCSR matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,68 +51,8 @@ impl BcsrMatrix {
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        if self.browptr.len() != self.block_rows() + 1 {
-            return Err(FormatError::LengthMismatch {
-                what: "BCSR browptr (must be block_rows + 1)",
-                lens: vec![self.browptr.len(), self.block_rows() + 1],
-            });
-        }
-        // The length check above guarantees browptr is non-empty; the -1
-        // sentinel keeps this total (and failing) if that ever regresses.
-        let first = self.browptr.first().copied().unwrap_or(-1);
-        let last = self.browptr.last().copied().unwrap_or(-1);
-        if first != 0 || last != self.nblocks() as i64 {
-            return Err(FormatError::BadPointerEnds {
-                what: "BCSR browptr",
-                first,
-                last,
-                nnz: self.nblocks() as i64,
-            });
-        }
-        if self.browptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(FormatError::NotMonotonic { what: "BCSR browptr" });
-        }
-        if self.data.len() != self.nblocks() * self.bh * self.bw {
-            return Err(FormatError::LengthMismatch {
-                what: "BCSR data (must be nblocks * bh * bw)",
-                lens: vec![self.data.len(), self.nblocks() * self.bh * self.bw],
-            });
-        }
-        for bi in 0..self.block_rows() {
-            let (s, e) = (self.browptr[bi] as usize, self.browptr[bi + 1] as usize);
-            let row = &self.bcol[s..e];
-            if row.iter().any(|&bj| bj < 0 || bj as usize >= self.block_cols()) {
-                return Err(FormatError::CoordinateOutOfRange {
-                    coords: row.to_vec(),
-                    dims: vec![self.block_rows(), self.block_cols()],
-                });
-            }
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(FormatError::NotSorted {
-                    what: "BCSR block columns within a block row",
-                });
-            }
-            // Zero padding outside the logical matrix.
-            for (b, &bj) in row.iter().enumerate() {
-                let blk = s + b;
-                for r in 0..self.bh {
-                    for c in 0..self.bw {
-                        let gi = bi * self.bh + r;
-                        let gj = bj as usize * self.bw + c;
-                        let v = self.data[(blk * self.bh + r) * self.bw + c];
-                        if (gi >= self.nr || gj >= self.nc) && v != 0.0 {
-                            return Err(FormatError::NonzeroPadding {
-                                what: "BCSR out-of-matrix slot",
-                                row: gi,
-                                diag: gj,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        validate_bcsr(self)
     }
 
     /// Reference conversion from COO.
@@ -213,6 +153,7 @@ impl BcsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::InputCheck;
 
     fn sample() -> CooMatrix {
         CooMatrix::from_triplets(
@@ -257,12 +198,23 @@ mod tests {
     }
 
     #[test]
+    fn validate_reports_degenerate_block_dims() {
+        let mut b = BcsrMatrix::from_coo(&sample(), 2, 2);
+        b.bh = 0;
+        assert_eq!(b.validate().unwrap_err().check, InputCheck::ArrayLengths);
+        // `nblocks * bh * bw` overflows: a length error, not a panic.
+        let mut b = BcsrMatrix::from_coo(&sample(), 2, 2);
+        b.bw = usize::MAX / 2;
+        assert_eq!(b.validate().unwrap_err().check, InputCheck::ArrayLengths);
+    }
+
+    #[test]
     fn validate_rejects_unsorted_block_columns() {
         let mut b = BcsrMatrix::from_coo(&sample(), 2, 2);
         // Swap two block columns in the same block row to break ordering.
         if b.browptr[1] - b.browptr[0] >= 2 {
             b.bcol.swap(0, 1);
-            assert!(matches!(b.validate(), Err(FormatError::NotSorted { .. })));
+            assert_eq!(b.validate().unwrap_err().check, InputCheck::Ordering);
         }
     }
 }

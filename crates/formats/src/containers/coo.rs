@@ -9,7 +9,7 @@
 use std::cmp::Ordering;
 
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use crate::validate::{validate_coo, validate_coo3, Order, ValidationError, Values};
 
 /// A COO matrix: parallel `row`/`col`/`val` arrays.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,30 +31,18 @@ impl CooMatrix {
     /// lengths.
     ///
     /// # Errors
-    /// Returns [`FormatError`] for mismatched lengths or out-of-range
-    /// coordinates.
+    /// Returns a [`ValidationError`] for mismatched lengths
+    /// (`array-lengths`) or out-of-range coordinates (`index-bounds`).
     pub fn from_triplets(
         nr: usize,
         nc: usize,
         row: Vec<i64>,
         col: Vec<i64>,
         val: Vec<f64>,
-    ) -> Result<Self, FormatError> {
-        if row.len() != col.len() || row.len() != val.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "COO row/col/val",
-                lens: vec![row.len(), col.len(), val.len()],
-            });
-        }
-        for (&i, &j) in row.iter().zip(&col) {
-            if i < 0 || i as usize >= nr || j < 0 || j as usize >= nc {
-                return Err(FormatError::CoordinateOutOfRange {
-                    coords: vec![i, j],
-                    dims: vec![nr, nc],
-                });
-            }
-        }
-        Ok(CooMatrix { nr, nc, row, col, val })
+    ) -> Result<Self, ValidationError> {
+        let m = CooMatrix { nr, nc, row, col, val };
+        validate_coo(&m, Order::Unordered, Values::Any)?;
+        Ok(m)
     }
 
     /// Number of stored nonzeros (`NNZ`).
@@ -159,37 +147,19 @@ impl Coo3Tensor {
     /// Builds from coordinate lists after validation.
     ///
     /// # Errors
-    /// Returns [`FormatError`] for mismatched lengths or out-of-range
-    /// coordinates.
+    /// Returns a [`ValidationError`] for mismatched lengths
+    /// (`array-lengths`) or out-of-range coordinates (`index-bounds`).
     pub fn from_coords(
         dims: (usize, usize, usize),
         i0: Vec<i64>,
         i1: Vec<i64>,
         i2: Vec<i64>,
         val: Vec<f64>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, ValidationError> {
         let (nr, nc, nz) = dims;
-        if i0.len() != i1.len() || i0.len() != i2.len() || i0.len() != val.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "COO3 coords/val",
-                lens: vec![i0.len(), i1.len(), i2.len(), val.len()],
-            });
-        }
-        for ((&a, &b), &c) in i0.iter().zip(&i1).zip(&i2) {
-            if a < 0
-                || a as usize >= nr
-                || b < 0
-                || b as usize >= nc
-                || c < 0
-                || c as usize >= nz
-            {
-                return Err(FormatError::CoordinateOutOfRange {
-                    coords: vec![a, b, c],
-                    dims: vec![nr, nc, nz],
-                });
-            }
-        }
-        Ok(Coo3Tensor { nr, nc, nz, i0, i1, i2, val })
+        let t = Coo3Tensor { nr, nc, nz, i0, i1, i2, val };
+        validate_coo3(&t, Order::Unordered, Values::Any)?;
+        Ok(t)
     }
 
     /// Number of stored nonzeros.
@@ -245,6 +215,7 @@ impl Coo3Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::InputCheck;
 
     fn sample() -> CooMatrix {
         // 3x4:
@@ -263,14 +234,15 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_input() {
-        assert!(matches!(
-            CooMatrix::from_triplets(2, 2, vec![0], vec![0, 1], vec![1.0]),
-            Err(FormatError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            CooMatrix::from_triplets(2, 2, vec![5], vec![0], vec![1.0]),
-            Err(FormatError::CoordinateOutOfRange { .. })
-        ));
+        let check = |r: Result<CooMatrix, ValidationError>| r.unwrap_err().check;
+        assert_eq!(
+            check(CooMatrix::from_triplets(2, 2, vec![0], vec![0, 1], vec![1.0])),
+            InputCheck::ArrayLengths
+        );
+        assert_eq!(
+            check(CooMatrix::from_triplets(2, 2, vec![5], vec![0], vec![1.0])),
+            InputCheck::IndexBounds
+        );
     }
 
     #[test]

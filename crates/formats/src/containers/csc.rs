@@ -5,7 +5,7 @@
 use super::coo::CooMatrix;
 use super::csr::CsrMatrix;
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use crate::validate::{validate_csc, ValidationError, Values};
 
 /// A CSC matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,14 +26,14 @@ impl CscMatrix {
     /// Builds and validates a CSC matrix.
     ///
     /// # Errors
-    /// Returns [`FormatError`] when any invariant fails.
+    /// Returns a [`ValidationError`] when any invariant fails.
     pub fn new(
         nr: usize,
         nc: usize,
         colptr: Vec<i64>,
         row: Vec<i64>,
         val: Vec<f64>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, ValidationError> {
         let m = CscMatrix { nr, nc, colptr, row, val };
         m.validate()?;
         Ok(m)
@@ -45,44 +45,8 @@ impl CscMatrix {
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        if self.colptr.len() != self.nc + 1 {
-            return Err(FormatError::LengthMismatch {
-                what: "CSC colptr (must be nc + 1)",
-                lens: vec![self.colptr.len(), self.nc + 1],
-            });
-        }
-        if self.row.len() != self.val.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "CSC row/val",
-                lens: vec![self.row.len(), self.val.len()],
-            });
-        }
-        let nnz = self.val.len() as i64;
-        // The length check above guarantees colptr is non-empty; the -1
-        // sentinel keeps this total (and failing) if that ever regresses.
-        let first = self.colptr.first().copied().unwrap_or(-1);
-        let last = self.colptr.last().copied().unwrap_or(-1);
-        if first != 0 || last != nnz {
-            return Err(FormatError::BadPointerEnds { what: "CSC colptr", first, last, nnz });
-        }
-        if self.colptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(FormatError::NotMonotonic { what: "CSC colptr" });
-        }
-        for j in 0..self.nc {
-            let (s, e) = (self.colptr[j] as usize, self.colptr[j + 1] as usize);
-            let colrows = &self.row[s..e];
-            if colrows.iter().any(|&i| i < 0 || i as usize >= self.nr) {
-                return Err(FormatError::CoordinateOutOfRange {
-                    coords: colrows.to_vec(),
-                    dims: vec![self.nr, self.nc],
-                });
-            }
-            if colrows.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(FormatError::NotSorted { what: "CSC rows within a column" });
-            }
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        validate_csc(self, Values::Any)
     }
 
     /// Number of stored nonzeros.
@@ -172,6 +136,7 @@ impl CscMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::InputCheck;
 
     fn sample_coo() -> CooMatrix {
         CooMatrix::from_triplets(
@@ -218,9 +183,7 @@ mod tests {
 
     #[test]
     fn validate_catches_unsorted_rows() {
-        assert!(matches!(
-            CscMatrix::new(3, 1, vec![0, 2], vec![2, 1], vec![1.0, 2.0]),
-            Err(FormatError::NotSorted { .. })
-        ));
+        let err = CscMatrix::new(3, 1, vec![0, 2], vec![2, 1], vec![1.0, 2.0]).unwrap_err();
+        assert_eq!(err.check, InputCheck::Ordering);
     }
 }

@@ -9,7 +9,7 @@
 
 use super::coo::Coo3Tensor;
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use crate::validate::{validate_csf, ValidationError};
 
 /// A mode-(0,1,2) CSF tensor.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,62 +79,8 @@ impl CsfTensor {
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        if self.ptr1.len() != self.idx0.len() + 1 || self.ptr2.len() != self.idx1.len() + 1 {
-            return Err(FormatError::LengthMismatch {
-                what: "CSF pointer levels",
-                lens: vec![self.ptr1.len(), self.idx0.len() + 1, self.ptr2.len(), self.idx1.len() + 1],
-            });
-        }
-        if self.idx2.len() != self.val.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "CSF idx2/val",
-                lens: vec![self.idx2.len(), self.val.len()],
-            });
-        }
-        if self.ptr1.first() != Some(&0)
-            || *self.ptr1.last().unwrap_or(&-1) != self.idx1.len() as i64
-            || self.ptr2.first() != Some(&0)
-            || *self.ptr2.last().unwrap_or(&-1) != self.nnz() as i64
-        {
-            return Err(FormatError::BadPointerEnds {
-                what: "CSF pointers",
-                first: *self.ptr1.first().unwrap_or(&-1),
-                last: *self.ptr2.last().unwrap_or(&-1),
-                nnz: self.nnz() as i64,
-            });
-        }
-        if self.ptr1.windows(2).any(|w| w[0] >= w[1])
-            || self.ptr2.windows(2).any(|w| w[0] >= w[1])
-        {
-            return Err(FormatError::NotMonotonic { what: "CSF pointers (fibers non-empty)" });
-        }
-        if self.idx0.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(FormatError::NotSorted { what: "CSF level-0 coordinates" });
-        }
-        for f in 0..self.idx0.len() {
-            let slice = &self.idx1[self.ptr1[f] as usize..self.ptr1[f + 1] as usize];
-            if slice.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(FormatError::NotSorted { what: "CSF level-1 coordinates" });
-            }
-        }
-        for f in 0..self.idx1.len() {
-            let slice = &self.idx2[self.ptr2[f] as usize..self.ptr2[f + 1] as usize];
-            if slice.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(FormatError::NotSorted { what: "CSF level-2 coordinates" });
-            }
-        }
-        let (d0, d1, d2) = self.dims;
-        let in_range = self.idx0.iter().all(|&i| i >= 0 && (i as usize) < d0)
-            && self.idx1.iter().all(|&j| j >= 0 && (j as usize) < d1)
-            && self.idx2.iter().all(|&k| k >= 0 && (k as usize) < d2);
-        if !in_range {
-            return Err(FormatError::CoordinateOutOfRange {
-                coords: vec![],
-                dims: vec![d0, d1, d2],
-            });
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        validate_csf(self)
     }
 
     /// Expands back to lexicographically sorted COO.
@@ -185,6 +131,7 @@ impl CsfTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::InputCheck;
 
     fn tensor() -> Coo3Tensor {
         Coo3Tensor::from_coords(
@@ -229,7 +176,7 @@ mod tests {
     fn validate_catches_unsorted_fibers() {
         let mut csf = CsfTensor::from_coo3(&tensor());
         csf.idx0.swap(0, 1);
-        assert!(matches!(csf.validate(), Err(FormatError::NotSorted { .. })));
+        assert_eq!(csf.validate().unwrap_err().check, InputCheck::Ordering);
     }
 
     #[test]

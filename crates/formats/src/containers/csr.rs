@@ -6,7 +6,7 @@
 
 use super::coo::CooMatrix;
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use crate::validate::{validate_csr, ValidationError, Values};
 
 /// A CSR matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +27,7 @@ impl CsrMatrix {
     /// Builds and validates a CSR matrix.
     ///
     /// # Errors
-    /// Returns [`FormatError`] when any invariant fails (see
+    /// Returns a [`ValidationError`] when any invariant fails (see
     /// [`CsrMatrix::validate`]).
     pub fn new(
         nr: usize,
@@ -35,7 +35,7 @@ impl CsrMatrix {
         rowptr: Vec<i64>,
         col: Vec<i64>,
         val: Vec<f64>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, ValidationError> {
         let m = CsrMatrix { nr, nc, rowptr, col, val };
         m.validate()?;
         Ok(m)
@@ -48,44 +48,8 @@ impl CsrMatrix {
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        if self.rowptr.len() != self.nr + 1 {
-            return Err(FormatError::LengthMismatch {
-                what: "CSR rowptr (must be nr + 1)",
-                lens: vec![self.rowptr.len(), self.nr + 1],
-            });
-        }
-        if self.col.len() != self.val.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "CSR col/val",
-                lens: vec![self.col.len(), self.val.len()],
-            });
-        }
-        let nnz = self.val.len() as i64;
-        // The length check above guarantees rowptr is non-empty; the -1
-        // sentinel keeps this total (and failing) if that ever regresses.
-        let first = self.rowptr.first().copied().unwrap_or(-1);
-        let last = self.rowptr.last().copied().unwrap_or(-1);
-        if first != 0 || last != nnz {
-            return Err(FormatError::BadPointerEnds { what: "CSR rowptr", first, last, nnz });
-        }
-        if self.rowptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(FormatError::NotMonotonic { what: "CSR rowptr" });
-        }
-        for i in 0..self.nr {
-            let (s, e) = (self.rowptr[i] as usize, self.rowptr[i + 1] as usize);
-            let row = &self.col[s..e];
-            if row.iter().any(|&j| j < 0 || j as usize >= self.nc) {
-                return Err(FormatError::CoordinateOutOfRange {
-                    coords: row.to_vec(),
-                    dims: vec![self.nr, self.nc],
-                });
-            }
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(FormatError::NotSorted { what: "CSR columns within a row" });
-            }
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        validate_csr(self, Values::Any)
     }
 
     /// Number of stored nonzeros.
@@ -171,6 +135,7 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::InputCheck;
 
     fn sample_coo() -> CooMatrix {
         CooMatrix::from_triplets(
@@ -214,21 +179,22 @@ mod tests {
 
     #[test]
     fn validate_catches_violations() {
+        let check = |r: Result<CsrMatrix, ValidationError>| r.unwrap_err().check;
         // Bad pointer end.
-        assert!(matches!(
-            CsrMatrix::new(1, 2, vec![0, 2], vec![0], vec![1.0]),
-            Err(FormatError::BadPointerEnds { .. })
-        ));
+        assert_eq!(
+            check(CsrMatrix::new(1, 2, vec![0, 2], vec![0], vec![1.0])),
+            InputCheck::PointerEnds
+        );
         // Non-monotonic pointer.
-        assert!(matches!(
-            CsrMatrix::new(2, 2, vec![0, 2, 1], vec![0], vec![1.0]),
-            Err(FormatError::LengthMismatch { .. }) | Err(FormatError::NotMonotonic { .. })
-        ));
+        assert_eq!(
+            check(CsrMatrix::new(2, 2, vec![0, 2, 1], vec![0], vec![1.0])),
+            InputCheck::PointerMonotone
+        );
         // Unsorted columns in a row.
-        assert!(matches!(
-            CsrMatrix::new(1, 3, vec![0, 2], vec![2, 1], vec![1.0, 2.0]),
-            Err(FormatError::NotSorted { .. })
-        ));
+        assert_eq!(
+            check(CsrMatrix::new(1, 3, vec![0, 2], vec![2, 1], vec![1.0, 2.0])),
+            InputCheck::Ordering
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use super::coo::CooMatrix;
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use crate::validate::{validate_dia, ValidationError, Values};
 
 /// A DIA matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,13 +29,13 @@ impl DiaMatrix {
     /// Builds and validates a DIA matrix.
     ///
     /// # Errors
-    /// Returns [`FormatError`] when any invariant fails.
+    /// Returns a [`ValidationError`] when any invariant fails.
     pub fn new(
         nr: usize,
         nc: usize,
         off: Vec<i64>,
         data: Vec<f64>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, ValidationError> {
         let m = DiaMatrix { nr, nc, off, data };
         m.validate()?;
         Ok(m)
@@ -47,43 +47,8 @@ impl DiaMatrix {
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        if self.off.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(FormatError::NotSorted { what: "DIA offsets" });
-        }
-        if let Some(&o) = self
-            .off
-            .iter()
-            .find(|&&o| o <= -(self.nr as i64) || o >= self.nc as i64)
-        {
-            return Err(FormatError::CoordinateOutOfRange {
-                coords: vec![o],
-                dims: vec![self.nr, self.nc],
-            });
-        }
-        // checked_mul: with corrupt public fields `nd * nr` can exceed
-        // usize, and a wrapping product must read as a length mismatch,
-        // not an arithmetic panic.
-        let expected = self.nd().checked_mul(self.nr);
-        if expected != Some(self.data.len()) {
-            return Err(FormatError::LengthMismatch {
-                what: "DIA data (must be nd * nr)",
-                lens: vec![self.data.len(), expected.unwrap_or(usize::MAX)],
-            });
-        }
-        for i in 0..self.nr {
-            for (d, &o) in self.off.iter().enumerate() {
-                let j = i as i64 + o;
-                if (j < 0 || j >= self.nc as i64) && self.data[i * self.nd() + d] != 0.0 {
-                    return Err(FormatError::NonzeroPadding {
-                        what: "DIA out-of-matrix slot",
-                        row: i,
-                        diag: d,
-                    });
-                }
-            }
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        validate_dia(self, Values::Any)
     }
 
     /// Number of stored diagonals (`ND`).
@@ -194,6 +159,7 @@ impl DiaMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::InputCheck;
 
     fn tri_coo() -> CooMatrix {
         // Tridiagonal 4x4 with distinct values.
@@ -254,26 +220,15 @@ mod tests {
 
     #[test]
     fn validate_catches_violations() {
+        let check = |r: Result<DiaMatrix, ValidationError>| r.unwrap_err().check;
         // Unsorted offsets.
-        assert!(matches!(
-            DiaMatrix::new(2, 2, vec![1, 0], vec![0.0; 4]),
-            Err(FormatError::NotSorted { .. })
-        ));
+        assert_eq!(check(DiaMatrix::new(2, 2, vec![1, 0], vec![0.0; 4])), InputCheck::Ordering);
         // Wrong data length.
-        assert!(matches!(
-            DiaMatrix::new(2, 2, vec![0], vec![0.0; 3]),
-            Err(FormatError::LengthMismatch { .. })
-        ));
+        assert_eq!(check(DiaMatrix::new(2, 2, vec![0], vec![0.0; 3])), InputCheck::ArrayLengths);
         // Nonzero padding in an out-of-matrix slot: offset 1 at row 1 of a
         // 2x2 lands at column 2 (outside).
-        assert!(matches!(
-            DiaMatrix::new(2, 2, vec![1], vec![5.0, 7.0]),
-            Err(FormatError::NonzeroPadding { .. })
-        ));
+        assert_eq!(check(DiaMatrix::new(2, 2, vec![1], vec![5.0, 7.0])), InputCheck::PaddingZero);
         // Offset outside the matrix entirely.
-        assert!(matches!(
-            DiaMatrix::new(2, 2, vec![5], vec![0.0, 0.0]),
-            Err(FormatError::CoordinateOutOfRange { .. })
-        ));
+        assert_eq!(check(DiaMatrix::new(2, 2, vec![5], vec![0.0, 0.0])), InputCheck::IndexBounds);
     }
 }

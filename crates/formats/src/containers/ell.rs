@@ -8,7 +8,7 @@
 
 use super::coo::CooMatrix;
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use crate::validate::{validate_ell, ValidationError, Values};
 
 /// An ELL matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,14 +29,14 @@ impl EllMatrix {
     /// Builds and validates an ELL matrix.
     ///
     /// # Errors
-    /// Returns [`FormatError`] when any invariant fails.
+    /// Returns a [`ValidationError`] when any invariant fails.
     pub fn new(
         nr: usize,
         nc: usize,
         width: usize,
         col: Vec<i64>,
         data: Vec<f64>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, ValidationError> {
         let m = EllMatrix { nr, nc, width, col, data };
         m.validate()?;
         Ok(m)
@@ -47,51 +47,8 @@ impl EllMatrix {
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        // checked_mul: corrupt fields can push `nr * width` past usize,
-        // and a wrapping product must read as a length mismatch, not an
-        // arithmetic panic.
-        let expected = self.nr.checked_mul(self.width);
-        if expected != Some(self.col.len()) || self.data.len() != self.col.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "ELL col/data (must be nr * width)",
-                lens: vec![self.col.len(), self.data.len(), expected.unwrap_or(usize::MAX)],
-            });
-        }
-        for i in 0..self.nr {
-            let row = &self.col[i * self.width..(i + 1) * self.width];
-            let mut seen_pad = false;
-            let mut prev = -1i64;
-            for (s, &j) in row.iter().enumerate() {
-                if j < 0 {
-                    seen_pad = true;
-                    if self.data[i * self.width + s] != 0.0 {
-                        return Err(FormatError::NonzeroPadding {
-                            what: "ELL padded slot",
-                            row: i,
-                            diag: s,
-                        });
-                    }
-                    continue;
-                }
-                if seen_pad {
-                    return Err(FormatError::NotSorted {
-                        what: "ELL padding must trail the row",
-                    });
-                }
-                if j as usize >= self.nc {
-                    return Err(FormatError::CoordinateOutOfRange {
-                        coords: vec![j],
-                        dims: vec![self.nr, self.nc],
-                    });
-                }
-                if s > 0 && row[s - 1] >= 0 && j <= prev {
-                    return Err(FormatError::NotSorted { what: "ELL columns within a row" });
-                }
-                prev = j;
-            }
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        validate_ell(self, Values::Any)
     }
 
     /// Structural nonzero count: occupied (non-sentinel) slots. Total
@@ -170,6 +127,7 @@ impl EllMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::InputCheck;
 
     fn sample() -> CooMatrix {
         CooMatrix::from_triplets(
@@ -210,7 +168,7 @@ mod tests {
             col: vec![-1, 2, 3],
             data: vec![0.0, 1.0, 2.0],
         };
-        assert!(matches!(bad.validate(), Err(FormatError::NotSorted { .. })));
+        assert_eq!(bad.validate().unwrap_err().check, InputCheck::PaddingZero);
     }
 
     #[test]
@@ -222,6 +180,6 @@ mod tests {
             col: vec![1, -1],
             data: vec![1.0, 3.0],
         };
-        assert!(matches!(bad.validate(), Err(FormatError::NonzeroPadding { .. })));
+        assert_eq!(bad.validate().unwrap_err().check, InputCheck::PaddingZero);
     }
 }

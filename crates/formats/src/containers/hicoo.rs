@@ -8,12 +8,10 @@
 //! that builds this layout is exactly what the synthesized COO3D→MCOO3
 //! conversion produces, which is why the paper's comparison is apt.
 
-use spf_codegen::morton::morton_cmp;
-
 use super::coo::Coo3Tensor;
 use super::dense::DenseMatrix;
 use super::mcoo::MortonCoo3Tensor;
-use crate::FormatError;
+use crate::validate::{validate_hicoo, ValidationError};
 
 /// A HiCOO-compressed order-3 tensor.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,47 +115,8 @@ impl HicooTensor {
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        if self.bptr.len() != self.nblocks() + 1 {
-            return Err(FormatError::LengthMismatch {
-                what: "HiCOO bptr (must be nblocks + 1)",
-                lens: vec![self.bptr.len(), self.nblocks() + 1],
-            });
-        }
-        if self.bptr.first() != Some(&0)
-            || *self.bptr.last().unwrap_or(&0) != self.nnz() as i64
-        {
-            return Err(FormatError::BadPointerEnds {
-                what: "HiCOO bptr",
-                first: *self.bptr.first().unwrap_or(&-1),
-                last: *self.bptr.last().unwrap_or(&-1),
-                nnz: self.nnz() as i64,
-            });
-        }
-        if self.bptr.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(FormatError::NotMonotonic { what: "HiCOO bptr (blocks non-empty)" });
-        }
-        let edge = 1u16 << self.block_bits;
-        if self
-            .ei
-            .iter()
-            .chain(&self.ej)
-            .chain(&self.ek)
-            .any(|&e| e >= edge)
-        {
-            return Err(FormatError::CoordinateOutOfRange {
-                coords: vec![edge as i64],
-                dims: vec![edge as usize],
-            });
-        }
-        for b in 1..self.nblocks() {
-            let a = [self.bi[b - 1], self.bj[b - 1], self.bk[b - 1]];
-            let c = [self.bi[b], self.bj[b], self.bk[b]];
-            if morton_cmp(&a, &c) != std::cmp::Ordering::Less {
-                return Err(FormatError::NotSorted { what: "HiCOO block Z-order" });
-            }
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        validate_hicoo(self)
     }
 
     /// Expands back to a Morton-ordered COO tensor.
@@ -210,6 +169,7 @@ impl HicooTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::InputCheck;
 
     fn tensor() -> Coo3Tensor {
         Coo3Tensor::from_coords(
@@ -253,10 +213,7 @@ mod tests {
     fn validate_catches_bad_offsets() {
         let mut h = HicooTensor::from_coo3(&tensor(), 2);
         h.ei[0] = 99;
-        assert!(matches!(
-            h.validate(),
-            Err(FormatError::CoordinateOutOfRange { .. })
-        ));
+        assert_eq!(h.validate().unwrap_err().check, InputCheck::IndexBounds);
     }
 
     #[test]
@@ -266,8 +223,33 @@ mod tests {
             h.bi.swap(0, 1);
             h.bj.swap(0, 1);
             h.bk.swap(0, 1);
-            assert!(matches!(h.validate(), Err(FormatError::NotSorted { .. })));
+            assert_eq!(h.validate().unwrap_err().check, InputCheck::Ordering);
         }
+    }
+
+    #[test]
+    fn validate_accepts_16_bit_blocks() {
+        // u16 offsets fill a 2^16 block edge exactly; the edge itself
+        // must not overflow.
+        HicooTensor::from_coo3(&tensor(), 16).validate().unwrap();
+    }
+
+    #[test]
+    fn validate_reports_short_block_and_offset_arrays() {
+        let mut h = HicooTensor::from_coo3(&tensor(), 2);
+        assert!(h.nblocks() >= 2);
+        h.bj.pop();
+        assert_eq!(h.validate().unwrap_err().check, InputCheck::ArrayLengths);
+        let mut h = HicooTensor::from_coo3(&tensor(), 2);
+        h.ek.pop();
+        assert_eq!(h.validate().unwrap_err().check, InputCheck::ArrayLengths);
+    }
+
+    #[test]
+    fn validate_rejects_negative_block_coordinates() {
+        let mut h = HicooTensor::from_coo3(&tensor(), 2);
+        h.bi[0] = -1;
+        assert_eq!(h.validate().unwrap_err().check, InputCheck::IndexBounds);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! in mode-agnostic tensor kernels.
 
 use spf_codegen::kernels::morton_sort_perm;
-use spf_codegen::morton::morton_cmp;
 
 use super::coo::{Coo3Tensor, CooMatrix};
-use crate::FormatError;
+use crate::validate::{validate_coo, validate_coo3, Order, ValidationError, Values};
 
 /// A Morton-ordered COO matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +24,9 @@ impl MortonCooMatrix {
     /// `∀n1, n2 : n1 < n2 ⟺ MORTON(row(n1), col(n1)) < MORTON(row(n2), col(n2))`.
     ///
     /// # Errors
-    /// Returns [`FormatError::NotSorted`] when the order is violated.
-    pub fn new(coo: CooMatrix) -> Result<Self, FormatError> {
+    /// Returns a [`ValidationError`] when the storage or the order is
+    /// invalid (see [`MortonCooMatrix::validate`]).
+    pub fn new(coo: CooMatrix) -> Result<Self, ValidationError> {
         let m = MortonCooMatrix { coo };
         m.validate()?;
         Ok(m)
@@ -36,7 +36,7 @@ impl MortonCooMatrix {
     ///
     /// Uses the precomputed-key Morton sort (codes packed into `u128`
     /// where they fit, position tiebreak), so the result is identical to
-    /// a stable comparison sort by [`morton_cmp`].
+    /// a stable comparison sort by `spf_codegen::morton::morton_cmp`.
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let mut sorted = coo.clone();
         let idx = morton_sort_perm(&[&coo.row, &coo.col]);
@@ -44,20 +44,14 @@ impl MortonCooMatrix {
         MortonCooMatrix { coo: sorted }
     }
 
-    /// Checks the Morton ordering invariant.
+    /// Checks the COO storage (lengths, bounds) and the Morton ordering
+    /// invariant. Repeated coordinates are allowed: only consecutive
+    /// nonzeros out of Z-order violate it.
     ///
     /// # Errors
-    /// Returns [`FormatError::NotSorted`] when consecutive nonzeros are
-    /// out of Z-order.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        for n in 1..self.coo.nnz() {
-            let a = [self.coo.row[n - 1], self.coo.col[n - 1]];
-            let b = [self.coo.row[n], self.coo.col[n]];
-            if morton_cmp(&a, &b) == std::cmp::Ordering::Greater {
-                return Err(FormatError::NotSorted { what: "MCOO Morton order" });
-            }
-        }
-        Ok(())
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        validate_coo(&self.coo, Order::MortonRepeats, Values::Any)
     }
 
     /// Number of stored nonzeros.
@@ -77,8 +71,9 @@ impl MortonCoo3Tensor {
     /// Wraps a tensor after checking the 3-D Morton order.
     ///
     /// # Errors
-    /// Returns [`FormatError::NotSorted`] when the order is violated.
-    pub fn new(coo: Coo3Tensor) -> Result<Self, FormatError> {
+    /// Returns a [`ValidationError`] when the storage or the order is
+    /// invalid.
+    pub fn new(coo: Coo3Tensor) -> Result<Self, ValidationError> {
         let t = MortonCoo3Tensor { coo };
         t.validate()?;
         Ok(t)
@@ -94,20 +89,13 @@ impl MortonCoo3Tensor {
         MortonCoo3Tensor { coo: sorted }
     }
 
-    /// Checks the Morton ordering invariant.
+    /// Checks the COO storage and the 3-D Morton ordering invariant
+    /// (repeated coordinates allowed).
     ///
     /// # Errors
-    /// Returns [`FormatError::NotSorted`] when consecutive nonzeros are
-    /// out of Z-order.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        for n in 1..self.coo.nnz() {
-            let a = [self.coo.i0[n - 1], self.coo.i1[n - 1], self.coo.i2[n - 1]];
-            let b = [self.coo.i0[n], self.coo.i1[n], self.coo.i2[n]];
-            if morton_cmp(&a, &b) == std::cmp::Ordering::Greater {
-                return Err(FormatError::NotSorted { what: "MCOO3 Morton order" });
-            }
-        }
-        Ok(())
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        validate_coo3(&self.coo, Order::MortonRepeats, Values::Any)
     }
 
     /// Number of stored nonzeros.
@@ -119,6 +107,7 @@ impl MortonCoo3Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::InputCheck;
 
     #[test]
     fn from_coo_sorts_and_validates() {
@@ -149,10 +138,7 @@ mod tests {
             vec![1.0, 2.0],
         )
         .unwrap();
-        assert!(matches!(
-            MortonCooMatrix::new(coo),
-            Err(FormatError::NotSorted { .. })
-        ));
+        assert_eq!(MortonCooMatrix::new(coo).unwrap_err().check, InputCheck::Ordering);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! descriptors** of Table 1 (sparse-to-dense maps, data access relations,
 //! UF domains/ranges, and universal quantifiers — both monotonic and
 //! reordering), plus the **runtime containers** those descriptors
-//! describe, with validation, reference conversions (the oracles for
-//! synthesized code), and per-format SpMV/TTV kernels.
+//! describe, reference conversions (the oracles for synthesized code),
+//! and per-format SpMV/TTV kernels. One checker, [`validate`], holds
+//! every format invariant: container constructors, conversion outputs,
+//! and untrusted engine inputs all go through it.
 //!
 //! ```
 //! use sparse_formats::containers::{CooMatrix, CsrMatrix};
-//! use sparse_formats::descriptors;
+//! use sparse_formats::{descriptors, validate_matrix, InputCheck, MatrixRef};
 //!
 //! // The Table-1 descriptor for CSR:
 //! let csr = descriptors::csr();
@@ -21,6 +23,13 @@
 //!     2, 2, vec![0, 1], vec![1, 0], vec![1.0, 2.0]).unwrap();
 //! let m = CsrMatrix::from_coo(&coo);
 //! m.validate().unwrap();
+//!
+//! // The container's own check and the engine's input check are one
+//! // checker: a decreasing `rowptr` is `pointer-monotone` either way.
+//! let bad = CsrMatrix { rowptr: vec![0, 3, 2], ..m };
+//! assert_eq!(bad.validate().unwrap_err().check, InputCheck::PointerMonotone);
+//! let err = validate_matrix(&csr, MatrixRef::Csr(&bad)).unwrap_err();
+//! assert_eq!(err.check, InputCheck::PointerMonotone);
 //! ```
 
 #![warn(missing_docs)]
@@ -32,7 +41,6 @@
 
 pub mod containers;
 pub mod descriptors;
-pub mod error;
 pub mod validate;
 
 pub use containers::{
@@ -43,5 +51,4 @@ pub use containers::{
 pub use descriptors::{
     domain_alloc_size, range_max, FormatDescriptor, FormatKind, ScanInfo, StructuralHasher,
 };
-pub use error::FormatError;
 pub use validate::{validate_matrix, validate_tensor, InputCheck, ValidationError};

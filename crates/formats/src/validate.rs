@@ -1,38 +1,47 @@
-//! Untrusted-input validation: structural checks of runtime containers
-//! against the *source descriptor's* quantifier obligations.
+//! The one checker of format invariants. Each format's invariants are
+//! written once here, one function per container: its descriptor's UF
+//! domains and ranges (array lengths, pointer ends, index bounds) and
+//! universal quantifiers (monotone pointers, the container's own nonzero
+//! order, zero padding). Validating constructors and `validate()`
+//! methods (`CsrMatrix::new`, `MortonCooMatrix::validate`, …) call these
+//! functions, and every extractor and native kernel builds its output
+//! through those constructors, so outputs and inputs share one checker.
 //!
-//! The static plan verifier (`sparse-analyze`) proves a synthesized
-//! inspector correct **under the descriptor's universal quantifiers** —
-//! e.g. that a CSR source's `rowptr` is non-decreasing and spans
-//! `0..=NNZ`. Those quantifiers are *assumptions about the input*: a
-//! caller can hand the engine a `CsrMatrix` whose public fields violate
-//! every one of them, and the proved-correct inspector then produces
-//! silent garbage or out-of-bounds accesses. This module is the runtime
-//! half of that contract: every obligation the verifier assumed is
-//! checked structurally against the concrete container *before binding*,
-//! and violations come back as a typed [`ValidationError`] naming the
-//! failed check.
+//! **Inputs** carry two more obligations, passed as arguments to the
+//! same functions by [`validate_matrix`] and [`validate_tensor`]: values
+//! must be finite, and coordinate storage must follow the *source
+//! descriptor's* order key, strictly. The static plan verifier
+//! (`sparse-analyze`) proves a synthesized inspector correct **under the
+//! descriptor's universal quantifiers**; those are *assumptions about the
+//! input*, and a caller can hand the engine a `CsrMatrix` whose public
+//! fields violate every one of them. Every obligation the verifier
+//! assumed is checked here against the concrete container *before
+//! binding*. Input checks dispatch on the descriptor's [`FormatKind`]
+//! and [`OrderKey`], never on the container alone, so the same
+//! `CooMatrix` is accepted under an unordered `COO` descriptor but
+//! rejected under `SCOO` when its nonzeros are out of row-major order.
 //!
-//! Checks are dispatched on the descriptor's [`FormatKind`] plus its
-//! [`OrderKey`], never on the container alone, so the same `CooMatrix`
-//! is accepted under an unordered `COO` descriptor but rejected under
-//! `SCOO` when its nonzeros are out of row-major order.
-//!
-//! Validation is `O(nnz)` with small constants (single pass per array,
-//! no allocation) — measured under 5% of the cost of the conversions it
-//! guards (see EXPERIMENTS.md).
+//! A violation is a [`ValidationError`] naming the failed [`InputCheck`],
+//! for an input and an output alike (the engine reports the latter as
+//! `RunError::Format`). Validation is `O(nnz)` with small constants
+//! (single pass per array, no allocation) — measured under 5% of the
+//! cost of the conversions it guards (see EXPERIMENTS.md).
+
+use std::sync::OnceLock;
 
 use spf_codegen::morton::morton_cmp;
 use spf_ir::order::{Comparator, OrderKey};
 
 use crate::containers::{
-    Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix, MatrixRef, TensorRef,
+    BcsrMatrix, Coo3Tensor, CooMatrix, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, EllMatrix,
+    HicooTensor, MatrixRef, TensorRef,
 };
 use crate::descriptors::FormatDescriptor;
 use crate::FormatKind;
 
-/// The named runtime checks, each the dynamic counterpart of a static
-/// verifier obligation (see [`InputCheck::static_counterpart`]).
+/// The named format checks, each the dynamic counterpart of a static
+/// verifier obligation (see [`InputCheck::static_counterpart`]). Input
+/// and output checks share these names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputCheck {
     /// Parallel arrays must have consistent (declared) lengths.
@@ -98,7 +107,7 @@ impl std::fmt::Display for InputCheck {
     }
 }
 
-/// A violated input obligation: which check failed, and where.
+/// A violated format obligation: which check failed, and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidationError {
     /// The failed check.
@@ -121,7 +130,52 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Validates any rank-2 container against the obligations of `desc`.
+/// Which stored values a check accepts. A container may hold NaN/±Inf;
+/// the engine refuses them as input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Values {
+    /// Any `f64`: a container's own invariant.
+    Any,
+    /// Finite values only: an engine input.
+    Finite,
+}
+
+/// The reordering quantifier a coordinate check enforces.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Order<'a> {
+    /// No order: unordered COO.
+    Unordered,
+    /// The Morton containers' own Z-order. Only a decrease violates it;
+    /// repeated coordinates are allowed.
+    MortonRepeats,
+    /// A descriptor's key, strictly: equal coordinates are a duplicate.
+    Key(&'a OrderKey),
+}
+
+impl<'a> Order<'a> {
+    fn of(desc: &'a FormatDescriptor) -> Self {
+        desc.order.as_ref().map_or(Order::Unordered, Order::Key)
+    }
+
+    /// The key and its strictness, for a container of `rank` dimensions.
+    fn key(self, rank: usize) -> Option<(&'a OrderKey, bool)> {
+        match self {
+            Order::Unordered => None,
+            Order::MortonRepeats => Some((morton_key(rank), false)),
+            Order::Key(k) => Some((k, true)),
+        }
+    }
+}
+
+/// The bare-coordinate Morton key over 2 or 3 dimensions.
+fn morton_key(rank: usize) -> &'static OrderKey {
+    static KEYS: OnceLock<[OrderKey; 2]> = OnceLock::new();
+    &KEYS.get_or_init(|| [OrderKey::morton(2), OrderKey::morton(3)])[usize::from(rank == 3)]
+}
+
+/// Validates any rank-2 container against the obligations of `desc`:
+/// the container's own invariants, plus finite values and, for
+/// coordinate storage, the descriptor's order key.
 ///
 /// Dispatches on the descriptor's structural [`FormatKind`] exactly like
 /// the bind layer: coordinate-kind descriptors accept both `Coo` and
@@ -137,18 +191,19 @@ pub fn validate_matrix(
     desc: &FormatDescriptor,
     m: MatrixRef<'_>,
 ) -> Result<(), ValidationError> {
+    let v = Values::Finite;
     match (desc.kind(), m) {
         (FormatKind::Coo | FormatKind::SortedCoo | FormatKind::MortonCoo, MatrixRef::Coo(c)) => {
-            validate_coo_like(desc, c)
+            validate_coo(c, Order::of(desc), v)
         }
         (
             FormatKind::Coo | FormatKind::SortedCoo | FormatKind::MortonCoo,
             MatrixRef::MortonCoo(mc),
-        ) => validate_coo_like(desc, &mc.coo),
-        (FormatKind::Csr, MatrixRef::Csr(c)) => validate_csr(c),
-        (FormatKind::Csc, MatrixRef::Csc(c)) => validate_csc(c),
-        (FormatKind::Dia, MatrixRef::Dia(d)) => validate_dia(d),
-        (FormatKind::Ell, MatrixRef::Ell(e)) => validate_ell(e),
+        ) => validate_coo(&mc.coo, Order::of(desc), v),
+        (FormatKind::Csr, MatrixRef::Csr(c)) => validate_csr(c, v),
+        (FormatKind::Csc, MatrixRef::Csc(c)) => validate_csc(c, v),
+        (FormatKind::Dia, MatrixRef::Dia(d)) => validate_dia(d, v),
+        (FormatKind::Ell, MatrixRef::Ell(e)) => validate_ell(e, v),
         // Kind/container mismatch or unsupported kind: the bind layer
         // owns that error.
         _ => Ok(()),
@@ -164,23 +219,58 @@ pub fn validate_tensor(
     desc: &FormatDescriptor,
     t: TensorRef<'_>,
 ) -> Result<(), ValidationError> {
+    let v = Values::Finite;
     match (desc.kind(), t) {
         (FormatKind::Coo3 | FormatKind::MortonCoo3, TensorRef::Coo3(c)) => {
-            validate_coo3_like(desc, c)
+            validate_coo3(c, Order::of(desc), v)
         }
         (FormatKind::Coo3 | FormatKind::MortonCoo3, TensorRef::MortonCoo3(mc)) => {
-            validate_coo3_like(desc, &mc.coo)
+            validate_coo3(&mc.coo, Order::of(desc), v)
         }
         _ => Ok(()),
     }
 }
 
-/// `0 <= v < extent`, compared in `u64` so absurd extents never wrap.
+/// `0 <= v < extent` as one unsigned compare: a negative `v` reads as at
+/// least 2^63, and capping the extent there keeps absurd extents exact.
 fn in_bounds(v: i64, extent: usize) -> bool {
-    v >= 0 && (v as u64) < extent as u64
+    (v as u64) < (extent as u64).min(1 << 63)
 }
 
-fn check_finite(vals: &[f64], what: &str) -> Result<(), ValidationError> {
+/// Parallel arrays (`what` names them, `/`-separated) share one length.
+fn check_lengths(what: &str, lens: &[usize]) -> Result<(), ValidationError> {
+    if lens.windows(2).all(|w| w[0] == w[1]) {
+        return Ok(());
+    }
+    let lens: Vec<String> = lens.iter().map(ToString::to_string).collect();
+    Err(ValidationError::new(
+        InputCheck::ArrayLengths,
+        format!("{what} lengths differ: {}", lens.join("/")),
+    ))
+}
+
+/// Strictly increasing indices within one segment (`what` describes it,
+/// built only on failure): a repeat is a duplicate, a decrease is out of
+/// order.
+fn check_increasing(idx: &[i64], what: &dyn Fn() -> String) -> Result<(), ValidationError> {
+    let Some(p) = idx.windows(2).position(|w| w[0] >= w[1]) else {
+        return Ok(());
+    };
+    let (a, b) = (idx[p], idx[p + 1]);
+    Err(if a == b {
+        ValidationError::new(InputCheck::DuplicateCoordinate, format!("{} repeats {a}", what()))
+    } else {
+        ValidationError::new(
+            InputCheck::Ordering,
+            format!("{} not increasing: {a} then {b}", what()),
+        )
+    })
+}
+
+fn check_finite(values: Values, vals: &[f64], what: &str) -> Result<(), ValidationError> {
+    if values == Values::Any {
+        return Ok(());
+    }
     match vals.iter().position(|v| !v.is_finite()) {
         None => Ok(()),
         Some(p) => Err(ValidationError::new(
@@ -237,98 +327,93 @@ fn key_cmp(key: &OrderKey, a: &[i64], b: &[i64]) -> Option<std::cmp::Ordering> {
 }
 
 /// If every dimension of `key` is a bare coordinate (unit coefficient,
-/// zero constant), returns the coordinate positions. This is every
-/// catalog key; it makes the per-pair comparison a handful of `i64`
-/// compares instead of generic affine evaluation.
-fn identity_dims(key: &OrderKey) -> Option<Vec<usize>> {
-    key.dims
-        .iter()
-        .map(|d| {
-            if d.constant != 0 {
-                return None;
+/// zero constant) below `rank`, returns the coordinate positions and
+/// how many there are. This is every catalog key; it makes the per-pair
+/// comparison a handful of `i64` compares instead of generic affine
+/// evaluation.
+fn identity_dims(key: &OrderKey, rank: usize) -> Option<([usize; 3], usize)> {
+    let mut pos = [0; 3];
+    if key.dims.len() > pos.len() {
+        return None;
+    }
+    for (t, d) in key.dims.iter().enumerate() {
+        if d.constant != 0 {
+            return None;
+        }
+        let mut unit = None;
+        for (p, &c) in d.coeffs.iter().enumerate() {
+            match c {
+                0 => {}
+                1 if unit.is_none() && p < rank => unit = Some(p),
+                _ => return None,
             }
-            let mut unit = None;
-            for (p, &c) in d.coeffs.iter().enumerate() {
-                match c {
-                    0 => {}
-                    1 if unit.is_none() && p < 3 => unit = Some(p),
-                    _ => return None,
-                }
-            }
-            unit
-        })
-        .collect()
+        }
+        pos[t] = unit?;
+    }
+    Some((pos, key.dims.len()))
 }
 
 /// Checks the reordering quantifier
 /// `∀ n1 < n2 : key(n1) < key(n2)` over adjacent nonzeros.
 ///
 /// `coords(n)` yields the dense coordinates of nonzero `n` (already
-/// bounds-checked). A strict quantifier also forbids equal keys over
+/// bounds-checked). A `strict` quantifier also forbids equal keys over
 /// *identical coordinates* — a duplicate nonzero.
-fn check_order(
+fn check_order<const R: usize>(
     key: &OrderKey,
+    strict: bool,
     nnz: usize,
-    coords: impl Fn(usize) -> [i64; 3],
-    rank: usize,
+    coords: impl Fn(usize) -> [i64; R],
 ) -> Result<(), ValidationError> {
-    if matches!(key.comparator, Comparator::UserFn(_)) {
-        return Ok(()); // user-defined comparator: not checkable
+    match (&key.comparator, identity_dims(key, R)) {
+        // User-defined comparator: not checkable.
+        (Comparator::UserFn(_), _) => Ok(()),
+        (Comparator::Lexicographic, Some((pos, len))) => sweep(key, strict, nnz, coords, |a, b| {
+            let first_difference = pos[..len].iter().map(|&p| a[p].cmp(&b[p])).find(|o| o.is_ne());
+            Some(first_difference.unwrap_or(std::cmp::Ordering::Equal))
+        }),
+        // The catalog's Morton keys: every coordinate, in order.
+        (Comparator::Morton, Some((pos, len))) if pos[..len].iter().copied().eq(0..R) => {
+            sweep(key, strict, nnz, coords, |a, b| Some(morton_cmp(a, b)))
+        }
+        _ => sweep(key, strict, nnz, coords, |a, b| key_cmp(key, a, b)),
     }
+}
+
+/// The adjacent-pair sweep of [`check_order`], monomorphized per
+/// comparison so the hot loop carries no dispatch. `cmp` returns `None`
+/// for a key it cannot evaluate.
+fn sweep<const R: usize>(
+    key: &OrderKey,
+    strict: bool,
+    nnz: usize,
+    coords: impl Fn(usize) -> [i64; R],
+    cmp: impl Fn(&[i64; R], &[i64; R]) -> Option<std::cmp::Ordering>,
+) -> Result<(), ValidationError> {
     if nnz < 2 {
         return Ok(());
     }
-    let fast = identity_dims(key);
     let mut prev = coords(0);
     for n in 1..nnz {
         let cur = coords(n);
-        let ord = match (&key.comparator, &fast) {
-            (Comparator::Lexicographic, Some(dims)) => {
-                let mut o = std::cmp::Ordering::Equal;
-                for &p in dims {
-                    o = prev[p].cmp(&cur[p]);
-                    if o != std::cmp::Ordering::Equal {
-                        break;
-                    }
-                }
-                Some(o)
-            }
-            (Comparator::Morton, Some(dims)) => {
-                // Gather the key coordinates on the stack; `morton_cmp`
-                // takes slices, so no per-pair allocation.
-                let mut ka = [0i64; 3];
-                let mut kb = [0i64; 3];
-                for (t, &p) in dims.iter().enumerate() {
-                    ka[t] = prev[p];
-                    kb[t] = cur[p];
-                }
-                Some(morton_cmp(&ka[..dims.len()], &kb[..dims.len()]))
-            }
-            _ => key_cmp(key, &prev[..rank], &cur[..rank]),
-        };
-        match ord {
+        match cmp(&prev, &cur) {
             None => return Ok(()),
             Some(std::cmp::Ordering::Greater) => {
                 return Err(ValidationError::new(
                     InputCheck::Ordering,
                     format!(
-                        "nonzeros {} and {} are out of {} order ({:?} then {:?})",
+                        "nonzeros {} and {n} are out of {} order ({prev:?} then {cur:?})",
                         n - 1,
-                        n,
-                        key.comparator,
-                        &prev[..rank],
-                        &cur[..rank]
+                        key.comparator
                     ),
                 ));
             }
-            Some(std::cmp::Ordering::Equal) if prev[..rank] == cur[..rank] => {
+            Some(std::cmp::Ordering::Equal) if strict && prev == cur => {
                 return Err(ValidationError::new(
                     InputCheck::DuplicateCoordinate,
                     format!(
-                        "nonzeros {} and {} share coordinates {:?} under a strict order",
-                        n - 1,
-                        n,
-                        &prev[..rank]
+                        "nonzeros {} and {n} share coordinates {prev:?} under a strict order",
+                        n - 1
                     ),
                 ));
             }
@@ -339,34 +424,28 @@ fn check_order(
     Ok(())
 }
 
-fn validate_coo_like(
-    desc: &FormatDescriptor,
+/// COO storage (also MCOO's): array lengths, coordinate bounds, the
+/// given `order`, and `values`.
+pub(crate) fn validate_coo(
     m: &CooMatrix,
+    order: Order<'_>,
+    values: Values,
 ) -> Result<(), ValidationError> {
-    if m.row.len() != m.col.len() || m.row.len() != m.val.len() {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!(
-                "COO row/col/val lengths differ: {}/{}/{}",
-                m.row.len(),
-                m.col.len(),
-                m.val.len()
-            ),
-        ));
-    }
-    // Fast path for the catalog's coordinate descriptors: unordered, or
-    // an identity lexicographic key over both coordinates. One fused,
-    // branch-light sweep accumulates a single validity flag (`&`, not
-    // `&&`, so the loop vectorizes); the precise per-check loops below
-    // run only when something failed, to locate and describe it.
-    let fast: Option<Option<(usize, usize)>> = match &desc.order {
-        None => Some(None),
-        Some(k) if matches!(k.comparator, Comparator::Lexicographic) => {
-            match identity_dims(k).as_deref() {
+    check_lengths("COO row/col/val", &[m.row.len(), m.col.len(), m.val.len()])?;
+    // Fast path for unordered storage and the catalog's row- and
+    // column-major keys (an identity lexicographic key over both
+    // coordinates). One fused, branch-light sweep accumulates a single
+    // validity flag (`&`, not `&&`, so the loop vectorizes) and reads the
+    // values only when they must be finite; the precise per-check loops
+    // below run only when something failed, to locate and describe it.
+    let fast: Option<Option<(usize, usize)>> = match order {
+        Order::Unordered => Some(None),
+        Order::Key(k) if matches!(k.comparator, Comparator::Lexicographic) => {
+            match identity_dims(k, 2) {
                 // Both coordinates must appear in the key: equal keys then
                 // imply identical coordinates, i.e. a duplicate, so the
                 // sweep can demand strictly increasing keys.
-                Some(&[p0, p1]) if (p0, p1) == (0, 1) || (p0, p1) == (1, 0) => {
+                Some(([p0, p1, _], 2)) if (p0, p1) == (0, 1) || (p0, p1) == (1, 0) => {
                     Some(Some((p0, p1)))
                 }
                 _ => None,
@@ -377,8 +456,14 @@ fn validate_coo_like(
     if let Some(order2) = fast {
         let (row, col, val) = (&m.row[..], &m.col[..], &m.val[..]);
         let mut ok = true;
-        for ((&i, &j), &v) in row.iter().zip(col).zip(val) {
-            ok &= in_bounds(i, m.nr) & in_bounds(j, m.nc) & v.is_finite();
+        if values == Values::Finite {
+            for ((&i, &j), &v) in row.iter().zip(col).zip(val) {
+                ok &= in_bounds(i, m.nr) & in_bounds(j, m.nc) & v.is_finite();
+            }
+        } else {
+            for (&i, &j) in row.iter().zip(col) {
+                ok &= in_bounds(i, m.nr) & in_bounds(j, m.nc);
+            }
         }
         if let Some((p0, p1)) = order2 {
             for (rw, cw) in row.windows(2).zip(col.windows(2)) {
@@ -399,31 +484,22 @@ fn validate_coo_like(
             ));
         }
     }
-    check_finite(&m.val, "val")?;
-    if let Some(key) = &desc.order {
-        check_order(key, m.nnz(), |n| [m.row[n], m.col[n], 0], 2)?;
+    check_finite(values, &m.val, "val")?;
+    if let Some((key, strict)) = order.key(2) {
+        check_order(key, strict, m.nnz(), |n| [m.row[n], m.col[n]])?;
     }
     Ok(())
 }
 
-fn validate_coo3_like(
-    desc: &FormatDescriptor,
+/// Order-3 COO storage (also MCOO3's); tensor analogue of
+/// [`validate_coo`].
+pub(crate) fn validate_coo3(
     t: &Coo3Tensor,
+    order: Order<'_>,
+    values: Values,
 ) -> Result<(), ValidationError> {
-    if t.i0.len() != t.i1.len() || t.i0.len() != t.i2.len() || t.i0.len() != t.val.len() {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!(
-                "COO3 coordinate/val lengths differ: {}/{}/{}/{}",
-                t.i0.len(),
-                t.i1.len(),
-                t.i2.len(),
-                t.val.len()
-            ),
-        ));
-    }
-    for n in 0..t.i0.len() {
-        let (a, b, c) = (t.i0[n], t.i1[n], t.i2[n]);
+    check_lengths("COO3 i0/i1/i2/val", &[t.i0.len(), t.i1.len(), t.i2.len(), t.val.len()])?;
+    for (n, ((&a, &b), &c)) in t.i0.iter().zip(&t.i1).zip(&t.i2).enumerate() {
         if !in_bounds(a, t.nr) || !in_bounds(b, t.nc) || !in_bounds(c, t.nz) {
             return Err(ValidationError::new(
                 InputCheck::IndexBounds,
@@ -434,45 +510,44 @@ fn validate_coo3_like(
             ));
         }
     }
-    check_finite(&t.val, "val")?;
-    if let Some(key) = &desc.order {
-        check_order(key, t.nnz(), |n| [t.i0[n], t.i1[n], t.i2[n]], 3)?;
+    check_finite(values, &t.val, "val")?;
+    if let Some((key, strict)) = order.key(3) {
+        check_order(key, strict, t.nnz(), |n| [t.i0[n], t.i1[n], t.i2[n]])?;
     }
     Ok(())
 }
 
 /// Shared pointer-array obligations: length `n_major + 1`, ends `0..=nnz`,
-/// non-decreasing. Returns the windows as `(start, end)` pairs is left to
-/// the caller; this only establishes that slicing by them is safe.
+/// non-decreasing — or strictly increasing when every segment must be
+/// `nonempty`. Afterwards slicing by adjacent entries is safe.
 fn validate_pointer(
     ptr: &[i64],
     n_major: usize,
     nnz: usize,
     what: &str,
+    nonempty: bool,
 ) -> Result<(), ValidationError> {
-    if ptr.len() != n_major + 1 {
+    // `len - 1` rather than `n_major + 1`, so an absurd `n_major` cannot
+    // overflow.
+    if ptr.len().checked_sub(1) != Some(n_major) {
         return Err(ValidationError::new(
             InputCheck::ArrayLengths,
-            format!("{what} has length {}, expected {}", ptr.len(), n_major + 1),
+            format!("{what} has length {}, expected {n_major} + 1", ptr.len()),
         ));
     }
     let first = ptr[0];
-    let last = ptr[ptr.len() - 1];
+    let last = ptr[n_major];
     if first != 0 || last != nnz as i64 {
         return Err(ValidationError::new(
             InputCheck::PointerEnds,
             format!("{what} spans {first}..={last}, expected 0..={nnz}"),
         ));
     }
-    if let Some(p) = ptr.windows(2).position(|w| w[0] > w[1]) {
+    if let Some(p) = ptr.windows(2).position(|w| w[0] > w[1] || (nonempty && w[0] == w[1])) {
+        let rule = if nonempty { "is not below" } else { "exceeds" };
         return Err(ValidationError::new(
             InputCheck::PointerMonotone,
-            format!(
-                "{what}[{p}] = {} exceeds {what}[{}] = {}",
-                ptr[p],
-                p + 1,
-                ptr[p + 1]
-            ),
+            format!("{what}[{p}] = {} {rule} {what}[{}] = {}", ptr[p], p + 1, ptr[p + 1]),
         ));
     }
     Ok(())
@@ -497,80 +572,35 @@ fn validate_compressed_minor(
     }
     for w in 0..ptr.len() - 1 {
         let (s, e) = (ptr[w] as usize, ptr[w + 1] as usize);
-        for n in s + 1..e {
-            if idx[n] == idx[n - 1] {
-                return Err(ValidationError::new(
-                    InputCheck::DuplicateCoordinate,
-                    format!("{what} repeats index {} inside segment {w}", idx[n]),
-                ));
-            }
-            if idx[n] < idx[n - 1] {
-                return Err(ValidationError::new(
-                    InputCheck::Ordering,
-                    format!(
-                        "{what} not increasing inside segment {w}: {} then {}",
-                        idx[n - 1],
-                        idx[n]
-                    ),
-                ));
-            }
-        }
+        check_increasing(&idx[s..e], &|| format!("{what} segment {w}"))?;
     }
     Ok(())
 }
 
-fn validate_csr(m: &CsrMatrix) -> Result<(), ValidationError> {
-    if m.col.len() != m.val.len() {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("CSR col/val lengths differ: {}/{}", m.col.len(), m.val.len()),
-        ));
-    }
-    validate_pointer(&m.rowptr, m.nr, m.val.len(), "CSR rowptr")?;
+/// CSR: pointer shape and monotonicity, column bounds, strictly
+/// increasing columns within a row.
+pub(crate) fn validate_csr(m: &CsrMatrix, values: Values) -> Result<(), ValidationError> {
+    check_lengths("CSR col/val", &[m.col.len(), m.val.len()])?;
+    validate_pointer(&m.rowptr, m.nr, m.val.len(), "CSR rowptr", false)?;
     validate_compressed_minor(&m.rowptr, &m.col, m.nc, "CSR col")?;
-    check_finite(&m.val, "val")
+    check_finite(values, &m.val, "val")
 }
 
-fn validate_csc(m: &CscMatrix) -> Result<(), ValidationError> {
-    if m.row.len() != m.val.len() {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("CSC row/val lengths differ: {}/{}", m.row.len(), m.val.len()),
-        ));
-    }
-    validate_pointer(&m.colptr, m.nc, m.val.len(), "CSC colptr")?;
+/// CSC: the transpose-ordered twin of [`validate_csr`].
+pub(crate) fn validate_csc(m: &CscMatrix, values: Values) -> Result<(), ValidationError> {
+    check_lengths("CSC row/val", &[m.row.len(), m.val.len()])?;
+    validate_pointer(&m.colptr, m.nc, m.val.len(), "CSC colptr", false)?;
     validate_compressed_minor(&m.colptr, &m.row, m.nr, "CSC row")?;
-    check_finite(&m.val, "val")
+    check_finite(values, &m.val, "val")
 }
 
-fn validate_dia(m: &DiaMatrix) -> Result<(), ValidationError> {
+/// DIA: data length `nd * nr`, strictly increasing offsets inside the
+/// matrix, and zero padding outside it.
+pub(crate) fn validate_dia(m: &DiaMatrix, values: Values) -> Result<(), ValidationError> {
     let nd = m.off.len();
-    let expected = nd.checked_mul(m.nr).ok_or_else(|| {
-        ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("DIA nd * nr overflows ({nd} * {})", m.nr),
-        )
-    })?;
-    if m.data.len() != expected {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("DIA data has length {}, expected nd * nr = {expected}", m.data.len()),
-        ));
-    }
-    for w in 1..nd {
-        if m.off[w] == m.off[w - 1] {
-            return Err(ValidationError::new(
-                InputCheck::DuplicateCoordinate,
-                format!("DIA offset {} appears twice", m.off[w]),
-            ));
-        }
-        if m.off[w] < m.off[w - 1] {
-            return Err(ValidationError::new(
-                InputCheck::Ordering,
-                format!("DIA offsets not increasing: {} then {}", m.off[w - 1], m.off[w]),
-            ));
-        }
-    }
+    // A saturated product exceeds every possible array length.
+    check_lengths("DIA nd * nr/data", &[nd.saturating_mul(m.nr), m.data.len()])?;
+    check_increasing(&m.off, &|| "DIA off".to_string())?;
     for (d, &o) in m.off.iter().enumerate() {
         // Declared range of `off` in Table 1: -NR < o < NC.
         if o <= -(m.nr.min(i64::MAX as usize) as i64) || o >= m.nc as i64 {
@@ -580,7 +610,7 @@ fn validate_dia(m: &DiaMatrix) -> Result<(), ValidationError> {
             ));
         }
     }
-    check_finite(&m.data, "data")?;
+    check_finite(values, &m.data, "data")?;
     for i in 0..m.nr {
         for (d, &o) in m.off.iter().enumerate() {
             let j = i as i64 + o;
@@ -595,24 +625,12 @@ fn validate_dia(m: &DiaMatrix) -> Result<(), ValidationError> {
     Ok(())
 }
 
-fn validate_ell(m: &EllMatrix) -> Result<(), ValidationError> {
-    let expected = m.nr.checked_mul(m.width).ok_or_else(|| {
-        ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("ELL nr * width overflows ({} * {})", m.nr, m.width),
-        )
-    })?;
-    if m.col.len() != expected || m.data.len() != expected {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!(
-                "ELL col/data have lengths {}/{}, expected nr * width = {expected}",
-                m.col.len(),
-                m.data.len()
-            ),
-        ));
-    }
-    check_finite(&m.data, "data")?;
+/// ELL: slot arrays of length `nr * width`, column bounds, strictly
+/// increasing columns within a row, and zero padding trailing each row.
+pub(crate) fn validate_ell(m: &EllMatrix, values: Values) -> Result<(), ValidationError> {
+    let slots = m.nr.saturating_mul(m.width);
+    check_lengths("ELL nr * width/col/data", &[slots, m.col.len(), m.data.len()])?;
+    check_finite(values, &m.data, "data")?;
     for i in 0..m.nr {
         let row = &m.col[i * m.width..(i + 1) * m.width];
         let mut seen_pad = false;
@@ -639,26 +657,92 @@ fn validate_ell(m: &EllMatrix) -> Result<(), ValidationError> {
                     format!("ELL col (row {i}, slot {s}) = {j} outside 0..{}", m.nc),
                 ));
             }
-            if s > 0 && row[s - 1] >= 0 {
-                if j == row[s - 1] {
-                    return Err(ValidationError::new(
-                        InputCheck::DuplicateCoordinate,
-                        format!("ELL row {i} repeats column {j}"),
-                    ));
-                }
-                if j < row[s - 1] {
-                    return Err(ValidationError::new(
-                        InputCheck::Ordering,
-                        format!(
-                            "ELL row {i} columns not increasing: {} then {j}",
-                            row[s - 1]
-                        ),
-                    ));
+            if s > 0 {
+                check_increasing(&row[s - 1..=s], &|| format!("ELL row {i} col"))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// BCSR: positive block dims, CSR obligations over block rows and block
+/// columns, `bh * bw` values per stored block, and zero padding outside
+/// the logical matrix.
+pub(crate) fn validate_bcsr(m: &BcsrMatrix) -> Result<(), ValidationError> {
+    if m.bh == 0 || m.bw == 0 {
+        return Err(ValidationError::new(
+            InputCheck::ArrayLengths,
+            format!("BCSR blocks are {}x{}, both dims must be positive", m.bh, m.bw),
+        ));
+    }
+    let nblocks = m.nblocks();
+    validate_pointer(&m.browptr, m.block_rows(), nblocks, "BCSR browptr", false)?;
+    let tiles = nblocks.saturating_mul(m.bh).saturating_mul(m.bw);
+    check_lengths("BCSR nblocks * bh * bw/data", &[tiles, m.data.len()])?;
+    validate_compressed_minor(&m.browptr, &m.bcol, m.block_cols(), "BCSR bcol")?;
+    for bi in 0..m.block_rows() {
+        for blk in m.browptr[bi] as usize..m.browptr[bi + 1] as usize {
+            let bj = m.bcol[blk] as usize;
+            for r in 0..m.bh {
+                for c in 0..m.bw {
+                    let (gi, gj) = (bi * m.bh + r, bj * m.bw + c);
+                    if (gi >= m.nr || gj >= m.nc) && m.data[(blk * m.bh + r) * m.bw + c] != 0.0 {
+                        return Err(ValidationError::new(
+                            InputCheck::PaddingZero,
+                            format!("BCSR out-of-matrix slot ({gi}, {gj}) holds a nonzero"),
+                        ));
+                    }
                 }
             }
         }
     }
     Ok(())
+}
+
+/// HiCOO: block and nonzero array lengths, non-empty blocks, in-block
+/// offsets inside the block edge, block coordinates inside the tensor,
+/// and strictly increasing Z-order of blocks.
+pub(crate) fn validate_hicoo(t: &HicooTensor) -> Result<(), ValidationError> {
+    let (nblocks, nnz) = (t.nblocks(), t.nnz());
+    check_lengths("HiCOO bi/bj/bk", &[nblocks, t.bj.len(), t.bk.len()])?;
+    check_lengths("HiCOO ei/ej/ek/val", &[t.ei.len(), t.ej.len(), t.ek.len(), nnz])?;
+    validate_pointer(&t.bptr, nblocks, nnz, "HiCOO bptr", true)?;
+    // The block edge `2^block_bits`; from 64 bits on it exceeds any
+    // coordinate, so saturating is exact.
+    let edge = 1u64.checked_shl(t.block_bits).unwrap_or(u64::MAX);
+    let (d0, d1, d2) = t.dims;
+    for (what, offs, blocks, d) in
+        [("i", &t.ei, &t.bi, d0), ("j", &t.ej, &t.bj, d1), ("k", &t.ek, &t.bk, d2)]
+    {
+        if let Some(n) = offs.iter().position(|&e| u64::from(e) >= edge) {
+            return Err(ValidationError::new(
+                InputCheck::IndexBounds,
+                format!("HiCOO e{what}[{n}] = {} outside the block edge {edge}", offs[n]),
+            ));
+        }
+        let extent = (d as u64).div_ceil(edge) as usize;
+        if let Some(b) = blocks.iter().position(|&v| !in_bounds(v, extent)) {
+            return Err(ValidationError::new(
+                InputCheck::IndexBounds,
+                format!("HiCOO b{what}[{b}] = {} outside 0..{extent}", blocks[b]),
+            ));
+        }
+    }
+    check_order(morton_key(3), true, nblocks, |b| [t.bi[b], t.bj[b], t.bk[b]])
+}
+
+/// CSF: strictly increasing (non-empty) fiber pointers at both levels,
+/// coordinate bounds, and strictly increasing coordinates within each
+/// level-0 list, level-0 slice, and fiber.
+pub(crate) fn validate_csf(t: &CsfTensor) -> Result<(), ValidationError> {
+    check_lengths("CSF idx2/val", &[t.idx2.len(), t.val.len()])?;
+    validate_pointer(&t.ptr1, t.idx0.len(), t.idx1.len(), "CSF ptr1", true)?;
+    validate_pointer(&t.ptr2, t.idx1.len(), t.nnz(), "CSF ptr2", true)?;
+    let (d0, d1, d2) = t.dims;
+    // Level 0 is one segment spanning all of `idx0`.
+    validate_compressed_minor(&[0, t.idx0.len() as i64], &t.idx0, d0, "CSF idx0")?;
+    validate_compressed_minor(&t.ptr1, &t.idx1, d1, "CSF idx1")?;
+    validate_compressed_minor(&t.ptr2, &t.idx2, d2, "CSF idx2")
 }
 
 #[cfg(test)]
@@ -811,6 +895,13 @@ mod tests {
         // CSR container under a COO descriptor: not validation's call.
         let csr = CsrMatrix::from_coo(&coo_sorted());
         validate_matrix(&descriptors::coo(), MatrixRef::Csr(&csr)).unwrap();
+    }
+
+    #[test]
+    fn bounds_hold_at_extreme_extents() {
+        assert!(in_bounds(0, 1) && !in_bounds(1, 1) && !in_bounds(-1, 1));
+        assert!(in_bounds(i64::MAX, usize::MAX) && !in_bounds(-1, usize::MAX));
+        assert!(!in_bounds(i64::MIN, usize::MAX) && !in_bounds(0, 0));
     }
 
     #[test]

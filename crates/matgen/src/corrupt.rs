@@ -261,7 +261,7 @@ fn corrupt_ell(m: &EllMatrix, class: Corruption) -> Option<EllMatrix> {
 mod tests {
     use super::*;
     use sparse_formats::descriptors;
-    use sparse_formats::validate_matrix;
+    use sparse_formats::{validate_matrix, InputCheck, ValidationError};
 
     fn sample() -> CooMatrix {
         CooMatrix::from_triplets(
@@ -309,6 +309,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The container's own check: its `validate()`, or for bare COO (which
+    /// has none) its validating constructor.
+    fn own_check(m: &AnyMatrix) -> Result<(), ValidationError> {
+        match m {
+            AnyMatrix::Coo(c) => {
+                CooMatrix::from_triplets(c.nr, c.nc, c.row.clone(), c.col.clone(), c.val.clone())
+                    .map(drop)
+            }
+            AnyMatrix::MortonCoo(mc) => mc.validate(),
+            AnyMatrix::Csr(c) => c.validate(),
+            AnyMatrix::Csc(c) => c.validate(),
+            AnyMatrix::Dia(d) => d.validate(),
+            AnyMatrix::Ell(e) => e.validate(),
+        }
+    }
+
+    /// The input-only obligations: the check the input validator names
+    /// where the container's own check accepts.
+    fn input_only(source: &str, class: Corruption) -> Option<InputCheck> {
+        match (source, class) {
+            // A container may hold NaN; an engine input may not.
+            (_, Corruption::NonFiniteValue) => Some(InputCheck::ValueFinite),
+            // Bare COO storage has no order of its own; the SCOO
+            // descriptor's strict row-major key forbids the repeat.
+            ("scoo", Corruption::DuplicateCoordinate) => Some(InputCheck::DuplicateCoordinate),
+            // The Morton containers tolerate repeated coordinates; the
+            // MCOO descriptor's strict key does not.
+            ("mcoo", Corruption::DuplicateCoordinate) => Some(InputCheck::DuplicateCoordinate),
+            _ => None,
+        }
+    }
+
+    /// Container checks and input checks are one checker: on every class
+    /// and every catalog source container they name the same check, or
+    /// differ exactly by an input-only obligation.
+    #[test]
+    fn container_and_input_checks_agree() {
+        let coo = sample();
+        let sources: Vec<(&str, AnyMatrix, _)> = vec![
+            ("coo", AnyMatrix::Coo(coo.clone()), descriptors::coo()),
+            ("scoo", AnyMatrix::Coo(coo.clone()), descriptors::scoo()),
+            ("mcoo", AnyMatrix::MortonCoo(MortonCooMatrix::from_coo(&coo)), descriptors::mcoo()),
+            ("csr", AnyMatrix::Csr(CsrMatrix::from_coo(&coo)), descriptors::csr()),
+            ("csc", AnyMatrix::Csc(CscMatrix::from_coo(&coo)), descriptors::csc()),
+            ("ell", AnyMatrix::Ell(EllMatrix::from_coo(&coo)), descriptors::ell()),
+        ];
+        let mut compared = 0;
+        for (source, container, desc) in &sources {
+            for class in Corruption::ALL {
+                let Some(bad) = corrupt_matrix(container, class) else {
+                    continue;
+                };
+                let own = own_check(&bad).err().map(|e| e.check);
+                let input = validate_matrix(desc, bad.as_ref()).err().map(|e| e.check);
+                if class.is_benign() {
+                    assert_eq!((own, input), (None, None), "{class} on {source}");
+                }
+                match input_only(source, class) {
+                    Some(check) => {
+                        assert_eq!(own, None, "{class} on {source}: container rejects");
+                        assert_eq!(input, Some(check), "{class} on {source}");
+                    }
+                    None => assert_eq!(own, input, "{class} on {source}"),
+                }
+                compared += 1;
+            }
+        }
+        assert!(compared >= 36, "only {compared} class/source pairs realized");
     }
 
     #[test]

@@ -29,7 +29,7 @@ echo "==> cargo run --release --example lint_descriptor (static-analysis gate)"
 # synthesizable conversion plan; exits nonzero on any error or warning.
 cargo run --release --example lint_descriptor
 
-echo "==> perfbench stream-small (engine-level correctness gate)"
+echo "==> perfbench stream-small (engine-level correctness and layer-shape gate)"
 # Converts every executable catalog pair (31 matrix, 6 tensor) through
 # Engine::convert / convert_tensor and checks each output bit-exactly;
 # building it also proves the public API the benchmark pins still
@@ -42,5 +42,15 @@ case "$PERF_LAST" in
     *'"correct": true'*'"failed": 0,'*) ;;
     *) echo "perfbench stream-small: wrong outputs or failed conversions" >&2; exit 1 ;;
 esac
+# Shape, not speed: the replayed layers (plan, validate, exec, extract)
+# must explain Engine::convert's time to within half of it either way.
+UNATTR=$(printf '%s\n' "$PERF_LAST" | sed -n 's/.*"unattributed_share": {"value": \([^,}]*\).*/\1/p')
+if ! awk -v x="$UNATTR" 'BEGIN {
+    if (x !~ /^-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$/) exit 1
+    exit !(x >= -0.5 && x <= 0.5)
+}'; then
+    echo "perfbench stream-small: unattributed_share '$UNATTR' outside [-0.5, 0.5]" >&2
+    exit 1
+fi
 
 echo "All checks passed."
