@@ -293,24 +293,7 @@ impl Conversion {
         let (nr, nc) = m.dims();
         let mut env = RtEnv::new();
         bind_matrix(&mut env, &self.synth.src, m)?;
-        let t0 = Instant::now();
-        let executed = self.execute_env_quiet(&mut env);
-        obs.span(Span {
-            stage: Stage::Interp,
-            pair,
-            nanos: t0.elapsed().as_nanos() as u64,
-            ok: executed.is_ok(),
-        });
-        executed?;
-        let t1 = Instant::now();
-        let out = extract_matrix(&mut env, &self.synth.dst, nr, nc);
-        obs.span(Span {
-            stage: Stage::Extract,
-            pair,
-            nanos: t1.elapsed().as_nanos() as u64,
-            ok: out.is_ok(),
-        });
-        out
+        self.execute_observed(env, pair, obs, |env, dst| extract_matrix(env, dst, nr, nc))
     }
 
     /// Converts any order-3 tensor; the tensor analogue of
@@ -346,23 +329,28 @@ impl Conversion {
         let dims = t.dims();
         let mut env = RtEnv::new();
         bind_tensor(&mut env, &self.synth.src, t)?;
+        self.execute_observed(env, pair, obs, |env, dst| extract_tensor(env, dst, dims))
+    }
+
+    /// The stages both observed runs share: runs the inspector over a
+    /// bound `env` and extracts the destination container, timing each
+    /// and emitting its `interp` or `extract` span into `obs`.
+    fn execute_observed<'a, T>(
+        &self,
+        mut env: RtEnv<'a>,
+        pair: u64,
+        obs: &dyn Subscriber,
+        extract: impl FnOnce(&mut RtEnv<'a>, &FormatDescriptor) -> Result<T, RunError>,
+    ) -> Result<T, RunError> {
         let t0 = Instant::now();
         let executed = self.execute_env_quiet(&mut env);
-        obs.span(Span {
-            stage: Stage::Interp,
-            pair,
-            nanos: t0.elapsed().as_nanos() as u64,
-            ok: executed.is_ok(),
-        });
+        let nanos = t0.elapsed().as_nanos() as u64;
+        obs.span(Span { stage: Stage::Interp, pair, nanos, ok: executed.is_ok() });
         executed?;
         let t1 = Instant::now();
-        let out = extract_tensor(&mut env, &self.synth.dst, dims);
-        obs.span(Span {
-            stage: Stage::Extract,
-            pair,
-            nanos: t1.elapsed().as_nanos() as u64,
-            ok: out.is_ok(),
-        });
+        let out = extract(&mut env, &self.synth.dst);
+        let nanos = t1.elapsed().as_nanos() as u64;
+        obs.span(Span { stage: Stage::Extract, pair, nanos, ok: out.is_ok() });
         out
     }
 }

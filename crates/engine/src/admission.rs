@@ -136,16 +136,19 @@ pub(crate) fn estimate_matrix_output_bytes(
             let width = counts.iter().copied().max().unwrap_or(0);
             ("ell output", width.saturating_mul(nr as u64).saturating_mul(IDX + VAL))
         }
-        FormatKind::Csr => {
-            ("csr output", nnz.saturating_mul(IDX + VAL).saturating_add((nr as u64 + 1) * IDX))
-        }
-        FormatKind::Csc => {
-            ("csc output", nnz.saturating_mul(IDX + VAL).saturating_add((nc as u64 + 1) * IDX))
-        }
+        FormatKind::Csr => ("csr output", compressed_bytes(nnz, nr)),
+        FormatKind::Csc => ("csc output", compressed_bytes(nnz, nc)),
         // Coordinate destinations (and anything unrecognized, which the
         // dispatch layer will refuse anyway): row + col + val per entry.
         _ => ("coordinate output", nnz.saturating_mul(2 * IDX + VAL)),
     }
+}
+
+/// A compressed layout's bytes: an index and a value per entry plus a
+/// pointer array of `extent + 1` slots.
+fn compressed_bytes(nnz: u64, extent: usize) -> u64 {
+    let pointers = (extent as u64).saturating_add(1).saturating_mul(IDX);
+    nnz.saturating_mul(IDX + VAL).saturating_add(pointers)
 }
 
 /// Tensor analogue of [`estimate_matrix_output_bytes`]: every shipped

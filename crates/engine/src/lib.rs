@@ -161,6 +161,11 @@ impl From<RunError> for EngineError {
     }
 }
 
+/// Capacity of every engine's exceptional-event ring. When full, the
+/// oldest event is overwritten and the dropped-event counter increments;
+/// writers never block.
+const EVENT_CAPACITY: usize = 1024;
+
 /// Engine construction knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -198,10 +203,6 @@ pub struct EngineConfig {
     /// [`RunError::DeadlineExceeded`]; items already executing run to
     /// completion.
     pub batch_deadline: Option<Duration>,
-    /// Capacity of the exceptional-event ring buffer (default 1024).
-    /// When full, the oldest event is overwritten and the dropped-event
-    /// counter increments; writers never block. Minimum 1.
-    pub event_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -214,7 +215,6 @@ impl Default for EngineConfig {
             validate_inputs: true,
             memory_budget: None,
             batch_deadline: None,
-            event_capacity: 1024,
         }
     }
 }
@@ -276,7 +276,7 @@ impl Engine {
     pub fn with_subscriber(config: EngineConfig, subscriber: Arc<dyn Subscriber>) -> Self {
         Engine {
             cache: PlanCache::new(config.capacity),
-            events: EventRing::new(config.event_capacity),
+            events: EventRing::new(EVENT_CAPACITY),
             config,
             stats: StatsInner::default(),
             subscriber,
@@ -364,14 +364,7 @@ impl Engine {
                 Err(EngineError::Plan(msg))
             }
         };
-        if self.subscriber.enabled() {
-            self.subscriber.span(Span {
-                stage: Stage::Plan,
-                pair: key,
-                nanos: t0.elapsed().as_nanos() as u64,
-                ok: out.is_ok(),
-            });
-        }
+        self.stage(Stage::Plan, key, t0.elapsed().as_nanos() as u64, out.is_ok());
         out
     }
 
@@ -387,7 +380,7 @@ impl Engine {
     ) -> Result<Plan, String> {
         let t0 = Instant::now();
         let built = Conversion::new(src, dst, options).map_err(|e| e.to_string());
-        StatsInner::add(&self.stats.synth_nanos, t0.elapsed().as_nanos() as u64);
+        StatsInner::add(&self.stats.synth_time, t0.elapsed().as_nanos() as u64);
         match &built {
             Ok(_) => StatsInner::add(&self.stats.plans_synthesized, 1),
             Err(_) => {
@@ -402,16 +395,8 @@ impl Engine {
             let t1 = Instant::now();
             let report = sparse_analyze::verify(&conversion.synth);
             let verify_nanos = t1.elapsed().as_nanos() as u64;
-            StatsInner::add(&self.stats.verify_nanos, verify_nanos);
             StatsInner::add(&self.stats.plans_verified, 1);
-            if self.subscriber.enabled() {
-                self.subscriber.span(Span {
-                    stage: Stage::Verify,
-                    pair,
-                    nanos: verify_nanos,
-                    ok: report.is_clean(),
-                });
-            }
+            self.stage(Stage::Verify, pair, verify_nanos, report.is_clean());
             if !report.is_clean() {
                 StatsInner::add(&self.stats.plans_rejected, 1);
                 self.note(EventKind::PlanRejected, pair, verify_nanos, 0);
@@ -586,7 +571,7 @@ impl Engine {
 
     /// A point-in-time snapshot of this engine's counters.
     pub fn stats(&self) -> EngineStats {
-        self.stats.snapshot(self.cache.evictions(), self.cache.len())
+        self.stats.snapshot(&self.cache)
     }
 
     /// The engine's exceptional-event ring buffer: kernel panics and
@@ -615,140 +600,8 @@ impl Engine {
     /// rendered as a Prometheus-style text page. Metric and label names
     /// are **stable API** (snapshot-tested): dashboards may key on them.
     pub fn metrics_text(&self) -> String {
-        let s = self.stats();
         let mut page = sparse_obs::expo::MetricsText::new();
-        page.counter("engine_plan_lookups_total", "Plan lookups received.", s.plan_lookups);
-        page.counter(
-            "engine_cache_hits_total",
-            "Plan lookups answered from the cache.",
-            s.cache_hits,
-        );
-        page.counter(
-            "engine_cache_misses_total",
-            "Plan lookups that synthesized or observed a failure.",
-            s.cache_misses,
-        );
-        page.counter(
-            "engine_cache_evictions_total",
-            "Plans dropped under the capacity limit.",
-            s.cache_evictions,
-        );
-        page.gauge("engine_cached_plans", "Plans currently resident.", s.cached_plans as u64);
-        page.counter(
-            "engine_plans_synthesized_total",
-            "Plans built by the synthesizer.",
-            s.plans_synthesized,
-        );
-        page.counter(
-            "engine_plan_failures_total",
-            "Plan constructions that failed.",
-            s.plan_failures,
-        );
-        page.counter(
-            "engine_plans_verified_total",
-            "Plans run through the static verifier.",
-            s.plans_verified,
-        );
-        page.counter(
-            "engine_plans_rejected_total",
-            "Plans the verifier refused.",
-            s.plans_rejected,
-        );
-        page.counter(
-            "engine_parallel_plans_total",
-            "Verified plans with a proved parallel loop.",
-            s.parallel_plans,
-        );
-        page.counter(
-            "engine_conversions_total",
-            "Conversions that completed successfully.",
-            s.conversions,
-        );
-        page.counter(
-            "engine_conversions_failed_total",
-            "Executions that started and then failed or panicked.",
-            s.conversions_failed,
-        );
-        page.counter(
-            "engine_nnz_moved_total",
-            "Stored entries moved by successful conversions.",
-            s.nnz_moved,
-        );
-        page.counter(
-            "engine_kernels_hit_total",
-            "Conversions served by a native kernel.",
-            s.kernels_hit,
-        );
-        page.counter(
-            "engine_kernel_declines_total",
-            "Kernel attempts that declined the input.",
-            s.kernel_declines,
-        );
-        page.counter(
-            "engine_kernel_panics_total",
-            "Kernel attempts that panicked (contained).",
-            s.kernel_panics,
-        );
-        page.counter(
-            "engine_interp_fallbacks_total",
-            "Successful conversions executed by the interpreter.",
-            s.interp_fallbacks,
-        );
-        page.counter(
-            "engine_inputs_rejected_total",
-            "Inputs refused before execution (validation or admission).",
-            s.inputs_rejected,
-        );
-        page.counter(
-            "engine_items_failed_total",
-            "Batch items whose final result was an error.",
-            s.items_failed,
-        );
-        page.counter(
-            "engine_panics_caught_total",
-            "Panics contained at an isolation boundary.",
-            s.panics_caught,
-        );
-        page.counter(
-            "engine_degraded_conversions_total",
-            "Batch items retried on the sequential path.",
-            s.degraded_conversions,
-        );
-        page.counter(
-            "engine_deadline_expired_total",
-            "Batch items that never started before the deadline.",
-            s.deadline_expired,
-        );
-        page.counter(
-            "engine_synth_nanoseconds_total",
-            "Wall time in synthesis and lowering.",
-            s.synth_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_verify_nanoseconds_total",
-            "Wall time in static plan verification.",
-            s.verify_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_validate_nanoseconds_total",
-            "Wall time in input validation and admission estimation.",
-            s.validate_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_exec_nanoseconds_total",
-            "Wall time in interpreter execution.",
-            s.exec_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_kernel_nanoseconds_total",
-            "Wall time in native kernels that hit.",
-            s.kernel_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_kernel_declined_nanoseconds_total",
-            "Wall time in kernel attempts that declined or panicked.",
-            s.kernel_declined_time.as_nanos() as u64,
-        );
+        self.stats().expose(&mut page);
         page.counter(
             "engine_events_recorded_total",
             "Exceptional events recorded.",
@@ -799,7 +652,7 @@ impl Engine {
         if self.config.validate_inputs {
             let t0 = Instant::now();
             let checked = input.validate(&plan.synth.src);
-            self.span_validate(pair, t0.elapsed().as_nanos() as u64, checked.is_ok());
+            self.stage(Stage::Validate, pair, t0.elapsed().as_nanos() as u64, checked.is_ok());
             if let Err(e) = checked {
                 StatsInner::add(&self.stats.inputs_rejected, 1);
                 self.note(EventKind::InputRejected, pair, 0, nnz);
@@ -809,7 +662,7 @@ impl Engine {
         if let Some(budget) = self.config.memory_budget {
             let t0 = Instant::now();
             let (what, needed) = input.estimate_output_bytes(&plan.synth.dst);
-            self.span_admission(pair, t0.elapsed().as_nanos() as u64, needed <= budget);
+            self.stage(Stage::Admission, pair, t0.elapsed().as_nanos() as u64, needed <= budget);
             if needed > budget {
                 StatsInner::add(&self.stats.inputs_rejected, 1);
                 self.note(EventKind::AdmissionRejected, pair, 0, nnz);
@@ -841,7 +694,7 @@ impl Engine {
         let out =
             catch_unwind(AssertUnwindSafe(|| input.run_observed(plan, pair, &*self.subscriber)));
         let exec_nanos = t0.elapsed().as_nanos() as u64;
-        StatsInner::add(&self.stats.exec_nanos, exec_nanos);
+        StatsInner::add(&self.stats.exec_time, exec_nanos);
         match out {
             Ok(Ok(out)) => {
                 StatsInner::add(&self.stats.conversions, 1);
@@ -886,7 +739,6 @@ impl Engine {
     ) -> Option<T> {
         let out = match attempt {
             Ok(Some(Ok(out))) => {
-                StatsInner::add(&self.stats.kernel_nanos, kernel_nanos);
                 StatsInner::add(&self.stats.kernels_hit, 1);
                 StatsInner::add(&self.stats.conversions, 1);
                 StatsInner::add(&self.stats.nnz_moved, nnz);
@@ -894,7 +746,6 @@ impl Engine {
             }
             Ok(Some(Err(_declined))) => {
                 StatsInner::add(&self.stats.kernel_declines, 1);
-                StatsInner::add(&self.stats.kernel_declined_nanos, kernel_nanos);
                 self.note(EventKind::KernelDecline, pair, kernel_nanos, nnz);
                 None
             }
@@ -904,37 +755,32 @@ impl Engine {
             Err(_payload) => {
                 StatsInner::add(&self.stats.kernel_panics, 1);
                 StatsInner::add(&self.stats.panics_caught, 1);
-                StatsInner::add(&self.stats.kernel_declined_nanos, kernel_nanos);
                 self.note(EventKind::KernelPanic, pair, kernel_nanos, nnz);
                 None
             }
         };
-        if self.subscriber.enabled() {
-            self.subscriber.span(Span {
-                stage: Stage::Kernel,
-                pair,
-                nanos: kernel_nanos,
-                ok: out.is_some(),
-            });
-        }
+        self.stage(Stage::Kernel, pair, kernel_nanos, out.is_some());
         out
     }
 
-    /// Emits one `validate` stage span (stats time is always banked; the
-    /// subscriber call is skipped when disabled).
-    fn span_validate(&self, pair: u64, nanos: u64, ok: bool) {
-        StatsInner::add(&self.stats.validate_nanos, nanos);
-        if self.subscriber.enabled() {
-            self.subscriber.span(Span { stage: Stage::Validate, pair, nanos, ok });
+    /// Reports one completed stage: banks its time under the stage's
+    /// counter (`verify_time`; `validate_time` for validation and
+    /// admission; `kernel_time` for a kernel hit, `kernel_declined_time`
+    /// for a decline or contained panic; nothing for `plan`) and emits
+    /// its span when the subscriber is enabled.
+    fn stage(&self, stage: Stage, pair: u64, nanos: u64, ok: bool) {
+        let time = match stage {
+            Stage::Verify => Some(&self.stats.verify_time),
+            Stage::Validate | Stage::Admission => Some(&self.stats.validate_time),
+            Stage::Kernel if ok => Some(&self.stats.kernel_time),
+            Stage::Kernel => Some(&self.stats.kernel_declined_time),
+            Stage::Plan | Stage::Interp | Stage::Extract => None,
+        };
+        if let Some(counter) = time {
+            StatsInner::add(counter, nanos);
         }
-    }
-
-    /// Emits one `admission` stage span (estimation time banked under
-    /// `validate_time` alongside input validation).
-    fn span_admission(&self, pair: u64, nanos: u64, ok: bool) {
-        StatsInner::add(&self.stats.validate_nanos, nanos);
         if self.subscriber.enabled() {
-            self.subscriber.span(Span { stage: Stage::Admission, pair, nanos, ok });
+            self.subscriber.span(Span { stage, pair, nanos, ok });
         }
     }
 

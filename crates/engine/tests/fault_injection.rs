@@ -203,6 +203,39 @@ fn memory_budget_refuses_dia_blowup_before_allocation() {
         .unwrap();
 }
 
+/// Regression: the CSR/CSC estimates sized the pointer array as
+/// `(extent + 1) * 8` unchecked, so a valid input with a huge extent
+/// overflowed — a panic escaping `convert` in debug builds, and in
+/// release a wrapped, tiny estimate that admitted the conversion. The
+/// estimate must saturate and refuse.
+#[test]
+fn memory_budget_saturates_huge_compressed_extents() {
+    let huge = 1usize << 61;
+    for (what, dst, nr, nc) in [
+        ("csr output", descriptors::csr(), huge, 1),
+        ("csc output", descriptors::csc(), 1, huge),
+    ] {
+        let engine = Engine::with_config(EngineConfig {
+            memory_budget: Some(1 << 30),
+            ..Default::default()
+        });
+        let one = CooMatrix::from_triplets(nr, nc, vec![0], vec![0], vec![1.0]).unwrap();
+        let err = engine.convert(&descriptors::scoo(), &dst, &AnyMatrix::Coo(one)).unwrap_err();
+        match err {
+            EngineError::Run(RunError::ResourceExhausted { what: got, needed, budget }) => {
+                assert_eq!(got, what);
+                assert_eq!(budget, 1 << 30);
+                assert_eq!(needed, u64::MAX, "{what}: the estimate saturates");
+            }
+            other => panic!("{what}: expected ResourceExhausted, got: {other}"),
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.inputs_rejected, 1, "{what}");
+        assert_eq!(stats.panics_caught, 0, "{what}");
+        assert_eq!(stats.conversions_failed, 0, "{what}: refused before execution");
+    }
+}
+
 #[test]
 fn stats_stay_exact_under_concurrent_corrupted_batches() {
     const OS_THREADS: usize = 4;

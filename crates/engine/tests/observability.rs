@@ -2,12 +2,14 @@
 //! exceptional events land in the ring and the subscriber, and the
 //! Prometheus-style exposition is snapshot-stable (metric names are API).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
-use sparse_engine::{CollectingSubscriber, Engine, EngineConfig};
+use sparse_engine::{CollectingSubscriber, Engine, EngineConfig, EngineStats};
 use sparse_formats::descriptors;
 use sparse_formats::{AnyMatrix, CooMatrix};
-use sparse_obs::{EventKind, Stage};
+use sparse_obs::{EventKind, Span, Stage};
 
 /// Sorted row-major, 5 stored entries.
 fn sample() -> AnyMatrix {
@@ -90,6 +92,141 @@ fn rejected_input_reaches_ring_and_subscriber() {
     assert_eq!(validate.len(), 1);
     assert!(!validate[0].ok);
     assert!(collector.spans_for(Stage::Interp).is_empty());
+}
+
+/// Total nanoseconds of the collected spans that satisfy `keep`.
+fn span_time(spans: &[Span], keep: impl Fn(&Span) -> bool) -> Duration {
+    Duration::from_nanos(spans.iter().filter(|s| keep(s)).map(|s| s.nanos).sum())
+}
+
+/// Every unlabelled sample line of the exposition as `name -> value`.
+fn samples(text: &str) -> BTreeMap<String, u64> {
+    text.lines()
+        .filter(|l| !l.starts_with('#') && !l.contains('{'))
+        .map(|l| {
+            let (name, value) = l.split_once(' ').unwrap();
+            (name.to_string(), value.parse().unwrap())
+        })
+        .collect()
+}
+
+/// Each counter's metric name and the `EngineStats` field it must show,
+/// written out independently of the engine's own table.
+fn expected_samples(s: &EngineStats, recorded: u64, dropped: u64) -> BTreeMap<String, u64> {
+    let nanos = |d: Duration| d.as_nanos() as u64;
+    [
+        ("engine_plan_lookups_total", s.plan_lookups),
+        ("engine_cache_hits_total", s.cache_hits),
+        ("engine_cache_misses_total", s.cache_misses),
+        ("engine_cache_evictions_total", s.cache_evictions),
+        ("engine_cached_plans", s.cached_plans as u64),
+        ("engine_plans_synthesized_total", s.plans_synthesized),
+        ("engine_plan_failures_total", s.plan_failures),
+        ("engine_plans_verified_total", s.plans_verified),
+        ("engine_plans_rejected_total", s.plans_rejected),
+        ("engine_parallel_plans_total", s.parallel_plans),
+        ("engine_conversions_total", s.conversions),
+        ("engine_conversions_failed_total", s.conversions_failed),
+        ("engine_nnz_moved_total", s.nnz_moved),
+        ("engine_kernels_hit_total", s.kernels_hit),
+        ("engine_kernel_declines_total", s.kernel_declines),
+        ("engine_kernel_panics_total", s.kernel_panics),
+        ("engine_interp_fallbacks_total", s.interp_fallbacks),
+        ("engine_inputs_rejected_total", s.inputs_rejected),
+        ("engine_items_failed_total", s.items_failed),
+        ("engine_panics_caught_total", s.panics_caught),
+        ("engine_degraded_conversions_total", s.degraded_conversions),
+        ("engine_deadline_expired_total", s.deadline_expired),
+        ("engine_synth_nanoseconds_total", nanos(s.synth_time)),
+        ("engine_verify_nanoseconds_total", nanos(s.verify_time)),
+        ("engine_validate_nanoseconds_total", nanos(s.validate_time)),
+        ("engine_exec_nanoseconds_total", nanos(s.exec_time)),
+        ("engine_kernel_nanoseconds_total", nanos(s.kernel_time)),
+        ("engine_kernel_declined_nanoseconds_total", nanos(s.kernel_declined_time)),
+        ("engine_events_recorded_total", recorded),
+        ("engine_events_dropped_total", dropped),
+    ]
+    .into_iter()
+    .map(|(name, value)| (name.to_string(), value))
+    .collect()
+}
+
+/// The three views of one engine agree exactly: each stage-time counter
+/// is the sum of its stage's spans, and every counter line of the
+/// exposition shows its `EngineStats` field. Covers a kernel hit, a
+/// kernel decline, an interpreted pair, a rejected input and an
+/// admission refusal on one verified engine.
+#[test]
+fn spans_counters_and_exposition_agree() {
+    let collector = Arc::new(CollectingSubscriber::new());
+    let engine = Engine::with_subscriber(
+        EngineConfig { verify_plans: true, memory_budget: Some(10_000), ..Default::default() },
+        collector.clone(),
+    );
+    let (scoo, coo, csr, dia) =
+        (descriptors::scoo(), descriptors::coo(), descriptors::csr(), descriptors::dia());
+
+    // Kernel hit.
+    engine.convert(&scoo, &csr, &sample()).unwrap();
+    // Kernel decline: duplicate coordinates in an unordered COO source.
+    // Only the decline is under test; the interpreter's answer collapses
+    // the duplicates into a CSR row that fails the output check.
+    let dup = CooMatrix::from_triplets(
+        3,
+        3,
+        vec![1, 0, 1, 2],
+        vec![2, 1, 2, 0],
+        vec![1.0, 2.0, 3.0, 4.0],
+    )
+    .unwrap();
+    assert!(engine.convert(&coo, &csr, &AnyMatrix::Coo(dup)).is_err());
+    // Interpreted pair: no kernel covers DIA.
+    engine.convert(&scoo, &dia, &sample()).unwrap();
+    // Rejected input.
+    assert!(engine.convert(&scoo, &csr, &unsorted()).is_err());
+    // Admission refusal: an antidiagonal puts every entry on its own
+    // diagonal, 64 × 64 DIA slots against a 10 000-byte budget.
+    let n = 64;
+    let anti = CooMatrix::from_triplets(
+        n,
+        n,
+        (0..n as i64).collect(),
+        (0..n as i64).rev().collect(),
+        vec![1.0; n],
+    )
+    .unwrap();
+    assert!(engine.convert(&scoo, &dia, &AnyMatrix::Coo(anti)).is_err());
+
+    let s = engine.stats();
+    assert_eq!(
+        (s.kernels_hit, s.kernel_declines, s.interp_fallbacks, s.inputs_rejected),
+        (1, 1, 1, 2),
+        "the workload must reach every path: {s:?}"
+    );
+
+    let spans = collector.spans();
+    let stage = |want: Stage| move |s: &Span| s.stage == want;
+    assert_eq!(span_time(&spans, stage(Stage::Verify)), s.verify_time);
+    assert_eq!(
+        span_time(&spans, |s| matches!(s.stage, Stage::Validate | Stage::Admission)),
+        s.validate_time
+    );
+    assert_eq!(span_time(&spans, |s| s.stage == Stage::Kernel && s.ok), s.kernel_time);
+    assert_eq!(
+        span_time(&spans, |s| s.stage == Stage::Kernel && !s.ok),
+        s.kernel_declined_time
+    );
+    assert!(
+        spans.iter().any(|s| s.stage == Stage::Admission && !s.ok),
+        "the refusal emits a failed admission span"
+    );
+
+    let text = engine.metrics_text();
+    assert_eq!(
+        samples(&text),
+        expected_samples(&s, engine.events().recorded(), engine.events().dropped()),
+        "exposition:\n{text}"
+    );
 }
 
 /// Replaces every digit run with `N` so the snapshot is independent of

@@ -116,75 +116,69 @@ pub struct Span {
 }
 
 /// What went wrong (or sideways), for the event log. Events are the
-/// *exceptional* path — successful conversions emit spans only.
+/// *exceptional* path — successful conversions emit spans only. The
+/// discriminant is the kind's stable ring code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u64)]
 pub enum EventKind {
     /// A native kernel panicked; the panic was contained and the
     /// interpreter answered instead.
-    KernelPanic,
+    KernelPanic = 1,
     /// A native kernel declined the input (e.g. duplicate coordinates);
     /// the interpreter answered instead.
-    KernelDecline,
+    KernelDecline = 2,
     /// The interpreter path panicked; contained as a typed error.
-    InterpPanic,
+    InterpPanic = 3,
     /// The interpreter path returned a typed execution error.
-    RunFailed,
+    RunFailed = 4,
     /// Input validation rejected the container before execution.
-    InputRejected,
+    InputRejected = 5,
     /// Admission control refused the conversion (estimated footprint
     /// over budget).
-    AdmissionRejected,
+    AdmissionRejected = 6,
     /// Plan synthesis or lowering failed.
-    PlanFailed,
+    PlanFailed = 7,
     /// The static verifier rejected a freshly synthesized plan.
-    PlanRejected,
+    PlanRejected = 8,
     /// A batch item never started because the batch deadline expired.
-    DeadlineExpired,
+    DeadlineExpired = 9,
 }
+
+/// Every kind with its stable kebab-case name, in code order (checked
+/// at compile time below), so `KINDS[code - 1]` is the kind of `code`.
+const KINDS: [(EventKind, &str); 9] = [
+    (EventKind::KernelPanic, "kernel-panic"),
+    (EventKind::KernelDecline, "kernel-decline"),
+    (EventKind::InterpPanic, "interp-panic"),
+    (EventKind::RunFailed, "run-failed"),
+    (EventKind::InputRejected, "input-rejected"),
+    (EventKind::AdmissionRejected, "admission-rejected"),
+    (EventKind::PlanFailed, "plan-failed"),
+    (EventKind::PlanRejected, "plan-rejected"),
+    (EventKind::DeadlineExpired, "deadline-expired"),
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < KINDS.len() {
+        assert!(KINDS[i].0 as usize == i + 1, "KINDS must list the kinds in code order");
+        i += 1;
+    }
+};
 
 impl EventKind {
     fn code(self) -> u64 {
-        match self {
-            EventKind::KernelPanic => 1,
-            EventKind::KernelDecline => 2,
-            EventKind::InterpPanic => 3,
-            EventKind::RunFailed => 4,
-            EventKind::InputRejected => 5,
-            EventKind::AdmissionRejected => 6,
-            EventKind::PlanFailed => 7,
-            EventKind::PlanRejected => 8,
-            EventKind::DeadlineExpired => 9,
-        }
+        self as u64
     }
 
     fn from_code(code: u64) -> Option<EventKind> {
-        Some(match code {
-            1 => EventKind::KernelPanic,
-            2 => EventKind::KernelDecline,
-            3 => EventKind::InterpPanic,
-            4 => EventKind::RunFailed,
-            5 => EventKind::InputRejected,
-            6 => EventKind::AdmissionRejected,
-            7 => EventKind::PlanFailed,
-            8 => EventKind::PlanRejected,
-            9 => EventKind::DeadlineExpired,
-            _ => return None,
-        })
+        let index = usize::try_from(code).ok()?.checked_sub(1)?;
+        KINDS.get(index).map(|&(kind, _)| kind)
     }
 
     /// The kind's stable kebab-case name.
     pub fn as_str(self) -> &'static str {
-        match self {
-            EventKind::KernelPanic => "kernel-panic",
-            EventKind::KernelDecline => "kernel-decline",
-            EventKind::InterpPanic => "interp-panic",
-            EventKind::RunFailed => "run-failed",
-            EventKind::InputRejected => "input-rejected",
-            EventKind::AdmissionRejected => "admission-rejected",
-            EventKind::PlanFailed => "plan-failed",
-            EventKind::PlanRejected => "plan-rejected",
-            EventKind::DeadlineExpired => "deadline-expired",
-        }
+        KINDS[self as usize - 1].1
     }
 }
 

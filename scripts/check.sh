@@ -53,4 +53,20 @@ if ! awk -v x="$UNATTR" 'BEGIN {
     exit 1
 fi
 
+# Counter consistency: every golden normalizes values away, so a counter
+# wired to the wrong atomic would only show here. Every conversion is a
+# kernel hit or an interpreter run, and perfbench synthesizes every plan
+# in set-up, so each timed convert's plan lookup is a cache hit.
+count() { printf '%s\n' "$PERF_LAST" | sed -n "s/.*\"$1\": {\"value\": \([0-9]*\)[,}].*/\1/p"; }
+CONV=$(count conversions) HIT=$(count kernels_hit) INTERP=$(count interp_fallbacks)
+CACHE=$(count cache_hits)
+if ! awk -v c="$CONV" -v k="$HIT" -v i="$INTERP" -v h="$CACHE" 'BEGIN {
+    if (c !~ /^[0-9]+$/ || k !~ /^[0-9]+$/ || i !~ /^[0-9]+$/ || h !~ /^[0-9]+$/) exit 1
+    exit !(c > 0 && k + i == c && h >= c)
+}'; then
+    echo "perfbench stream-small: inconsistent counters (conversions '$CONV'," \
+        "kernels_hit '$HIT', interp_fallbacks '$INTERP', cache_hits '$CACHE')" >&2
+    exit 1
+fi
+
 echo "All checks passed."
