@@ -1,14 +1,17 @@
 //! In-process execution of generated inspectors.
 //!
 //! The paper compiles its synthesized SPF code to C; here the loop AST is
-//! *compiled* to a register-resolved form ([`Program`]) and interpreted
-//! directly, so synthesized conversions are executable and benchmarkable
-//! without a C toolchain. Name resolution happens once at compile time:
-//! loop variables become register indices and UF/data/list names become
-//! dense table indices, leaving only array indexing in the hot loops.
+//! compiled to flat register code ([`Program`]) and run directly, so
+//! synthesized conversions are executable and benchmarkable without a C
+//! toolchain. Compilation resolves every name once: loop and `Let`
+//! variables keep their slot, each subexpression gets a temporary
+//! register above the slots, each literal a constant register, and
+//! UF/data/list/symbol names become dense table indices. Each expression
+//! op writes one register; loops, guards and searches hold their bodies
+//! as op slices, and one `match` loop runs a slice.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::ast::{CmpOp, Expr, SlotAlloc, Stmt};
@@ -97,40 +100,66 @@ pub struct ExecStats {
     pub statements: u64,
 }
 
-#[derive(Debug, Clone)]
-enum CExpr {
-    Const(i64),
-    Reg(u32),
-    Sym(u32),
-    UfRead { uf: u32, idx: Box<CExpr> },
-    ListRank { list: u32, args: Vec<CExpr> },
-    ListLen(u32),
-    Add(Box<CExpr>, Box<CExpr>),
-    Sub(Box<CExpr>, Box<CExpr>),
-    Mul(Box<CExpr>, Box<CExpr>),
-    Div(Box<CExpr>, Box<CExpr>),
-    Min(Box<CExpr>, Box<CExpr>),
-    Max(Box<CExpr>, Box<CExpr>),
-}
+/// A register: a slot, a temporary or a constant.
+type Reg = u32;
 
-#[derive(Debug, Clone)]
-enum CStmt {
-    For { slot: u32, lo: CExpr, hi: CExpr, body: Vec<CStmt> },
-    Let { slot: u32, value: CExpr },
-    If { clauses: Vec<(CExpr, CmpOp, CExpr)>, body: Vec<CStmt> },
-    FindBinary { slot: u32, lo: CExpr, hi: CExpr, key: CExpr, target: CExpr, body: Vec<CStmt> },
-    UfWrite { uf: u32, idx: CExpr, value: CExpr },
-    UfMin { uf: u32, idx: CExpr, value: CExpr },
-    UfMax { uf: u32, idx: CExpr, value: CExpr },
-    UfAlloc { uf: u32, size: CExpr, init: CExpr },
-    DataAlloc { arr: u32, size: CExpr },
-    ListInsert { list: u32, args: Vec<CExpr> },
+/// One instruction. Expression ops write `dst` from registers that
+/// earlier ops wrote; the others write arrays, lists or symbols.
+#[derive(Debug)]
+enum Op {
+    Mov { dst: Reg, src: Reg },
+    Sym { dst: Reg, sym: u32 },
+    UfRead { dst: Reg, uf: u32, idx: Reg },
+    ListRank { dst: Reg, list: u32, args: Box<[Reg]> },
+    ListLen { dst: Reg, list: u32 },
+    /// Arithmetic, as `(dst, a, b)`.
+    Add(Reg, Reg, Reg),
+    Sub(Reg, Reg, Reg),
+    Mul(Reg, Reg, Reg),
+    Div(Reg, Reg, Reg),
+    Min(Reg, Reg, Reg),
+    Max(Reg, Reg, Reg),
+    /// Fails with [`ExecError::DivByZero`] when `r` is zero, so a divisor
+    /// is checked before its dividend is evaluated.
+    NonZero { r: Reg },
+    /// Fails with [`ExecError::BadAlloc`] when `size` is negative, before
+    /// the initial value of `uf` is evaluated.
+    NonNeg { uf: u32, size: Reg },
+    For { slot: Reg, lo: Reg, hi: Reg, body: Block },
+    If { a: Reg, op: CmpOp, b: Reg, body: Block },
+    Find(Box<Find>),
+    UfWrite { uf: u32, idx: Reg, value: Reg },
+    UfMin { uf: u32, idx: Reg, value: Reg },
+    UfMax { uf: u32, idx: Reg, value: Reg },
+    UfAlloc { uf: u32, size: Reg, init: Reg },
+    DataAlloc { arr: u32, size: Reg },
+    ListInsert { list: u32, args: Box<[Reg]> },
     ListFinalize { list: u32 },
     ListToUf { list: u32, dim: usize, uf: u32 },
-    SymSet { sym: u32, value: CExpr },
-    DataAxpy { y: u32, y_idx: CExpr, a: u32, a_idx: CExpr, x: u32, x_idx: CExpr },
-    Copy { dst: u32, dst_idx: CExpr, src: u32, src_idx: CExpr },
-    Nop,
+    SymSet { sym: u32, value: Reg },
+    DataAxpy { y: u32, y_idx: Reg, a: u32, a_idx: Reg, x: u32, x_idx: Reg },
+    Copy { dst: u32, dst_idx: Reg, src: u32, src_idx: Reg },
+}
+
+/// A `FindBinary`: `key` computes `key_reg` from `slot`, and `body` runs
+/// with `slot` at the position in `[lo, hi)` whose key equals `target`.
+#[derive(Debug)]
+struct Find {
+    slot: Reg,
+    lo: Reg,
+    hi: Reg,
+    target: Reg,
+    key: Block,
+    key_reg: Reg,
+    body: Block,
+}
+
+/// An op slice and the number of source statements it runs, which
+/// [`ExecStats::statements`] counts each time the slice runs.
+#[derive(Debug, Default)]
+struct Block {
+    ops: Box<[Op]>,
+    stmts: u64,
 }
 
 #[derive(Debug, Default)]
@@ -151,12 +180,14 @@ impl Interner {
     }
 }
 
-/// A compiled inspector: resolved statements plus the name tables needed
+/// A compiled inspector: flat register code plus the name tables needed
 /// to bind a [`RtEnv`] at execution time.
 #[derive(Debug)]
 pub struct Program {
-    stmts: Vec<CStmt>,
-    n_slots: usize,
+    main: Block,
+    /// The register file a run starts from: zero in slots and
+    /// temporaries, the literal in each constant register.
+    regs: Vec<i64>,
     syms: Vec<String>,
     ufs: Vec<String>,
     data: Vec<String>,
@@ -185,183 +216,225 @@ impl Program {
     }
 }
 
+/// The value of `e` when it is built from literals alone, so the
+/// interpreter never revisits arithmetic on literals. `Div` folds only
+/// for a nonzero divisor: a literal division by zero must still surface
+/// as a runtime [`ExecError::DivByZero`].
+fn fold(e: &Expr) -> Option<i64> {
+    let pair = |a: &Expr, b: &Expr| Some((fold(a)?, fold(b)?));
+    match e {
+        Expr::Const(c) => Some(*c),
+        Expr::Add(a, b) => pair(a, b).map(|(x, y)| x.wrapping_add(y)),
+        Expr::Sub(a, b) => pair(a, b).map(|(x, y)| x.wrapping_sub(y)),
+        Expr::Mul(a, b) => pair(a, b).map(|(x, y)| x.wrapping_mul(y)),
+        Expr::Div(a, b) => pair(a, b).and_then(|(x, y)| (y != 0).then(|| x.div_euclid(y))),
+        Expr::Min(a, b) => pair(a, b).map(|(x, y)| x.min(y)),
+        Expr::Max(a, b) => pair(a, b).map(|(x, y)| x.max(y)),
+        _ => None,
+    }
+}
+
+#[derive(Default)]
 struct Compiler {
     syms: Interner,
     ufs: Interner,
     data: Interner,
     lists: Interner,
+    regs: Vec<i64>,
+    consts: HashMap<i64, Reg>,
 }
 
 impl Compiler {
-    /// Builds a binary node, folding `Const op Const` at compile time so the
-    /// interpreter never revisits arithmetic on literals (`Div` folds only
-    /// when the divisor is nonzero — a literal division by zero must still
-    /// surface as a runtime [`ExecError::DivByZero`]).
+    fn temp(&mut self) -> Reg {
+        self.regs.push(0);
+        (self.regs.len() - 1) as Reg
+    }
+
+    fn constant(&mut self, c: i64) -> Reg {
+        let regs = &mut self.regs;
+        *self.consts.entry(c).or_insert_with(|| {
+            regs.push(c);
+            (regs.len() - 1) as Reg
+        })
+    }
+
+    /// Lowers `e` into `ops` and returns the register holding its value:
+    /// a variable's slot, a literal's constant register, else `into` when
+    /// given or a fresh temporary. Operands are lowered left to right,
+    /// except that `Div` lowers and checks its divisor first.
+    fn expr(&mut self, e: &Expr, ops: &mut Vec<Op>, into: Option<Reg>) -> Reg {
+        let dst = match (e, fold(e)) {
+            (Expr::Var(_, slot), _) => return slot.0,
+            (_, Some(c)) => return self.constant(c),
+            _ => into.unwrap_or_else(|| self.temp()),
+        };
+        let op = match e {
+            Expr::Const(_) | Expr::Var(..) => unreachable!("folded or a slot"),
+            Expr::Sym(s) => Op::Sym { dst, sym: self.syms.intern(s) },
+            Expr::UfRead { uf, idx } => {
+                Op::UfRead { dst, uf: self.ufs.intern(uf), idx: self.expr(idx, ops, None) }
+            }
+            Expr::ListRank { list, args } => {
+                Op::ListRank { dst, list: self.lists.intern(list), args: self.args(args, ops) }
+            }
+            Expr::ListLen(l) => Op::ListLen { dst, list: self.lists.intern(l) },
+            Expr::Add(a, b) => self.binary(Op::Add, dst, a, b, ops),
+            Expr::Sub(a, b) => self.binary(Op::Sub, dst, a, b, ops),
+            Expr::Mul(a, b) => self.binary(Op::Mul, dst, a, b, ops),
+            Expr::Min(a, b) => self.binary(Op::Min, dst, a, b, ops),
+            Expr::Max(a, b) => self.binary(Op::Max, dst, a, b, ops),
+            Expr::Div(a, b) => {
+                let divisor = self.expr(b, ops, None);
+                if fold(b).is_none_or(|d| d == 0) {
+                    ops.push(Op::NonZero { r: divisor });
+                }
+                Op::Div(dst, self.expr(a, ops, None), divisor)
+            }
+        };
+        ops.push(op);
+        dst
+    }
+
     fn binary(
-        a: CExpr,
-        b: CExpr,
-        fold: fn(i64, i64) -> Option<i64>,
-        build: fn(Box<CExpr>, Box<CExpr>) -> CExpr,
-    ) -> CExpr {
-        if let (CExpr::Const(x), CExpr::Const(y)) = (&a, &b) {
-            if let Some(v) = fold(*x, *y) {
-                return CExpr::Const(v);
+        &mut self,
+        make: fn(Reg, Reg, Reg) -> Op,
+        dst: Reg,
+        a: &Expr,
+        b: &Expr,
+        ops: &mut Vec<Op>,
+    ) -> Op {
+        let a = self.expr(a, ops, None);
+        make(dst, a, self.expr(b, ops, None))
+    }
+
+    fn args(&mut self, args: &[Expr], ops: &mut Vec<Op>) -> Box<[Reg]> {
+        args.iter().map(|a| self.expr(a, ops, None)).collect()
+    }
+
+    fn block(&mut self, stmts: &[Stmt]) -> Block {
+        let mut ops = Vec::new();
+        for s in stmts {
+            self.stmt(s, &mut ops);
+        }
+        Block { ops: ops.into(), stmts: stmts.len() as u64 }
+    }
+
+    fn stmt(&mut self, s: &Stmt, ops: &mut Vec<Op>) {
+        let op = match s {
+            Stmt::For { slot, lo, hi, body, .. } => {
+                let lo = self.expr(lo, ops, None);
+                let hi = self.expr(hi, ops, None);
+                Op::For { slot: slot.0, lo, hi, body: self.block(body) }
             }
-        }
-        build(Box::new(a), Box::new(b))
-    }
-
-    fn expr(&mut self, e: &Expr) -> CExpr {
-        match e {
-            Expr::Const(c) => CExpr::Const(*c),
-            Expr::Var(_, slot) => CExpr::Reg(slot.0),
-            Expr::Sym(s) => CExpr::Sym(self.syms.intern(s)),
-            Expr::UfRead { uf, idx } => CExpr::UfRead {
-                uf: self.ufs.intern(uf),
-                idx: Box::new(self.expr(idx)),
-            },
-            Expr::ListRank { list, args } => CExpr::ListRank {
-                list: self.lists.intern(list),
-                args: args.iter().map(|a| self.expr(a)).collect(),
-            },
-            Expr::ListLen(l) => CExpr::ListLen(self.lists.intern(l)),
-            Expr::Add(a, b) => Self::binary(
-                self.expr(a),
-                self.expr(b),
-                |x, y| Some(x.wrapping_add(y)),
-                CExpr::Add,
-            ),
-            Expr::Sub(a, b) => Self::binary(
-                self.expr(a),
-                self.expr(b),
-                |x, y| Some(x.wrapping_sub(y)),
-                CExpr::Sub,
-            ),
-            Expr::Mul(a, b) => Self::binary(
-                self.expr(a),
-                self.expr(b),
-                |x, y| Some(x.wrapping_mul(y)),
-                CExpr::Mul,
-            ),
-            Expr::Div(a, b) => Self::binary(
-                self.expr(a),
-                self.expr(b),
-                |x, y| (y != 0).then(|| x.div_euclid(y)),
-                CExpr::Div,
-            ),
-            Expr::Min(a, b) => Self::binary(
-                self.expr(a),
-                self.expr(b),
-                |x, y| Some(x.min(y)),
-                CExpr::Min,
-            ),
-            Expr::Max(a, b) => Self::binary(
-                self.expr(a),
-                self.expr(b),
-                |x, y| Some(x.max(y)),
-                CExpr::Max,
-            ),
-        }
-    }
-
-    fn stmt(&mut self, s: &Stmt) -> CStmt {
-        match s {
-            Stmt::For { slot, lo, hi, body, .. } => CStmt::For {
-                slot: slot.0,
-                lo: self.expr(lo),
-                hi: self.expr(hi),
-                body: body.iter().map(|x| self.stmt(x)).collect(),
-            },
             Stmt::Let { slot, value, .. } => {
-                CStmt::Let { slot: slot.0, value: self.expr(value) }
+                let src = self.expr(value, ops, Some(slot.0));
+                if src == slot.0 {
+                    return;
+                }
+                Op::Mov { dst: slot.0, src }
             }
-            Stmt::If { cond, body } => CStmt::If {
-                clauses: cond
-                    .clauses
+            Stmt::If { cond, body } => {
+                // `if (c1 && c2 && …)` runs as nested one-clause ifs, so the
+                // clauses evaluate left to right and stop at the first false
+                // one. Only the innermost block counts the body's statements.
+                let always = [(Expr::Const(0), CmpOp::Eq, Expr::Const(0))];
+                let clauses = if cond.clauses.is_empty() { &always[..] } else { &cond.clauses };
+                let mut lowered: Vec<_> = clauses
                     .iter()
-                    .map(|(a, op, b)| (self.expr(a), *op, self.expr(b)))
-                    .collect(),
-                body: body.iter().map(|x| self.stmt(x)).collect(),
-            },
-            Stmt::FindBinary { slot, lo, hi, key, target, body, .. } => CStmt::FindBinary {
-                slot: slot.0,
-                lo: self.expr(lo),
-                hi: self.expr(hi),
-                key: self.expr(key),
-                target: self.expr(target),
-                body: body.iter().map(|x| self.stmt(x)).collect(),
-            },
-            Stmt::UfWrite { uf, idx, value } => CStmt::UfWrite {
-                uf: self.ufs.intern(uf),
-                idx: self.expr(idx),
-                value: self.expr(value),
-            },
-            Stmt::UfMin { uf, idx, value } => CStmt::UfMin {
-                uf: self.ufs.intern(uf),
-                idx: self.expr(idx),
-                value: self.expr(value),
-            },
-            Stmt::UfMax { uf, idx, value } => CStmt::UfMax {
-                uf: self.ufs.intern(uf),
-                idx: self.expr(idx),
-                value: self.expr(value),
-            },
-            Stmt::UfAlloc { uf, size, init } => CStmt::UfAlloc {
-                uf: self.ufs.intern(uf),
-                size: self.expr(size),
-                init: self.expr(init),
-            },
-            Stmt::DataAlloc { arr, size } => CStmt::DataAlloc {
-                arr: self.data.intern(arr),
-                size: self.expr(size),
-            },
-            Stmt::ListInsert { list, args } => CStmt::ListInsert {
-                list: self.lists.intern(list),
-                args: args.iter().map(|a| self.expr(a)).collect(),
-            },
-            Stmt::ListFinalize { list } => {
-                CStmt::ListFinalize { list: self.lists.intern(list) }
+                    .map(|(a, op, b)| {
+                        let mut pre = Vec::new();
+                        let a = self.expr(a, &mut pre, None);
+                        let b = self.expr(b, &mut pre, None);
+                        (pre, a, *op, b)
+                    })
+                    .collect();
+                let mut body = self.block(body);
+                let (outer, a, op, b) = lowered.remove(0);
+                for (mut pre, a, op, b) in lowered.into_iter().rev() {
+                    pre.push(Op::If { a, op, b, body });
+                    body = Block { ops: pre.into(), stmts: 0 };
+                }
+                ops.extend(outer);
+                Op::If { a, op, b, body }
             }
-            Stmt::ListToUf { list, dim, uf } => CStmt::ListToUf {
+            Stmt::FindBinary { slot, lo, hi, key, target, body, .. } => {
+                let lo = self.expr(lo, ops, None);
+                let hi = self.expr(hi, ops, None);
+                let mut key_ops = Vec::new();
+                let key_reg = self.expr(key, &mut key_ops, None);
+                let target = self.expr(target, ops, None);
+                let key = Block { ops: key_ops.into(), stmts: 0 };
+                let body = self.block(body);
+                Op::Find(Box::new(Find { slot: slot.0, lo, hi, target, key, key_reg, body }))
+            }
+            Stmt::UfWrite { uf, idx, value } => Op::UfWrite {
+                uf: self.ufs.intern(uf),
+                idx: self.expr(idx, ops, None),
+                value: self.expr(value, ops, None),
+            },
+            Stmt::UfMin { uf, idx, value } => Op::UfMin {
+                uf: self.ufs.intern(uf),
+                idx: self.expr(idx, ops, None),
+                value: self.expr(value, ops, None),
+            },
+            Stmt::UfMax { uf, idx, value } => Op::UfMax {
+                uf: self.ufs.intern(uf),
+                idx: self.expr(idx, ops, None),
+                value: self.expr(value, ops, None),
+            },
+            Stmt::UfAlloc { uf, size, init } => {
+                let uf = self.ufs.intern(uf);
+                let size = self.expr(size, ops, None);
+                let mut init_ops = Vec::new();
+                let init = self.expr(init, &mut init_ops, None);
+                if !init_ops.is_empty() {
+                    ops.push(Op::NonNeg { uf, size });
+                    ops.append(&mut init_ops);
+                }
+                Op::UfAlloc { uf, size, init }
+            }
+            Stmt::DataAlloc { arr, size } => {
+                Op::DataAlloc { arr: self.data.intern(arr), size: self.expr(size, ops, None) }
+            }
+            Stmt::ListInsert { list, args } => {
+                Op::ListInsert { list: self.lists.intern(list), args: self.args(args, ops) }
+            }
+            Stmt::ListFinalize { list } => Op::ListFinalize { list: self.lists.intern(list) },
+            Stmt::ListToUf { list, dim, uf } => Op::ListToUf {
                 list: self.lists.intern(list),
                 dim: *dim,
                 uf: self.ufs.intern(uf),
             },
-            Stmt::SymSet { sym, value } => CStmt::SymSet {
-                sym: self.syms.intern(sym),
-                value: self.expr(value),
-            },
-            Stmt::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => CStmt::DataAxpy {
+            Stmt::SymSet { sym, value } => {
+                Op::SymSet { sym: self.syms.intern(sym), value: self.expr(value, ops, None) }
+            }
+            Stmt::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => Op::DataAxpy {
                 y: self.data.intern(y),
-                y_idx: self.expr(y_idx),
+                y_idx: self.expr(y_idx, ops, None),
                 a: self.data.intern(a),
-                a_idx: self.expr(a_idx),
+                a_idx: self.expr(a_idx, ops, None),
                 x: self.data.intern(x),
-                x_idx: self.expr(x_idx),
+                x_idx: self.expr(x_idx, ops, None),
             },
-            Stmt::Copy { dst, dst_idx, src, src_idx } => CStmt::Copy {
+            Stmt::Copy { dst, dst_idx, src, src_idx } => Op::Copy {
                 dst: self.data.intern(dst),
-                dst_idx: self.expr(dst_idx),
+                dst_idx: self.expr(dst_idx, ops, None),
                 src: self.data.intern(src),
-                src_idx: self.expr(src_idx),
+                src_idx: self.expr(src_idx, ops, None),
             },
-            Stmt::Comment(_) => CStmt::Nop,
-        }
+            Stmt::Comment(_) => return,
+        };
+        ops.push(op);
     }
 }
 
 /// Compiles a statement list into an executable [`Program`].
 pub fn compile(stmts: &[Stmt], slots: &SlotAlloc) -> Program {
-    let mut c = Compiler {
-        syms: Interner::default(),
-        ufs: Interner::default(),
-        data: Interner::default(),
-        lists: Interner::default(),
-    };
-    let compiled = stmts.iter().map(|s| c.stmt(s)).collect();
+    let mut c = Compiler { regs: vec![0; slots.len()], ..Compiler::default() };
+    let main = c.block(stmts);
     Program {
-        stmts: compiled,
-        n_slots: slots.len(),
+        main,
+        regs: c.regs,
         syms: c.syms.names,
         ufs: c.ufs.names,
         data: c.data.names,
@@ -369,355 +442,271 @@ pub fn compile(stmts: &[Stmt], slots: &SlotAlloc) -> Program {
     }
 }
 
-/// The interpreter state. `STATS` selects at monomorphization time whether
-/// per-statement/per-iteration counters are maintained; the quiet variant
-/// ([`execute_quiet`]) carries no counting overhead in its hot loops.
-struct Machine<'p, 'a, const STATS: bool> {
-    prog: &'p Program,
+/// Why an array access failed; the caller names the array.
+enum Fault {
+    Unbound,
+    Oob { idx: i64, len: usize },
+}
+
+#[inline(always)]
+fn at<'s, T: Clone>(arr: &'s Option<Cow<'_, [T]>>, idx: i64) -> Result<&'s T, Fault> {
+    let a = arr.as_deref().ok_or(Fault::Unbound)?;
+    usize::try_from(idx).ok().and_then(|i| a.get(i)).ok_or(Fault::Oob { idx, len: a.len() })
+}
+
+/// [`at`] for a write. Clone-on-first-write: an array bound as
+/// `Cow::Borrowed` is copied here exactly once, after the bounds check;
+/// an owned array mutates in place.
+#[inline(always)]
+fn at_mut<'s, T: Clone>(arr: &'s mut Option<Cow<'_, [T]>>, idx: i64) -> Result<&'s mut T, Fault> {
+    let a = arr.as_mut().ok_or(Fault::Unbound)?;
+    match usize::try_from(idx) {
+        Ok(i) if i < a.len() => Ok(&mut a.to_mut()[i]),
+        _ => Err(Fault::Oob { idx, len: a.len() }),
+    }
+}
+
+#[cold]
+fn uf_fault(prog: &Program, uf: u32, fault: Fault) -> ExecError {
+    let name = prog.ufs[uf as usize].clone();
+    match fault {
+        Fault::Unbound => ExecError::UnboundUf(name),
+        Fault::Oob { idx, len } => ExecError::OobUf { name, idx, len },
+    }
+}
+
+#[cold]
+fn data_fault(prog: &Program, arr: u32, fault: Fault) -> ExecError {
+    let name = prog.data[arr as usize].clone();
+    match fault {
+        Fault::Unbound => ExecError::UnboundData(name),
+        Fault::Oob { idx, len } => ExecError::OobData { name, idx, len },
+    }
+}
+
+#[cold]
+fn unbound_sym(prog: &Program, sym: u32) -> ExecError {
+    ExecError::UnboundSym(prog.syms[sym as usize].clone())
+}
+
+#[cold]
+fn unbound_list(prog: &Program, list: u32) -> ExecError {
+    ExecError::UnboundList(prog.lists[list as usize].clone())
+}
+
+#[cold]
+fn bad_alloc(names: &[String], arr: u32, size: i64) -> ExecError {
+    ExecError::BadAlloc { name: names[arr as usize].clone(), size }
+}
+
+/// A run's state: the register file, and the symbols, arrays and lists
+/// moved out of the environment, indexed like the program's name tables.
+struct State<'a> {
     regs: Vec<i64>,
     syms: Vec<Option<i64>>,
     ufs: Vec<Option<Cow<'a, [i64]>>>,
     data: Vec<Option<Cow<'a, [f64]>>>,
     lists: Vec<Option<OrderedList>>,
     stats: ExecStats,
-    key_buf: Vec<i64>,
+    key: Vec<i64>,
 }
 
-impl<'p, 'a, const STATS: bool> Machine<'p, 'a, STATS> {
-    #[inline]
-    fn eval(&mut self, e: &CExpr) -> Result<i64, ExecError> {
-        Ok(match e {
-            CExpr::Const(c) => *c,
-            CExpr::Reg(r) => self.regs[*r as usize],
-            CExpr::Sym(s) => self.syms[*s as usize]
-                .ok_or_else(|| ExecError::UnboundSym(self.prog.syms[*s as usize].clone()))?,
-            CExpr::UfRead { uf, idx } => {
-                let i = self.eval(idx)?;
-                let table = self.ufs[*uf as usize].as_ref().ok_or_else(|| {
-                    ExecError::UnboundUf(self.prog.ufs[*uf as usize].clone())
-                })?;
-                if i < 0 || i as usize >= table.len() {
-                    return Err(ExecError::OobUf {
-                        name: self.prog.ufs[*uf as usize].clone(),
-                        idx: i,
-                        len: table.len(),
-                    });
-                }
-                table[i as usize]
-            }
-            CExpr::ListRank { list, args } => self.list_rank(*list, args)?,
-            CExpr::ListLen(list) => {
-                let l = self.lists[*list as usize].as_ref().ok_or_else(|| {
-                    ExecError::UnboundList(self.prog.lists[*list as usize].clone())
-                })?;
-                l.len() as i64
-            }
-            CExpr::Add(a, b) => self.eval(a)?.wrapping_add(self.eval(b)?),
-            CExpr::Sub(a, b) => self.eval(a)?.wrapping_sub(self.eval(b)?),
-            CExpr::Mul(a, b) => self.eval(a)?.wrapping_mul(self.eval(b)?),
-            CExpr::Div(a, b) => {
-                let d = self.eval(b)?;
-                if d == 0 {
-                    return Err(ExecError::DivByZero);
-                }
-                self.eval(a)?.div_euclid(d)
-            }
-            CExpr::Min(a, b) => self.eval(a)?.min(self.eval(b)?),
-            CExpr::Max(a, b) => self.eval(a)?.max(self.eval(b)?),
-        })
+impl State<'_> {
+    #[inline(always)]
+    fn reg(&self, r: Reg) -> i64 {
+        self.regs[r as usize]
     }
 
-    /// `list.rank(args...)`, kept out of line so that [`Machine::eval`]
-    /// stays small for plans without a permutation.
-    #[inline(never)]
-    fn list_rank(&mut self, list: u32, args: &[CExpr]) -> Result<i64, ExecError> {
-        let mut key = std::mem::take(&mut self.key_buf);
-        key.clear();
-        for a in args {
-            key.push(self.eval(a)?);
-        }
-        let l = self.lists[list as usize]
-            .as_mut()
-            .ok_or_else(|| ExecError::UnboundList(self.prog.lists[list as usize].clone()))?;
-        let r = l.rank_next(&key);
-        self.key_buf = key;
-        Ok(r?)
+    #[inline(always)]
+    fn set(&mut self, r: Reg, v: i64) {
+        self.regs[r as usize] = v;
     }
 
-    fn run_block(&mut self, block: &'p [CStmt]) -> Result<(), ExecError> {
-        for s in block {
-            self.run_stmt(s)?;
-        }
-        Ok(())
-    }
-
-    fn uf_slot_mut<'m>(
-        ufs: &'m mut [Option<Cow<'a, [i64]>>],
-        names: &[String],
-        uf: u32,
-        idx: i64,
-    ) -> Result<&'m mut i64, ExecError> {
-        let table = ufs[uf as usize]
-            .as_mut()
-            .ok_or_else(|| ExecError::UnboundUf(names[uf as usize].clone()))?;
-        let len = table.len();
-        if idx < 0 || idx as usize >= len {
-            return Err(ExecError::OobUf { name: names[uf as usize].clone(), idx, len });
-        }
-        // Clone-on-first-write: arrays bound as `Cow::Borrowed` are copied
-        // here exactly once; already-owned arrays mutate in place.
-        Ok(&mut table.to_mut()[idx as usize])
-    }
-
-    fn run_stmt(&mut self, s: &'p CStmt) -> Result<(), ExecError> {
+    /// Runs `block`. `STATS` selects at monomorphization time whether
+    /// [`ExecStats`] are counted, so the quiet run carries no counting in
+    /// its hot loops.
+    fn block<const STATS: bool>(
+        &mut self,
+        prog: &Program,
+        block: &Block,
+    ) -> Result<(), ExecError> {
         if STATS {
-            self.stats.statements += 1;
+            self.stats.statements += block.stmts;
         }
-        match s {
-            CStmt::For { slot, lo, hi, body } => {
-                let lo = self.eval(lo)?;
-                let hi = self.eval(hi)?;
-                let mut v = lo;
-                while v < hi {
-                    self.regs[*slot as usize] = v;
-                    if STATS {
-                        self.stats.loop_iterations += 1;
-                    }
-                    self.run_block(body)?;
-                    v += 1;
+        for op in block.ops.iter() {
+            match *op {
+                Op::Mov { dst, src } => self.set(dst, self.reg(src)),
+                Op::Sym { dst, sym } => {
+                    let v = self.syms[sym as usize].ok_or_else(|| unbound_sym(prog, sym))?;
+                    self.set(dst, v);
                 }
-            }
-            CStmt::Let { slot, value } => {
-                self.regs[*slot as usize] = self.eval(value)?;
-            }
-            CStmt::If { clauses, body } => {
-                let mut ok = true;
-                for (a, op, b) in clauses {
-                    let av = self.eval(a)?;
-                    let bv = self.eval(b)?;
-                    if !op.eval(av, bv) {
-                        ok = false;
-                        break;
-                    }
+                Op::UfRead { dst, uf, idx } => {
+                    let i = self.reg(idx);
+                    let v = *at(&self.ufs[uf as usize], i).map_err(|f| uf_fault(prog, uf, f))?;
+                    self.set(dst, v);
                 }
-                if ok {
-                    self.run_block(body)?;
+                Op::ListRank { dst, list, ref args } => {
+                    self.key.clear();
+                    self.key.extend(args.iter().map(|&a| self.regs[a as usize]));
+                    let l = self.lists[list as usize]
+                        .as_mut()
+                        .ok_or_else(|| unbound_list(prog, list))?;
+                    let rank = l.rank_next(&self.key)?;
+                    self.set(dst, rank);
                 }
-            }
-            CStmt::FindBinary { slot, lo, hi, key, target, body } => {
-                let mut lo_v = self.eval(lo)?;
-                let mut hi_v = self.eval(hi)?;
-                // The bounds are loop-invariant per entry (the bisection
-                // never writes state `lo`/`hi` could read), so the original
-                // upper bound is hoisted instead of re-evaluated after the
-                // search.
-                let hi_orig = hi_v;
-                let target_v = self.eval(target)?;
-                // Leftmost position where key(pos) >= target, by bisection;
-                // the key is monotone non-decreasing by construction.
-                while lo_v < hi_v {
-                    let mid = lo_v + (hi_v - lo_v) / 2;
-                    self.regs[*slot as usize] = mid;
-                    if STATS {
-                        self.stats.loop_iterations += 1;
-                    }
-                    let kv = self.eval(key)?;
-                    if kv < target_v {
-                        lo_v = mid + 1;
-                    } else {
-                        hi_v = mid;
+                Op::ListLen { dst, list } => {
+                    let l = self.lists[list as usize]
+                        .as_ref()
+                        .ok_or_else(|| unbound_list(prog, list))?;
+                    self.set(dst, l.len() as i64);
+                }
+                Op::Add(dst, a, b) => self.set(dst, self.reg(a).wrapping_add(self.reg(b))),
+                Op::Sub(dst, a, b) => self.set(dst, self.reg(a).wrapping_sub(self.reg(b))),
+                Op::Mul(dst, a, b) => self.set(dst, self.reg(a).wrapping_mul(self.reg(b))),
+                Op::Div(dst, a, b) => self.set(dst, self.reg(a).div_euclid(self.reg(b))),
+                Op::Min(dst, a, b) => self.set(dst, self.reg(a).min(self.reg(b))),
+                Op::Max(dst, a, b) => self.set(dst, self.reg(a).max(self.reg(b))),
+                Op::NonZero { r } => {
+                    if self.reg(r) == 0 {
+                        return Err(ExecError::DivByZero);
                     }
                 }
-                if lo_v < hi_orig {
-                    self.regs[*slot as usize] = lo_v;
-                    let kv = self.eval(key)?;
-                    if kv == target_v {
-                        self.run_block(body)?;
+                Op::NonNeg { uf, size } => {
+                    if self.reg(size) < 0 {
+                        return Err(bad_alloc(&prog.ufs, uf, self.reg(size)));
                     }
                 }
-            }
-            CStmt::UfWrite { uf, idx, value } => {
-                let i = self.eval(idx)?;
-                let v = self.eval(value)?;
-                *Self::uf_slot_mut(&mut self.ufs, &self.prog.ufs, *uf, i)? = v;
-            }
-            CStmt::UfMin { uf, idx, value } => {
-                let i = self.eval(idx)?;
-                let v = self.eval(value)?;
-                let slot = Self::uf_slot_mut(&mut self.ufs, &self.prog.ufs, *uf, i)?;
-                if v < *slot {
-                    *slot = v;
-                }
-            }
-            CStmt::UfMax { uf, idx, value } => {
-                let i = self.eval(idx)?;
-                let v = self.eval(value)?;
-                let slot = Self::uf_slot_mut(&mut self.ufs, &self.prog.ufs, *uf, i)?;
-                if v > *slot {
-                    *slot = v;
-                }
-            }
-            CStmt::UfAlloc { uf, size, init } => {
-                let n = self.eval(size)?;
-                if n < 0 {
-                    return Err(ExecError::BadAlloc {
-                        name: self.prog.ufs[*uf as usize].clone(),
-                        size: n,
-                    });
-                }
-                let init = self.eval(init)?;
-                self.ufs[*uf as usize] = Some(Cow::Owned(vec![init; n as usize]));
-            }
-            CStmt::DataAlloc { arr, size } => {
-                let n = self.eval(size)?;
-                if n < 0 {
-                    return Err(ExecError::BadAlloc {
-                        name: self.prog.data[*arr as usize].clone(),
-                        size: n,
-                    });
-                }
-                self.data[*arr as usize] = Some(Cow::Owned(vec![0.0; n as usize]));
-            }
-            CStmt::ListInsert { list, args } => {
-                let mut key = std::mem::take(&mut self.key_buf);
-                key.clear();
-                for a in args {
-                    key.push(self.eval(a)?);
-                }
-                let l = self.lists[*list as usize].as_mut().ok_or_else(|| {
-                    ExecError::UnboundList(self.prog.lists[*list as usize].clone())
-                })?;
-                let r = l.insert(&key);
-                self.key_buf = key;
-                r?;
-            }
-            CStmt::ListFinalize { list } => {
-                let l = self.lists[*list as usize].as_mut().ok_or_else(|| {
-                    ExecError::UnboundList(self.prog.lists[*list as usize].clone())
-                })?;
-                l.finalize();
-            }
-            CStmt::ListToUf { list, dim, uf } => {
-                let l = self.lists[*list as usize].as_ref().ok_or_else(|| {
-                    ExecError::UnboundList(self.prog.lists[*list as usize].clone())
-                })?;
-                let n = l.len();
-                let mut out = Vec::with_capacity(n);
-                for p in 0..n {
-                    out.push(l.key_col(p, *dim)?);
-                }
-                self.ufs[*uf as usize] = Some(Cow::Owned(out));
-            }
-            CStmt::SymSet { sym, value } => {
-                let v = self.eval(value)?;
-                self.syms[*sym as usize] = Some(v);
-            }
-            CStmt::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => {
-                let yi = self.eval(y_idx)?;
-                let ai = self.eval(a_idx)?;
-                let xi = self.eval(x_idx)?;
-                let read = |data: &[Option<Cow<'a, [f64]>>],
-                            names: &[String],
-                            arr: u32,
-                            idx: i64|
-                 -> Result<f64, ExecError> {
-                    let v = data[arr as usize].as_ref().ok_or_else(|| {
-                        ExecError::UnboundData(names[arr as usize].clone())
-                    })?;
-                    if idx < 0 || idx as usize >= v.len() {
-                        return Err(ExecError::OobData {
-                            name: names[arr as usize].clone(),
-                            idx,
-                            len: v.len(),
-                        });
+                Op::For { slot, lo, hi, ref body } => {
+                    for v in self.reg(lo)..self.reg(hi) {
+                        self.set(slot, v);
+                        if STATS {
+                            self.stats.loop_iterations += 1;
+                        }
+                        self.block::<STATS>(prog, body)?;
                     }
-                    Ok(v[idx as usize])
-                };
-                let av = read(&self.data, &self.prog.data, *a, ai)?;
-                let xv = read(&self.data, &self.prog.data, *x, xi)?;
-                let y_arr = self.data[*y as usize].as_mut().ok_or_else(|| {
-                    ExecError::UnboundData(self.prog.data[*y as usize].clone())
-                })?;
-                if yi < 0 || yi as usize >= y_arr.len() {
-                    return Err(ExecError::OobData {
-                        name: self.prog.data[*y as usize].clone(),
-                        idx: yi,
-                        len: y_arr.len(),
-                    });
                 }
-                y_arr.to_mut()[yi as usize] += av * xv;
-            }
-            CStmt::Copy { dst, dst_idx, src, src_idx } => {
-                let di = self.eval(dst_idx)?;
-                let si = self.eval(src_idx)?;
-                let sv = {
-                    let s_arr = self.data[*src as usize].as_ref().ok_or_else(|| {
-                        ExecError::UnboundData(self.prog.data[*src as usize].clone())
-                    })?;
-                    if si < 0 || si as usize >= s_arr.len() {
-                        return Err(ExecError::OobData {
-                            name: self.prog.data[*src as usize].clone(),
-                            idx: si,
-                            len: s_arr.len(),
-                        });
+                Op::If { a, op, b, ref body } => {
+                    if op.eval(self.reg(a), self.reg(b)) {
+                        self.block::<STATS>(prog, body)?;
                     }
-                    s_arr[si as usize]
-                };
-                let d_arr = self.data[*dst as usize].as_mut().ok_or_else(|| {
-                    ExecError::UnboundData(self.prog.data[*dst as usize].clone())
-                })?;
-                if di < 0 || di as usize >= d_arr.len() {
-                    return Err(ExecError::OobData {
-                        name: self.prog.data[*dst as usize].clone(),
-                        idx: di,
-                        len: d_arr.len(),
-                    });
                 }
-                d_arr.to_mut()[di as usize] = sv;
+                Op::Find(ref f) => {
+                    // Leftmost position where key(pos) >= target, by
+                    // bisection; the key is monotone non-decreasing by
+                    // construction. `hi` was evaluated once, before the
+                    // search, so its original value bounds the final probe.
+                    let (mut lo, end) = (self.reg(f.lo), self.reg(f.hi));
+                    let (mut hi, target) = (end, self.reg(f.target));
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        self.set(f.slot, mid);
+                        if STATS {
+                            self.stats.loop_iterations += 1;
+                        }
+                        self.block::<STATS>(prog, &f.key)?;
+                        if self.reg(f.key_reg) < target {
+                            lo = mid + 1;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    if lo < end {
+                        self.set(f.slot, lo);
+                        self.block::<STATS>(prog, &f.key)?;
+                        if self.reg(f.key_reg) == target {
+                            self.block::<STATS>(prog, &f.body)?;
+                        }
+                    }
+                }
+                Op::UfWrite { uf, idx, value } => {
+                    let (i, v) = (self.reg(idx), self.reg(value));
+                    *at_mut(&mut self.ufs[uf as usize], i).map_err(|f| uf_fault(prog, uf, f))? = v;
+                }
+                Op::UfMin { uf, idx, value } => {
+                    let (i, v) = (self.reg(idx), self.reg(value));
+                    let e = at_mut(&mut self.ufs[uf as usize], i);
+                    let e = e.map_err(|f| uf_fault(prog, uf, f))?;
+                    *e = v.min(*e);
+                }
+                Op::UfMax { uf, idx, value } => {
+                    let (i, v) = (self.reg(idx), self.reg(value));
+                    let e = at_mut(&mut self.ufs[uf as usize], i);
+                    let e = e.map_err(|f| uf_fault(prog, uf, f))?;
+                    *e = v.max(*e);
+                }
+                Op::UfAlloc { uf, size, init } => {
+                    let n = self.reg(size);
+                    let n = usize::try_from(n).map_err(|_| bad_alloc(&prog.ufs, uf, n))?;
+                    self.ufs[uf as usize] = Some(Cow::Owned(vec![self.reg(init); n]));
+                }
+                Op::DataAlloc { arr, size } => {
+                    let n = self.reg(size);
+                    let n = usize::try_from(n).map_err(|_| bad_alloc(&prog.data, arr, n))?;
+                    self.data[arr as usize] = Some(Cow::Owned(vec![0.0; n]));
+                }
+                Op::ListInsert { list, ref args } => {
+                    self.key.clear();
+                    self.key.extend(args.iter().map(|&a| self.regs[a as usize]));
+                    let l = self.lists[list as usize]
+                        .as_mut()
+                        .ok_or_else(|| unbound_list(prog, list))?;
+                    l.insert(&self.key)?;
+                }
+                Op::ListFinalize { list } => {
+                    let l = self.lists[list as usize]
+                        .as_mut()
+                        .ok_or_else(|| unbound_list(prog, list))?;
+                    l.finalize();
+                }
+                Op::ListToUf { list, dim, uf } => {
+                    let l = self.lists[list as usize]
+                        .as_ref()
+                        .ok_or_else(|| unbound_list(prog, list))?;
+                    let col = (0..l.len()).map(|p| l.key_col(p, dim)).collect::<Result<_, _>>()?;
+                    self.ufs[uf as usize] = Some(Cow::Owned(col));
+                }
+                Op::SymSet { sym, value } => self.syms[sym as usize] = Some(self.reg(value)),
+                Op::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => {
+                    let (yi, ai, xi) = (self.reg(y_idx), self.reg(a_idx), self.reg(x_idx));
+                    let av = *at(&self.data[a as usize], ai).map_err(|f| data_fault(prog, a, f))?;
+                    let xv = *at(&self.data[x as usize], xi).map_err(|f| data_fault(prog, x, f))?;
+                    *at_mut(&mut self.data[y as usize], yi).map_err(|f| data_fault(prog, y, f))? +=
+                        av * xv;
+                }
+                Op::Copy { dst, dst_idx, src, src_idx } => {
+                    let (di, si) = (self.reg(dst_idx), self.reg(src_idx));
+                    let v = *at(&self.data[src as usize], si)
+                        .map_err(|f| data_fault(prog, src, f))?;
+                    *at_mut(&mut self.data[dst as usize], di)
+                        .map_err(|f| data_fault(prog, dst, f))? = v;
+                }
             }
-            CStmt::Nop => {}
         }
         Ok(())
     }
 }
 
-fn run_machine<'a, const STATS: bool>(
-    prog: &Program,
-    env: &mut RtEnv<'a>,
-) -> Result<ExecStats, ExecError> {
-    let mut m = Machine::<'_, 'a, STATS> {
-        prog,
-        regs: vec![0; prog.n_slots],
+fn run<const STATS: bool>(prog: &Program, env: &mut RtEnv<'_>) -> Result<ExecStats, ExecError> {
+    let mut st = State {
+        regs: prog.regs.clone(),
         syms: prog.syms.iter().map(|n| env.syms.get(n).copied()).collect(),
         ufs: prog.ufs.iter().map(|n| env.ufs.remove(n)).collect(),
         data: prog.data.iter().map(|n| env.data.remove(n)).collect(),
         lists: prog.lists.iter().map(|n| env.lists.remove(n)).collect(),
         stats: ExecStats::default(),
-        key_buf: Vec::with_capacity(4),
+        key: Vec::with_capacity(4),
     };
-    let result = m.run_block(&prog.stmts);
+    let result = st.block::<STATS>(prog, &prog.main);
     // Move state back regardless of success so callers can inspect it.
-    for (name, val) in prog.syms.iter().zip(m.syms) {
-        if let Some(v) = val {
-            env.syms.insert(name.clone(), v);
-        }
-    }
-    for (name, val) in prog.ufs.iter().zip(m.ufs) {
-        if let Some(v) = val {
-            env.ufs.insert(name.clone(), v);
-        }
-    }
-    for (name, val) in prog.data.iter().zip(m.data) {
-        if let Some(v) = val {
-            env.data.insert(name.clone(), v);
-        }
-    }
-    for (name, val) in prog.lists.iter().zip(m.lists) {
-        if let Some(v) = val {
-            env.lists.insert(name.clone(), v);
-        }
-    }
-    result.map(|()| m.stats)
+    restore(&prog.syms, st.syms, &mut env.syms);
+    restore(&prog.ufs, st.ufs, &mut env.ufs);
+    restore(&prog.data, st.data, &mut env.data);
+    restore(&prog.lists, st.lists, &mut env.lists);
+    result.map(|()| st.stats)
+}
+
+fn restore<T>(names: &[String], vals: Vec<Option<T>>, into: &mut BTreeMap<String, T>) {
+    into.extend(names.iter().zip(vals).filter_map(|(name, v)| Some((name.clone(), v?))));
 }
 
 /// Executes a compiled program against an environment, counting statements
@@ -732,7 +721,7 @@ fn run_machine<'a, const STATS: bool>(
 /// Returns an [`ExecError`] on unbound names, out-of-bounds accesses, bad
 /// allocations, or ordered-list misuse.
 pub fn execute(prog: &Program, env: &mut RtEnv<'_>) -> Result<ExecStats, ExecError> {
-    run_machine::<true>(prog, env)
+    run::<true>(prog, env)
 }
 
 /// Executes a compiled program without maintaining [`ExecStats`] counters.
@@ -747,7 +736,7 @@ pub fn execute(prog: &Program, env: &mut RtEnv<'_>) -> Result<ExecStats, ExecErr
 /// Returns an [`ExecError`] on unbound names, out-of-bounds accesses, bad
 /// allocations, or ordered-list misuse.
 pub fn execute_quiet(prog: &Program, env: &mut RtEnv<'_>) -> Result<(), ExecError> {
-    run_machine::<false>(prog, env).map(|_| ())
+    run::<false>(prog, env).map(|_| ())
 }
 
 #[cfg(test)]
@@ -1099,5 +1088,118 @@ mod tests {
         assert!(execute(&prog, &mut env).is_err());
         // Partial state visible: first write landed.
         assert_eq!(env.ufs["a"], vec![9]);
+    }
+
+    /// Runs `stmts` on `env` and returns the error it must raise.
+    fn exec_err(stmts: Vec<Stmt>, mut env: RtEnv<'_>) -> ExecError {
+        let prog = compile(&stmts, &SlotAlloc::new());
+        let err = execute(&prog, &mut env).unwrap_err();
+        assert_eq!(execute_quiet(&prog, &mut env).unwrap_err(), err, "quiet path agrees");
+        err
+    }
+
+    fn write_out(value: Expr) -> Stmt {
+        Stmt::UfWrite { uf: "out".into(), idx: Expr::Const(0), value }
+    }
+
+    #[test]
+    fn runtime_division_by_zero_checks_divisor_first() {
+        let env = || RtEnv::new().with_sym("Z", 0).with_uf("a", vec![1]).with_uf("out", vec![0]);
+        let div = Expr::div(Expr::Const(6), Expr::Sym("Z".into()));
+        assert_eq!(exec_err(vec![write_out(div)], env()), ExecError::DivByZero);
+        // An out-of-bounds dividend is never read: the zero divisor wins.
+        let div = Expr::div(Expr::uf_read("a", Expr::Const(9)), Expr::Sym("Z".into()));
+        assert_eq!(exec_err(vec![write_out(div)], env()), ExecError::DivByZero);
+        // A literal division by zero is not folded away.
+        let div = Expr::div(Expr::Const(6), Expr::Const(0));
+        assert_eq!(exec_err(vec![write_out(div)], env()), ExecError::DivByZero);
+    }
+
+    #[test]
+    fn negative_allocations_name_the_array() {
+        let uf = Stmt::UfAlloc { uf: "u".into(), size: Expr::Const(-3), init: Expr::Const(0) };
+        assert_eq!(
+            exec_err(vec![uf], RtEnv::new()),
+            ExecError::BadAlloc { name: "u".into(), size: -3 }
+        );
+        let data = Stmt::DataAlloc { arr: "D".into(), size: Expr::Sym("N".into()) };
+        assert_eq!(
+            exec_err(vec![data], RtEnv::new().with_sym("N", -2)),
+            ExecError::BadAlloc { name: "D".into(), size: -2 }
+        );
+    }
+
+    #[test]
+    fn copy_out_of_bounds_names_source_then_destination() {
+        let copy = |dst_idx, src_idx| Stmt::Copy {
+            dst: "B".into(),
+            dst_idx: Expr::Const(dst_idx),
+            src: "A".into(),
+            src_idx: Expr::Const(src_idx),
+        };
+        let env = || RtEnv::new().with_data("A", vec![1.0, 2.0]).with_data("B", vec![0.0; 3]);
+        assert_eq!(
+            exec_err(vec![copy(7, 5)], env()),
+            ExecError::OobData { name: "A".into(), idx: 5, len: 2 }
+        );
+        assert_eq!(
+            exec_err(vec![copy(-1, 1)], env()),
+            ExecError::OobData { name: "B".into(), idx: -1, len: 3 }
+        );
+    }
+
+    #[test]
+    fn unbound_names_and_early_rank() {
+        let env = || RtEnv::new().with_uf("out", vec![0]);
+        assert_eq!(
+            exec_err(vec![write_out(Expr::Sym("NNZ".into()))], env()),
+            ExecError::UnboundSym("NNZ".into())
+        );
+        assert_eq!(
+            exec_err(vec![write_out(Expr::ListLen("P".into()))], env()),
+            ExecError::UnboundList("P".into())
+        );
+        assert_eq!(
+            exec_err(vec![Stmt::ListFinalize { list: "P".into() }], RtEnv::new()),
+            ExecError::UnboundList("P".into())
+        );
+        let rank = Expr::ListRank { list: "P".into(), args: vec![Expr::Const(1)] };
+        let stmts = vec![
+            Stmt::ListInsert { list: "P".into(), args: vec![Expr::Const(1)] },
+            write_out(rank),
+        ];
+        let list = OrderedList::new(1, ListOrder::Lexicographic, false);
+        assert_eq!(
+            exec_err(stmts, env().with_list("P", list)),
+            ExecError::List(ListError::NotFinalized)
+        );
+    }
+
+    #[test]
+    fn evaluation_order_is_index_first_and_guards_short_circuit() {
+        // Both the index and the value fail; the index is evaluated first.
+        let stmts = vec![Stmt::UfWrite {
+            uf: "out".into(),
+            idx: Expr::uf_read("a", Expr::Const(4)),
+            value: Expr::Sym("MISSING".into()),
+        }];
+        let env = RtEnv::new().with_uf("a", vec![0]).with_uf("out", vec![0]);
+        assert_eq!(exec_err(stmts, env), ExecError::OobUf { name: "a".into(), idx: 4, len: 1 });
+
+        // A false first clause skips the second, which would fail.
+        let stmts = vec![Stmt::If {
+            cond: Cond {
+                clauses: vec![
+                    (Expr::Const(0), CmpOp::Eq, Expr::Const(1)),
+                    (Expr::Sym("MISSING".into()), CmpOp::Eq, Expr::Const(1)),
+                ],
+            },
+            body: vec![write_out(Expr::Const(5))],
+        }];
+        let prog = compile(&stmts, &SlotAlloc::new());
+        let mut env = RtEnv::new().with_uf("out", vec![0]);
+        let stats = execute(&prog, &mut env).unwrap();
+        assert_eq!(env.ufs["out"], vec![0]);
+        assert_eq!(stats, ExecStats { loop_iterations: 0, statements: 1 });
     }
 }

@@ -5,6 +5,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use sparse_formats::{
@@ -123,16 +124,25 @@ pub struct Conversion {
     pub synth: SynthesizedConversion,
     compiled: Compiled,
     comparators: ComparatorRegistry,
-    kernel: Option<crate::kernels::MatrixKernelFn>,
-    tensor_kernel: Option<crate::kernels::TensorKernelFn>,
+    /// The native kernels registered for the descriptors' fingerprint
+    /// pair, looked up on first use: a caller that never asks for a
+    /// kernel never renders the fingerprints.
+    kernels: OnceLock<Kernels>,
+}
+
+/// The registry's kernels for one conversion, by rank.
+#[derive(Clone, Copy)]
+struct Kernels {
+    matrix: Option<crate::kernels::MatrixKernelFn>,
+    tensor: Option<crate::kernels::TensorKernelFn>,
 }
 
 impl Conversion {
     /// Synthesizes and compiles the conversion from `src` to `dst`.
     ///
-    /// When the [`crate::kernels::KernelRegistry`] holds a native kernel
-    /// for this exact `(src, dst)` fingerprint pair it is resolved here
-    /// too; callers opt into it via [`Conversion::run_matrix_kernel`].
+    /// A native kernel the [`crate::kernels::KernelRegistry`] holds for
+    /// this exact `(src, dst)` fingerprint pair is resolved on first use;
+    /// callers opt into it via [`Conversion::run_matrix_kernel`].
     ///
     /// # Errors
     /// Propagates synthesis and lowering failures.
@@ -143,21 +153,27 @@ impl Conversion {
     ) -> Result<Self, RunError> {
         let synth = synthesize(src, dst, options)?;
         let compiled = synth.computation.lower().map_err(SynthesisError::Lower)?;
-        let reg = crate::kernels::KernelRegistry::global();
-        let (src_fp, dst_fp) = (src.fingerprint(), dst.fingerprint());
         Ok(Conversion {
             synth,
             compiled,
             comparators: ComparatorRegistry::new(),
-            kernel: reg.matrix_kernel(src_fp, dst_fp),
-            tensor_kernel: reg.tensor_kernel(src_fp, dst_fp),
+            kernels: OnceLock::new(),
+        })
+    }
+
+    fn kernels(&self) -> Kernels {
+        *self.kernels.get_or_init(|| {
+            let reg = crate::kernels::KernelRegistry::global();
+            let (src, dst) = (self.synth.src.fingerprint(), self.synth.dst.fingerprint());
+            Kernels { matrix: reg.matrix_kernel(src, dst), tensor: reg.tensor_kernel(src, dst) }
         })
     }
 
     /// True when a native kernel is registered for this conversion's
     /// fingerprint pair (rank-2 or order-3).
     pub fn has_kernel(&self) -> bool {
-        self.kernel.is_some() || self.tensor_kernel.is_some()
+        let k = self.kernels();
+        k.matrix.is_some() || k.tensor.is_some()
     }
 
     /// Runs the native kernel for this conversion, or `None` when no
@@ -174,7 +190,7 @@ impl Conversion {
         &self,
         m: impl Into<MatrixRef<'a>>,
     ) -> Option<Result<AnyMatrix, RunError>> {
-        self.kernel.map(|k| k(m.into()))
+        self.kernels().matrix.map(|k| k(m.into()))
     }
 
     /// Order-3 analogue of [`Conversion::run_matrix_kernel`].
@@ -182,7 +198,7 @@ impl Conversion {
         &self,
         t: impl Into<TensorRef<'a>>,
     ) -> Option<Result<AnyTensor, RunError>> {
-        self.tensor_kernel.map(|k| k(t.into()))
+        self.kernels().tensor.map(|k| k(t.into()))
     }
 
     /// Replaces this conversion's native rank-2 kernel (or installs one
@@ -191,10 +207,12 @@ impl Conversion {
     /// containment, decline fallback, declined-time attribution) can only
     /// be regression-tested against kernels with known pathological
     /// behavior, which the built-in registry rightly refuses to carry.
-    /// Production code paths never call this; the registry match in
-    /// [`Conversion::new`] is the only source of real kernels.
+    /// Production code paths never call this; the
+    /// [`crate::kernels::KernelRegistry`] lookup is the only source of
+    /// real kernels.
     pub fn override_matrix_kernel(&mut self, kernel: crate::kernels::MatrixKernelFn) {
-        self.kernel = Some(kernel);
+        let tensor = self.kernels().tensor;
+        self.kernels = OnceLock::from(Kernels { matrix: Some(kernel), tensor });
     }
 
     /// Registers a user-defined comparator for `ListOrderSpec::Custom`

@@ -559,3 +559,39 @@ fn corrupt_outputs_fail_as_format_errors() {
         other => panic!("expected RunError::Format, got {other:?}"),
     }
 }
+
+/// Golden [`ExecStats`](spf_codegen::interp::ExecStats): the exact
+/// statement and loop-iteration counts the interpreter reports for fixed
+/// `matgen` inputs. One `statements` count per executed source statement
+/// (comments included) and one `loop_iterations` count per `For`
+/// iteration and per bisection step; any change to how the interpreter
+/// walks a plan shows here.
+#[test]
+fn exec_stats_golden() {
+    use sparse_formats::EllMatrix;
+    use sparse_matgen::generators::{banded, random_uniform, skewed_tensor};
+
+    let matrix = |src, dst, binary_search, m: AnyMatrix| {
+        let opts = SynthesisOptions { optimize: true, binary_search };
+        let conv = Conversion::new(&src, &dst, opts).unwrap();
+        let (_, stats) = conv.run_matrix(&m).unwrap();
+        (stats.statements, stats.loop_iterations)
+    };
+    let coo = random_uniform(40, 30, 220, 7);
+    let ell = EllMatrix::from_coo(&coo);
+    let band = banded(40, &[-7, -1, 0, 2, 9], 0.8, 7);
+    let got = [
+        matrix(descriptors::coo(), descriptors::csr(), false, coo.clone().into()),
+        matrix(descriptors::scoo(), descriptors::csr(), false, coo.into()),
+        matrix(descriptors::ell(), descriptors::coo(), false, ell.into()),
+        matrix(descriptors::coo(), descriptors::dia(), false, band.clone().into()),
+        matrix(descriptors::coo(), descriptors::dia(), true, band.into()),
+    ];
+    assert_eq!(got, [(2571, 422), (1804, 231), (3566, 960), (1981, 987), (1276, 674)]);
+
+    let conv =
+        Conversion::new(&descriptors::coo3(), &descriptors::mcoo3(), SynthesisOptions::default())
+            .unwrap();
+    let (_, stats) = conv.run_tensor(&skewed_tensor((16, 12, 10), 200, 7)).unwrap();
+    assert_eq!((stats.statements, stats.loop_iterations), (2915, 342));
+}

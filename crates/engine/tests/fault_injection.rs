@@ -9,7 +9,8 @@ use std::time::Duration;
 use sparse_engine::{Engine, EngineConfig, EngineError};
 use sparse_formats::descriptors;
 use sparse_formats::{
-    AnyMatrix, CooMatrix, CscMatrix, CsrMatrix, EllMatrix, FormatDescriptor, MortonCooMatrix,
+    validate_matrix, AnyMatrix, CooMatrix, CscMatrix, CsrMatrix, EllMatrix, FormatDescriptor,
+    MortonCooMatrix,
 };
 use sparse_matgen::corrupt::{corrupt_matrix, Corruption};
 use sparse_synthesis::RunError;
@@ -96,6 +97,57 @@ fn every_corruption_class_yields_typed_error_or_exact_result() {
         assert_eq!(stats.panics_caught, 0, "{label}: zero panics allowed");
         assert_eq!(stats.inputs_rejected, rejected, "{label}: rejection count must be exact");
     }
+}
+
+/// Every corruption class on every source kind that
+/// `sparse_matgen::corrupt`'s container/input agreement test covers,
+/// through `Engine::convert`: a class the source descriptor's input check
+/// rejects comes back as `InvalidInput` naming that same check, and a
+/// class it accepts converts. The unordered COO source converts to SCOO
+/// (the sort): its accepted repeated coordinates would fail the output
+/// check into CSR, CSC or MCOO, where the plan collapses duplicates.
+#[test]
+fn corruptions_through_convert_name_the_input_check() {
+    let coo = sample_coo();
+    let cases = [
+        ("coo", AnyMatrix::Coo(coo.clone()), descriptors::coo(), descriptors::scoo()),
+        ("scoo", AnyMatrix::Coo(coo.clone()), descriptors::scoo(), descriptors::csr()),
+        (
+            "mcoo",
+            AnyMatrix::MortonCoo(MortonCooMatrix::from_coo(&coo)),
+            descriptors::mcoo(),
+            descriptors::csr(),
+        ),
+        ("csr", AnyMatrix::Csr(CsrMatrix::from_coo(&coo)), descriptors::csr(), descriptors::coo()),
+        ("csc", AnyMatrix::Csc(CscMatrix::from_coo(&coo)), descriptors::csc(), descriptors::csr()),
+        ("ell", AnyMatrix::Ell(EllMatrix::from_coo(&coo)), descriptors::ell(), descriptors::csr()),
+    ];
+    let engine = Engine::new();
+    let (mut rejected, mut accepted) = (0, 0);
+    for (label, input, src, dst) in cases {
+        for class in Corruption::ALL {
+            let Some(mutant) = corrupt_matrix(&input, class) else { continue };
+            let expect = validate_matrix(&src, mutant.as_ref()).err().map(|e| e.check.as_str());
+            match (expect, engine.convert(&src, &dst, &mutant)) {
+                (None, Ok(out)) => {
+                    assert_eq!(out.nnz(), mutant.nnz(), "{label}/{class}: entries kept");
+                    accepted += 1;
+                }
+                (Some(want), Err(EngineError::Run(RunError::InvalidInput { check, .. }))) => {
+                    assert_eq!(check, want, "{label}/{class}");
+                    rejected += 1;
+                }
+                (expect, got) => {
+                    panic!("{label}/{class}: input check {expect:?}, engine returned {got:?}")
+                }
+            }
+        }
+    }
+    // Six sources: 36 realized corruptions, and `Empty` on each plus the
+    // repeat an unordered COO admits.
+    assert_eq!((rejected, accepted), (36, 7));
+    assert_eq!(engine.stats().panics_caught, 0);
+    assert_eq!(engine.stats().inputs_rejected, rejected);
 }
 
 #[test]

@@ -13,6 +13,12 @@ echo "==> cargo test -q"
 # included.
 cargo test -q
 
+echo "==> oracle and differential suites on the optimized build"
+# The engine serves release builds: check the optimized interpreter and
+# kernels against the 37-pair oracle and the kernel differential suite.
+cargo test --release -q -p sparse-engine --test oracle
+cargo test --release -q -p sparse-synthesis --test differential
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
