@@ -97,10 +97,11 @@ fn binary_search_plans_verify_too() {
 /// that populates rowptr by min/max bounds can establish anything.
 #[test]
 fn broken_csr_is_rejected_with_sa006() {
-    let mut broken = descriptors::csr();
-    let mut rowptr = broken.ufs.get("rowptr").expect("csr has rowptr").clone();
-    rowptr.monotonicity = None;
-    broken.ufs.insert(rowptr);
+    let broken = descriptors::csr().edit(|s| {
+        let mut rowptr = s.ufs.get("rowptr").expect("csr has rowptr").clone();
+        rowptr.monotonicity = None;
+        s.ufs.insert(rowptr);
+    });
 
     // The descriptor lint alone already flags the window role.
     let lint = lint_descriptor(&broken);

@@ -454,21 +454,23 @@ mod tests {
         use sparse_formats::descriptors::coo;
         use spf_ir::parse_relation;
         // Two destination UFs in one constraint: row1(n) = col1(n).
-        let mut d = coo();
-        d.sparse_to_dense = parse_relation(
-            "{ [n, ii, jj] -> [i, j] : row1(n) = col1(n) && ii = i && jj = j              && 0 <= n < NNZ }",
-        )
-        .unwrap();
+        let d = coo().edit(|s| {
+            s.sparse_to_dense = parse_relation(
+                "{ [n, ii, jj] -> [i, j] : row1(n) = col1(n) && ii = i && jj = j              && 0 <= n < NNZ }",
+            )
+            .unwrap();
+        });
         assert!(matches!(
             analyze_destination(&d),
             Err(AnalysisError::UnsupportedConstraint(_))
         ));
         // A destination UF nested inside another constraint's UF argument.
-        let mut d2 = coo();
-        d2.sparse_to_dense = parse_relation(
-            "{ [n, ii, jj] -> [i, j] : P(row1(n)) = 3 && ii = i && jj = j }",
-        )
-        .unwrap();
+        let d2 = coo().edit(|s| {
+            s.sparse_to_dense = parse_relation(
+                "{ [n, ii, jj] -> [i, j] : P(row1(n)) = 3 && ii = i && jj = j }",
+            )
+            .unwrap();
+        });
         assert!(matches!(
             analyze_destination(&d2),
             Err(AnalysisError::UnsupportedConstraint(_))
@@ -480,11 +482,12 @@ mod tests {
         use sparse_formats::descriptors::coo;
         use spf_ir::parse_relation;
         // `ii` never tied to a dense coordinate or position.
-        let mut d = coo();
-        d.sparse_to_dense = parse_relation(
-            "{ [n, ii, jj] -> [i, j] : row1(n) = i && col1(n) = j && jj = j              && 0 <= n < NNZ }",
-        )
-        .unwrap();
+        let d = coo().edit(|s| {
+            s.sparse_to_dense = parse_relation(
+                "{ [n, ii, jj] -> [i, j] : row1(n) = i && col1(n) = j && jj = j              && 0 <= n < NNZ }",
+            )
+            .unwrap();
+        });
         assert!(matches!(
             analyze_destination(&d),
             Err(AnalysisError::UnclassifiedVar(v)) if v == "ii"

@@ -5,7 +5,6 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use sparse_formats::{
@@ -125,13 +124,11 @@ pub struct Conversion {
     compiled: Compiled,
     comparators: ComparatorRegistry,
     /// The native kernels registered for the descriptors' fingerprint
-    /// pair, looked up on first use: a caller that never asks for a
-    /// kernel never renders the fingerprints.
-    kernels: OnceLock<Kernels>,
+    /// pair.
+    kernels: Kernels,
 }
 
 /// The registry's kernels for one conversion, by rank.
-#[derive(Clone, Copy)]
 struct Kernels {
     matrix: Option<crate::kernels::MatrixKernelFn>,
     tensor: Option<crate::kernels::TensorKernelFn>,
@@ -141,8 +138,8 @@ impl Conversion {
     /// Synthesizes and compiles the conversion from `src` to `dst`.
     ///
     /// A native kernel the [`crate::kernels::KernelRegistry`] holds for
-    /// this exact `(src, dst)` fingerprint pair is resolved on first use;
-    /// callers opt into it via [`Conversion::run_matrix_kernel`].
+    /// this exact `(src, dst)` fingerprint pair is resolved here; callers
+    /// opt into it via [`Conversion::run_matrix_kernel`].
     ///
     /// # Errors
     /// Propagates synthesis and lowering failures.
@@ -153,27 +150,24 @@ impl Conversion {
     ) -> Result<Self, RunError> {
         let synth = synthesize(src, dst, options)?;
         let compiled = synth.computation.lower().map_err(SynthesisError::Lower)?;
+        let reg = crate::kernels::KernelRegistry::global();
+        let (s, d) = (src.fingerprint(), dst.fingerprint());
+        let kernels = Kernels {
+            matrix: reg.matrix_kernel(s, d),
+            tensor: reg.tensor_kernel(s, d),
+        };
         Ok(Conversion {
             synth,
             compiled,
             comparators: ComparatorRegistry::new(),
-            kernels: OnceLock::new(),
-        })
-    }
-
-    fn kernels(&self) -> Kernels {
-        *self.kernels.get_or_init(|| {
-            let reg = crate::kernels::KernelRegistry::global();
-            let (src, dst) = (self.synth.src.fingerprint(), self.synth.dst.fingerprint());
-            Kernels { matrix: reg.matrix_kernel(src, dst), tensor: reg.tensor_kernel(src, dst) }
+            kernels,
         })
     }
 
     /// True when a native kernel is registered for this conversion's
     /// fingerprint pair (rank-2 or order-3).
     pub fn has_kernel(&self) -> bool {
-        let k = self.kernels();
-        k.matrix.is_some() || k.tensor.is_some()
+        self.kernels.matrix.is_some() || self.kernels.tensor.is_some()
     }
 
     /// Runs the native kernel for this conversion, or `None` when no
@@ -190,7 +184,7 @@ impl Conversion {
         &self,
         m: impl Into<MatrixRef<'a>>,
     ) -> Option<Result<AnyMatrix, RunError>> {
-        self.kernels().matrix.map(|k| k(m.into()))
+        self.kernels.matrix.map(|k| k(m.into()))
     }
 
     /// Order-3 analogue of [`Conversion::run_matrix_kernel`].
@@ -198,7 +192,7 @@ impl Conversion {
         &self,
         t: impl Into<TensorRef<'a>>,
     ) -> Option<Result<AnyTensor, RunError>> {
-        self.kernels().tensor.map(|k| k(t.into()))
+        self.kernels.tensor.map(|k| k(t.into()))
     }
 
     /// Replaces this conversion's native rank-2 kernel (or installs one
@@ -211,8 +205,7 @@ impl Conversion {
     /// [`crate::kernels::KernelRegistry`] lookup is the only source of
     /// real kernels.
     pub fn override_matrix_kernel(&mut self, kernel: crate::kernels::MatrixKernelFn) {
-        let tensor = self.kernels().tensor;
-        self.kernels = OnceLock::from(Kernels { matrix: Some(kernel), tensor });
+        self.kernels.matrix = Some(kernel);
     }
 
     /// Registers a user-defined comparator for `ListOrderSpec::Custom`

@@ -471,7 +471,7 @@ fn csc_to_coo_keeps_column_major_order() {
 #[test]
 fn missing_custom_comparator_surfaces_as_error() {
     use sparse_formats::descriptors::ScanInfo;
-    use sparse_formats::FormatDescriptor;
+    use sparse_formats::{FormatDescriptor, FormatSpec};
     use spf_ir::order::{Comparator, KeyDim, OrderKey};
     use spf_ir::{parse_relation, parse_set, LinExpr, UfSignature, VarId};
 
@@ -488,7 +488,7 @@ fn missing_custom_comparator_surfaces_as_error() {
     let mut scan_set =
         parse_set("{ [n, i, j] : i = rowx(n) && j = colx(n) && 0 <= n < NNZ }").unwrap();
     scan_set.simplify();
-    let dst = FormatDescriptor {
+    let dst: FormatDescriptor = FormatSpec {
         name: "XCOO".into(),
         rank: 2,
         sparse_to_dense: parse_relation(
@@ -514,7 +514,8 @@ fn missing_custom_comparator_surfaces_as_error() {
         extra_syms: vec![],
         coord_ufs: vec![Some("rowx".into()), Some("colx".into())],
         contiguous_data: true,
-    };
+    }
+    .into();
     let conv =
         Conversion::new(&descriptors::scoo(), &dst, SynthesisOptions::default()).unwrap();
     let coo = random_coo(5, 5, 10, 1, true);

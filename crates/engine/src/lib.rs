@@ -877,6 +877,7 @@ mod tests {
     use super::*;
     use sparse_formats::descriptors::{self, ScanInfo};
     use sparse_formats::CooMatrix;
+    use sparse_formats::FormatSpec;
     use spf_ir::order::{Comparator, KeyDim, OrderKey};
     use spf_ir::{parse_relation, parse_set, LinExpr, UfSignature, VarId};
 
@@ -897,7 +898,7 @@ mod tests {
         let mut scan_set =
             parse_set("{ [n, i, j] : i = rowx(n) && j = colx(n) && 0 <= n < NNZ }").unwrap();
         scan_set.simplify();
-        FormatDescriptor {
+        FormatSpec {
             name: "XCOO".into(),
             rank: 2,
             sparse_to_dense: parse_relation(
@@ -924,6 +925,7 @@ mod tests {
             coord_ufs: vec![Some("rowx".into()), Some("colx".into())],
             contiguous_data: true,
         }
+        .into()
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! conversions, the plan cache is keyed structurally, warm-cache converts
 //! perform zero synthesis, and the LRU evicts.
 
+use std::sync::Arc;
+
 use sparse_engine::{Engine, EngineConfig, EngineError};
 use sparse_formats::descriptors;
 use sparse_formats::{
@@ -146,13 +148,41 @@ fn cache_key_is_structural_not_name_identity() {
 
     // Fresh descriptor instances with different display names but the
     // same structure must hit the cached plan.
-    let mut src2 = descriptors::scoo();
-    src2.name = "renamed_source".into();
-    let mut dst2 = descriptors::csr();
-    dst2.name = "renamed_destination".into();
+    let src2 = descriptors::scoo().edit(|s| s.name = "renamed_source".into());
+    let dst2 = descriptors::csr().edit(|s| s.name = "renamed_destination".into());
     engine.convert(&src2, &dst2, &input).unwrap();
 
     assert_eq!(engine.stats().plans_synthesized, 1);
+    assert_eq!(engine.stats().cache_hits, 1);
+}
+
+#[test]
+fn structural_edits_miss_the_cache_and_renames_hit_it() {
+    // Descriptors are frozen with their fingerprint, so the only way to
+    // change one is to build a new one: an edit re-fingerprints and must
+    // not be served the plan of the descriptor it was edited from.
+    let engine = Engine::new();
+    let src = descriptors::scoo();
+    let csr = descriptors::csr();
+    let first = engine.plan(&src, &csr).unwrap();
+
+    let unordered = csr.edit(|s| s.order = None);
+    assert_ne!(unordered.fingerprint(), csr.fingerprint());
+    let second = engine.plan(&src, &unordered).unwrap();
+    assert!(!Arc::ptr_eq(&first, &second));
+    assert_eq!(
+        engine.stats().plans_synthesized,
+        2,
+        "an edited descriptor must re-synthesize"
+    );
+
+    let renamed = csr.edit(|s| s.name = "CSR_renamed".into());
+    let third = engine.plan(&src, &renamed).unwrap();
+    assert!(
+        Arc::ptr_eq(&first, &third),
+        "a renamed clone shares the first plan"
+    );
+    assert_eq!(engine.stats().plans_synthesized, 2);
     assert_eq!(engine.stats().cache_hits, 1);
 }
 
@@ -211,10 +241,11 @@ fn verifying_engine_rejects_broken_descriptor_and_does_not_cache() {
     // CSR with rowptr's monotonic quantifier dropped: synthesis still
     // succeeds (it simply emits no enforcement sweep), but the static
     // verifier refuses the plan at synthesis time.
-    let mut broken = descriptors::csr();
-    let mut rowptr = broken.ufs.get("rowptr").unwrap().clone();
-    rowptr.monotonicity = None;
-    broken.ufs.insert(rowptr);
+    let broken = descriptors::csr().edit(|s| {
+        let mut rowptr = s.ufs.get("rowptr").unwrap().clone();
+        rowptr.monotonicity = None;
+        s.ufs.insert(rowptr);
+    });
 
     let engine =
         Engine::with_config(EngineConfig { verify_plans: true, ..Default::default() });

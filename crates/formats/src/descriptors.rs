@@ -1,7 +1,7 @@
 //! Sparse format descriptors — §3.1 and Table 1 of the paper.
 //!
-//! A [`FormatDescriptor`] packages everything the synthesis algorithm
-//! needs about a format:
+//! A [`FormatSpec`] packages everything the synthesis algorithm needs
+//! about a format:
 //!
 //! * the **sparse-to-dense map** (a [`Relation`] from the sparse iteration
 //!   space to dense coordinates),
@@ -18,9 +18,19 @@
 //! `[sparse positions..., dense coords...]` whose loop nest enumerates the
 //! stored nonzeros (this is what the sparse-to-dense map denotes,
 //! pre-simplified so the code generator can scan it directly).
+//!
+//! A [`FormatDescriptor`] is a spec frozen behind an [`Arc`] together
+//! with its structural fingerprint, computed once when the descriptor is
+//! built. Descriptors are immutable: the catalog constructors,
+//! `FormatSpec { .. }.into()`, [`FormatDescriptor::edit`] and
+//! [`FormatDescriptor::with_suffix`] are the only ways to obtain one, so
+//! a fingerprint can never go stale and a plan-cache lookup never
+//! re-renders a descriptor.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use spf_ir::expr::{Atom, LinExpr, VarId};
 use spf_ir::formula::{Relation, Set};
@@ -41,9 +51,11 @@ pub struct ScanInfo {
     pub data_index: LinExpr,
 }
 
-/// A complete sparse tensor format description (one row of Table 1).
+/// A complete sparse tensor format description (one row of Table 1), as
+/// plain editable data. Freeze it into a [`FormatDescriptor`] with
+/// `.into()` to use it for synthesis.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FormatDescriptor {
+pub struct FormatSpec {
     /// Format name, e.g. `"CSR"`.
     pub name: String,
     /// Dense rank (2 for matrices, 3 for order-3 tensors).
@@ -82,6 +94,35 @@ pub struct FormatDescriptor {
     /// layouts (ELL, DIA) set `false`; synthesis then may not substitute
     /// the source data index for a destination rank.
     pub contiguous_data: bool,
+}
+
+/// A frozen [`FormatSpec`] and its structural fingerprint. Clones share
+/// the spec; fields read through `Deref`, and no method hands out a
+/// mutable spec, so the fingerprint always describes the spec it sits
+/// beside.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FormatDescriptor {
+    // First, so the derived `PartialEq` compares fingerprints before
+    // walking the specs.
+    fingerprint: u64,
+    spec: Arc<FormatSpec>,
+}
+
+impl From<FormatSpec> for FormatDescriptor {
+    fn from(spec: FormatSpec) -> Self {
+        FormatDescriptor {
+            fingerprint: spec.structural_hash(),
+            spec: Arc::new(spec),
+        }
+    }
+}
+
+impl Deref for FormatDescriptor {
+    type Target = FormatSpec;
+
+    fn deref(&self) -> &FormatSpec {
+        &self.spec
+    }
 }
 
 /// The classification of a descriptor onto a runtime container family,
@@ -145,10 +186,8 @@ impl StructuralHasher {
     }
 
     /// Absorbs a value's `Display` rendering without materializing it as
-    /// a `String` (the fingerprint sits on the engine's warm path, where
-    /// per-lookup allocations would dominate a cache hit). Framed by a
-    /// trailing length, equivalent in collision resistance to
-    /// [`StructuralHasher::write_str`]'s leading one.
+    /// a `String`. Framed by a trailing length, equivalent in collision
+    /// resistance to [`StructuralHasher::write_str`]'s leading one.
     pub fn write_display(&mut self, value: impl fmt::Display) {
         struct Absorb<'a> {
             h: &'a mut StructuralHasher,
@@ -194,8 +233,33 @@ impl FormatDescriptor {
     /// domain, the order key, a relation constraint, …) changes the
     /// fingerprint. The conversion engine keys its plan cache on this, so
     /// the hash is deterministic across processes (FNV-1a over canonical
-    /// renderings, never pointer or `HashMap`-order identity).
+    /// renderings, never pointer or `HashMap`-order identity). It is
+    /// computed once, when the descriptor is built; this is a field read.
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// A new descriptor: a copy of this one's spec with `f` applied,
+    /// fingerprinted afresh.
+    pub fn edit(&self, f: impl FnOnce(&mut FormatSpec)) -> FormatDescriptor {
+        let mut spec = FormatSpec::clone(self);
+        f(&mut spec);
+        spec.into()
+    }
+
+    /// Returns a copy with every UF name, the data name, and the
+    /// format-owned symbols suffixed by `suffix` — used when source and
+    /// destination formats would otherwise share names (e.g. COO →
+    /// sorted-COO).
+    pub fn with_suffix(&self, suffix: &str) -> FormatDescriptor {
+        self.edit(|spec| spec.add_suffix(suffix))
+    }
+}
+
+impl FormatSpec {
+    /// The text-rendering structural hash behind
+    /// [`FormatDescriptor::fingerprint`]; run once per built descriptor.
+    fn structural_hash(&self) -> u64 {
         // Deliberately skips `self.name`: the fingerprint captures what
         // the descriptor *means*, so renaming a format (or reusing a
         // descriptor under another label) still hits the same cached plan.
@@ -370,11 +434,9 @@ impl FormatDescriptor {
         self.ufs.iter().map(|s| s.name.clone()).collect()
     }
 
-    /// Returns a copy with every UF name, the data name, and the
-    /// format-owned symbols suffixed by `suffix` — used when source and
-    /// destination formats would otherwise share names (e.g. COO →
-    /// sorted-COO).
-    pub fn with_suffix(&self, suffix: &str) -> FormatDescriptor {
+    /// Suffixes every UF name, the data name, and the format-owned
+    /// symbols by `suffix` (see [`FormatDescriptor::with_suffix`]).
+    fn add_suffix(&mut self, suffix: &str) {
         let mut map: BTreeMap<String, String> = BTreeMap::new();
         for name in self.uf_names() {
             map.insert(name.clone(), format!("{name}{suffix}"));
@@ -382,16 +444,15 @@ impl FormatDescriptor {
         for sym in &self.extra_syms {
             map.insert(sym.clone(), format!("{sym}{suffix}"));
         }
-        let mut out = self.clone();
-        out.name = format!("{}{suffix}", self.name);
-        out.data_name = format!("{}{suffix}", self.data_name);
-        rename_in_relation(&mut out.sparse_to_dense, &map);
-        rename_in_relation(&mut out.data_access, &map);
-        if let Some(scan) = &mut out.scan {
+        self.name = format!("{}{suffix}", self.name);
+        self.data_name = format!("{}{suffix}", self.data_name);
+        rename_in_relation(&mut self.sparse_to_dense, &map);
+        rename_in_relation(&mut self.data_access, &map);
+        if let Some(scan) = &mut self.scan {
             rename_in_set(&mut scan.set, &map);
             scan.data_index = rename_in_expr(&scan.data_index, &map);
         }
-        out.data_size = out.data_size.iter().map(|e| rename_in_expr(e, &map)).collect();
+        self.data_size = self.data_size.iter().map(|e| rename_in_expr(e, &map)).collect();
         let mut ufs = UfEnvironment::new();
         for sig in self.ufs.iter() {
             let mut sig = sig.clone();
@@ -402,18 +463,17 @@ impl FormatDescriptor {
             rename_in_set(&mut sig.range, &map);
             ufs.insert(sig);
         }
-        out.ufs = ufs;
-        out.extra_syms = self
-            .extra_syms
-            .iter()
-            .map(|s| map.get(s).cloned().unwrap_or_else(|| s.clone()))
-            .collect();
-        out.coord_ufs = self
-            .coord_ufs
-            .iter()
-            .map(|o| o.as_ref().map(|n| map.get(n).cloned().unwrap_or_else(|| n.clone())))
-            .collect();
-        out
+        self.ufs = ufs;
+        for s in &mut self.extra_syms {
+            if let Some(n) = map.get(s) {
+                s.clone_from(n);
+            }
+        }
+        for n in self.coord_ufs.iter_mut().flatten() {
+            if let Some(m) = map.get(n) {
+                n.clone_from(m);
+            }
+        }
     }
 }
 
@@ -532,7 +592,7 @@ pub fn coo() -> FormatDescriptor {
     let mut ufs = UfEnvironment::new();
     ufs.insert(sig("row1", "{ [x] : 0 <= x < NNZ }", "{ [i] : 0 <= i < NR }", None));
     ufs.insert(sig("col1", "{ [x] : 0 <= x < NNZ }", "{ [j] : 0 <= j < NC }", None));
-    FormatDescriptor {
+    FormatSpec {
         name: "COO".into(),
         rank: 2,
         sparse_to_dense: rel(
@@ -557,16 +617,17 @@ pub fn coo() -> FormatDescriptor {
         coord_ufs: vec![Some("row1".into()), Some("col1".into())],
         contiguous_data: true,
     }
+    .into()
 }
 
 /// Sorted COO: the paper's evaluation source ("COO is assumed to be
 /// sorted lexicographically row first") — COO plus a lexicographic
 /// reordering quantifier.
 pub fn scoo() -> FormatDescriptor {
-    let mut d = coo();
-    d.name = "SCOO".into();
-    d.order = Some(OrderKey::row_major(2));
-    d
+    coo().edit(|d| {
+        d.name = "SCOO".into();
+        d.order = Some(OrderKey::row_major(2));
+    })
 }
 
 /// The CSR descriptor (Table 1, row `CSR`): monotonic `rowptr` plus
@@ -580,7 +641,7 @@ pub fn csr() -> FormatDescriptor {
         Some(Monotonicity::NonDecreasing),
     ));
     ufs.insert(sig("col2", "{ [x] : 0 <= x < NNZ }", "{ [j] : 0 <= j < NC }", None));
-    FormatDescriptor {
+    FormatSpec {
         name: "CSR".into(),
         rank: 2,
         sparse_to_dense: rel(
@@ -606,6 +667,7 @@ pub fn csr() -> FormatDescriptor {
         coord_ufs: vec![None, Some("col2".into())],
         contiguous_data: true,
     }
+    .into()
 }
 
 /// The CSC descriptor (Table 1, row `CSC`): monotonic `colptr` plus
@@ -619,7 +681,7 @@ pub fn csc() -> FormatDescriptor {
         Some(Monotonicity::NonDecreasing),
     ));
     ufs.insert(sig("row", "{ [x] : 0 <= x < NNZ }", "{ [i] : 0 <= i < NR }", None));
-    FormatDescriptor {
+    FormatSpec {
         name: "CSC".into(),
         rank: 2,
         sparse_to_dense: rel(
@@ -646,6 +708,7 @@ pub fn csc() -> FormatDescriptor {
         coord_ufs: vec![Some("row".into()), None],
         contiguous_data: true,
     }
+    .into()
 }
 
 /// The DIA descriptor (Table 1, row `DIA`): strictly increasing `off`
@@ -658,7 +721,7 @@ pub fn dia() -> FormatDescriptor {
         "{ [o] : 0 - NR < o && o < NC }",
         Some(Monotonicity::Increasing),
     ));
-    FormatDescriptor {
+    FormatSpec {
         name: "DIA".into(),
         rank: 2,
         sparse_to_dense: rel(
@@ -679,6 +742,7 @@ pub fn dia() -> FormatDescriptor {
         coord_ufs: vec![None, None],
         contiguous_data: false,
     }
+    .into()
 }
 
 /// DIA with an executable scan, for *executor* generation (SpMV over the
@@ -686,20 +750,20 @@ pub fn dia() -> FormatDescriptor {
 /// explicit zeros (padding inside the matrix), so a conversion would
 /// copy them; an executor merely multiplies them by zero.
 pub fn dia_executable() -> FormatDescriptor {
-    let mut d = dia();
-    d.scan = Some(ScanInfo {
-        set: simplified_set(
-            "{ [i, dd, j] : 0 <= i < NR && 0 <= dd < ND && j = i + off(dd) \
-             && 0 <= j < NC }",
-        ),
-        dense_pos: vec![0, 2],
-        data_index: {
-            let i = LinExpr::var(VarId(0));
-            let dd = LinExpr::var(VarId(1));
-            i.mul_expr(&LinExpr::sym("ND")).add(&dd)
-        },
-    });
-    d
+    dia().edit(|d| {
+        d.scan = Some(ScanInfo {
+            set: simplified_set(
+                "{ [i, dd, j] : 0 <= i < NR && 0 <= dd < ND && j = i + off(dd) \
+                 && 0 <= j < NC }",
+            ),
+            dense_pos: vec![0, 2],
+            data_index: {
+                let i = LinExpr::var(VarId(0));
+                let dd = LinExpr::var(VarId(1));
+                i.mul_expr(&LinExpr::sym("ND")).add(&dd)
+            },
+        });
+    })
 }
 
 /// The MCOO descriptor (Table 1, row `MCOO`): COO sorted by the Morton
@@ -709,7 +773,7 @@ pub fn mcoo() -> FormatDescriptor {
     let mut ufs = UfEnvironment::new();
     ufs.insert(sig("rowm", "{ [x] : 0 <= x < NNZ }", "{ [i] : 0 <= i < NR }", None));
     ufs.insert(sig("colm", "{ [x] : 0 <= x < NNZ }", "{ [j] : 0 <= j < NC }", None));
-    FormatDescriptor {
+    FormatSpec {
         name: "MCOO".into(),
         rank: 2,
         sparse_to_dense: rel(
@@ -734,6 +798,7 @@ pub fn mcoo() -> FormatDescriptor {
         coord_ufs: vec![Some("rowm".into()), Some("colm".into())],
         contiguous_data: true,
     }
+    .into()
 }
 
 /// The COO3D descriptor (Table 1, row `COO3D`).
@@ -742,7 +807,7 @@ pub fn coo3() -> FormatDescriptor {
     ufs.insert(sig("row1", "{ [x] : 0 <= x < NNZ }", "{ [i] : 0 <= i < NR }", None));
     ufs.insert(sig("col1", "{ [x] : 0 <= x < NNZ }", "{ [j] : 0 <= j < NC }", None));
     ufs.insert(sig("z1", "{ [x] : 0 <= x < NNZ }", "{ [k] : 0 <= k < NZ }", None));
-    FormatDescriptor {
+    FormatSpec {
         name: "COO3D".into(),
         rank: 3,
         sparse_to_dense: rel(
@@ -769,15 +834,16 @@ pub fn coo3() -> FormatDescriptor {
         coord_ufs: vec![Some("row1".into()), Some("col1".into()), Some("z1".into())],
         contiguous_data: true,
     }
+    .into()
 }
 
 /// Sorted COO3D: lexicographically ordered source tensor, as assumed by
 /// the Table 4 experiment.
 pub fn scoo3() -> FormatDescriptor {
-    let mut d = coo3();
-    d.name = "SCOO3".into();
-    d.order = Some(OrderKey::row_major(3));
-    d
+    coo3().edit(|d| {
+        d.name = "SCOO3".into();
+        d.order = Some(OrderKey::row_major(3));
+    })
 }
 
 /// The MCOO3 descriptor (Table 1, row `MCOO3`): Morton-ordered order-3
@@ -787,7 +853,7 @@ pub fn mcoo3() -> FormatDescriptor {
     ufs.insert(sig("rowm", "{ [x] : 0 <= x < NNZ }", "{ [i] : 0 <= i < NR }", None));
     ufs.insert(sig("colm", "{ [x] : 0 <= x < NNZ }", "{ [j] : 0 <= j < NC }", None));
     ufs.insert(sig("zm", "{ [x] : 0 <= x < NNZ }", "{ [k] : 0 <= k < NZ }", None));
-    FormatDescriptor {
+    FormatSpec {
         name: "MCOO3".into(),
         rank: 3,
         sparse_to_dense: rel(
@@ -814,6 +880,7 @@ pub fn mcoo3() -> FormatDescriptor {
         coord_ufs: vec![Some("rowm".into()), Some("colm".into()), Some("zm".into())],
         contiguous_data: true,
     }
+    .into()
 }
 
 /// The ELL descriptor — an extension beyond the paper's Table 1: padded
@@ -830,7 +897,7 @@ pub fn ell() -> FormatDescriptor {
         "{ [j] : 0 - 1 <= j < NC }",
         None,
     ));
-    FormatDescriptor {
+    FormatSpec {
         name: "ELL".into(),
         rank: 2,
         sparse_to_dense: rel(
@@ -860,6 +927,7 @@ pub fn ell() -> FormatDescriptor {
         coord_ufs: vec![None, None],
         contiguous_data: false,
     }
+    .into()
 }
 
 /// The BCSR descriptor (Figure 1's blocked format) — display-only: the
@@ -875,7 +943,7 @@ pub fn bcsr(bh: i64, bw: i64) -> FormatDescriptor {
         Some(Monotonicity::NonDecreasing),
     ));
     ufs.insert(sig("bcol", "{ [x] : 0 <= x < NB }", "{ [bj] : 0 <= bj < NBC }", None));
-    FormatDescriptor {
+    FormatSpec {
         name: format!("BCSR{bh}x{bw}"),
         rank: 2,
         // Block coordinates appear as explicit tuple variables with the
@@ -899,6 +967,7 @@ pub fn bcsr(bh: i64, bw: i64) -> FormatDescriptor {
         coord_ufs: vec![None, None],
         contiguous_data: false,
     }
+    .into()
 }
 
 #[cfg(test)]
@@ -921,7 +990,7 @@ mod tests {
     #[test]
     fn scan_sets_are_existential_free() {
         for d in [coo(), scoo(), csr(), csc(), mcoo(), coo3(), scoo3(), mcoo3()] {
-            let scan = d.scan.expect("scan info");
+            let scan = d.scan.as_ref().expect("scan info");
             for conj in scan.set.conjunctions() {
                 assert!(conj.exists().is_empty(), "{}", d.name);
             }
@@ -950,10 +1019,10 @@ mod tests {
 
     #[test]
     fn order_keys_match_paper() {
-        assert!(scoo().order.unwrap().implies(&csr().order.unwrap()));
-        assert!(!scoo().order.unwrap().implies(&csc().order.unwrap()));
+        assert!(scoo().order.clone().unwrap().implies(&csr().order.clone().unwrap()));
+        assert!(!scoo().order.clone().unwrap().implies(&csc().order.clone().unwrap()));
         assert_eq!(
-            mcoo().order.unwrap().comparator,
+            mcoo().order.clone().unwrap().comparator,
             spf_ir::order::Comparator::Morton
         );
     }
@@ -989,7 +1058,7 @@ mod tests {
         assert!(d.scan.is_some());
         assert!(d.table1_row().contains("ellcol"));
         // The data index is the product-form ELLW * i + s.
-        let scan = d.scan.unwrap();
+        let scan = d.scan.clone().unwrap();
         assert!(format!("{}", scan.data_index).contains("ELLW"));
     }
 

@@ -49,6 +49,7 @@ pub use containers::{
     MortonCooMatrix, TensorRef,
 };
 pub use descriptors::{
-    domain_alloc_size, range_max, FormatDescriptor, FormatKind, ScanInfo, StructuralHasher,
+    domain_alloc_size, range_max, FormatDescriptor, FormatKind, FormatSpec, ScanInfo,
+    StructuralHasher,
 };
 pub use validate::{validate_matrix, validate_tensor, InputCheck, ValidationError};

@@ -1,11 +1,12 @@
 //! Properties of the descriptor fingerprint (the plan-cache key) and the
-//! structural [`FormatKind`] classification: fingerprints are stable
-//! across clones, pairwise distinct across the shipped format catalog,
+//! structural [`FormatKind`] classification: fingerprints are pinned to
+//! fixed values, stable across clones, computed once and equal to a fresh
+//! construction's, pairwise distinct across the shipped format catalog,
 //! and sensitive to structural edits (UF domains, order keys, relations).
 
 use proptest::prelude::*;
 use sparse_formats::descriptors as d;
-use sparse_formats::{FormatDescriptor, FormatKind};
+use sparse_formats::{FormatDescriptor, FormatKind, FormatSpec};
 use spf_ir::order::{Comparator, KeyDim, OrderKey};
 use spf_ir::parser::parse_set;
 
@@ -29,6 +30,51 @@ fn catalog() -> Vec<(&'static str, FormatDescriptor)> {
     ]
 }
 
+/// The catalog's fingerprints. They key the engine's plan cache, name
+/// kernel registrations and feed `Engine::plan_fingerprint`, so a change
+/// to the hash or to a catalog descriptor's structure shows here first.
+const PINNED: [(&str, u64); 12] = [
+    ("coo", 0xab70_0245_7bea_869f),
+    ("scoo", 0x6b86_6f78_c5bc_d619),
+    ("csr", 0x1bb3_5fd1_b2d6_b139),
+    ("csc", 0x8251_8c5a_1452_8541),
+    ("dia", 0x2d80_e665_b5ec_d104),
+    ("dia_executable", 0xae92_361d_a2cc_e0e3),
+    ("ell", 0x299e_55a0_33ae_fc2a),
+    ("mcoo", 0x070f_21db_57bd_7606),
+    ("bcsr", 0xca7b_2126_5e14_95c2),
+    ("coo3", 0x5d16_211a_e09c_932c),
+    ("scoo3", 0x6397_9758_5eb9_5008),
+    ("mcoo3", 0x609d_f426_5bcb_17c7),
+];
+
+#[test]
+fn catalog_fingerprints_are_pinned() {
+    for ((name, desc), (pname, fp)) in catalog().iter().zip(PINNED) {
+        assert_eq!(*name, pname, "catalog/pin order");
+        assert_eq!(desc.fingerprint(), fp, "{name}: fingerprint moved");
+    }
+}
+
+#[test]
+fn memoized_fingerprint_matches_fresh_construction() {
+    for (name, desc) in catalog() {
+        for desc in [desc.clone(), desc.with_suffix("_v")] {
+            let fresh = FormatDescriptor::from(FormatSpec::clone(&desc));
+            assert_eq!(
+                desc.fingerprint(),
+                fresh.fingerprint(),
+                "{name}: memo is stale"
+            );
+            assert_eq!(
+                desc.edit(|_| {}).fingerprint(),
+                desc.fingerprint(),
+                "{name}"
+            );
+        }
+    }
+}
+
 #[test]
 fn fingerprints_pairwise_distinct_across_catalog() {
     let cat = catalog();
@@ -45,10 +91,14 @@ fn fingerprints_pairwise_distinct_across_catalog() {
 
 #[test]
 fn fingerprint_ignores_display_name() {
-    let mut a = d::csr();
-    let fp = a.fingerprint();
-    a.name = "csr_renamed".into();
-    assert_eq!(a.fingerprint(), fp, "renaming a format is not structural");
+    let a = d::csr();
+    let renamed = a.edit(|s| s.name = "csr_renamed".into());
+    assert_eq!(renamed.name, "csr_renamed");
+    assert_eq!(
+        renamed.fingerprint(),
+        a.fingerprint(),
+        "renaming a format is not structural"
+    );
 }
 
 #[test]
@@ -105,25 +155,23 @@ proptest! {
             // bcsr-like descriptors always declare UFs; guard anyway.
             return Ok(());
         };
-        let mut edited = desc.clone();
         let mut sig = sig;
         sig.domain = parse_set(&format!("{{ [x] : 0 <= x <= {bound} }}")).unwrap();
         prop_assume!(sig.domain != desc.ufs.get(&sig.name).unwrap().domain);
-        edited.ufs.insert(sig);
+        let edited = desc.edit(|s| s.ufs.insert(sig));
         prop_assert_ne!(desc.fingerprint(), edited.fingerprint());
     }
 
     #[test]
     fn fingerprint_changes_when_order_changes(idx in 0usize..12) {
         let (_, desc) = catalog().swap_remove(idx);
-        let mut edited = desc.clone();
         // Replace the order spec with something no shipped format uses.
         let new_order = OrderKey {
             comparator: Comparator::UserFn("FP_TEST_CMP".into()),
             dims: vec![KeyDim::affine(vec![7; desc.rank], 3)],
         };
         prop_assume!(desc.order.as_ref() != Some(&new_order));
-        edited.order = Some(new_order);
+        let edited = desc.edit(|s| s.order = Some(new_order));
         prop_assert_ne!(desc.fingerprint(), edited.fingerprint());
     }
 
@@ -138,10 +186,9 @@ proptest! {
         else {
             return Ok(()); // format has no monotonic UF (e.g. COO)
         };
-        let mut edited = desc.clone();
         let mut sig = sig;
         sig.monotonicity = None;
-        edited.ufs.insert(sig);
+        let edited = desc.edit(|s| s.ufs.insert(sig));
         prop_assert_ne!(desc.fingerprint(), edited.fingerprint());
     }
 }

@@ -15,13 +15,14 @@
 use std::sync::Arc;
 
 use sparse_synth::formats::descriptors::ScanInfo;
-use sparse_synth::formats::{descriptors, CooMatrix, FormatDescriptor};
+use sparse_synth::formats::{descriptors, CooMatrix, FormatDescriptor, FormatSpec};
 use sparse_synth::ir::order::{Comparator, KeyDim, OrderKey};
 use sparse_synth::ir::{parse_relation, parse_set, LinExpr, UfSignature, VarId};
 use sparse_synth::synthesis::{run as synth_run, Conversion, SynthesisOptions};
 use sparse_synth::codegen::runtime::RtEnv;
 
-/// Builds the ACOO descriptor from scratch.
+/// Builds the ACOO descriptor from scratch: a plain [`FormatSpec`],
+/// frozen into a descriptor (and fingerprinted once) by `.into()`.
 fn acoo() -> FormatDescriptor {
     let mut ufs = sparse_synth::ir::UfEnvironment::new();
     ufs.insert(
@@ -47,7 +48,7 @@ fn acoo() -> FormatDescriptor {
     )
     .unwrap();
     scan_set.simplify();
-    FormatDescriptor {
+    FormatSpec {
         name: "ACOO".into(),
         rank: 2,
         sparse_to_dense: parse_relation(
@@ -79,6 +80,7 @@ fn acoo() -> FormatDescriptor {
         coord_ufs: vec![Some("rowa".into()), Some("cola".into())],
         contiguous_data: true,
     }
+    .into()
 }
 
 fn main() {

@@ -50,7 +50,8 @@ case "$PERF_LAST" in
 esac
 # Shape, not speed: the replayed layers (plan, validate, exec, extract)
 # must explain Engine::convert's time to within half of it either way.
-UNATTR=$(printf '%s\n' "$PERF_LAST" | sed -n 's/.*"unattributed_share": {"value": \([^,}]*\).*/\1/p')
+metric() { printf '%s\n' "$PERF_LAST" | sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p"; }
+UNATTR=$(metric unattributed_share)
 if ! awk -v x="$UNATTR" 'BEGIN {
     if (x !~ /^-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$/) exit 1
     exit !(x >= -0.5 && x <= 0.5)
@@ -59,13 +60,26 @@ if ! awk -v x="$UNATTR" 'BEGIN {
     exit 1
 fi
 
+# Plan-cost shape: a plan-cache hit must cost less than executing 16
+# entries. Descriptors carry their fingerprint from construction, so a hit
+# is a map probe; a ratio, so the host's speed cancels out.
+PLAN=$(metric plan_ns_per_call) EXEC=$(metric exec_ns_per_nnz)
+if ! awk -v p="$PLAN" -v e="$EXEC" 'BEGIN {
+    if (p !~ /^[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$/) exit 1
+    if (e !~ /^[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$/) exit 1
+    exit !(p < 16 * e)
+}'; then
+    echo "perfbench stream-small: plan_ns_per_call '$PLAN' not below" \
+        "16 x exec_ns_per_nnz '$EXEC'" >&2
+    exit 1
+fi
+
 # Counter consistency: every golden normalizes values away, so a counter
 # wired to the wrong atomic would only show here. Every conversion is a
 # kernel hit or an interpreter run, and perfbench synthesizes every plan
 # in set-up, so each timed convert's plan lookup is a cache hit.
-count() { printf '%s\n' "$PERF_LAST" | sed -n "s/.*\"$1\": {\"value\": \([0-9]*\)[,}].*/\1/p"; }
-CONV=$(count conversions) HIT=$(count kernels_hit) INTERP=$(count interp_fallbacks)
-CACHE=$(count cache_hits)
+CONV=$(metric conversions) HIT=$(metric kernels_hit) INTERP=$(metric interp_fallbacks)
+CACHE=$(metric cache_hits)
 if ! awk -v c="$CONV" -v k="$HIT" -v i="$INTERP" -v h="$CACHE" 'BEGIN {
     if (c !~ /^[0-9]+$/ || k !~ /^[0-9]+$/ || i !~ /^[0-9]+$/ || h !~ /^[0-9]+$/) exit 1
     exit !(c > 0 && k + i == c && h >= c)
