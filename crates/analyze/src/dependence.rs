@@ -18,8 +18,11 @@
 //! Verdicts form a lattice `Parallel < Reduction < Sequential`; a nest
 //! takes the worst verdict among its surviving conflicts. Min/min,
 //! max/max, and accumulate self-conflicts commute (Reduction), as do
-//! inserts into a sorted list; everything else is Sequential. Non-parallel
-//! nests additionally emit an **SA008** note.
+//! inserts into a sorted list; stores of the same constant (a presence
+//! mark) are idempotent and never conflict with each other; everything else is
+//! Sequential. A nest that binds a compaction counter is Sequential
+//! outright: the count is the iteration order. Non-parallel nests
+//! additionally emit an **SA008** note.
 
 use spf_computation::{Computation, Kernel, ListOrderSpec, Stmt};
 use spf_ir::{Constraint, LinExpr, VarId};
@@ -36,6 +39,7 @@ pub(crate) fn classify(
     let mut normalized = comp.clone();
     normalized.normalize_groups();
     let stmts = &normalized.stmts;
+    let counters: Vec<&str> = comp.counters().collect();
 
     let mut nests = Vec::new();
     let mut i = 0;
@@ -57,7 +61,7 @@ pub(crate) fn classify(
             members.push(j);
             j += 1;
         }
-        nests.push(analyze_nest(stmts, &members, cx, out));
+        nests.push(analyze_nest(stmts, &members, &counters, cx, out));
         i = j;
     }
     nests
@@ -68,6 +72,9 @@ pub(crate) fn classify(
 enum AccessKind {
     /// Plain store (`uf[idx] = v`, `Copy`).
     Assign,
+    /// Store of a constant (`mark[idx] = 1`) — idempotent, and
+    /// commutes with stores of the same constant.
+    Mark(i64),
     /// `uf[idx] = min(uf[idx], v)` — commutative and idempotent.
     Min,
     /// `uf[idx] = max(uf[idx], v)`.
@@ -87,6 +94,7 @@ struct Access {
 fn analyze_nest(
     stmts: &[Stmt],
     members: &[usize],
+    counters: &[&str],
     cx: &Ctx<'_>,
     out: &mut Vec<Diagnostic>,
 ) -> NestReport {
@@ -121,14 +129,24 @@ fn analyze_nest(
         reasons.push(reason);
     };
 
+    let counter = counters.iter().find(|c| stmts[members[0]].binds_counter(c));
+    if let Some(c) = counter {
+        bump(
+            &mut verdict,
+            Parallelism::Sequential,
+            format!("binds compaction counter `{c}`, which counts in iteration order"),
+        );
+    }
+    let scanned = if counter.is_some() { &[][..] } else { members };
+
     let mut accesses: Vec<Access> = Vec::new();
-    for &m in members {
+    for &m in scanned {
         let stmt = &stmts[m];
         match &stmt.kernel {
-            Kernel::UfWrite { uf, idx, .. } => accesses.push(Access {
+            Kernel::UfWrite { uf, idx, value } => accesses.push(Access {
                 name: uf.clone(),
                 idx: idx.clone(),
-                kind: AccessKind::Assign,
+                kind: value.as_constant().map_or(AccessKind::Assign, AccessKind::Mark),
             }),
             Kernel::UfMin { uf, idx, .. } => accesses.push(Access {
                 name: uf.clone(),
@@ -223,6 +241,7 @@ fn analyze_nest(
                 continue;
             }
             let candidate = match (a.kind, b.kind) {
+                (AccessKind::Mark(x), AccessKind::Mark(y)) if x == y => Parallelism::Parallel,
                 (AccessKind::Min, AccessKind::Min)
                 | (AccessKind::Max, AccessKind::Max)
                 | (AccessKind::Acc, AccessKind::Acc) => Parallelism::Reduction,

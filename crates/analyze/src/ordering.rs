@@ -6,15 +6,20 @@
 //!   population (and conversely, min/max-populated UFs without any
 //!   declared monotonicity are rejected — nothing constrains the result);
 //!   UFs materialized from a value list need the list sorted (and
-//!   deduplicated, for strictly increasing quantifiers).
+//!   deduplicated, for strictly increasing quantifiers); UFs written
+//!   directly need each write to be a *counted ascending sweep* (a loop
+//!   over one variable `e`, `d` bound to a compaction counter, and
+//!   `uf[d] = value` with `value` strictly increasing in `e`), which is
+//!   how a direct membership map materializes DIA's `off`.
 //! * **SA007** — a destination order key must be established: either the
 //!   plan builds the permutation `P` with a matching comparator, width,
 //!   and finalize, or the source traversal order already implies the key
-//!   and the data is contiguous (identity-eliminated plans).
+//!   — with contiguous data (identity-eliminated plans) or with `P` a
+//!   compaction counter over padded data.
 
 use sparse_synthesis::PERM_NAME;
-use spf_computation::{Computation, Kernel, ListOrderSpec};
-use spf_ir::{Comparator, Monotonicity};
+use spf_computation::{Computation, Kernel, ListOrderSpec, Stmt};
+use spf_ir::{Atom, Comparator, Constraint, Monotonicity, VarId};
 
 use crate::diag::{Code, Diagnostic};
 use crate::Ctx;
@@ -25,8 +30,29 @@ pub(crate) fn check(comp: &Computation, cx: &Ctx<'_>, out: &mut Vec<Diagnostic>)
 }
 
 fn check_monotonicity(comp: &Computation, cx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
+    let counters: Vec<&str> = comp.counters().collect();
     for sig in cx.dst.ufs.iter() {
         let name = &sig.name;
+        // Direct writes: each must be a counted ascending sweep.
+        if let Some(m) = sig.monotonicity {
+            for stmt in &comp.stmts {
+                let Kernel::UfWrite { uf, .. } = &stmt.kernel else { continue };
+                if uf == name && !counted_sweep(stmt, &counters) {
+                    out.push(
+                        Diagnostic::new(
+                            Code::Sa006,
+                            format!(
+                                "`{name}` declares a monotonic quantifier but is written \
+                                 outside an ascending sweep numbered by a compaction \
+                                 counter, so nothing orders its values"
+                            ),
+                        )
+                        .with_stmt(&stmt.label)
+                        .with_relation(m.quantifier_text(name)),
+                    );
+                }
+            }
+        }
         // Population by min/max bounds vs. the enforcement sweep (which is
         // itself a `UfMin` whose value reads the UF it writes).
         let mut populated_at: Vec<usize> = Vec::new();
@@ -128,6 +154,33 @@ fn check_monotonicity(comp: &Computation, cx: &Ctx<'_>, out: &mut Vec<Diagnostic
     }
 }
 
+/// `true` when `stmt` is `uf[d] = value` over `{ [e, d] : ... && d =
+/// C(...) }` with `C` a compaction counter and `value` strictly
+/// increasing in the loop variable `e` alone. The counter numbers the
+/// visited points in ascending `e`, so the stored values increase with
+/// `d`.
+fn counted_sweep(stmt: &Stmt, counters: &[&str]) -> bool {
+    let Kernel::UfWrite { idx, value, .. } = &stmt.kernel else { return false };
+    let (e, d) = (VarId(0), VarId(1));
+    let [conj] = stmt.iter_space.conjunctions() else { return false };
+    let counted = conj.constraints.iter().any(|c| {
+        let Constraint::Eq(x) = c else { return false };
+        let counter_call = x.terms.iter().any(|(k, a)| {
+            matches!(a, Atom::Uf(u) if counters.contains(&u.name.as_str()))
+                && *k == -x.coeff_of_var(d)
+        });
+        x.constant == 0 && x.terms.len() == 2 && x.coeff_of_var(d).abs() == 1 && counter_call
+    });
+    let mut vars = Vec::new();
+    value.collect_vars(&mut vars);
+    stmt.iter_space.arity() == 2
+        && idx.as_single_var() == Some(d)
+        && counted
+        && !value.has_uf()
+        && value.coeff_of_var(e) > 0
+        && vars.iter().all(|&v| v == e)
+}
+
 /// The list ordering a comparator demands.
 fn comparator_spec(c: &Comparator) -> ListOrderSpec {
     match c {
@@ -146,17 +199,24 @@ fn check_order_key(comp: &Computation, cx: &Ctx<'_>, out: &mut Vec<Diagnostic>) 
         _ => None,
     });
     let Some((_, width, order)) = decl else {
-        // No permutation: the source traversal order must already emit
-        // nonzeros in destination order, from contiguous storage.
-        let implied =
-            cx.src.contiguous_data && cx.src.order.as_ref().is_some_and(|o| o.implies(key));
+        // No sorted permutation: the source traversal order must already
+        // emit nonzeros in destination order, from contiguous storage or
+        // through a compaction counter.
+        let counted = comp.counters().any(|c| c == PERM_NAME);
+        let implied = (cx.src.contiguous_data || counted)
+            && cx.src.order.as_ref().is_some_and(|o| o.implies(key));
         if !implied {
+            let how = if counted {
+                format!("numbers them with compaction counter `{PERM_NAME}`")
+            } else {
+                "builds no permutation".to_string()
+            };
             out.push(
                 Diagnostic::new(
                     Code::Sa007,
                     format!(
                         "destination `{}` orders nonzeros by {key} but the plan \
-                         builds no permutation and the source order does not imply it",
+                         {how} and the source order does not imply it",
                         cx.dst.name
                     ),
                 )

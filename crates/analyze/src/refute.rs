@@ -68,6 +68,7 @@ impl<'a> Prover<'a> {
     pub fn refutes(&self, system: &[Constraint]) -> bool {
         let mut sys = system.to_vec();
         self.enrich(&mut sys);
+        drop_free_constraints(&mut sys);
         saturate(sys, MAX_ROUNDS, MAX_CONSTRAINTS)
     }
 
@@ -241,6 +242,33 @@ fn subst_atom(e: &LinExpr, atom: &Atom, repl: &LinExpr) -> LinExpr {
     }
     out.add_assign(&acc);
     out
+}
+
+/// Drops every constraint that holds for some value of one of its atoms
+/// whatever the others are: an atom with a unit coefficient that occurs
+/// in no other constraint can take the value the constraint needs, so the
+/// constraint cannot take part in a contradiction. (Atoms are free
+/// unknowns here: a product such as DIA's `i*ND` is unrelated to `i`, so
+/// a slot equation `d + i*ND = d' + i'*ND` is such a constraint.) Without
+/// them, saturation runs out of derivations instead of out of budget.
+fn drop_free_constraints(sys: &mut Vec<Constraint>) {
+    loop {
+        let free = (0..sys.len()).find(|&k| {
+            sys[k].expr().terms.iter().any(|(c, atom)| {
+                let sole = sys
+                    .iter()
+                    .enumerate()
+                    .all(|(o, other)| o == k || other.expr().coeff_of(atom) == 0);
+                c.abs() == 1 && sole
+            })
+        });
+        match free {
+            Some(k) => {
+                sys.swap_remove(k);
+            }
+            None => return,
+        }
+    }
 }
 
 /// Derives consequences until contradiction or budget exhaustion.

@@ -9,11 +9,21 @@
 //! * the optimized `csr -> coo` populate nest is statically proved
 //!   parallelizable;
 //! * optimization preserves the verifier verdict: every pair whose naive
-//!   plan verifies clean keeps verifying clean after optimization.
+//!   plan verifies clean keeps verifying clean after optimization;
+//! * the two sort- and search-free plan shapes are checked, not trusted: a
+//!   compaction counter where the source order does not imply the
+//!   destination key fails SA007, and a DIA `off` written without the
+//!   counted ascending sweep fails SA006;
+//! * stores of one constant commute, stores of different constants to
+//!   the same entries in one nest do not.
 
 use sparse_analyze::{lint_descriptor, verify, verify_computation, Code, Parallelism};
 use sparse_formats::{descriptors, FormatDescriptor};
-use sparse_synthesis::{synthesize, PermutationKind, SynthesisOptions};
+use sparse_synthesis::{
+    synthesize, Membership, PermutationKind, SynthesisOptions, SynthesizedConversion, PERM_NAME,
+};
+use spf_computation::{Kernel, Stmt};
+use spf_ir::{LinExpr, VarId};
 
 /// Every `(src, dst)` pair the conversion test-suite exercises. Sources
 /// need an executable scan; `coo -> scoo` needs the suffix rename because
@@ -30,6 +40,8 @@ fn catalog_pairs() -> Vec<(FormatDescriptor, FormatDescriptor)> {
         (descriptors::mcoo(), descriptors::csr()),
         (descriptors::ell(), descriptors::csr()),
         (descriptors::ell(), descriptors::coo()),
+        (descriptors::ell(), descriptors::scoo()),
+        (descriptors::ell(), descriptors::dia()),
         (descriptors::coo(), descriptors::scoo().with_suffix("_d")),
         (descriptors::scoo3(), descriptors::mcoo3()),
         (descriptors::coo3(), descriptors::mcoo3()),
@@ -85,11 +97,112 @@ fn catalog_pairs_verify_with_zero_errors() {
 
 #[test]
 fn binary_search_plans_verify_too() {
-    let opts = SynthesisOptions { binary_search: true, ..Default::default() };
-    let conv = synthesize(&descriptors::scoo(), &descriptors::dia(), opts).unwrap();
+    for membership in [Membership::Binary, Membership::Linear] {
+        let opts = SynthesisOptions { membership, ..Default::default() };
+        let conv = synthesize(&descriptors::scoo(), &descriptors::dia(), opts).unwrap();
+        let report = verify(&conv);
+        assert!(report.is_clean(), "{membership:?}: {}", report.render());
+        assert_eq!(report.warning_count(), 0, "{membership:?}: {}", report.render());
+    }
+}
+
+/// ELL's scan visits entries row by row, which implies CSR's key but not
+/// CSC's. Swapping the sorted permutation of ELL -> CSC for a compaction
+/// counter (what optimization does for ELL -> CSR) must fail SA007.
+#[test]
+fn counter_permutation_without_implied_order_is_rejected_with_sa007() {
+    let mut conv =
+        synthesize(&descriptors::ell(), &descriptors::csc(), SynthesisOptions::default()).unwrap();
+    assert!(conv.computation.counters().next().is_none(), "ELL -> CSC must sort");
+    assert!(verify(&conv).is_clean());
+    let stmts = &mut conv.computation.stmts;
+    stmts.retain(|s| {
+        !matches!(&s.kernel,
+            Kernel::ListInsert { list, .. } | Kernel::ListFinalize { list } if list == PERM_NAME)
+    });
+    for s in stmts.iter_mut() {
+        if matches!(&s.kernel, Kernel::ListDecl { list, .. } if list == PERM_NAME) {
+            s.kernel = Kernel::CounterDecl { counter: PERM_NAME.into() };
+        }
+    }
     let report = verify(&conv);
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.warning_count(), 0, "{}", report.render());
+    assert!(
+        report.diagnostics.iter().any(|d| d.code == Code::Sa007 && d.message.contains("counter")),
+        "expected SA007 for the counter:\n{}",
+        report.render()
+    );
+
+    // The same rewrite is what ELL -> CSR ships, and there it verifies.
+    let csr =
+        synthesize(&descriptors::ell(), &descriptors::csr(), SynthesisOptions::default()).unwrap();
+    assert!(csr.computation.counters().any(|c| c == PERM_NAME));
+    assert!(verify(&csr).is_clean(), "{}", verify(&csr).render());
+}
+
+/// The direct COO -> DIA plan writes `off` in an ascending sweep over the
+/// presence map, numbered by a counter. Writing `off` straight from the
+/// copy loop instead (`off[d] = j - i`, with `d` read from the inverse
+/// map) stores the right values but nothing orders them: SA006.
+#[test]
+fn off_without_the_ascending_sweep_is_rejected_with_sa006() {
+    let mut conv =
+        synthesize(&descriptors::coo(), &descriptors::dia(), SynthesisOptions::default()).unwrap();
+    assert!(verify(&conv).is_clean(), "{}", verify(&conv).render());
+    let stmts = &mut conv.computation.stmts;
+    let sweep = stmts
+        .iter()
+        .position(|s| matches!(&s.kernel, Kernel::UfWrite { uf, .. } if uf == "off"))
+        .expect("direct plan materializes off");
+    stmts.remove(sweep);
+    let copy = stmts
+        .iter()
+        .position(|s| matches!(s.kernel, Kernel::Copy { .. }))
+        .expect("copy statement");
+    // Copy space `[n, i, j, d]`: write off[d] = j - i per nonzero.
+    let (i, j, d) = (LinExpr::var(VarId(1)), LinExpr::var(VarId(2)), LinExpr::var(VarId(3)));
+    let space = stmts[copy].iter_space.clone();
+    let write = Kernel::UfWrite { uf: "off".into(), idx: d, value: j.sub(&i) };
+    stmts.insert(copy, Stmt::new("off from the presence map", write, space));
+    let report = verify(&conv);
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == Code::Sa006
+                && d.stmt.as_deref() == Some("off from the presence map")),
+        "expected SA006 on the unsorted off write:\n{}",
+        report.render()
+    );
+}
+
+/// Stores of one constant commute, so the presence-mark nest of the
+/// direct COO -> DIA plan is parallel. A second store of a different
+/// constant to the same entries in the same nest conflicts with it (the
+/// last writer wins), so that nest must not be proved parallel.
+#[test]
+fn stores_of_different_constants_in_one_nest_are_not_parallel() {
+    let mut conv =
+        synthesize(&descriptors::coo(), &descriptors::dia(), SynthesisOptions::default()).unwrap();
+    let verdict = |conv: &SynthesizedConversion, label: &str| {
+        let report = verify(conv);
+        let nest = report.nests.iter().find(|n| n.label.contains(label));
+        nest.unwrap_or_else(|| panic!("no nest `{label}`:\n{}", report.render())).parallelism
+    };
+    assert_eq!(verdict(&conv, "mark values of off"), Parallelism::Parallel);
+
+    let stmts = &mut conv.computation.stmts;
+    let mark = stmts
+        .iter()
+        .position(|s| s.label == "mark values of off")
+        .expect("direct plan marks the present offsets");
+    let group = stmts.iter().map(|s| s.fuse_group).filter(|&g| g != usize::MAX).max();
+    stmts[mark].fuse_group = group.map_or(0, |g| g + 1);
+    let mut clear = stmts[mark].clone();
+    let Kernel::UfWrite { value, .. } = &mut clear.kernel else { panic!("mark is a UF write") };
+    *value = LinExpr::constant(0);
+    clear.label = "clear values of off".into();
+    stmts.insert(mark + 1, clear);
+    assert_eq!(verdict(&conv, "clear values of off"), Parallelism::Sequential);
 }
 
 /// Dropping rowptr's monotonic quantifier must be caught statically: the

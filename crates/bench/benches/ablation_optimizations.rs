@@ -12,15 +12,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparse_formats::descriptors;
 use sparse_matgen::suite::table3_suite;
-use sparse_synthesis::{run as synth_run, Conversion, SynthesisOptions};
+use sparse_synthesis::{run as synth_run, Conversion, Membership, SynthesisOptions};
 use spf_codegen::runtime::RtEnv;
 
 const SCALE: usize = 256;
 
 fn ablation_csr(c: &mut Criterion) {
     let variants = [
-        ("naive", SynthesisOptions { optimize: false, binary_search: false }),
-        ("optimized", SynthesisOptions { optimize: true, binary_search: false }),
+        ("naive", SynthesisOptions { optimize: false, membership: Membership::Linear }),
+        ("optimized", SynthesisOptions { optimize: true, membership: Membership::Linear }),
     ];
     let mut group = c.benchmark_group("ablation_coo_to_csr");
     for spec in table3_suite() {
@@ -43,8 +43,8 @@ fn ablation_csr(c: &mut Criterion) {
 
 fn ablation_dia_search(c: &mut Criterion) {
     let variants = [
-        ("linear", SynthesisOptions { optimize: true, binary_search: false }),
-        ("binary", SynthesisOptions { optimize: true, binary_search: true }),
+        ("linear", SynthesisOptions { optimize: true, membership: Membership::Linear }),
+        ("binary", SynthesisOptions { optimize: true, membership: Membership::Binary }),
     ];
     let mut group = c.benchmark_group("ablation_dia_search");
     for spec in table3_suite() {

@@ -30,8 +30,10 @@ fn bench_kind(c: &mut Criterion, kind: Fig2Kind, group_name: &str) {
         if !MATRICES.contains(&spec.name) {
             continue;
         }
-        if matches!(kind, Fig2Kind::CooToDiaLinear | Fig2Kind::CooToDiaBinary)
-            && !spec.dia_friendly()
+        if matches!(
+            kind,
+            Fig2Kind::CooToDiaLinear | Fig2Kind::CooToDiaBinary | Fig2Kind::CooToDiaDirect
+        ) && !spec.dia_friendly()
         {
             continue;
         }
@@ -65,7 +67,9 @@ fn bench_kind(c: &mut Criterion, kind: Fig2Kind, group_name: &str) {
                 Fig2Kind::CooToCsc => fig2::coo_to_csc(lib),
                 Fig2Kind::CsrToCsc => fig2::csr_to_csc(lib),
                 Fig2Kind::CooToCsr => fig2::coo_to_csr(lib),
-                Fig2Kind::CooToDiaLinear | Fig2Kind::CooToDiaBinary => fig2::coo_to_dia(lib),
+                Fig2Kind::CooToDiaLinear
+                | Fig2Kind::CooToDiaBinary
+                | Fig2Kind::CooToDiaDirect => fig2::coo_to_dia(lib),
             };
             let mut env = match (&csr, kind) {
                 (Some(m), Fig2Kind::CsrToCsc) => RtEnv::new()

@@ -1,6 +1,7 @@
 //! Criterion bench for Figure 3: COO→DIA with the synthesized linear
-//! search vs the binary-search optimization, on the best (ecology1, 5
-//! diagonals) and worst (majorbasis, 22 diagonals) DIA cases.
+//! search vs the binary-search optimization vs the direct diagonal map,
+//! on the best (ecology1, 5 diagonals) and worst (majorbasis, 22
+//! diagonals) DIA cases.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparse_bench::{build_conversion, Fig2Kind};
@@ -13,13 +14,14 @@ const SCALE: usize = 256;
 fn fig3(c: &mut Criterion) {
     let linear = build_conversion(Fig2Kind::CooToDiaLinear);
     let binary = build_conversion(Fig2Kind::CooToDiaBinary);
+    let direct = build_conversion(Fig2Kind::CooToDiaDirect);
     let mut group = c.benchmark_group("fig3_dia_search");
     for spec in table3_suite() {
         if !["ecology1", "majorbasis", "jnlbrng1"].contains(&spec.name) {
             continue;
         }
         let coo = spec.generate(SCALE);
-        for (label, conv) in [("linear", &linear), ("binary", &binary)] {
+        for (label, conv) in [("linear", &linear), ("binary", &binary), ("direct", &direct)] {
             let mut env = RtEnv::new();
             synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
             group.bench_with_input(

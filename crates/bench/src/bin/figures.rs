@@ -17,7 +17,7 @@ use sparse_bench::{
 };
 use sparse_formats::descriptors;
 use sparse_matgen::suite::{table3_suite, table4_suite};
-use sparse_synthesis::{Conversion, SynthesisOptions};
+use sparse_synthesis::{Conversion, Membership, SynthesisOptions};
 
 struct Args {
     scale: usize,
@@ -161,6 +161,12 @@ fn main() {
             &rows,
             "binary search: 3.1x/3.54x faster than SPARSKIT/MKL, 1.4x slower than TACO",
         );
+        let rows = run_fig2(Fig2Kind::CooToDiaDirect, args.scale, args.reps);
+        print_fig2(
+            Fig2Kind::CooToDiaDirect.label(),
+            &rows,
+            "(not in the paper) TACO's direct diagonal map, synthesized from off's range",
+        );
     }
 
     if want(&args, "table4") {
@@ -221,7 +227,7 @@ fn main() {
                 Conversion::new(
                     &descriptors::scoo(),
                     &descriptors::dia(),
-                    SynthesisOptions { optimize: true, binary_search: false },
+                    SynthesisOptions { optimize: true, membership: Membership::Linear },
                 )
                 .unwrap(),
             ),
@@ -230,7 +236,16 @@ fn main() {
                 Conversion::new(
                     &descriptors::scoo(),
                     &descriptors::dia(),
-                    SynthesisOptions { optimize: true, binary_search: true },
+                    SynthesisOptions { optimize: true, membership: Membership::Binary },
+                )
+                .unwrap(),
+            ),
+            (
+                "scoo_to_dia_direct",
+                Conversion::new(
+                    &descriptors::scoo(),
+                    &descriptors::dia(),
+                    SynthesisOptions::default(),
                 )
                 .unwrap(),
             ),

@@ -7,7 +7,8 @@
 //! * Figure 2b — CSR→CSC
 //! * Figure 2c — COO→CSR (the 2.85× headline)
 //! * Figure 2d — COO→DIA with the synthesized linear search
-//! * Figure 3  — COO→DIA with the binary-search optimization
+//! * Figure 3  — COO→DIA with the binary-search optimization, and with
+//!   the direct diagonal map that replaces the search
 //! * Table 4   — COO3D→MCOO3 vs the hand-written HiCOO z-Morton sort
 //! * Table 5   — the qualitative feature matrix
 //!
@@ -26,7 +27,7 @@ use std::time::Instant;
 use sparse_baselines::{fig2, hicoo_morton_sort3, Library};
 use sparse_formats::{descriptors, Coo3Tensor, CooMatrix, CsrMatrix};
 use sparse_matgen::suite::{table3_suite, table4_suite, MatrixSpec};
-use sparse_synthesis::{run as synth_run, Conversion, SynthesisOptions};
+use sparse_synthesis::{run as synth_run, Conversion, Membership, SynthesisOptions};
 use spf_codegen::runtime::RtEnv;
 
 /// One matrix row of a Figure-2 style experiment (times in seconds).
@@ -100,6 +101,8 @@ pub enum Fig2Kind {
     CooToDiaLinear,
     /// Figure 3 (synthesized binary search).
     CooToDiaBinary,
+    /// Figure 3 with the direct diagonal map (no search).
+    CooToDiaDirect,
 }
 
 impl Fig2Kind {
@@ -111,13 +114,16 @@ impl Fig2Kind {
             Fig2Kind::CooToCsr => "Fig 2c: COO -> CSR",
             Fig2Kind::CooToDiaLinear => "Fig 2d: COO -> DIA (linear search)",
             Fig2Kind::CooToDiaBinary => "Fig 3: COO -> DIA (binary search)",
+            Fig2Kind::CooToDiaDirect => "Fig 3: COO -> DIA (direct map)",
         }
     }
 
     /// Restrict to matrices where the destination is feasible.
     fn applicable(self, spec: &MatrixSpec) -> bool {
         match self {
-            Fig2Kind::CooToDiaLinear | Fig2Kind::CooToDiaBinary => spec.dia_friendly(),
+            Fig2Kind::CooToDiaLinear | Fig2Kind::CooToDiaBinary | Fig2Kind::CooToDiaDirect => {
+                spec.dia_friendly()
+            }
             _ => true,
         }
     }
@@ -125,10 +131,12 @@ impl Fig2Kind {
 
 /// Builds the synthesized conversion for an experiment kind.
 pub fn build_conversion(kind: Fig2Kind) -> Conversion {
-    let opts = SynthesisOptions {
-        optimize: true,
-        binary_search: kind == Fig2Kind::CooToDiaBinary,
+    let membership = match kind {
+        Fig2Kind::CooToDiaLinear => Membership::Linear,
+        Fig2Kind::CooToDiaBinary => Membership::Binary,
+        _ => Membership::Direct,
     };
+    let opts = SynthesisOptions { optimize: true, membership };
     match kind {
         Fig2Kind::CooToCsc => {
             Conversion::new(&descriptors::scoo(), &descriptors::csc(), opts)
@@ -139,7 +147,7 @@ pub fn build_conversion(kind: Fig2Kind) -> Conversion {
         Fig2Kind::CooToCsr => {
             Conversion::new(&descriptors::scoo(), &descriptors::csr(), opts)
         }
-        Fig2Kind::CooToDiaLinear | Fig2Kind::CooToDiaBinary => {
+        Fig2Kind::CooToDiaLinear | Fig2Kind::CooToDiaBinary | Fig2Kind::CooToDiaDirect => {
             Conversion::new(&descriptors::scoo(), &descriptors::dia(), opts)
         }
     }
@@ -153,7 +161,9 @@ fn baseline_routines(kind: Fig2Kind) -> Vec<sparse_baselines::VmRoutine> {
             Fig2Kind::CooToCsc => fig2::coo_to_csc(lib),
             Fig2Kind::CsrToCsc => fig2::csr_to_csc(lib),
             Fig2Kind::CooToCsr => fig2::coo_to_csr(lib),
-            Fig2Kind::CooToDiaLinear | Fig2Kind::CooToDiaBinary => fig2::coo_to_dia(lib),
+            Fig2Kind::CooToDiaLinear | Fig2Kind::CooToDiaBinary | Fig2Kind::CooToDiaDirect => {
+                fig2::coo_to_dia(lib)
+            }
         })
         .collect()
 }

@@ -14,8 +14,9 @@
 //!    chain — permutation
 //!    insertion, unknown-UF population, universal-quantifier enforcement,
 //!    copy — then optimizes it (redundancy removal, identity-permutation
-//!    elimination + dead-code elimination, loop fusion, optional binary
-//!    search per Figure 3),
+//!    elimination + dead-code elimination or a compaction counter, loop
+//!    fusion; Case-5 memberships through a direct map, or the linear and
+//!    Figure 3 binary searches),
 //! 3. [`run`] executes the compiled inspector on real containers.
 //!
 //! ```
@@ -54,6 +55,6 @@ pub use run::{
     bind_matrix, bind_tensor, extract_matrix, extract_tensor, Conversion, RunError,
 };
 pub use synthesize::{
-    synthesize, PermutationKind, SynthesisError, SynthesisOptions,
+    synthesize, Membership, PermutationKind, SynthesisError, SynthesisOptions,
     SynthesizedConversion, LIST_PREFIX, PERM_NAME,
 };

@@ -18,8 +18,11 @@
 //! *identity-permutation elimination* (when the source order implies the
 //! destination order, `P.rank(...)` collapses to the source position and
 //! dead-code elimination deletes the whole permutation chain — the
-//! paper's COO→CSR fast path), loop fusion, and optionally the Figure 3
-//! binary-search rewrite of DIA's linear search.
+//! paper's COO→CSR fast path) or, for padded sources such as ELL, its
+//! replacement by a compaction counter, and loop fusion. How a Case-5
+//! find variable (DIA's `d`) is recovered is a [`Membership`] option: a
+//! direct inverse map by default, or the paper's linear search and its
+//! Figure 3 binary-search rewrite.
 
 use std::fmt;
 
@@ -29,13 +32,34 @@ use spf_computation::{
     optimize as spf_optimize, Computation, FindSpec, Kernel, ListOrderSpec, LowerError,
     Stmt,
 };
+use spf_ir::Atom;
 use spf_ir::constraint::Constraint;
 use spf_ir::expr::{LinExpr, UfCall, VarId};
 use spf_ir::formula::{Relation, Set};
 use spf_ir::order::Comparator;
 use spf_ir::uf::{Monotonicity, UfEnvironment, UfSignature};
 
-use crate::analysis::{analyze_destination, AnalysisError, DstAnalysis, DstVarKind};
+use crate::analysis::{
+    analyze_destination, AnalysisError, DstAnalysis, DstVarKind, MembershipRule,
+};
+
+/// How the copy loop recovers a Case-5 find variable (DIA's `d` in
+/// `off(d) = j - i`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Membership {
+    /// The paper's linear search, which "tries every iteration to find
+    /// the d".
+    Linear = 0,
+    /// Binary search, when the searched UF's monotonic quantifier
+    /// licenses it (Figure 3); linear otherwise.
+    Binary = 1,
+    /// A dense inverse map over the UF's declared range, read once per
+    /// nonzero: TACO's direct diagonal map. It needs a strictly
+    /// increasing UF whose range is an interval bounded by size symbols;
+    /// other UFs are searched as under `Binary`.
+    #[default]
+    Direct = 2,
+}
 
 /// Options controlling synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,14 +67,13 @@ pub struct SynthesisOptions {
     /// Run the §3.3 optimization pipeline (redundancy removal, identity
     /// permutation elimination + DCE, fusion).
     pub optimize: bool,
-    /// Replace linear membership search with binary search when the
-    /// searched UF's monotonic quantifier licenses it (Figure 3).
-    pub binary_search: bool,
+    /// How Case-5 find variables are recovered.
+    pub membership: Membership,
 }
 
 impl Default for SynthesisOptions {
     fn default() -> Self {
-        SynthesisOptions { optimize: true, binary_search: false }
+        SynthesisOptions { optimize: true, membership: Membership::Direct }
     }
 }
 
@@ -161,14 +184,24 @@ pub struct SynthesizedConversion {
     /// `true` when optimization proved the permutation is the identity
     /// (source order implies destination order) and removed it.
     pub identity_eliminated: bool,
-    /// Signatures of UFs *introduced by synthesis* (the permutation `P`):
-    /// facts the static verifier may assume. `P`'s range is `[0, NNZ)` —
-    /// a rank returned by a finalized list of one entry per scanned
-    /// nonzero.
+    /// Signatures of UFs *introduced by synthesis*: facts the static
+    /// verifier may assume. `P`'s range is `[0, NNZ)`, a rank among the
+    /// scanned nonzeros. A direct membership map adds its presence array
+    /// (values in `[0, 1]`), its sweep counter and its inverse map (both
+    /// with values in `[0, ND)`).
     pub synth_ufs: UfEnvironment,
     /// Human-readable solve order, e.g.
     /// `["P", "col2", "rowptr", "copy"]`.
     pub plan: Vec<String>,
+}
+
+impl SynthesizedConversion {
+    /// `true` when the plan recovers a Case-5 membership through a direct
+    /// map (DIA's `M_off`, `C_off` and `d_of`), whose arrays span the
+    /// membership UF's whole declared range, not just the values present.
+    pub fn has_direct_map(&self) -> bool {
+        self.synth_ufs.iter().any(|s| s.name.starts_with(MARK_PREFIX))
+    }
 }
 
 /// Name of the synthesized permutation list.
@@ -176,6 +209,78 @@ pub const PERM_NAME: &str = "P";
 
 /// Prefix for Case-5 value-collection lists (`L_off` etc.).
 pub const LIST_PREFIX: &str = "L_";
+
+/// Prefix for a direct membership map's presence array (`M_off`).
+const MARK_PREFIX: &str = "M_";
+
+/// Prefix for a direct membership map's sweep counter (`C_off`).
+const COUNTER_PREFIX: &str = "C_";
+
+/// Name of the find variable; a direct map's inverse is `d_of`.
+const FIND_VAR: &str = "d";
+
+/// A Case-5 membership `uf(d) = value` recovered through a dense inverse
+/// map over the UF's declared range `[lo, lo + extent)`.
+struct DirectMap {
+    uf: String,
+    /// Inclusive lower end of the range.
+    lo: LinExpr,
+    /// Number of values in the range.
+    extent: LinExpr,
+    /// The UF's domain size symbol (DIA's `ND`).
+    size: LinExpr,
+    /// The inserted value, over destination tuple variables.
+    value: LinExpr,
+    mark: String,
+    counter: String,
+    inverse: String,
+}
+
+impl DirectMap {
+    /// The map for `m` when its UF is strictly increasing and its range
+    /// is an interval whose ends are sums of size symbols and constants.
+    fn new(dst: &FormatDescriptor, m: &MembershipRule) -> Result<Option<Self>, SynthesisError> {
+        let sig = dst
+            .ufs
+            .get(&m.uf)
+            .ok_or_else(|| SynthesisError::MissingDomainInfo(m.uf.clone()))?;
+        if sig.monotonicity != Some(Monotonicity::Increasing) {
+            return Ok(None);
+        }
+        let Some((lo, hi)) = range_interval(sig) else { return Ok(None) };
+        let size = domain_alloc_size(sig)
+            .ok_or_else(|| SynthesisError::MissingDomainInfo(m.uf.clone()))?;
+        Ok(Some(DirectMap {
+            uf: m.uf.clone(),
+            extent: hi.sub(&lo).add(&LinExpr::constant(1)),
+            lo,
+            size,
+            value: m.value.clone(),
+            mark: format!("{MARK_PREFIX}{}", m.uf),
+            counter: format!("{COUNTER_PREFIX}{}", m.uf),
+            inverse: format!("{FIND_VAR}_of"),
+        }))
+    }
+
+    /// `{ [e, d] : 0 <= e < extent && mark(e) >= 1 && d = counter(e) }`:
+    /// the ascending sweep over the present values, `d` counting them.
+    fn sweep_space(&self) -> Set {
+        let sweep = interval("e", LinExpr::zero(), self.extent.clone());
+        let mut space = extend_tuple(&sweep, FIND_VAR);
+        let e = || vec![LinExpr::var(VarId(0))];
+        for conj in space.conjunctions_mut() {
+            conj.add(Constraint::ge(
+                LinExpr::uf(UfCall::new(self.mark.clone(), e())),
+                LinExpr::constant(1),
+            ));
+            conj.add(Constraint::eq(
+                LinExpr::var(VarId(1)),
+                LinExpr::uf(UfCall::new(self.counter.clone(), e())),
+            ));
+        }
+        space
+    }
+}
 
 /// Synthesizes the conversion from `src` to `dst`.
 ///
@@ -212,6 +317,10 @@ pub fn synthesize(
     if find_vars.len() > 1 {
         return Err(SynthesisError::MultipleFindVars);
     }
+    let direct = match (options.membership, analysis.memberships.as_slice()) {
+        (Membership::Direct, [m]) => DirectMap::new(dst, m)?,
+        _ => None,
+    };
 
     let scan_arity = scan.set.arity() as usize;
     let needs_position = analysis
@@ -289,6 +398,15 @@ pub fn synthesize(
         })
     };
 
+    // A direct map binds the find variable as one more tuple position:
+    // `d = d_of(value - lo)`.
+    if let Some(dm) = &direct {
+        copy_space = extend_tuple(&copy_space, FIND_VAR);
+        let slot = map_dst_expr(&dm.value).sub(&dm.lo);
+        let def = LinExpr::uf(UfCall::new(dm.inverse.clone(), vec![slot]));
+        add_eq(&mut copy_space, VarId(find_tuple_pos as u32), def);
+    }
+
     let mut comp = Computation::new();
     let mut plan = Vec::new();
     let empty = Set::universe(vec![]);
@@ -339,7 +457,24 @@ pub fn synthesize(
             empty.clone(),
         ));
     }
-    for m in &analysis.memberships {
+    if let Some(dm) = &direct {
+        // One spare slot keeps the size non-negative when the range is
+        // empty (DIA's `NR + NC - 1` on a 0 × 0 shape).
+        let size = dm.extent.add(&LinExpr::constant(1));
+        for uf in [&dm.mark, &dm.inverse] {
+            comp.add_stmt(Stmt::new(
+                format!("alloc {uf}"),
+                Kernel::UfAlloc { uf: uf.clone(), size: size.clone(), init: LinExpr::zero() },
+                empty.clone(),
+            ));
+        }
+        comp.add_stmt(Stmt::new(
+            format!("declare counter {}", dm.counter),
+            Kernel::CounterDecl { counter: dm.counter.clone() },
+            empty.clone(),
+        ));
+    }
+    for m in analysis.memberships.iter().filter(|_| direct.is_none()) {
         let sig = dst
             .ufs
             .get(&m.uf)
@@ -385,8 +520,48 @@ pub fn synthesize(
         ));
     }
 
+    // --- Case 5 by a direct map: mark the present values, then sweep them
+    // in ascending order, numbering each; the numbering is the inverse map
+    // and the count sets the domain size (DIA: ND).
+    if let Some(dm) = &direct {
+        plan.push(dm.uf.clone());
+        comp.add_stmt(Stmt::new(
+            format!("mark values of {}", dm.uf),
+            Kernel::UfWrite {
+                uf: dm.mark.clone(),
+                idx: map_dst_expr(&dm.value).sub(&dm.lo),
+                value: LinExpr::constant(1),
+            },
+            scan.set.clone(),
+        ));
+        let sweep = dm.sweep_space();
+        let (e, d) = (LinExpr::var(VarId(0)), LinExpr::var(VarId(1)));
+        comp.add_stmt(Stmt::new(
+            format!("number values of {} in ascending order", dm.uf),
+            Kernel::UfWrite { uf: dm.inverse.clone(), idx: e.clone(), value: d.clone() },
+            sweep.clone(),
+        ));
+        let sym = size_symbol(&dm.size)
+            .ok_or_else(|| SynthesisError::NonSymbolicListLen(dm.uf.clone()))?;
+        comp.add_stmt(Stmt::new(
+            format!("set {sym} = {}", dm.counter),
+            Kernel::SymSet { sym, value: LinExpr::sym(dm.counter.clone()) },
+            empty.clone(),
+        ));
+        comp.add_stmt(Stmt::new(
+            format!("alloc {}", dm.uf),
+            Kernel::UfAlloc { uf: dm.uf.clone(), size: dm.size.clone(), init: LinExpr::zero() },
+            empty.clone(),
+        ));
+        comp.add_stmt(Stmt::new(
+            format!("materialize {} (enforce monotonic quantifier)", dm.uf),
+            Kernel::UfWrite { uf: dm.uf.clone(), idx: d, value: e.add(&dm.lo) },
+            sweep,
+        ));
+    }
+
     // --- Case 5: collect membership values, materialize, set symbols ----
-    for m in &analysis.memberships {
+    for m in analysis.memberships.iter().filter(|_| direct.is_none()) {
         plan.push(m.uf.clone());
         let list = format!("{LIST_PREFIX}{}", m.uf);
         comp.add_stmt(Stmt::new(
@@ -415,18 +590,8 @@ pub fn synthesize(
             .ok_or_else(|| SynthesisError::MissingDomainInfo(m.uf.clone()))?;
         let size = domain_alloc_size(sig)
             .ok_or_else(|| SynthesisError::MissingDomainInfo(m.uf.clone()))?;
-        let sym = size
-            .terms
-            .iter()
-            .find_map(|(c, a)| match a {
-                spf_ir::Atom::Sym(s)
-                    if *c == 1 && size.terms.len() == 1 && size.constant == 0 =>
-                {
-                    Some(s.clone())
-                }
-                _ => None,
-            })
-            .ok_or_else(|| SynthesisError::NonSymbolicListLen(m.uf.clone()))?;
+        let sym =
+            size_symbol(&size).ok_or_else(|| SynthesisError::NonSymbolicListLen(m.uf.clone()))?;
         comp.add_stmt(Stmt::new(
             format!("set {sym} = |{}|", m.uf),
             Kernel::SymSetListLen { sym, list },
@@ -442,7 +607,7 @@ pub fn synthesize(
     ));
 
     // --- The write + copy loop over the (extended) source scan ----------
-    let find_spec = if let Some(&fv) = find_vars.first() {
+    let find_spec = if let (Some(&fv), None) = (find_vars.first(), &direct) {
         let DstVarKind::Find { uf } = &analysis.var_kinds[fv] else { unreachable!() };
         let m = analysis
             .memberships
@@ -455,10 +620,10 @@ pub fn synthesize(
             .ok_or_else(|| SynthesisError::MissingDomainInfo(uf.clone()))?;
         let size = domain_alloc_size(sig)
             .ok_or_else(|| SynthesisError::MissingDomainInfo(uf.clone()))?;
-        let binary = options.binary_search
+        let binary = options.membership != Membership::Linear
             && sig.monotonicity == Some(Monotonicity::Increasing);
         Some(FindSpec {
-            var: "d".into(),
+            var: FIND_VAR.into(),
             uf: uf.clone(),
             lo: LinExpr::constant(0),
             hi: size,
@@ -574,47 +739,60 @@ pub fn synthesize(
     let naive = comp.clone();
     let mut identity_eliminated = false;
     if options.optimize {
-        // Identity-permutation elimination: when the source order implies
-        // the destination order, `P` is the identity — replace its rank
-        // lookups with the source position and let DCE delete the chain.
-        let identity = matches!(&permutation, PermutationKind::Ordered { .. })
-            && src.contiguous_data
+        // When the source scan already visits nonzeros in destination
+        // order, `P` needs no sort. From contiguous storage it is the
+        // identity: replace its rank lookups with the source position and
+        // let DCE delete the chain. From padded storage it is a
+        // compaction counter; an unordered destination keeps the scan
+        // order, so the same holds there.
+        let scan_order = matches!(&permutation, PermutationKind::Ordered { .. })
             && match (&src.order, &dst.order) {
                 (Some(s), Some(d)) => s.implies(d),
+                (_, None) => !src.contiguous_data,
                 _ => false,
             };
-        if identity {
+        if scan_order && src.contiguous_data {
             eliminate_identity_permutation(&mut comp, &scan.data_index);
             identity_eliminated = true;
+        } else if scan_order {
+            count_permutation(&mut comp);
         }
         spf_optimize(&mut comp);
     }
 
     // Facts about synthesis-introduced UFs, for the static verifier: the
-    // permutation `P` is a rank into a finalized list with one insert per
-    // scanned nonzero, so its values lie in `[0, NNZ)`. (Padded sources
-    // like ELL filter their padding in the scan set, and `NNZ` is bound to
-    // the actual nonzero count, so the cardinality equality holds for
-    // every scannable source.)
+    // permutation `P` is a rank into a finalized list (or a count) with
+    // one entry per scanned nonzero, so its values lie in `[0, NNZ)`.
+    // (Padded sources like ELL filter their padding in the scan set, and
+    // `NNZ` is bound to the actual nonzero count, so the cardinality
+    // equality holds for every scannable source.) A direct map's sweep
+    // numbers the `ND` present values, so the counter and the inverse map
+    // hold values in `[0, ND)`.
     let mut synth_ufs = UfEnvironment::new();
     if let PermutationKind::Ordered { width, .. } = &permutation {
-        let domain = Set::universe((0..*width).map(|k| format!("k{k}")).collect());
-        let mut range = Set::universe(vec!["r".into()]);
-        {
-            let conj = &mut range.conjunctions_mut()[0];
-            conj.add(Constraint::ge(LinExpr::var(VarId(0)), LinExpr::zero()));
-            conj.add(Constraint::lt(
-                LinExpr::var(VarId(0)),
-                LinExpr::sym(src.nnz_sym.clone()),
-            ));
-        }
         synth_ufs.insert(UfSignature {
             name: PERM_NAME.into(),
             arity: *width,
-            domain,
-            range,
+            domain: Set::universe((0..*width).map(|k| format!("k{k}")).collect()),
+            range: interval("r", LinExpr::zero(), LinExpr::sym(src.nnz_sym.clone())),
             monotonicity: None,
         });
+    }
+    if let Some(dm) = &direct {
+        let values = [
+            (&dm.mark, LinExpr::constant(2)),
+            (&dm.counter, dm.size.clone()),
+            (&dm.inverse, dm.size.clone()),
+        ];
+        for (name, end) in values {
+            synth_ufs.insert(UfSignature {
+                name: name.clone(),
+                arity: 1,
+                domain: interval("x", LinExpr::zero(), dm.extent.clone()),
+                range: interval("v", LinExpr::zero(), end),
+                monotonicity: None,
+            });
+        }
     }
 
     Ok(SynthesizedConversion {
@@ -655,6 +833,22 @@ fn eliminate_identity_permutation(comp: &mut Computation, src_data_index: &LinEx
     }
 }
 
+/// Replaces the permutation list `P` by a compaction counter: the insert
+/// loop and the finalize go, and each `p = P(...)` binding in the copy
+/// loop takes the next count instead of a rank.
+fn count_permutation(comp: &mut Computation) {
+    comp.stmts.retain(|s| {
+        !matches!(&s.kernel,
+            Kernel::ListInsert { list, .. } | Kernel::ListFinalize { list } if list == PERM_NAME)
+    });
+    for s in &mut comp.stmts {
+        if matches!(&s.kernel, Kernel::ListDecl { list, .. } if list == PERM_NAME) {
+            s.label = format!("declare compaction counter {PERM_NAME}");
+            s.kernel = Kernel::CounterDecl { counter: PERM_NAME.into() };
+        }
+    }
+}
+
 /// The destination order key dims as expressions over the scan tuple.
 fn key_exprs(key: &spf_ir::OrderKey, dense_pos: &[usize]) -> Vec<LinExpr> {
     key.dims
@@ -683,6 +877,48 @@ fn comparator_spec(c: &Comparator) -> ListOrderSpec {
 /// positions are unchanged inside the copy space (extensions append).
 fn scan_index_in_copy_space(e: &LinExpr) -> LinExpr {
     e.clone()
+}
+
+/// The symbol `s` when `size` is exactly `s` (DIA: `ND`).
+fn size_symbol(size: &LinExpr) -> Option<String> {
+    match size.terms.as_slice() {
+        [(1, Atom::Sym(s))] if size.constant == 0 => Some(s.clone()),
+        _ => None,
+    }
+}
+
+/// `{ [var] : lo <= var < hi }`.
+fn interval(var: &str, lo: LinExpr, hi: LinExpr) -> Set {
+    let mut s = Set::universe(vec![var.into()]);
+    let conj = &mut s.conjunctions_mut()[0];
+    conj.add(Constraint::ge(LinExpr::var(VarId(0)), lo));
+    conj.add(Constraint::lt(LinExpr::var(VarId(0)), hi));
+    s
+}
+
+/// The inclusive ends `(lo, hi)` of a UF's declared range when it is one
+/// interval whose ends are sums of symbols and constants (DIA's
+/// `-NR < o < NC` gives `(1 - NR, NC - 1)`).
+fn range_interval(sig: &UfSignature) -> Option<(LinExpr, LinExpr)> {
+    let [conj] = sig.range.conjunctions() else { return None };
+    let v = VarId(0);
+    let (mut lo, mut hi) = (None, None);
+    for c in &conj.constraints {
+        let spf_ir::Constraint::Geq(e) = c else { return None };
+        let mut rest = e.clone();
+        rest.terms.retain(|(_, a)| !matches!(a, Atom::Var(w) if *w == v));
+        if !rest.terms.iter().all(|(_, a)| matches!(a, Atom::Sym(_))) {
+            return None;
+        }
+        // `o + rest >= 0` bounds `o` below by `-rest`; `rest - o >= 0`
+        // bounds it above by `rest`.
+        match e.coeff_of_var(v) {
+            1 if lo.is_none() => lo = Some(rest.scaled(-1)),
+            -1 if hi.is_none() => hi = Some(rest),
+            _ => return None,
+        }
+    }
+    Some((lo?, hi?))
 }
 
 /// Appends a fresh tuple variable to a set.

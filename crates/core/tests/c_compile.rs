@@ -7,8 +7,8 @@ use std::io::Write as _;
 use std::process::Command;
 
 use sparse_formats::descriptors;
-use sparse_formats::{CooMatrix, CsrMatrix, DiaMatrix, MortonCooMatrix};
-use sparse_synthesis::{Conversion, SynthesisOptions};
+use sparse_formats::{CooMatrix, CsrMatrix, DiaMatrix, EllMatrix, MortonCooMatrix};
+use sparse_synthesis::{Conversion, Membership, SynthesisOptions};
 
 fn cc_available() -> bool {
     Command::new("cc")
@@ -179,21 +179,10 @@ fn compiled_c_coo_to_mcoo_matches_reference() {
     assert_eq!(parse_doubles(&lines[2]), want.coo.val);
 }
 
-#[test]
-fn compiled_c_coo_to_dia_binary_matches_reference() {
-    if !cc_available() {
-        eprintln!("skipping: no C compiler");
-        return;
-    }
-    let coo = fixture();
-    let conv = Conversion::new(
-        &descriptors::scoo(),
-        &descriptors::dia(),
-        SynthesisOptions { optimize: true, binary_search: true },
-    )
-    .unwrap();
+/// Compiles `conv` (a COO or SCOO -> DIA plan, function `name`), feeds it
+/// `coo` and checks `ND`, `off` and every data slot against the reference.
+fn check_dia(conv: &Conversion, name: &str, coo: &CooMatrix) {
     let program = conv.emit_c_program();
-    assert!(program.contains("binary search"), "{program}");
     let assigns = sym_assigns(
         &program,
         &[("NR", coo.nr), ("NC", coo.nc), ("NNZ", coo.nnz())],
@@ -205,7 +194,7 @@ fn compiled_c_coo_to_dia_binary_matches_reference() {
   static int col1_s[] = {{{cols}}};
   static double acoo_s[] = {{{vals}}};
   row1 = row1_s; col1 = col1_s; Acoo = acoo_s;
-  scoo_to_dia();
+  {name}();
   printf("%d\n", ND);
   for (int d = 0; d < ND; d++) printf("%d ", off[d]);
   printf("\n");
@@ -215,9 +204,93 @@ fn compiled_c_coo_to_dia_binary_matches_reference() {
         cols = c_ints(&coo.col),
         vals = c_doubles(&coo.val),
     );
-    let lines = compile_and_run("coo_dia", &program, &main_body);
-    let want = DiaMatrix::from_coo(&coo);
+    let lines = compile_and_run(name, &program, &main_body);
+    let want = DiaMatrix::from_coo(coo);
     assert_eq!(parse_ints(&lines[0]), vec![want.nd() as i64]);
     assert_eq!(parse_ints(&lines[1]), want.off);
     assert_eq!(parse_doubles(&lines[2]), want.data);
+}
+
+#[test]
+fn compiled_c_coo_to_dia_binary_matches_reference() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let conv = Conversion::new(
+        &descriptors::scoo(),
+        &descriptors::dia(),
+        SynthesisOptions { optimize: true, membership: Membership::Binary },
+    )
+    .unwrap();
+    assert!(conv.emit_c_program().contains("binary search"));
+    check_dia(&conv, "scoo_to_dia", &fixture());
+}
+
+/// The default COO -> DIA plan searches nothing: no value list, no find
+/// loop, just the presence map, the counted sweeps and one `d_of` read
+/// per nonzero. Its C runs on shuffled input, including both corner
+/// diagonals of the non-square fixture.
+#[test]
+fn compiled_c_coo_to_dia_direct_matches_reference() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let conv =
+        Conversion::new(&descriptors::coo(), &descriptors::dia(), SynthesisOptions::default())
+            .unwrap();
+    let program = conv.emit_c_program();
+    let body = &program[program.find("void coo_to_dia(void)").unwrap()..];
+    assert!(!body.contains("L_off") && !body.contains("for (int d"), "{body}");
+    assert!(body.contains("int d = d_of["), "{body}");
+    let mut coo = fixture();
+    coo.row.extend([5, 0]);
+    coo.col.extend([0, 6]);
+    coo.val.extend([9.0, 10.0]);
+    coo.permute(&[9, 3, 0, 7, 2, 8, 5, 1, 6, 4]);
+    check_dia(&conv, "coo_to_dia", &coo);
+}
+
+/// The default ELL -> COO plan numbers the non-padding slots with a
+/// compaction counter (`int p = P; P = (p + 1);`): no `P.insert`, no
+/// `P.finalize`. Its C must reproduce the reference in row-major order.
+#[test]
+fn compiled_c_ell_to_coo_counter_matches_reference() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let coo = fixture();
+    let ell = EllMatrix::from_coo(&coo);
+    let conv =
+        Conversion::new(&descriptors::ell(), &descriptors::coo(), SynthesisOptions::default())
+            .unwrap();
+    let program = conv.emit_c_program();
+    assert!(!program.contains("P.insert") && !program.contains("P.finalize"), "{program}");
+    assert!(program.contains("int p = P;"), "{program}");
+    let assigns = sym_assigns(
+        &program,
+        &[("NR", ell.nr), ("NC", ell.nc), ("NNZ", coo.nnz()), ("ELLW", ell.width)],
+    );
+    let main_body = format!(
+        r#"
+{assigns}
+  static int ellcol_s[] = {{{cols}}};
+  static double aell_s[] = {{{vals}}};
+  ellcol = ellcol_s; Aell = aell_s;
+  ell_to_coo();
+  for (int n = 0; n < NNZ; n++) printf("%d ", row1[n]);
+  printf("\n");
+  for (int n = 0; n < NNZ; n++) printf("%d ", col1[n]);
+  printf("\n");
+  for (int n = 0; n < NNZ; n++) printf("%.17g ", Acoo[n]);
+  printf("\n");"#,
+        cols = c_ints(&ell.col),
+        vals = c_doubles(&ell.data),
+    );
+    let lines = compile_and_run("ell_coo", &program, &main_body);
+    assert_eq!(parse_ints(&lines[0]), coo.row);
+    assert_eq!(parse_ints(&lines[1]), coo.col);
+    assert_eq!(parse_doubles(&lines[2]), coo.val);
 }

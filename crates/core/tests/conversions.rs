@@ -8,7 +8,7 @@ use sparse_formats::{
     AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix,
     MortonCoo3Tensor, MortonCooMatrix,
 };
-use sparse_synthesis::{Conversion, PermutationKind, SynthesisOptions};
+use sparse_synthesis::{Conversion, Membership, PermutationKind, SynthesisOptions, PERM_NAME};
 
 /// Deterministic random sparse matrix with unique coordinates.
 fn random_coo(nr: usize, nc: usize, nnz: usize, seed: u64, sorted: bool) -> CooMatrix {
@@ -157,7 +157,7 @@ fn scoo_to_dia_matches_oracle_linear_search() {
     let conv = Conversion::new(
         &descriptors::scoo(),
         &descriptors::dia(),
-        SynthesisOptions::default(),
+        SynthesisOptions { optimize: true, membership: Membership::Linear },
     )
     .unwrap();
     for seed in 0..4 {
@@ -176,13 +176,13 @@ fn scoo_to_dia_binary_search_agrees_with_linear() {
     let linear = Conversion::new(
         &descriptors::scoo(),
         &descriptors::dia(),
-        SynthesisOptions { optimize: true, binary_search: false },
+        SynthesisOptions { optimize: true, membership: Membership::Linear },
     )
     .unwrap();
     let binary = Conversion::new(
         &descriptors::scoo(),
         &descriptors::dia(),
-        SynthesisOptions { optimize: true, binary_search: true },
+        SynthesisOptions { optimize: true, membership: Membership::Binary },
     )
     .unwrap();
     let mut coo = banded_coo(50, &[-7, -2, 0, 1, 4, 9], 42);
@@ -198,6 +198,38 @@ fn scoo_to_dia_binary_search_agrees_with_linear() {
         stats_bin.loop_iterations,
         stats_lin.loop_iterations
     );
+}
+
+/// The three membership strategies build the same DIA bit for bit: the
+/// direct map, the binary search and the paper's linear search agree on
+/// `off`, `ND` and every stored value (padding included), while only the
+/// direct plan runs without a search loop.
+#[test]
+fn dia_memberships_give_bit_identical_output() {
+    let plans = [Membership::Linear, Membership::Binary, Membership::Direct].map(|membership| {
+        let opts = SynthesisOptions { optimize: true, membership };
+        Conversion::new(&descriptors::coo(), &descriptors::dia(), opts).unwrap()
+    });
+    let direct_c = plans[2].emit_c();
+    assert!(!direct_c.contains("L_off") && !direct_c.contains("for (int d"), "{direct_c}");
+    for seed in 0..6 {
+        let n = 20 + 7 * seed as usize;
+        let coo = banded_coo(n, &[-9, -4, -1, 0, 2, 3, 11], seed);
+        let outs: Vec<DiaMatrix> = plans
+            .iter()
+            .map(|p| match p.run_matrix(&coo).unwrap().0 {
+                AnyMatrix::Dia(d) => d,
+                other => panic!("expected DIA, got {}", other.label()),
+            })
+            .collect();
+        let bits = |d: &DiaMatrix| -> Vec<u64> { d.data.iter().map(|v| v.to_bits()).collect() };
+        for d in &outs[1..] {
+            assert_eq!(d.off, outs[0].off, "seed {seed}");
+            assert_eq!((d.nr, d.nc), (outs[0].nr, outs[0].nc), "seed {seed}");
+            assert_eq!(bits(d), bits(&outs[0]), "seed {seed}");
+        }
+        assert_eq!(outs[2], DiaMatrix::from_coo(&coo), "seed {seed}");
+    }
 }
 
 #[test]
@@ -332,13 +364,13 @@ fn naive_and_optimized_agree() {
     let opt = Conversion::new(
         &descriptors::scoo(),
         &descriptors::csr(),
-        SynthesisOptions { optimize: true, binary_search: false },
+        SynthesisOptions { optimize: true, membership: Membership::Linear },
     )
     .unwrap();
     let naive = Conversion::new(
         &descriptors::scoo(),
         &descriptors::csr(),
-        SynthesisOptions { optimize: false, binary_search: false },
+        SynthesisOptions { optimize: false, membership: Membership::Linear },
     )
     .unwrap();
     let mut coo = random_coo(30, 30, 140, 5, true);
@@ -399,8 +431,18 @@ fn ell_to_csr_compacts_padding() {
     )
     .unwrap();
     // ELL's data index has padding gaps, so the identity fast path must
-    // NOT fire even though the orders match; a permutation compacts.
+    // NOT fire even though the orders match; a counter compacts instead of
+    // a sorted permutation.
     assert!(!conv.synth.identity_eliminated);
+    // The same holds wherever ELL's row-major scan implies the
+    // destination order, or the destination has none.
+    for dst in [descriptors::coo(), descriptors::scoo(), descriptors::csr()] {
+        let conv = Conversion::new(&descriptors::ell(), &dst, SynthesisOptions::default()).unwrap();
+        assert!(conv.synth.computation.counters().any(|c| c == PERM_NAME), "ELL -> {}", dst.name);
+        let c = conv.emit_c();
+        assert!(!c.contains("P.insert") && !c.contains("P.finalize"), "{c}");
+        assert!(c.contains("int p = P;"), "{c}");
+    }
     for seed in 0..3 {
         let coo = random_coo(18, 22, 90, seed, true);
         let ell = EllMatrix::from_coo(&coo);
@@ -419,12 +461,14 @@ fn ell_to_coo_preserves_order_via_insertion_permutation() {
         SynthesisOptions::default(),
     )
     .unwrap();
-    // Unordered destination + gappy source: an insertion-ordered
-    // permutation compacts positions while keeping source order.
+    // Unordered destination + gappy source: the naive plan builds an
+    // insertion-ordered permutation, which optimization turns into a
+    // compaction counter that keeps source order.
     assert!(matches!(
         conv.synth.permutation,
         PermutationKind::Ordered { .. }
     ));
+    assert!(conv.synth.computation.counters().any(|c| c == PERM_NAME));
     let coo = {
         let mut m = random_coo(12, 15, 50, 9, true);
         m.sort_row_major();
@@ -572,8 +616,8 @@ fn exec_stats_golden() {
     use sparse_formats::EllMatrix;
     use sparse_matgen::generators::{banded, random_uniform, skewed_tensor};
 
-    let matrix = |src, dst, binary_search, m: AnyMatrix| {
-        let opts = SynthesisOptions { optimize: true, binary_search };
+    let matrix = |src, dst, membership, m: AnyMatrix| {
+        let opts = SynthesisOptions { optimize: true, membership };
         let conv = Conversion::new(&src, &dst, opts).unwrap();
         let (_, stats) = conv.run_matrix(&m).unwrap();
         (stats.statements, stats.loop_iterations)
@@ -581,14 +625,19 @@ fn exec_stats_golden() {
     let coo = random_uniform(40, 30, 220, 7);
     let ell = EllMatrix::from_coo(&coo);
     let band = banded(40, &[-7, -1, 0, 2, 9], 0.8, 7);
+    let (linear, binary, direct) = (Membership::Linear, Membership::Binary, Membership::Direct);
     let got = [
-        matrix(descriptors::coo(), descriptors::csr(), false, coo.clone().into()),
-        matrix(descriptors::scoo(), descriptors::csr(), false, coo.into()),
-        matrix(descriptors::ell(), descriptors::coo(), false, ell.into()),
-        matrix(descriptors::coo(), descriptors::dia(), false, band.clone().into()),
-        matrix(descriptors::coo(), descriptors::dia(), true, band.into()),
+        matrix(descriptors::coo(), descriptors::csr(), direct, coo.clone().into()),
+        matrix(descriptors::scoo(), descriptors::csr(), direct, coo.into()),
+        matrix(descriptors::ell(), descriptors::coo(), direct, ell.into()),
+        matrix(descriptors::coo(), descriptors::dia(), linear, band.clone().into()),
+        matrix(descriptors::coo(), descriptors::dia(), binary, band.clone().into()),
+        matrix(descriptors::coo(), descriptors::dia(), direct, band.into()),
     ];
-    assert_eq!(got, [(2571, 422), (1804, 231), (3566, 960), (1981, 987), (1276, 674)]);
+    assert_eq!(
+        got,
+        [(2571, 422), (1804, 231), (2454, 480), (1981, 987), (1276, 674), (1479, 440)]
+    );
 
     let conv =
         Conversion::new(&descriptors::coo3(), &descriptors::mcoo3(), SynthesisOptions::default())

@@ -9,6 +9,13 @@
 //! captured from the interpreter when `OrderedList` still sorted with a
 //! stable comparator sort and answered `rank` from a hash index; any
 //! change to how ranks are computed must reproduce them exactly.
+//!
+//! Two plans rank without a list. ELL→COO numbers the scanned entries
+//! with a compaction counter, so each copy of a duplicate takes its own
+//! slot (ELL validation rejects such inputs before any plan runs). COO→DIA
+//! marks the diagonals it sees in a presence array `M_off` and numbers
+//! them in an ascending sweep (`C_off`, `d_of`), so a repeated diagonal is
+//! marked once.
 
 use std::fmt::Write as _;
 
@@ -113,7 +120,7 @@ fn coo_to_dia_dedups_offsets() {
 }
 
 #[test]
-fn ell_to_coo_collapses_duplicates_onto_first_rank() {
+fn ell_to_coo_counts_duplicates_as_separate_entries() {
     let got = run_matrix(d::ell(), d::coo(), &AnyMatrix::Ell(dup_ell()));
     assert_eq!(got, ELL_COO, "\n{got}");
 }
@@ -161,27 +168,30 @@ Acoo3_v = [5.0, 0.0, 4.0, 0.0, 6.0, 3.0]
 ";
 
 const COO_DIA: &str = "\
+C_off = 3
 NC = 5
 ND = 3
 NNZ = 8
 NR = 4
+M_off = [1, 0, 1, 0, 1, 0, 0, 0, 0]
 col1 = [3, 1, 4, 3, 1, 0, 3, 0]
+d_of = [0, 0, 1, 0, 2, 0, 0, 0, 0]
 off = [-3, -1, 1]
 row1 = [2, 0, 3, 2, 0, 1, 2, 3]
 Acoo = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 Adia = [0.0, 0.0, 5.0, 0.0, 6.0, 0.0, 0.0, 0.0, 7.0, 8.0, 0.0, 3.0]
 ";
 
-// Insertion order: row 1's second (1,2) takes the first one's rank 2, and
-// rank 3 stays empty.
+// Scan order: row 1's two (1,2) entries take counts 2 and 3.
 const ELL_COO: &str = "\
 ELLW = 3
 NC = 4
 NNZ = 6
 NR = 3
-col1 = [0, 3, 2, 0, 3, 1]
+P = 6
+col1 = [0, 3, 2, 2, 3, 1]
 ellcol = [0, 3, -1, 2, 2, 3, 1, -1, -1]
-row1 = [0, 0, 1, 0, 1, 2]
-Acoo = [1.0, 2.0, 4.0, 0.0, 5.0, 6.0]
+row1 = [0, 0, 1, 1, 1, 2]
+Acoo = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 Aell = [1.0, 2.0, 0.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0]
 ";

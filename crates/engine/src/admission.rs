@@ -12,8 +12,13 @@
 //! Estimates are **lower bounds on the destination container's resident
 //! bytes** computed from a single `O(nnz)` pass over the input (distinct
 //! diagonal count for DIA, max row population for ELL, plain nnz
-//! otherwise). Arithmetic saturates, so adversarial dimensions report
-//! `u64::MAX` instead of wrapping past the budget.
+//! otherwise). A DIA plan with a direct diagonal map (the default
+//! membership) also counts the scratch it allocates first: the map's
+//! presence and inverse arrays, one word each per possible diagonal
+//! (`NR + NC - 1`), so a wide `1 × N` input with few nonzeros is weighed
+//! by `N`, not by its tiny output. Search plans allocate no such map.
+//! Arithmetic saturates, so adversarial dimensions report `u64::MAX`
+//! instead of wrapping past the budget.
 
 use std::collections::HashSet;
 
@@ -96,10 +101,12 @@ fn for_each_coord(m: MatrixRef<'_>, mut f: impl FnMut(i64, i64)) {
     }
 }
 
-/// Estimated resident bytes of the container `dst`'s kind would
-/// materialize for `input`, with a short label for error messages.
+/// Estimated resident bytes the container `dst`'s kind would
+/// materialize for `input`, plus a direct diagonal map's scratch when the
+/// plan builds one (`direct_map`), with a short label for error messages.
 pub(crate) fn estimate_matrix_output_bytes(
     dst: &FormatDescriptor,
+    direct_map: bool,
     input: MatrixRef<'_>,
 ) -> (&'static str, u64) {
     let (nr, nc) = input.dims();
@@ -110,13 +117,17 @@ pub(crate) fn estimate_matrix_output_bytes(
     };
     match dst.kind() {
         FormatKind::Dia => {
-            // ND × NR data slots plus the offset array.
+            // ND × NR data slots plus the offset array, and a direct
+            // map's two arrays over the NR + NC - 1 possible diagonals.
             let mut diagonals = HashSet::new();
             for_each_coord(input, |i, j| {
                 diagonals.insert(j - i);
             });
             let nd = diagonals.len() as u64;
-            ("dia output", nd.saturating_mul(nr as u64).saturating_mul(VAL).saturating_add(nd * IDX))
+            let data = nd.saturating_mul(nr as u64).saturating_mul(VAL).saturating_add(nd * IDX);
+            let slots = (nr as u64).saturating_add(nc as u64).saturating_sub(1);
+            let map = if direct_map { slots.saturating_mul(2 * IDX) } else { 0 };
+            ("dia output", data.saturating_add(map))
         }
         FormatKind::Ell => {
             // NR × W col + data slots, W = max row population. Entries
@@ -169,6 +180,7 @@ mod tests {
     use super::*;
     use sparse_formats::descriptors;
     use sparse_formats::{CooMatrix, CsrMatrix};
+    use sparse_synthesis::{synthesize, Membership, SynthesisOptions};
 
     /// An antidiagonal matrix: every nonzero on its own diagonal — the
     /// canonical DIA blow-up.
@@ -183,10 +195,11 @@ mod tests {
     fn dia_estimate_scales_with_distinct_diagonals() {
         let m = antidiagonal(64);
         let (what, bytes) =
-            estimate_matrix_output_bytes(&descriptors::dia(), MatrixRef::Coo(&m));
+            estimate_matrix_output_bytes(&descriptors::dia(), true, MatrixRef::Coo(&m));
         assert_eq!(what, "dia output");
-        // 64 diagonals × 64 rows × 8 bytes of data, plus offsets.
-        assert_eq!(bytes, 64 * 64 * 8 + 64 * 8);
+        // 64 diagonals × 64 rows × 8 bytes of data, plus offsets, plus the
+        // map's two arrays over 127 possible diagonals.
+        assert_eq!(bytes, 64 * 64 * 8 + 64 * 8 + 2 * 127 * 8);
         // A same-nnz tridiagonal-ish matrix is orders of magnitude smaller.
         let banded = CooMatrix::from_triplets(
             64,
@@ -197,8 +210,35 @@ mod tests {
         )
         .unwrap();
         let (_, small) =
-            estimate_matrix_output_bytes(&descriptors::dia(), MatrixRef::Coo(&banded));
-        assert_eq!(small, 64 * 8 + 8);
+            estimate_matrix_output_bytes(&descriptors::dia(), true, MatrixRef::Coo(&banded));
+        assert_eq!(small, 64 * 8 + 8 + 2 * 127 * 8);
+    }
+
+    /// A wide `1 × N` input with two nonzeros has a two-diagonal output of
+    /// 32 bytes, but the default plan's direct diagonal map spans all `N`
+    /// possible diagonals; the estimate must carry those `2N` words, and a
+    /// budget that fits the output alone must not admit it. A search plan
+    /// allocates no map, and its estimate is the output alone.
+    #[test]
+    fn dia_estimate_counts_the_diagonal_map_on_wide_inputs() {
+        let n = 1usize << 20;
+        let wide = CooMatrix::from_triplets(1, n, vec![0, 0], vec![3, n as i64 - 1], vec![1.0; 2])
+            .unwrap();
+        let (dia, output) = (descriptors::dia(), 2 * 8 + 2 * 8);
+        for membership in [Membership::Direct, Membership::Linear, Membership::Binary] {
+            let options = SynthesisOptions { membership, ..SynthesisOptions::default() };
+            let plan = synthesize(&descriptors::coo(), &dia, options).unwrap();
+            let direct = plan.has_direct_map();
+            assert_eq!(direct, membership == Membership::Direct);
+            let (what, bytes) = estimate_matrix_output_bytes(&dia, direct, MatrixRef::Coo(&wide));
+            assert_eq!(what, "dia output");
+            if direct {
+                assert_eq!(bytes, output + 2 * n as u64 * 8);
+                assert!(bytes > 1000 * output);
+            } else {
+                assert_eq!(bytes, output, "{membership:?}");
+            }
+        }
     }
 
     #[test]
@@ -213,7 +253,7 @@ mod tests {
         )
         .unwrap();
         let (what, bytes) =
-            estimate_matrix_output_bytes(&descriptors::ell(), MatrixRef::Coo(&m));
+            estimate_matrix_output_bytes(&descriptors::ell(), false, MatrixRef::Coo(&m));
         assert_eq!(what, "ell output");
         assert_eq!(bytes, 16 * 32 * 16);
     }
@@ -223,10 +263,10 @@ mod tests {
         let m = antidiagonal(10);
         let csr = CsrMatrix::from_coo(&m);
         let (_, bytes) =
-            estimate_matrix_output_bytes(&descriptors::csc(), MatrixRef::Csr(&csr));
+            estimate_matrix_output_bytes(&descriptors::csc(), false, MatrixRef::Csr(&csr));
         assert_eq!(bytes, 10 * 16 + 11 * 8);
         let (_, bytes) =
-            estimate_matrix_output_bytes(&descriptors::coo(), MatrixRef::Csr(&csr));
+            estimate_matrix_output_bytes(&descriptors::coo(), false, MatrixRef::Csr(&csr));
         assert_eq!(bytes, 10 * 24);
     }
 
@@ -251,7 +291,7 @@ mod tests {
         m.row[3] = -7;
         m.row[4] = -2;
         let (what, bytes) =
-            estimate_matrix_output_bytes(&descriptors::ell(), MatrixRef::Coo(&m));
+            estimate_matrix_output_bytes(&descriptors::ell(), false, MatrixRef::Coo(&m));
         assert_eq!(what, "ell output");
         // width 2 × 4 rows × (8-byte col + 8-byte val) — the clamped
         // regime reported 3 × 4 × 16 = 192 instead.
@@ -259,7 +299,7 @@ mod tests {
         // Rows past the end are likewise skipped rather than miscounted.
         m.row[2] = 1_000;
         let (_, bytes) =
-            estimate_matrix_output_bytes(&descriptors::ell(), MatrixRef::Coo(&m));
+            estimate_matrix_output_bytes(&descriptors::ell(), false, MatrixRef::Coo(&m));
         assert_eq!(bytes, 2 * 4 * 16);
     }
 

@@ -85,7 +85,7 @@ use sparse_analyze::AnalysisReport;
 use sparse_formats::descriptors::StructuralHasher;
 use sparse_formats::{AnyMatrix, AnyTensor, FormatDescriptor, ValidationError};
 use sparse_obs::{Event, EventKind, EventRing, PairHistograms, PairSnapshot, Span, Stage};
-use sparse_synthesis::{Conversion, RunError, SynthesisOptions};
+use sparse_synthesis::{Conversion, RunError, SynthesisOptions, SynthesizedConversion};
 
 use cache::{panic_message, Lookup, PlanCache};
 use stats::StatsInner;
@@ -301,7 +301,7 @@ impl Engine {
         h.write_u64(src.fingerprint());
         h.write_u64(dst.fingerprint());
         h.write_u64(options.optimize as u64);
-        h.write_u64(options.binary_search as u64);
+        h.write_u64(options.membership as u64);
         h.finish()
     }
 
@@ -661,7 +661,7 @@ impl Engine {
         }
         if let Some(budget) = self.config.memory_budget {
             let t0 = Instant::now();
-            let (what, needed) = input.estimate_output_bytes(&plan.synth.dst);
+            let (what, needed) = input.estimate_output_bytes(&plan.synth);
             self.stage(Stage::Admission, pair, t0.elapsed().as_nanos() as u64, needed <= budget);
             if needed > budget {
                 StatsInner::add(&self.stats.inputs_rejected, 1);
@@ -801,7 +801,7 @@ impl Engine {
 trait Operand: Sized {
     fn nnz(&self) -> usize;
     fn validate(&self, src: &FormatDescriptor) -> Result<(), ValidationError>;
-    fn estimate_output_bytes(&self, dst: &FormatDescriptor) -> (&'static str, u64);
+    fn estimate_output_bytes(&self, plan: &SynthesizedConversion) -> (&'static str, u64);
     fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>>;
     fn run_observed(
         &self,
@@ -818,8 +818,8 @@ impl Operand for AnyMatrix {
     fn validate(&self, src: &FormatDescriptor) -> Result<(), ValidationError> {
         sparse_formats::validate_matrix(src, self.as_ref())
     }
-    fn estimate_output_bytes(&self, dst: &FormatDescriptor) -> (&'static str, u64) {
-        admission::estimate_matrix_output_bytes(dst, self.as_ref())
+    fn estimate_output_bytes(&self, plan: &SynthesizedConversion) -> (&'static str, u64) {
+        admission::estimate_matrix_output_bytes(&plan.dst, plan.has_direct_map(), self.as_ref())
     }
     fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>> {
         plan.run_matrix_kernel(self.as_ref())
@@ -841,8 +841,8 @@ impl Operand for AnyTensor {
     fn validate(&self, src: &FormatDescriptor) -> Result<(), ValidationError> {
         sparse_formats::validate_tensor(src, self.as_ref())
     }
-    fn estimate_output_bytes(&self, dst: &FormatDescriptor) -> (&'static str, u64) {
-        admission::estimate_tensor_output_bytes(dst, self.as_ref())
+    fn estimate_output_bytes(&self, plan: &SynthesizedConversion) -> (&'static str, u64) {
+        admission::estimate_tensor_output_bytes(&plan.dst, self.as_ref())
     }
     fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>> {
         plan.run_tensor_kernel(self.as_ref())

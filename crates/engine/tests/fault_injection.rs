@@ -13,7 +13,7 @@ use sparse_formats::{
     MortonCooMatrix,
 };
 use sparse_matgen::corrupt::{corrupt_matrix, Corruption};
-use sparse_synthesis::RunError;
+use sparse_synthesis::{Membership, RunError, SynthesisOptions};
 
 /// Sorted row-major, two entries in row 0 (so ELL has width 2 and the
 /// duplicate-coordinate class applies everywhere it can).
@@ -253,6 +253,35 @@ fn memory_budget_refuses_dia_blowup_before_allocation() {
     engine
         .convert(&descriptors::scoo(), &descriptors::dia(), &AnyMatrix::Coo(diag))
         .unwrap();
+}
+
+/// A wide `1 × N` input with two nonzeros converts to a 32-byte DIA, but
+/// the default plan's direct diagonal map spans all `N` possible
+/// diagonals, and the engine must weigh that. A search plan allocates no
+/// map, so the same budget admits it.
+#[test]
+fn memory_budget_counts_the_direct_diagonal_map() {
+    let n = 1usize << 16;
+    let wide = AnyMatrix::Coo(
+        CooMatrix::from_triplets(1, n, vec![0, 0], vec![3, n as i64 - 1], vec![1.0; 2]).unwrap(),
+    );
+    let budget = 1 << 16;
+    for membership in [Membership::Direct, Membership::Linear] {
+        let engine = Engine::with_config(EngineConfig {
+            memory_budget: Some(budget),
+            options: SynthesisOptions { membership, ..Default::default() },
+            ..Default::default()
+        });
+        let got = engine.convert(&descriptors::scoo(), &descriptors::dia(), &wide);
+        match got {
+            Err(EngineError::Run(RunError::ResourceExhausted { needed, .. })) => {
+                assert_eq!(membership, Membership::Direct, "only the map is over budget");
+                assert_eq!(needed, 32 + 2 * n as u64 * 8);
+            }
+            Ok(_) => assert_eq!(membership, Membership::Linear, "the map must be counted"),
+            Err(other) => panic!("{membership:?}: unexpected {other}"),
+        }
+    }
 }
 
 /// Regression: the CSR/CSC estimates sized the pointer array as

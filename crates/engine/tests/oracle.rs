@@ -10,7 +10,8 @@
 //! matrices (uniform random and power-law rows, plus banded ones for DIA
 //! destinations, and skewed tensors) and the structural edge cases the
 //! kernel differential suite uses: empty, `0×N`, `N×0`, all-empty rows
-//! and dense rows.
+//! and dense rows, non-square shapes holding both corner diagonals (the
+//! ends of DIA's direct map), and an ELL input that is all padding.
 
 use sparse_engine::Engine;
 use sparse_formats::descriptors as d;
@@ -65,6 +66,10 @@ fn matrix_edge_cases() -> Vec<CooMatrix> {
         matrix(6, 3, (0..6).collect(), vec![1; 6]),
         matrix(1, 8, vec![0; 8], (0..8).collect()),
         matrix(8, 1, (0..8).collect(), vec![0; 8]),
+        // Both corner diagonals, (NR-1, 0) and (0, NC-1), wide and tall:
+        // the first and last slots of DIA's diagonal map.
+        matrix(5, 9, vec![0, 2, 4], vec![8, 3, 0]),
+        matrix(9, 4, vec![0, 5, 8], vec![3, 0, 0]),
     ]
 }
 
@@ -195,6 +200,24 @@ fn check_tensor(dst: &FormatDescriptor, base: &Coo3Tensor, out: &AnyTensor, case
         kind => panic!("{case}: no reference for {kind:?}"),
     };
     assert!(*out == expected, "{case}: got {out:?}, expected {expected:?}");
+}
+
+/// An ELL container whose every slot is padding converts to an empty
+/// matrix of its shape on every destination: the compaction counter
+/// never advances and DIA's presence map stays clear.
+#[test]
+fn all_padding_ell_converts_to_empty_on_every_destination() {
+    let engine = Engine::new();
+    let ell = EllMatrix { nr: 3, nc: 5, width: 2, col: vec![-1; 6], data: vec![0.0; 6] };
+    let empty = matrix(3, 5, vec![], vec![]);
+    let input = AnyMatrix::Ell(ell);
+    for (src, dst) in pairs().iter().filter(|(src, _)| src.kind() == FormatKind::Ell) {
+        let case = format!("{} -> {} [all padding]", src.name, dst.name);
+        let out = engine
+            .convert(src, dst, &input)
+            .unwrap_or_else(|e| panic!("{case}: conversion failed: {e}"));
+        check_matrix(dst, &empty, &out, &case);
+    }
 }
 
 #[test]

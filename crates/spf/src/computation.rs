@@ -232,6 +232,14 @@ impl Computation {
         self.live_out.insert(name.into());
     }
 
+    /// Names of the compaction counters the computation declares.
+    pub fn counters(&self) -> impl Iterator<Item = &str> {
+        self.stmts.iter().filter_map(|s| match &s.kernel {
+            Kernel::CounterDecl { counter } => Some(counter.as_str()),
+            _ => None,
+        })
+    }
+
     /// Assigns unique fusion groups to statements that have none.
     pub fn normalize_groups(&mut self) {
         // usize::MAX means "unassigned"; give each its own group id above
@@ -262,6 +270,7 @@ impl Computation {
         let mut slots = SlotAlloc::new();
         let mut ast: Vec<AStmt> = Vec::new();
         let mut list_decls = Vec::new();
+        let counters: Vec<&str> = self.counters().collect();
 
         let mut i = 0;
         while i < me.stmts.len() {
@@ -275,6 +284,8 @@ impl Computation {
                     ast.push(AStmt::Comment(format!(
                         "{list} = new OrderedList({width}, {order}, unique={unique})"
                     )));
+                } else if let Kernel::CounterDecl { counter } = &s.kernel {
+                    ast.push(AStmt::Comment(format!("{counter} = compaction counter")));
                 } else {
                     ast.push(setup_to_ast(&s.kernel)?);
                 }
@@ -308,7 +319,7 @@ impl Computation {
             let find = me.stmts[i].find.clone();
             let find_slot = find.as_ref().map(|f| slots.alloc(f.var.clone()));
             let mut err: Option<LowerError> = None;
-            let lowered = lower_set(&space, &mut slots, |vars| {
+            let mut lowered = lower_set(&space, &mut slots, |vars| {
                 // With a search binding, kernel expressions see the find
                 // variable as one extra tuple position.
                 let mut kvars = vars.clone();
@@ -362,6 +373,13 @@ impl Computation {
             if let Some(e) = err {
                 return Err(e);
             }
+            // Counters are bound by the nest's iteration space.
+            for &c in &counters {
+                if me.stmts[i].binds_counter(c) {
+                    ast.push(AStmt::SymSet { sym: c.into(), value: Expr::Const(0) });
+                    count_bindings(&mut lowered, c);
+                }
+            }
             ast.extend(lowered);
             i = j;
         }
@@ -375,6 +393,31 @@ impl Computation {
     /// Propagates [`LowerError`].
     pub fn codegen(&self, fn_name: &str) -> Result<String, LowerError> {
         Ok(self.lower()?.emit_c(fn_name))
+    }
+}
+
+/// Rewrites every binding `x = counter(...)` in `stmts` into
+/// `x = counter; counter = x + 1`.
+fn count_bindings(stmts: &mut Vec<AStmt>, counter: &str) {
+    let mut k = 0;
+    while k < stmts.len() {
+        match &mut stmts[k] {
+            AStmt::Let { var, slot, value } => {
+                if let Expr::UfRead { uf: name, .. } | Expr::ListRank { list: name, .. } = value {
+                    if name == counter {
+                        *value = Expr::Sym(counter.into());
+                        let next = Expr::add(Expr::Var(var.clone(), *slot), Expr::Const(1));
+                        stmts.insert(k + 1, AStmt::SymSet { sym: counter.into(), value: next });
+                        k += 1;
+                    }
+                }
+            }
+            AStmt::For { body, .. } | AStmt::If { body, .. } | AStmt::FindBinary { body, .. } => {
+                count_bindings(body, counter);
+            }
+            _ => {}
+        }
+        k += 1;
     }
 }
 

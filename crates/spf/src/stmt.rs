@@ -137,6 +137,15 @@ pub enum Kernel {
         /// Deduplicate equal keys at finalize.
         unique: bool,
     },
+    /// Setup: declare a compaction counter. A loop nest whose iteration
+    /// space binds `x = counter(...)` takes, at each binding, the number
+    /// of earlier bindings in the same nest (`x = counter++`), whatever
+    /// the arguments; every such nest starts the counter at zero, so
+    /// nests over one space number its points alike.
+    CounterDecl {
+        /// Counter name.
+        counter: String,
+    },
     /// Setup: finalize (sort + index) a list.
     ListFinalize {
         /// List name.
@@ -175,6 +184,7 @@ impl Kernel {
             Kernel::UfAlloc { .. }
                 | Kernel::DataAlloc { .. }
                 | Kernel::ListDecl { .. }
+                | Kernel::CounterDecl { .. }
                 | Kernel::ListFinalize { .. }
                 | Kernel::ListToUf { .. }
                 | Kernel::SymSet { .. }
@@ -266,6 +276,15 @@ impl Stmt {
         self
     }
 
+    /// `true` when the iteration space binds a variable to `counter`, so
+    /// the statement's nest numbers its points with it.
+    pub fn binds_counter(&self, counter: &str) -> bool {
+        self.iter_space
+            .conjunctions()
+            .iter()
+            .any(|conj| conj.constraints.iter().any(|k| k.mentions_uf(counter)))
+    }
+
     /// Names (UFs, data spaces, lists, symbols) this statement *reads*,
     /// including index arrays appearing in its iteration-space
     /// constraints.
@@ -305,7 +324,7 @@ impl Stmt {
                     collect_expr_names(e, &mut out);
                 }
             }
-            Kernel::ListDecl { .. } => {}
+            Kernel::ListDecl { .. } | Kernel::CounterDecl { .. } => {}
             Kernel::ListFinalize { list } | Kernel::SymSetListLen { list, .. } => {
                 out.insert(list.clone());
             }
@@ -355,7 +374,9 @@ impl Stmt {
             Kernel::DataAlloc { arr, .. } => {
                 out.insert(arr.clone());
             }
-            Kernel::SymSet { sym, .. } | Kernel::SymSetListLen { sym, .. } => {
+            Kernel::SymSet { sym, .. }
+            | Kernel::SymSetListLen { sym, .. }
+            | Kernel::CounterDecl { counter: sym } => {
                 out.insert(sym.clone());
             }
         }

@@ -9,14 +9,14 @@
 //! ```
 
 use sparse_synth::formats::descriptors;
-use sparse_synth::synthesis::{synthesize, Conversion, SynthesisOptions};
+use sparse_synth::synthesis::{synthesize, Conversion, Membership, SynthesisOptions};
 
 fn main() {
     // ---- COO -> CSR --------------------------------------------------
     let src = descriptors::scoo();
     let dst = descriptors::csr();
 
-    let naive_opts = SynthesisOptions { optimize: false, binary_search: false };
+    let naive_opts = SynthesisOptions { optimize: false, membership: Membership::Linear };
     let naive = synthesize(&src, &dst, naive_opts).expect("synthesizes");
     println!("=== COO -> CSR, naive loop chain ({} statements) ===", naive.naive.stmts.len());
     for s in &naive.naive.stmts {

@@ -7,7 +7,7 @@ use sparse_synth::formats::{
     descriptors, AnyMatrix, AnyTensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix,
 };
 use sparse_synth::matgen::suite::{table3_suite, table4_suite};
-use sparse_synth::synthesis::{Conversion, SynthesisOptions};
+use sparse_synth::synthesis::{Conversion, Membership, SynthesisOptions};
 
 const SCALE: usize = 1024;
 
@@ -63,11 +63,11 @@ fn csr_to_csc_whole_suite() {
 
 #[test]
 fn coo_to_dia_banded_suite_linear_and_binary() {
-    for binary_search in [false, true] {
+    for membership in [Membership::Linear, Membership::Binary, Membership::Direct] {
         let conv = Conversion::new(
             &descriptors::scoo(),
             &descriptors::dia(),
-            SynthesisOptions { optimize: true, binary_search },
+            SynthesisOptions { optimize: true, membership },
         )
         .unwrap();
         for spec in table3_suite() {
@@ -77,7 +77,7 @@ fn coo_to_dia_banded_suite_linear_and_binary() {
             let coo = spec.generate(SCALE);
             let (got, _) = conv.run_matrix(&coo).unwrap();
             let want = AnyMatrix::from(DiaMatrix::from_coo(&coo));
-            assert_eq!(got, want, "{} bs={binary_search}", spec.name);
+            assert_eq!(got, want, "{} {membership:?}", spec.name);
         }
     }
 }
@@ -151,7 +151,7 @@ fn spmv_is_preserved_across_all_conversions() {
     };
     assert!(close(&csc.spmv(&x), &want));
 
-    let binary = SynthesisOptions { optimize: true, binary_search: true };
+    let binary = SynthesisOptions { optimize: true, membership: Membership::Binary };
     let AnyMatrix::Dia(dia) = convert(descriptors::dia(), binary) else {
         panic!("expected DIA")
     };

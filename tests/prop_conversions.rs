@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use sparse_synth::formats::{
     descriptors, AnyMatrix, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, MortonCooMatrix,
 };
-use sparse_synth::synthesis::{Conversion, SynthesisOptions};
+use sparse_synth::synthesis::{Conversion, Membership, SynthesisOptions};
 
 /// Arbitrary sparse matrix: dimensions up to 24x24, unique coordinates,
 /// arbitrary (finite, nonzero) values.
@@ -78,13 +78,14 @@ proptest! {
         prop_assert_eq!(got, AnyMatrix::from(CscMatrix::from_csr(&csr)));
     }
 
-    /// COO -> DIA, both search strategies.
+    /// COO -> DIA, every membership strategy.
     #[test]
-    fn prop_scoo_to_dia(coo in arb_coo(true), binary in any::<bool>()) {
+    fn prop_scoo_to_dia(coo in arb_coo(true), which in 0usize..3) {
+        let membership = [Membership::Linear, Membership::Binary, Membership::Direct][which];
         let conv = Conversion::new(
             &descriptors::scoo(),
             &descriptors::dia(),
-            SynthesisOptions { optimize: true, binary_search: binary },
+            SynthesisOptions { optimize: true, membership },
         ).unwrap();
         let (got, _) = conv.run_matrix(&coo).unwrap();
         prop_assert_eq!(got, AnyMatrix::from(DiaMatrix::from_coo(&coo)));
@@ -107,7 +108,7 @@ proptest! {
     fn prop_optimization_preserves_semantics(coo in arb_coo(true)) {
         let naive = Conversion::new(
             &descriptors::scoo(), &descriptors::csr(),
-            SynthesisOptions { optimize: false, binary_search: false },
+            SynthesisOptions { optimize: false, membership: Membership::Linear },
         ).unwrap();
         let opt = Conversion::new(
             &descriptors::scoo(), &descriptors::csr(), SynthesisOptions::default(),
