@@ -7,7 +7,7 @@ use std::io::Write as _;
 use std::process::Command;
 
 use sparse_formats::descriptors;
-use sparse_formats::{CooMatrix, CsrMatrix, DiaMatrix, EllMatrix, MortonCooMatrix};
+use sparse_formats::{CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix, MortonCooMatrix};
 use sparse_synthesis::{Conversion, Membership, SynthesisOptions};
 
 fn cc_available() -> bool {
@@ -290,6 +290,102 @@ fn compiled_c_ell_to_coo_counter_matches_reference() {
         vals = c_doubles(&ell.data),
     );
     let lines = compile_and_run("ell_coo", &program, &main_body);
+    assert_eq!(parse_ints(&lines[0]), coo.row);
+    assert_eq!(parse_ints(&lines[1]), coo.col);
+    assert_eq!(parse_doubles(&lines[2]), coo.val);
+}
+
+/// Asserts that `program` places nonzeros by counting: cursors read and
+/// advanced per bucket (`int p = P[...]`), no `OrderedList` calls.
+fn assert_counting(program: &str, name: &str) {
+    let body = &program[program.find(&format!("void {name}(void)")).unwrap()..];
+    assert!(!body.contains("P.insert") && !body.contains("P.finalize"), "{body}");
+    assert!(!body.contains("ol_"), "{body}");
+    assert!(body.contains("int p = P["), "{body}");
+}
+
+/// The default CSR -> CSC plan is a counting transpose: a histogram of
+/// columns, a prefix sum that is `colptr`, and per-column cursors.
+#[test]
+fn compiled_c_csr_to_csc_counting_matches_reference() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let coo = fixture();
+    let csr = CsrMatrix::from_coo(&coo);
+    let conv =
+        Conversion::new(&descriptors::csr(), &descriptors::csc(), SynthesisOptions::default())
+            .unwrap();
+    let program = conv.emit_c_program();
+    assert_counting(&program, "csr_to_csc");
+    let assigns = sym_assigns(
+        &program,
+        &[("NR", coo.nr), ("NC", coo.nc), ("NNZ", coo.nnz())],
+    );
+    let main_body = format!(
+        r#"
+{assigns}
+  static int rowptr_s[] = {{{ptr}}};
+  static int col2_s[] = {{{cols}}};
+  static double acsr_s[] = {{{vals}}};
+  rowptr = rowptr_s; col2 = col2_s; Acsr = acsr_s;
+  csr_to_csc();
+  for (int j = 0; j <= NC; j++) printf("%d ", colptr[j]);
+  printf("\n");
+  for (int n = 0; n < NNZ; n++) printf("%d ", row[n]);
+  printf("\n");
+  for (int n = 0; n < NNZ; n++) printf("%.17g ", Acsc[n]);
+  printf("\n");"#,
+        ptr = c_ints(&csr.rowptr),
+        cols = c_ints(&csr.col),
+        vals = c_doubles(&csr.val),
+    );
+    let lines = compile_and_run("csr_csc", &program, &main_body);
+    let want = CscMatrix::from_coo(&coo);
+    assert_eq!(parse_ints(&lines[0]), want.colptr);
+    assert_eq!(parse_ints(&lines[1]), want.row);
+    assert_eq!(parse_doubles(&lines[2]), want.val);
+}
+
+/// The default CSC -> SCOO plan has no pointer to fill: the counter's
+/// `NR + 1` cursors are its only scratch, and the output is row-major.
+#[test]
+fn compiled_c_csc_to_scoo_counting_matches_reference() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let coo = fixture();
+    let csc = CscMatrix::from_coo(&coo);
+    let conv =
+        Conversion::new(&descriptors::csc(), &descriptors::scoo(), SynthesisOptions::default())
+            .unwrap();
+    let program = conv.emit_c_program();
+    assert_counting(&program, "csc_to_scoo");
+    let assigns = sym_assigns(
+        &program,
+        &[("NR", coo.nr), ("NC", coo.nc), ("NNZ", coo.nnz())],
+    );
+    let main_body = format!(
+        r#"
+{assigns}
+  static int colptr_s[] = {{{ptr}}};
+  static int row_s[] = {{{rows}}};
+  static double acsc_s[] = {{{vals}}};
+  colptr = colptr_s; row = row_s; Acsc = acsc_s;
+  csc_to_scoo();
+  for (int n = 0; n < NNZ; n++) printf("%d ", row1[n]);
+  printf("\n");
+  for (int n = 0; n < NNZ; n++) printf("%d ", col1[n]);
+  printf("\n");
+  for (int n = 0; n < NNZ; n++) printf("%.17g ", Acoo[n]);
+  printf("\n");"#,
+        ptr = c_ints(&csc.colptr),
+        rows = c_ints(&csc.row),
+        vals = c_doubles(&csc.val),
+    );
+    let lines = compile_and_run("csc_scoo", &program, &main_body);
     assert_eq!(parse_ints(&lines[0]), coo.row);
     assert_eq!(parse_ints(&lines[1]), coo.col);
     assert_eq!(parse_doubles(&lines[2]), coo.val);

@@ -819,7 +819,12 @@ impl Operand for AnyMatrix {
         sparse_formats::validate_matrix(src, self.as_ref())
     }
     fn estimate_output_bytes(&self, plan: &SynthesizedConversion) -> (&'static str, u64) {
-        admission::estimate_matrix_output_bytes(&plan.dst, plan.has_direct_map(), self.as_ref())
+        admission::estimate_matrix_output_bytes(
+            &plan.dst,
+            plan.has_direct_map(),
+            plan.counter_bucket_dim(),
+            self.as_ref(),
+        )
     }
     fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>> {
         plan.run_matrix_kernel(self.as_ref())

@@ -142,9 +142,17 @@ pub enum Kernel {
     /// of earlier bindings in the same nest (`x = counter++`), whatever
     /// the arguments; every such nest starts the counter at zero, so
     /// nests over one space number its points alike.
+    ///
+    /// With a `bucket` count `n`, the counter is instead an array of
+    /// `n + 1` zeroed slots, one cursor per bucket: the plan fills it
+    /// (a histogram, then a prefix sum) before the binding nest, a
+    /// binding `x = counter(b)` takes `counter[b]` and advances it
+    /// (`counter[b] = x + 1`), and the nest does not reset it.
     CounterDecl {
         /// Counter name.
         counter: String,
+        /// Number of buckets, when the counter has one cursor per bucket.
+        bucket: Option<LinExpr>,
     },
     /// Setup: finalize (sort + index) a list.
     ListFinalize {
@@ -324,7 +332,8 @@ impl Stmt {
                     collect_expr_names(e, &mut out);
                 }
             }
-            Kernel::ListDecl { .. } | Kernel::CounterDecl { .. } => {}
+            Kernel::CounterDecl { bucket: Some(n), .. } => collect_expr_names(n, &mut out),
+            Kernel::ListDecl { .. } | Kernel::CounterDecl { bucket: None, .. } => {}
             Kernel::ListFinalize { list } | Kernel::SymSetListLen { list, .. } => {
                 out.insert(list.clone());
             }
@@ -376,7 +385,7 @@ impl Stmt {
             }
             Kernel::SymSet { sym, .. }
             | Kernel::SymSetListLen { sym, .. }
-            | Kernel::CounterDecl { counter: sym } => {
+            | Kernel::CounterDecl { counter: sym, .. } => {
                 out.insert(sym.clone());
             }
         }
