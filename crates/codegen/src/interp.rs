@@ -55,6 +55,30 @@ pub enum ExecError {
         /// Requested size.
         size: i64,
     },
+    /// An allocation whose byte size, or the run's total with it,
+    /// overflows.
+    AllocOverflow {
+        /// Array name.
+        name: String,
+    },
+    /// The allocator refused an allocation.
+    AllocFailed {
+        /// Array name.
+        name: String,
+        /// Requested bytes.
+        bytes: u64,
+    },
+    /// An allocation would take the run past its memory budget
+    /// ([`RtEnv::budget`]).
+    OverBudget {
+        /// Array name.
+        name: String,
+        /// Bytes the run has allocated, plus this allocation
+        /// (`u64::MAX` when that sum overflows).
+        needed: u64,
+        /// The budget in bytes.
+        budget: u64,
+    },
     /// An ordered-list operation failed.
     List(ListError),
 }
@@ -75,6 +99,15 @@ impl fmt::Display for ExecError {
             ExecError::DivByZero => write!(f, "division by zero"),
             ExecError::BadAlloc { name, size } => {
                 write!(f, "negative allocation of `{name}` ({size})")
+            }
+            ExecError::AllocOverflow { name } => {
+                write!(f, "allocation of `{name}` overflows its byte size")
+            }
+            ExecError::AllocFailed { name, bytes } => {
+                write!(f, "allocation of `{name}` ({bytes} bytes) failed")
+            }
+            ExecError::OverBudget { name, needed, budget } => {
+                write!(f, "allocating `{name}` needs {needed} bytes, budget is {budget}")
             }
             ExecError::List(e) => write!(f, "ordered list error: {e}"),
         }
@@ -132,7 +165,8 @@ enum Op {
     UfMin { uf: u32, idx: Reg, value: Reg },
     UfMax { uf: u32, idx: Reg, value: Reg },
     UfAlloc { uf: u32, size: Reg, init: Reg },
-    DataAlloc { arr: u32, size: Reg },
+    /// The element count is the product of `size`, checked.
+    DataAlloc { arr: u32, size: Box<[Reg]> },
     ListInsert { list: u32, args: Box<[Reg]> },
     ListFinalize { list: u32 },
     ListToUf { list: u32, dim: usize, uf: u32 },
@@ -394,7 +428,10 @@ impl Compiler {
                 Op::UfAlloc { uf, size, init }
             }
             Stmt::DataAlloc { arr, size } => {
-                Op::DataAlloc { arr: self.data.intern(arr), size: self.expr(size, ops, None) }
+                let mut factors = Vec::new();
+                product_factors(size, &mut factors);
+                let size = factors.iter().map(|f| self.expr(f, ops, None)).collect();
+                Op::DataAlloc { arr: self.data.intern(arr), size }
             }
             Stmt::ListInsert { list, args } => {
                 Op::ListInsert { list: self.lists.intern(list), args: self.args(args, ops) }
@@ -425,6 +462,18 @@ impl Compiler {
             Stmt::Comment(_) => return,
         };
         ops.push(op);
+    }
+}
+
+/// Pushes the factors of the product `e` onto `out`, so an allocation
+/// multiplies them with overflow checks rather than through `Op::Mul`.
+fn product_factors<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::Mul(a, b) => {
+            product_factors(a, out);
+            product_factors(b, out);
+        }
+        _ => out.push(e),
     }
 }
 
@@ -499,6 +548,49 @@ fn bad_alloc(names: &[String], arr: u32, size: i64) -> ExecError {
     ExecError::BadAlloc { name: names[arr as usize].clone(), size }
 }
 
+/// The bytes a run's allocations have taken, and the most they may take.
+struct Budget {
+    used: u64,
+    limit: Option<u64>,
+}
+
+impl Budget {
+    /// The one place a run allocates an array: `len` elements of `fill`
+    /// (`None` when the element count overflowed) for array `names[id]`.
+    /// The byte size is checked, added to the run's total and held to
+    /// the limit before the allocator is asked, and the allocator may
+    /// refuse; each failure is a typed error naming the array. Kept out
+    /// of line: a run allocates a handful of times, and the op loop
+    /// stays as compact as before.
+    #[inline(never)]
+    fn alloc<T: Clone>(
+        &mut self,
+        names: &[String],
+        id: u32,
+        len: Option<usize>,
+        fill: T,
+    ) -> Result<Vec<T>, ExecError> {
+        let bytes = len.and_then(|n| n.checked_mul(std::mem::size_of::<T>()));
+        let total = bytes.and_then(|b| self.used.checked_add(b as u64));
+        let name = || names[id as usize].clone();
+        if let Some(budget) = self.limit {
+            let needed = total.unwrap_or(u64::MAX);
+            if needed > budget {
+                return Err(ExecError::OverBudget { name: name(), needed, budget });
+            }
+        }
+        let (Some(n), Some(bytes), Some(total)) = (len, bytes, total) else {
+            return Err(ExecError::AllocOverflow { name: name() });
+        };
+        let mut v = Vec::new();
+        v.try_reserve_exact(n)
+            .map_err(|_| ExecError::AllocFailed { name: name(), bytes: bytes as u64 })?;
+        v.resize(n, fill);
+        self.used = total;
+        Ok(v)
+    }
+}
+
 /// A run's state: the register file, and the symbols, arrays and lists
 /// moved out of the environment, indexed like the program's name tables.
 struct State<'a> {
@@ -507,6 +599,7 @@ struct State<'a> {
     ufs: Vec<Option<Cow<'a, [i64]>>>,
     data: Vec<Option<Cow<'a, [f64]>>>,
     lists: Vec<Option<OrderedList>>,
+    budget: Budget,
     stats: ExecStats,
     key: Vec<i64>,
 }
@@ -637,12 +730,18 @@ impl State<'_> {
                 Op::UfAlloc { uf, size, init } => {
                     let n = self.reg(size);
                     let n = usize::try_from(n).map_err(|_| bad_alloc(&prog.ufs, uf, n))?;
-                    self.ufs[uf as usize] = Some(Cow::Owned(vec![self.reg(init); n]));
+                    let v = self.budget.alloc(&prog.ufs, uf, Some(n), self.reg(init))?;
+                    self.ufs[uf as usize] = Some(Cow::Owned(v));
                 }
-                Op::DataAlloc { arr, size } => {
-                    let n = self.reg(size);
-                    let n = usize::try_from(n).map_err(|_| bad_alloc(&prog.data, arr, n))?;
-                    self.data[arr as usize] = Some(Cow::Owned(vec![0.0; n]));
+                Op::DataAlloc { arr, ref size } => {
+                    let mut n = Some(1usize);
+                    for &f in size.iter() {
+                        let v = self.reg(f);
+                        let v = usize::try_from(v).map_err(|_| bad_alloc(&prog.data, arr, v))?;
+                        n = n.and_then(|n| n.checked_mul(v));
+                    }
+                    let v = self.budget.alloc(&prog.data, arr, n, 0.0)?;
+                    self.data[arr as usize] = Some(Cow::Owned(v));
                 }
                 Op::ListInsert { list, ref args } => {
                     self.key.clear();
@@ -662,7 +761,10 @@ impl State<'_> {
                     let l = self.lists[list as usize]
                         .as_ref()
                         .ok_or_else(|| unbound_list(prog, list))?;
-                    let col = (0..l.len()).map(|p| l.key_col(p, dim)).collect::<Result<_, _>>()?;
+                    let mut col = self.budget.alloc(&prog.ufs, uf, Some(l.len()), 0)?;
+                    for (p, c) in col.iter_mut().enumerate() {
+                        *c = l.key_col(p, dim)?;
+                    }
                     self.ufs[uf as usize] = Some(Cow::Owned(col));
                 }
                 Op::SymSet { sym, value } => self.syms[sym as usize] = Some(self.reg(value)),
@@ -693,6 +795,7 @@ fn run<const STATS: bool>(prog: &Program, env: &mut RtEnv<'_>) -> Result<ExecSta
         ufs: prog.ufs.iter().map(|n| env.ufs.remove(n)).collect(),
         data: prog.data.iter().map(|n| env.data.remove(n)).collect(),
         lists: prog.lists.iter().map(|n| env.lists.remove(n)).collect(),
+        budget: Budget { used: 0, limit: env.budget },
         stats: ExecStats::default(),
         key: Vec::with_capacity(4),
     };
@@ -1126,6 +1229,42 @@ mod tests {
         assert_eq!(
             exec_err(vec![data], RtEnv::new().with_sym("N", -2)),
             ExecError::BadAlloc { name: "D".into(), size: -2 }
+        );
+    }
+
+    /// Every allocation goes through one checked, budgeted helper: the
+    /// factor product of a data size is checked, and the run's total is
+    /// held to the environment's budget, counting `ListToUf` too.
+    #[test]
+    fn allocations_are_checked_and_budgeted() {
+        let data = Stmt::DataAlloc {
+            arr: "D".into(),
+            size: Expr::mul(Expr::Sym("N".into()), Expr::Const(16)),
+        };
+        assert_eq!(
+            exec_err(vec![data], RtEnv::new().with_sym("N", (1 << 60) + 1)),
+            ExecError::AllocOverflow { name: "D".into() }
+        );
+        let stmts = vec![
+            Stmt::UfAlloc { uf: "u".into(), size: Expr::Const(3), init: Expr::Const(0) },
+            Stmt::ListInsert { list: "L".into(), args: vec![Expr::Const(5)] },
+            Stmt::ListFinalize { list: "L".into() },
+            Stmt::ListToUf { list: "L".into(), dim: 0, uf: "v".into() },
+            Stmt::DataAlloc { arr: "D".into(), size: Expr::Const(2) },
+        ];
+        let env = |budget| RtEnv {
+            budget: Some(budget),
+            ..RtEnv::new().with_list("L", OrderedList::new(1, ListOrder::Lexicographic, true))
+        };
+        let prog = compile(&stmts, &SlotAlloc::new());
+        execute(&prog, &mut env(48)).unwrap();
+        assert_eq!(
+            execute_quiet(&prog, &mut env(47)).unwrap_err(),
+            ExecError::OverBudget { name: "D".into(), needed: 48, budget: 47 }
+        );
+        assert_eq!(
+            execute(&prog, &mut env(31)).unwrap_err(),
+            ExecError::OverBudget { name: "v".into(), needed: 32, budget: 31 }
         );
     }
 

@@ -578,6 +578,11 @@ pub struct RtEnv<'a> {
     /// Ordered lists keyed by name; must be declared (inserted here)
     /// before executing programs that reference them.
     pub lists: BTreeMap<String, OrderedList>,
+    /// The most bytes a run may allocate for the index and data arrays
+    /// its program allocates (`None` = unlimited); an allocation past it
+    /// fails with `ExecError::OverBudget`. Bound arrays and ordered lists
+    /// are not counted.
+    pub budget: Option<u64>,
 }
 
 impl<'a> RtEnv<'a> {

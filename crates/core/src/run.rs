@@ -55,12 +55,13 @@ pub enum RunError {
         /// Human-readable specifics (offending index, observed value).
         detail: String,
     },
-    /// Admission control refused the conversion: the estimated output
-    /// footprint exceeds the configured memory budget.
+    /// An allocation of the plan would take the run past its memory
+    /// budget (the interpreter's `ExecError::OverBudget`).
     ResourceExhausted {
-        /// What blew up (e.g. `"dia output"`, `"ell output"`).
+        /// The array whose allocation was refused (e.g. `"Adia"`).
         what: String,
-        /// Estimated bytes the conversion would allocate.
+        /// Bytes the run had allocated, plus the refused allocation
+        /// (`u64::MAX` when that sum overflows).
         needed: u64,
         /// The configured budget in bytes.
         budget: u64,
@@ -86,7 +87,7 @@ impl fmt::Display for RunError {
             }
             RunError::ResourceExhausted { what, needed, budget } => write!(
                 f,
-                "resource exhausted: {what} needs ~{needed} bytes, budget is {budget}"
+                "resource exhausted: allocating `{what}` needs {needed} bytes, budget is {budget}"
             ),
             RunError::DeadlineExceeded { deadline } => {
                 write!(f, "deadline exceeded: batch budget {deadline:?} expired before start")
@@ -105,7 +106,12 @@ impl From<SynthesisError> for RunError {
 
 impl From<ExecError> for RunError {
     fn from(e: ExecError) -> Self {
-        RunError::Exec(e)
+        match e {
+            ExecError::OverBudget { name, needed, budget } => {
+                RunError::ResourceExhausted { what: name, needed, budget }
+            }
+            e => RunError::Exec(e),
+        }
     }
 }
 
@@ -300,9 +306,26 @@ impl Conversion {
         pair: u64,
         obs: &dyn Subscriber,
     ) -> Result<AnyMatrix, RunError> {
+        self.run_matrix_budgeted(m, None, pair, obs)
+    }
+
+    /// [`Conversion::run_matrix_observed`] with the inspector's own
+    /// allocations held to `budget` bytes ([`RtEnv::budget`]).
+    ///
+    /// # Errors
+    /// Same contract as [`Conversion::run_matrix_observed`], plus
+    /// [`RunError::ResourceExhausted`] when an allocation would exceed
+    /// `budget`.
+    pub fn run_matrix_budgeted<'a>(
+        &self,
+        m: impl Into<MatrixRef<'a>>,
+        budget: Option<u64>,
+        pair: u64,
+        obs: &dyn Subscriber,
+    ) -> Result<AnyMatrix, RunError> {
         let m = m.into();
         let (nr, nc) = m.dims();
-        let mut env = RtEnv::new();
+        let mut env = RtEnv { budget, ..RtEnv::new() };
         bind_matrix(&mut env, &self.synth.src, m)?;
         self.execute_observed(env, pair, obs, |env, dst| extract_matrix(env, dst, nr, nc))
     }
@@ -336,9 +359,23 @@ impl Conversion {
         pair: u64,
         obs: &dyn Subscriber,
     ) -> Result<AnyTensor, RunError> {
+        self.run_tensor_budgeted(t, None, pair, obs)
+    }
+
+    /// Order-3 analogue of [`Conversion::run_matrix_budgeted`].
+    ///
+    /// # Errors
+    /// Same contract as [`Conversion::run_matrix_budgeted`].
+    pub fn run_tensor_budgeted<'a>(
+        &self,
+        t: impl Into<TensorRef<'a>>,
+        budget: Option<u64>,
+        pair: u64,
+        obs: &dyn Subscriber,
+    ) -> Result<AnyTensor, RunError> {
         let t = t.into();
         let dims = t.dims();
-        let mut env = RtEnv::new();
+        let mut env = RtEnv { budget, ..RtEnv::new() };
         bind_tensor(&mut env, &self.synth.src, t)?;
         self.execute_observed(env, pair, obs, |env, dst| extract_tensor(env, dst, dims))
     }

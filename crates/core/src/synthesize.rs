@@ -195,23 +195,6 @@ pub struct SynthesizedConversion {
     pub plan: Vec<String>,
 }
 
-impl SynthesizedConversion {
-    /// `true` when the plan recovers a Case-5 membership through a direct
-    /// map (DIA's `M_off`, `C_off` and `d_of`), whose arrays span the
-    /// membership UF's whole declared range, not just the values present.
-    pub fn has_direct_map(&self) -> bool {
-        self.synth_ufs.iter().any(|s| s.name.starts_with(MARK_PREFIX))
-    }
-
-    /// The dense dimension whose values bucket the plan's counting
-    /// placement of `P` (rows for CSR and SCOO, columns for CSC), whose
-    /// cursor array spans that dimension's whole extent plus one slot.
-    pub fn counter_bucket_dim(&self) -> Option<usize> {
-        let n = self.computation.counter_bucket(PERM_NAME)?;
-        self.dst.dim_syms.iter().position(|d| *n == LinExpr::sym(d.clone()))
-    }
-}
-
 /// Name of the synthesized permutation list.
 pub const PERM_NAME: &str = "P";
 

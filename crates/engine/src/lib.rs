@@ -26,13 +26,16 @@
 //!   refused (and never cached), and batch fan-out is gated on the
 //!   verifier's dependence verdict.
 //! * **Native kernel backend** — conversions whose plan is *statically
-//!   verified* and whose inputs are *validated* may be served by a fused
-//!   hand-optimized kernel from the [`sparse_synthesis::KernelRegistry`]
-//!   instead of the SPF-IR interpreter, keyed by the pair's structural
-//!   fingerprints.
+//!   verified* may be served by a fused hand-optimized kernel from the
+//!   [`sparse_synthesis::KernelRegistry`] instead of the SPF-IR
+//!   interpreter, keyed by the pair's structural fingerprints, unless a
+//!   memory budget is set.
 //!   Kernels are bit-identical to the interpreter (differential-tested);
 //!   any miss, decline, or contained kernel panic falls back to the
 //!   interpreter transparently — fallback is never an error.
+//! * **Memory budget** — with [`EngineConfig::memory_budget`], the
+//!   interpreter holds the bytes each plan allocates to the budget and
+//!   refuses the first allocation past it.
 //! * **Observability** — [`Engine::stats`] snapshots hit/miss/eviction
 //!   counters, conversion and nnz totals, kernel hits vs interpreter
 //!   fallbacks, verification outcomes, and cumulative synthesis vs
@@ -40,8 +43,8 @@
 //!   trigger site (see the README's stats-semantics table). Beyond the
 //!   counters, the engine emits structured telemetry through the
 //!   `sparse-obs` layer: a [`Subscriber`] receives one [`Span`] per
-//!   completed stage (`plan`, `verify`, `validate`, `admission`,
-//!   `kernel`, `interp`, `extract`), exceptional occurrences land in a
+//!   completed stage (`plan`, `verify`, `validate`, `kernel`, `interp`,
+//!   `extract`), exceptional occurrences land in a
 //!   lock-free [`EventRing`] (dumpable via [`Engine::events_dump`]),
 //!   per-pair latency/nnz histograms accumulate behind
 //!   [`Engine::pair_histograms`], and [`Engine::metrics_text`] renders
@@ -71,7 +74,6 @@
 #![deny(clippy::unwrap_used)]
 #![deny(clippy::expect_used)]
 
-mod admission;
 pub mod cache;
 mod stats;
 
@@ -85,7 +87,7 @@ use sparse_analyze::AnalysisReport;
 use sparse_formats::descriptors::StructuralHasher;
 use sparse_formats::{AnyMatrix, AnyTensor, FormatDescriptor, ValidationError};
 use sparse_obs::{Event, EventKind, EventRing, PairHistograms, PairSnapshot, Span, Stage};
-use sparse_synthesis::{Conversion, RunError, SynthesisOptions, SynthesizedConversion};
+use sparse_synthesis::{Conversion, RunError, SynthesisOptions};
 
 use cache::{panic_message, Lookup, PlanCache};
 use stats::StatsInner;
@@ -133,8 +135,8 @@ pub enum EngineError {
     /// message because failures are cached briefly and shared across
     /// threads.
     Plan(String),
-    /// Running a plan failed (input validation, admission control,
-    /// dispatch mismatch, execution, or output validation).
+    /// Running a plan failed (input validation, memory budget, dispatch
+    /// mismatch, execution, or output validation).
     Run(RunError),
     /// A worker panicked mid-conversion; the panic was contained at the
     /// item boundary (`catch_unwind`) and carries the rendered payload.
@@ -184,19 +186,15 @@ pub struct EngineConfig {
     /// verifier proved a parallel loop; unverified engines keep the
     /// historical trust-the-synthesizer behavior.
     pub verify_plans: bool,
-    /// Validate every input container against its source descriptor's
-    /// quantifier obligations before binding (default `true`). The
-    /// static verifier proves plans correct *assuming* those obligations
-    /// hold; this is the runtime half of that contract. Disable only for
-    /// trusted inputs on hot paths — violations then surface as typed
-    /// execution errors at best and silent garbage at worst.
-    pub validate_inputs: bool,
-    /// Admission-control budget in bytes for the *estimated destination
-    /// footprint* of each conversion (default `None` = unlimited).
-    /// Conversions whose estimate exceeds the budget are refused with
-    /// [`RunError::ResourceExhausted`] before any allocation — e.g. an
-    /// antidiagonal matrix headed for DIA (`ND × NR` slots) or a
-    /// skew-rowed matrix headed for ELL.
+    /// Budget in bytes for the arrays each conversion's plan allocates
+    /// (default `None` = unlimited): destination arrays and scratch such
+    /// as pointer cursors and DIA's diagonal map, summed over the run.
+    /// The interpreter checks each allocation against it before asking
+    /// the allocator, and refuses the first one past it with
+    /// [`RunError::ResourceExhausted`] naming the array — e.g. an
+    /// antidiagonal matrix headed for DIA (`ND × NR` slots). A budgeted
+    /// conversion never takes a native kernel, which allocates outside
+    /// the interpreter.
     pub memory_budget: Option<u64>,
     /// Per-batch wall-clock deadline (default `None` = unlimited). Items
     /// not yet *started* when it expires fail with
@@ -212,7 +210,6 @@ impl Default for EngineConfig {
             threads: 0,
             options: SynthesisOptions::default(),
             verify_plans: false,
-            validate_inputs: true,
             memory_budget: None,
             batch_deadline: None,
         }
@@ -465,7 +462,7 @@ impl Engine {
     /// [`EngineError::Panicked`] for that item alone.
     ///
     /// Items whose parallel-path attempt fails with a *transient* error
-    /// (execution fault or contained panic — not a validation, admission,
+    /// (execution fault or contained panic — not a validation, budget,
     /// dispatch, or deadline rejection) are retried **once** on the
     /// sequential reference path; each retry counts as a
     /// `degraded_conversions` stat.
@@ -535,7 +532,7 @@ impl Engine {
 
         // Degraded retry: transient parallel-path failures get one
         // sequential attempt. Deterministic rejections (invalid input,
-        // admission, dispatch, deadline) would fail identically and are
+        // budget, dispatch, deadline) would fail identically and are
         // not retried.
         if workers > 1 {
             for (input, slot) in inputs.iter().zip(results.iter_mut()) {
@@ -590,8 +587,7 @@ impl Engine {
 
     /// Point-in-time copies of every `(src, dst)` pair's latency and nnz
     /// histograms, sorted by pair label. Only *successful* conversions
-    /// record here (latency is end-to-end: validation + admission +
-    /// execution).
+    /// record here (latency is end-to-end: validation + execution).
     pub fn pair_histograms(&self) -> Vec<PairSnapshot> {
         self.pairs.snapshot()
     }
@@ -641,37 +637,21 @@ impl Engine {
 
     /// The one execution path behind [`Engine::convert`],
     /// [`Engine::convert_tensor`] and every batch item, for either rank:
-    /// validate → admission check → kernel attempt → interpreter, the
-    /// last two under `catch_unwind`. The panic guards make this the
-    /// engine's fault boundary — nothing downstream of it can take out a
-    /// caller.
+    /// validate → kernel attempt → interpreter (which holds the plan's
+    /// allocations to the memory budget), the last two under
+    /// `catch_unwind`. The panic guards make this the engine's fault
+    /// boundary — nothing downstream of it can take out a caller.
     fn execute<I: Operand>(&self, plan: &Plan, input: &I) -> Result<I, EngineError> {
         let pair = plan.pair;
         let nnz = input.nnz() as u64;
         let started = Instant::now();
-        if self.config.validate_inputs {
-            let t0 = Instant::now();
-            let checked = input.validate(&plan.synth.src);
-            self.stage(Stage::Validate, pair, t0.elapsed().as_nanos() as u64, checked.is_ok());
-            if let Err(e) = checked {
-                StatsInner::add(&self.stats.inputs_rejected, 1);
-                self.note(EventKind::InputRejected, pair, 0, nnz);
-                return Err(EngineError::Run(e.into()));
-            }
-        }
-        if let Some(budget) = self.config.memory_budget {
-            let t0 = Instant::now();
-            let (what, needed) = input.estimate_output_bytes(&plan.synth);
-            self.stage(Stage::Admission, pair, t0.elapsed().as_nanos() as u64, needed <= budget);
-            if needed > budget {
-                StatsInner::add(&self.stats.inputs_rejected, 1);
-                self.note(EventKind::AdmissionRejected, pair, 0, nnz);
-                return Err(EngineError::Run(RunError::ResourceExhausted {
-                    what: what.to_string(),
-                    needed,
-                    budget,
-                }));
-            }
+        let t0 = Instant::now();
+        let checked = input.validate(&plan.synth.src);
+        self.stage(Stage::Validate, pair, t0.elapsed().as_nanos() as u64, checked.is_ok());
+        if let Err(e) = checked {
+            StatsInner::add(&self.stats.inputs_rejected, 1);
+            self.note(EventKind::InputRejected, pair, 0, nnz);
+            return Err(EngineError::Run(e.into()));
         }
         if self.kernel_eligible(plan) {
             let t0 = Instant::now();
@@ -691,8 +671,10 @@ impl Engine {
             // cost and cause were attributed by `settle_kernel_attempt`.
         }
         let t0 = Instant::now();
-        let out =
-            catch_unwind(AssertUnwindSafe(|| input.run_observed(plan, pair, &*self.subscriber)));
+        let budget = self.config.memory_budget;
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            input.run_observed(plan, budget, pair, &*self.subscriber)
+        }));
         let exec_nanos = t0.elapsed().as_nanos() as u64;
         StatsInner::add(&self.stats.exec_time, exec_nanos);
         match out {
@@ -707,6 +689,13 @@ impl Engine {
                     nnz,
                 );
                 Ok(out)
+            }
+            // A budget refusal rejects the input, like validation: the
+            // plan stopped at an allocation, before any entry moved.
+            Ok(Err(e @ RunError::ResourceExhausted { .. })) => {
+                StatsInner::add(&self.stats.inputs_rejected, 1);
+                self.note(EventKind::AdmissionRejected, pair, exec_nanos, nnz);
+                Err(EngineError::Run(e))
             }
             Ok(Err(e)) => {
                 StatsInner::add(&self.stats.conversions_failed, 1);
@@ -764,14 +753,14 @@ impl Engine {
     }
 
     /// Reports one completed stage: banks its time under the stage's
-    /// counter (`verify_time`; `validate_time` for validation and
-    /// admission; `kernel_time` for a kernel hit, `kernel_declined_time`
+    /// counter (`verify_time`; `validate_time` for validation;
+    /// `kernel_time` for a kernel hit, `kernel_declined_time`
     /// for a decline or contained panic; nothing for `plan`) and emits
     /// its span when the subscriber is enabled.
     fn stage(&self, stage: Stage, pair: u64, nanos: u64, ok: bool) {
         let time = match stage {
             Stage::Verify => Some(&self.stats.verify_time),
-            Stage::Validate | Stage::Admission => Some(&self.stats.validate_time),
+            Stage::Validate => Some(&self.stats.validate_time),
             Stage::Kernel if ok => Some(&self.stats.kernel_time),
             Stage::Kernel => Some(&self.stats.kernel_declined_time),
             Stage::Plan | Stage::Interp | Stage::Extract => None,
@@ -785,14 +774,13 @@ impl Engine {
     }
 
     /// The kernel-backend gate: a native kernel may serve a conversion
-    /// only when the inputs have passed source-descriptor validation, the
-    /// plan carries a clean static-verification report, and a kernel is
-    /// registered for the pair's structural fingerprints. Everything else
+    /// only when the plan carries a clean static-verification report, a
+    /// kernel is registered for the pair's structural fingerprints, and
+    /// no memory budget is set — kernels allocate outside the
+    /// interpreter, where the budget is enforced. Everything else
     /// interprets.
     fn kernel_eligible(&self, plan: &Plan) -> bool {
-        self.config.validate_inputs
-            && plan.verification.is_some()
-            && plan.has_kernel()
+        self.config.memory_budget.is_none() && plan.verification.is_some() && plan.has_kernel()
     }
 }
 
@@ -801,11 +789,11 @@ impl Engine {
 trait Operand: Sized {
     fn nnz(&self) -> usize;
     fn validate(&self, src: &FormatDescriptor) -> Result<(), ValidationError>;
-    fn estimate_output_bytes(&self, plan: &SynthesizedConversion) -> (&'static str, u64);
     fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>>;
     fn run_observed(
         &self,
         plan: &Conversion,
+        budget: Option<u64>,
         pair: u64,
         obs: &dyn Subscriber,
     ) -> Result<Self, RunError>;
@@ -818,24 +806,17 @@ impl Operand for AnyMatrix {
     fn validate(&self, src: &FormatDescriptor) -> Result<(), ValidationError> {
         sparse_formats::validate_matrix(src, self.as_ref())
     }
-    fn estimate_output_bytes(&self, plan: &SynthesizedConversion) -> (&'static str, u64) {
-        admission::estimate_matrix_output_bytes(
-            &plan.dst,
-            plan.has_direct_map(),
-            plan.counter_bucket_dim(),
-            self.as_ref(),
-        )
-    }
     fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>> {
         plan.run_matrix_kernel(self.as_ref())
     }
     fn run_observed(
         &self,
         plan: &Conversion,
+        budget: Option<u64>,
         pair: u64,
         obs: &dyn Subscriber,
     ) -> Result<Self, RunError> {
-        plan.run_matrix_observed(self.as_ref(), pair, obs)
+        plan.run_matrix_budgeted(self.as_ref(), budget, pair, obs)
     }
 }
 
@@ -846,25 +827,23 @@ impl Operand for AnyTensor {
     fn validate(&self, src: &FormatDescriptor) -> Result<(), ValidationError> {
         sparse_formats::validate_tensor(src, self.as_ref())
     }
-    fn estimate_output_bytes(&self, plan: &SynthesizedConversion) -> (&'static str, u64) {
-        admission::estimate_tensor_output_bytes(&plan.dst, self.as_ref())
-    }
     fn run_kernel(&self, plan: &Conversion) -> Option<Result<Self, RunError>> {
         plan.run_tensor_kernel(self.as_ref())
     }
     fn run_observed(
         &self,
         plan: &Conversion,
+        budget: Option<u64>,
         pair: u64,
         obs: &dyn Subscriber,
     ) -> Result<Self, RunError> {
-        plan.run_tensor_observed(self.as_ref(), pair, obs)
+        plan.run_tensor_budgeted(self.as_ref(), budget, pair, obs)
     }
 }
 
 /// Whether a per-item failure is worth one sequential retry: execution
 /// faults and contained panics may be scheduling artifacts; validation,
-/// admission, dispatch, and deadline rejections are deterministic
+/// budget, dispatch, and deadline rejections are deterministic
 /// functions of the input and would fail identically.
 fn transient(e: &EngineError) -> bool {
     match e {

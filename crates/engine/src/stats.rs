@@ -181,8 +181,8 @@ engine_stats! {
         conversions: u64 => counter("engine_conversions_total",
             "Conversions that completed successfully."),
         /// Executions that started and then failed: a typed interpreter
-        /// error or a contained panic. Pre-execution refusals (validation,
-        /// admission, deadline) are *not* counted here.
+        /// error or a contained panic. Refusals (validation, memory budget,
+        /// deadline) are *not* counted here.
         conversions_failed: u64 => counter("engine_conversions_failed_total",
             "Executions that started and then failed or panicked."),
         /// Total stored entries moved across all successful conversions
@@ -190,7 +190,7 @@ engine_stats! {
         nnz_moved: u64 => counter("engine_nnz_moved_total",
             "Stored entries moved by successful conversions."),
         /// Conversions served by a native fused kernel (only behind a
-        /// verified plan and validated inputs). Every successful conversion
+        /// verified plan, validated inputs and no memory budget). Every successful conversion
         /// is either a kernel hit or an interpreter execution: `kernels_hit +
         /// interp_fallbacks == conversions` always holds.
         kernels_hit: u64 => counter("engine_kernels_hit_total",
@@ -207,13 +207,14 @@ engine_stats! {
             "Kernel attempts that panicked (contained)."),
         /// Successful conversions executed by the SPF-IR interpreter —
         /// because no kernel is registered for the pair, the plan was not
-        /// verified, inputs were not validated, or a kernel declined/panicked
+        /// verified, a memory budget is set, or a kernel declined/panicked
         /// on the input. Falling back is never an error.
         interp_fallbacks: u64 => counter("engine_interp_fallbacks_total",
             "Successful conversions executed by the interpreter."),
-        /// Inputs refused *before* execution: validation failures
-        /// (`RunError::InvalidInput`) plus admission-control refusals
-        /// (`RunError::ResourceExhausted`). Refused inputs count neither as
+        /// Inputs refused before any entry moved: validation failures
+        /// (`RunError::InvalidInput`) plus memory-budget refusals
+        /// (`RunError::ResourceExhausted`, raised at the plan allocation
+        /// that would exceed the budget). Refused inputs count neither as
         /// `conversions` nor as `conversions_failed`.
         inputs_rejected: u64 => counter("engine_inputs_rejected_total",
             "Inputs refused before execution (validation or admission)."),
@@ -242,9 +243,9 @@ engine_stats! {
         verify_time: Duration => counter("engine_verify_nanoseconds_total",
             "Wall time in static plan verification."),
         /// Cumulative wall time spent validating inputs against source
-        /// descriptors (and estimating admission footprints).
+        /// descriptors.
         validate_time: Duration => counter("engine_validate_nanoseconds_total",
-            "Wall time in input validation and admission estimation."),
+            "Wall time in input validation."),
         /// Cumulative wall time spent executing inspectors (summed across
         /// batch workers, so it can exceed wall-clock under parallelism).
         /// Kernel executions are counted separately in `kernel_time`.

@@ -89,20 +89,20 @@ fn unverified_engine_never_uses_kernels() {
 }
 
 #[test]
-fn unvalidated_inputs_disable_kernels() {
-    // Kernels assume validated inputs; an engine that skips validation
-    // must not take the kernel path even when the plan is verified.
+fn budgeted_engines_take_no_kernel() {
+    // Kernels allocate outside the interpreter, where the memory budget
+    // is enforced, so a budgeted engine interprets even a verified pair
+    // with a registered kernel.
     let engine = Engine::with_config(EngineConfig {
         verify_plans: true,
-        validate_inputs: false,
+        memory_budget: Some(1 << 20),
         ..Default::default()
     });
-    let coo = sample_scoo(10, 10, 2);
-    engine
-        .convert(&descriptors::scoo(), &descriptors::csr(), &AnyMatrix::Coo(coo))
-        .unwrap();
+    let coo = AnyMatrix::Coo(sample_scoo(10, 10, 2));
+    let out = engine.convert(&descriptors::scoo(), &descriptors::csr(), &coo).unwrap();
+    assert_eq!(out, verified().convert(&descriptors::scoo(), &descriptors::csr(), &coo).unwrap());
     let stats = engine.stats();
-    assert_eq!(stats.kernels_hit, 0);
+    assert_eq!((stats.kernels_hit, stats.interp_fallbacks), (0, 1));
     assert_invariant(&stats);
 }
 

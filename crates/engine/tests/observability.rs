@@ -151,16 +151,37 @@ fn expected_samples(s: &EngineStats, recorded: u64, dropped: u64) -> BTreeMap<St
     .collect()
 }
 
-/// The three views of one engine agree exactly: each stage-time counter
+/// The three views of an engine agree exactly: each stage-time counter
 /// is the sum of its stage's spans, and every counter line of the
-/// exposition shows its `EngineStats` field. Covers a kernel hit, a
-/// kernel decline, an interpreted pair, a rejected input and an
-/// admission refusal on one verified engine.
+/// exposition shows its `EngineStats` field.
+fn assert_views_agree(engine: &Engine, collector: &CollectingSubscriber) -> EngineStats {
+    let s = engine.stats();
+    let spans = collector.spans();
+    let stage = |want: Stage| move |s: &Span| s.stage == want;
+    assert_eq!(span_time(&spans, stage(Stage::Verify)), s.verify_time);
+    assert_eq!(span_time(&spans, stage(Stage::Validate)), s.validate_time);
+    assert_eq!(span_time(&spans, |s| s.stage == Stage::Kernel && s.ok), s.kernel_time);
+    assert_eq!(
+        span_time(&spans, |s| s.stage == Stage::Kernel && !s.ok),
+        s.kernel_declined_time
+    );
+    let text = engine.metrics_text();
+    assert_eq!(
+        samples(&text),
+        expected_samples(&s, engine.events().recorded(), engine.events().dropped()),
+        "exposition:\n{text}"
+    );
+    s
+}
+
+/// Covers a kernel hit, a kernel decline, an interpreted pair and a
+/// rejected input on one verified engine, and a memory-budget refusal on
+/// a second one (a budgeted engine takes no kernel).
 #[test]
 fn spans_counters_and_exposition_agree() {
     let collector = Arc::new(CollectingSubscriber::new());
     let engine = Engine::with_subscriber(
-        EngineConfig { verify_plans: true, memory_budget: Some(10_000), ..Default::default() },
+        EngineConfig { verify_plans: true, ..Default::default() },
         collector.clone(),
     );
     let (scoo, coo, csr, dia) =
@@ -184,8 +205,20 @@ fn spans_counters_and_exposition_agree() {
     engine.convert(&scoo, &dia, &sample()).unwrap();
     // Rejected input.
     assert!(engine.convert(&scoo, &csr, &unsorted()).is_err());
-    // Admission refusal: an antidiagonal puts every entry on its own
+    let s = assert_views_agree(&engine, &collector);
+    assert_eq!(
+        (s.kernels_hit, s.kernel_declines, s.interp_fallbacks, s.inputs_rejected),
+        (1, 1, 1, 1),
+        "the workload must reach every path: {s:?}"
+    );
+
+    // Budget refusal: an antidiagonal puts every entry on its own
     // diagonal, 64 × 64 DIA slots against a 10 000-byte budget.
+    let collector = Arc::new(CollectingSubscriber::new());
+    let engine = Engine::with_subscriber(
+        EngineConfig { memory_budget: Some(10_000), ..Default::default() },
+        collector.clone(),
+    );
     let n = 64;
     let anti = CooMatrix::from_triplets(
         n,
@@ -196,36 +229,16 @@ fn spans_counters_and_exposition_agree() {
     )
     .unwrap();
     assert!(engine.convert(&scoo, &dia, &AnyMatrix::Coo(anti)).is_err());
-
-    let s = engine.stats();
-    assert_eq!(
-        (s.kernels_hit, s.kernel_declines, s.interp_fallbacks, s.inputs_rejected),
-        (1, 1, 1, 2),
-        "the workload must reach every path: {s:?}"
-    );
-
-    let spans = collector.spans();
-    let stage = |want: Stage| move |s: &Span| s.stage == want;
-    assert_eq!(span_time(&spans, stage(Stage::Verify)), s.verify_time);
-    assert_eq!(
-        span_time(&spans, |s| matches!(s.stage, Stage::Validate | Stage::Admission)),
-        s.validate_time
-    );
-    assert_eq!(span_time(&spans, |s| s.stage == Stage::Kernel && s.ok), s.kernel_time);
-    assert_eq!(
-        span_time(&spans, |s| s.stage == Stage::Kernel && !s.ok),
-        s.kernel_declined_time
+    engine.convert(&scoo, &dia, &sample()).unwrap();
+    let s = assert_views_agree(&engine, &collector);
+    assert_eq!((s.inputs_rejected, s.conversions_failed, s.conversions), (1, 0, 1), "{s:?}");
+    assert!(
+        collector.spans_for(Stage::Interp).iter().any(|s| !s.ok),
+        "the refusal emits a failed interp span"
     );
     assert!(
-        spans.iter().any(|s| s.stage == Stage::Admission && !s.ok),
-        "the refusal emits a failed admission span"
-    );
-
-    let text = engine.metrics_text();
-    assert_eq!(
-        samples(&text),
-        expected_samples(&s, engine.events().recorded(), engine.events().dropped()),
-        "exposition:\n{text}"
+        collector.events().iter().any(|e| e.kind == EventKind::AdmissionRejected),
+        "the refusal emits an admission-rejected event"
     );
 }
 
@@ -354,7 +367,7 @@ engine_synth_nanoseconds_total N
 # HELP engine_verify_nanoseconds_total Wall time in static plan verification.
 # TYPE engine_verify_nanoseconds_total counter
 engine_verify_nanoseconds_total N
-# HELP engine_validate_nanoseconds_total Wall time in input validation and admission estimation.
+# HELP engine_validate_nanoseconds_total Wall time in input validation.
 # TYPE engine_validate_nanoseconds_total counter
 engine_validate_nanoseconds_total N
 # HELP engine_exec_nanoseconds_total Wall time in interpreter execution.

@@ -4,8 +4,8 @@
 //! emit into. The paper's pitch is that synthesized inspectors are
 //! *inspectable* — SPF-IR stages you can see and optimize — and this
 //! crate extends that visibility into the runtime: every conversion is a
-//! sequence of named stages (`plan`, `verify`, `validate`, `admission`,
-//! `kernel`, `interp`, `extract`), and each stage's outcome and duration
+//! sequence of named stages (`plan`, `verify`, `validate`, `kernel`,
+//! `interp`, `extract`), and each stage's outcome and duration
 //! is observable without making the hot path block or allocate.
 //!
 //! Three mechanisms, all dependency-free:
@@ -55,9 +55,6 @@ pub enum Stage {
     /// Input validation against the source descriptor's quantifier
     /// obligations.
     Validate,
-    /// Admission control: destination-footprint estimation against the
-    /// memory budget.
-    Admission,
     /// A native-kernel execution attempt (hit, decline, or contained
     /// panic).
     Kernel,
@@ -69,11 +66,10 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 6] = [
         Stage::Plan,
         Stage::Verify,
         Stage::Validate,
-        Stage::Admission,
         Stage::Kernel,
         Stage::Interp,
         Stage::Extract,
@@ -85,7 +81,6 @@ impl Stage {
             Stage::Plan => "plan",
             Stage::Verify => "verify",
             Stage::Validate => "validate",
-            Stage::Admission => "admission",
             Stage::Kernel => "kernel",
             Stage::Interp => "interp",
             Stage::Extract => "extract",
@@ -133,8 +128,7 @@ pub enum EventKind {
     RunFailed = 4,
     /// Input validation rejected the container before execution.
     InputRejected = 5,
-    /// Admission control refused the conversion (estimated footprint
-    /// over budget).
+    /// An allocation of the plan would have exceeded the memory budget.
     AdmissionRejected = 6,
     /// Plan synthesis or lowering failed.
     PlanFailed = 7,
@@ -285,7 +279,7 @@ mod tests {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.as_str()).collect();
         assert_eq!(
             names,
-            ["plan", "verify", "validate", "admission", "kernel", "interp", "extract"]
+            ["plan", "verify", "validate", "kernel", "interp", "extract"]
         );
     }
 

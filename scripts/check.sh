@@ -13,11 +13,15 @@ echo "==> cargo test -q"
 # included.
 cargo test -q
 
-echo "==> oracle and differential suites on the optimized build"
+echo "==> oracle, differential, fault-injection and tensor suites on the optimized build"
 # The engine serves release builds: check the optimized interpreter and
-# kernels against the 37-pair oracle and the kernel differential suite.
+# kernels against the 37-pair oracle and the kernel differential suite,
+# and the memory-budget and allocation-failure tests, which hold in
+# fault_injection and tensor_path.
 cargo test --release -q -p sparse-engine --test oracle
 cargo test --release -q -p sparse-synthesis --test differential
+cargo test --release -q -p sparse-engine --test fault_injection
+cargo test --release -q -p sparse-engine --test tensor_path
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
