@@ -9,6 +9,12 @@
 //! UF/data/list/symbol names become dense table indices. Each expression
 //! op writes one register; loops, guards and searches hold their bodies
 //! as op slices, and one `match` loop runs a slice.
+//!
+//! An innermost loop whose body is straight-line and free of
+//! cross-iteration hazards compiles to one [`Op::Chunked`] instead: its
+//! body runs one columnar [`Lane`] op at a time over a chunk of
+//! [`LANES`] iterations, so each op is dispatched, and each array it
+//! touches resolved, once per chunk rather than once per iteration.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -173,6 +179,8 @@ enum Op {
     SymSet { sym: u32, value: Reg },
     DataAxpy { y: u32, y_idx: Reg, a: u32, a_idx: Reg, x: u32, x_idx: Reg },
     Copy { dst: u32, dst_idx: Reg, src: u32, src_idx: Reg },
+    /// A `For` run a chunk of iterations at a time.
+    Chunked(Box<Chunked>),
 }
 
 /// A `FindBinary`: `key` computes `key_reg` from `slot`, and `body` runs
@@ -248,6 +256,368 @@ impl Program {
     pub fn list_names(&self) -> &[String] {
         &self.lists
     }
+
+    /// How many of the program's loops run chunked and how many on the
+    /// op loop.
+    pub fn loop_counts(&self) -> LoopCounts {
+        fn count(ops: &[Op], n: &mut LoopCounts) {
+            for op in ops {
+                match op {
+                    Op::For { body, .. } => {
+                        n.op_loop += 1;
+                        count(&body.ops, n);
+                    }
+                    Op::Chunked(c) => n.chunked += 1 + usize::from(c.outer.is_some()),
+                    Op::If { body, .. } => count(&body.ops, n),
+                    Op::Find(f) => count(&f.body.ops, n),
+                    _ => {}
+                }
+            }
+        }
+        let mut n = LoopCounts::default();
+        count(&self.main.ops, &mut n);
+        n
+    }
+}
+
+/// Iterations an [`Op::Chunked`] loop runs per chunk. A lane number fits
+/// a `u8`, so a selection vector indexes a column without bounds checks.
+const LANES: usize = 256;
+
+/// One register's value in each lane of a chunk.
+type Column = [i64; LANES];
+
+/// Register arithmetic, as one columnar op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Min,
+    Max,
+}
+
+/// An array, list or symbol an op touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Res {
+    Uf(u32),
+    Data(u32),
+    List(u32),
+    Sym(u32),
+}
+
+/// One op of a chunked loop body: the [`Op`] of the same name run over
+/// every selected lane of a chunk, lane by lane in iteration order. While
+/// a body is compiled the operands are registers; once it qualifies they
+/// are renumbered to columns.
+#[derive(Debug)]
+enum Lane {
+    Mov { dst: Reg, src: Reg },
+    Sym { dst: Reg, sym: u32 },
+    UfRead { dst: Reg, uf: u32, idx: Reg },
+    ListRank { dst: Reg, list: u32, args: Box<[Reg]> },
+    ListLen { dst: Reg, list: u32 },
+    Arith { op: Arith, dst: Reg, a: Reg, b: Reg },
+    /// Narrows the selection to the lanes where the guard holds; `stmts`
+    /// is the guarded block's statement count.
+    If { a: Reg, op: CmpOp, b: Reg, body: Vec<Lane>, stmts: u64 },
+    /// A binary search per lane ([`Find`]): each step runs `key` on the
+    /// lanes still searching, then `body` runs on the lanes that found
+    /// their target.
+    Find(Box<LaneFind>),
+    UfWrite { uf: u32, idx: Reg, value: Reg },
+    UfMin { uf: u32, idx: Reg, value: Reg },
+    UfMax { uf: u32, idx: Reg, value: Reg },
+    /// The counter `old = uf[idx]; uf[idx] = old + inc`, fused from a
+    /// read, an add of a literal and a write.
+    UfBump { old: Reg, uf: u32, idx: Reg, inc: i64 },
+    /// The scalar counter `old = sym; sym = old + inc`.
+    SymBump { old: Reg, sym: u32, inc: i64 },
+    ListInsert { list: u32, args: Box<[Reg]> },
+    SymSet { sym: u32, value: Reg },
+    DataAxpy { y: u32, y_idx: Reg, a: u32, a_idx: Reg, x: u32, x_idx: Reg },
+    Copy { dst: u32, dst_idx: Reg, src: u32, src_idx: Reg },
+}
+
+/// [`Find`] over lanes, with `key` and `body` as lane ops.
+#[derive(Debug)]
+struct LaneFind {
+    slot: Reg,
+    lo: Reg,
+    hi: Reg,
+    target: Reg,
+    key: Vec<Lane>,
+    key_reg: Reg,
+    body: Vec<Lane>,
+    stmts: u64,
+}
+
+impl Lane {
+    /// The straight-line body `ops` as lane ops, or `None` when an op has
+    /// no columnar form: loops, allocations, list finalization, division,
+    /// and a copy or multiply-add that reads the array it writes.
+    fn from_ops(ops: &[Op]) -> Option<Vec<Lane>> {
+        let arith = |op, dst, a, b| Lane::Arith { op, dst, a, b };
+        ops.iter()
+            .map(|op| {
+                Some(match *op {
+                    Op::Mov { dst, src } => Lane::Mov { dst, src },
+                    Op::Sym { dst, sym } => Lane::Sym { dst, sym },
+                    Op::UfRead { dst, uf, idx } => Lane::UfRead { dst, uf, idx },
+                    Op::ListRank { dst, list, ref args } => {
+                        Lane::ListRank { dst, list, args: args.clone() }
+                    }
+                    Op::ListLen { dst, list } => Lane::ListLen { dst, list },
+                    Op::Add(d, a, b) => arith(Arith::Add, d, a, b),
+                    Op::Sub(d, a, b) => arith(Arith::Sub, d, a, b),
+                    Op::Mul(d, a, b) => arith(Arith::Mul, d, a, b),
+                    Op::Min(d, a, b) => arith(Arith::Min, d, a, b),
+                    Op::Max(d, a, b) => arith(Arith::Max, d, a, b),
+                    Op::If { a, op, b, ref body } => {
+                        Lane::If { a, op, b, body: Lane::from_ops(&body.ops)?, stmts: body.stmts }
+                    }
+                    Op::Find(ref f) => Lane::Find(Box::new(LaneFind {
+                        slot: f.slot,
+                        lo: f.lo,
+                        hi: f.hi,
+                        target: f.target,
+                        key: Lane::from_ops(&f.key.ops)?,
+                        key_reg: f.key_reg,
+                        body: Lane::from_ops(&f.body.ops)?,
+                        stmts: f.body.stmts,
+                    })),
+                    Op::UfWrite { uf, idx, value } => Lane::UfWrite { uf, idx, value },
+                    Op::UfMin { uf, idx, value } => Lane::UfMin { uf, idx, value },
+                    Op::UfMax { uf, idx, value } => Lane::UfMax { uf, idx, value },
+                    Op::ListInsert { list, ref args } => {
+                        Lane::ListInsert { list, args: args.clone() }
+                    }
+                    Op::SymSet { sym, value } => Lane::SymSet { sym, value },
+                    Op::DataAxpy { y, y_idx, a, a_idx, x, x_idx } if y != a && y != x => {
+                        Lane::DataAxpy { y, y_idx, a, a_idx, x, x_idx }
+                    }
+                    Op::Copy { dst, dst_idx, src, src_idx } if dst != src => {
+                        Lane::Copy { dst, dst_idx, src, src_idx }
+                    }
+                    _ => return None,
+                })
+            })
+            .collect()
+    }
+
+    /// The register this op writes.
+    fn def(&self) -> Option<Reg> {
+        match *self {
+            Lane::Mov { dst, .. }
+            | Lane::Sym { dst, .. }
+            | Lane::UfRead { dst, .. }
+            | Lane::ListRank { dst, .. }
+            | Lane::ListLen { dst, .. }
+            | Lane::Arith { dst, .. }
+            | Lane::UfBump { old: dst, .. }
+            | Lane::SymBump { old: dst, .. } => Some(dst),
+            Lane::Find(ref s) => Some(s.slot),
+            _ => None,
+        }
+    }
+
+    /// The blocks this op runs: a guard's body, a search's key and body.
+    fn blocks(&self) -> impl Iterator<Item = &Vec<Lane>> {
+        let (a, b) = match self {
+            Lane::If { body, .. } => (Some(body), None),
+            Lane::Find(s) => (Some(&s.key), Some(&s.body)),
+            _ => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
+    fn blocks_mut(&mut self) -> impl Iterator<Item = &mut Vec<Lane>> {
+        let (a, b) = match self {
+            Lane::If { body, .. } => (Some(body), None),
+            Lane::Find(s) => {
+                let s = &mut **s;
+                (Some(&mut s.key), Some(&mut s.body))
+            }
+            _ => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// Calls `f` on each register this op reads, not counting the blocks
+    /// it runs (see [`Lane::blocks`]).
+    fn uses(&mut self, f: &mut impl FnMut(&mut Reg)) {
+        match self {
+            Lane::Sym { .. } | Lane::ListLen { .. } | Lane::SymBump { .. } => {}
+            Lane::Mov { src: r, .. }
+            | Lane::UfRead { idx: r, .. }
+            | Lane::UfBump { idx: r, .. }
+            | Lane::SymSet { value: r, .. } => f(r),
+            Lane::ListRank { args, .. } | Lane::ListInsert { args, .. } => {
+                args.iter_mut().for_each(f)
+            }
+            Lane::Arith { a, b, .. }
+            | Lane::If { a, b, .. }
+            | Lane::UfWrite { idx: a, value: b, .. }
+            | Lane::UfMin { idx: a, value: b, .. }
+            | Lane::UfMax { idx: a, value: b, .. }
+            | Lane::Copy { src_idx: a, dst_idx: b, .. } => {
+                f(a);
+                f(b);
+            }
+            Lane::DataAxpy { y_idx, a_idx, x_idx, .. } => {
+                f(y_idx);
+                f(a_idx);
+                f(x_idx);
+            }
+            Lane::Find(s) => {
+                f(&mut s.lo);
+                f(&mut s.hi);
+                f(&mut s.target);
+            }
+        }
+    }
+
+    /// Calls `f` on each array, list or symbol this op touches, with
+    /// whether it writes it. A rank lookup advances the list's cursor, so
+    /// it counts as a write.
+    fn effects(&self, f: &mut impl FnMut(Res, bool)) {
+        match *self {
+            Lane::Mov { .. } | Lane::Arith { .. } | Lane::If { .. } | Lane::Find(_) => {}
+            Lane::Sym { sym, .. } => f(Res::Sym(sym), false),
+            Lane::UfRead { uf, .. } => f(Res::Uf(uf), false),
+            Lane::ListLen { list, .. } => f(Res::List(list), false),
+            Lane::ListRank { list, .. } | Lane::ListInsert { list, .. } => f(Res::List(list), true),
+            Lane::UfWrite { uf, .. }
+            | Lane::UfMin { uf, .. }
+            | Lane::UfMax { uf, .. }
+            | Lane::UfBump { uf, .. } => f(Res::Uf(uf), true),
+            Lane::SymBump { sym, .. } | Lane::SymSet { sym, .. } => f(Res::Sym(sym), true),
+            Lane::DataAxpy { y, a, x, .. } => {
+                f(Res::Data(a), false);
+                f(Res::Data(x), false);
+                f(Res::Data(y), true);
+            }
+            Lane::Copy { dst, src, .. } => {
+                f(Res::Data(src), false);
+                f(Res::Data(dst), true);
+            }
+        }
+    }
+
+    /// The value-numbering key of an op whose result depends only on its
+    /// operands: arithmetic, and reads of what the body never writes.
+    fn key(&self, writes: &[Res]) -> Option<(u8, u32, u32)> {
+        match *self {
+            Lane::Arith { op, a, b, .. } => {
+                let commutes = op != Arith::Sub;
+                let (a, b) = if commutes && b < a { (b, a) } else { (a, b) };
+                Some((op as u8, a, b))
+            }
+            Lane::Sym { sym, .. } if !writes.contains(&Res::Sym(sym)) => Some((5, sym, 0)),
+            Lane::UfRead { uf, idx, .. } if !writes.contains(&Res::Uf(uf)) => Some((6, uf, idx)),
+            Lane::ListLen { list, .. } if !writes.contains(&Res::List(list)) => Some((7, list, 0)),
+            _ => None,
+        }
+    }
+}
+
+/// What `ops` write, nested blocks included.
+fn writes(ops: &[Lane]) -> Vec<Res> {
+    let mut out = Vec::new();
+    each_op(ops, &mut |op| {
+        op.effects(&mut |res, w| {
+            if w && !out.contains(&res) {
+                out.push(res);
+            }
+        })
+    });
+    out
+}
+
+/// Calls `f` on every register `ops` write or read, nested blocks
+/// included.
+fn each_reg(ops: &mut [Lane], f: &mut impl FnMut(&mut Reg)) {
+    for op in ops {
+        op.uses(f);
+        for block in op.blocks_mut() {
+            each_reg(block, f);
+        }
+        match op {
+            Lane::Find(s) => {
+                f(&mut s.slot);
+                f(&mut s.key_reg);
+            }
+            Lane::Mov { dst, .. }
+            | Lane::Sym { dst, .. }
+            | Lane::UfRead { dst, .. }
+            | Lane::ListRank { dst, .. }
+            | Lane::ListLen { dst, .. }
+            | Lane::Arith { dst, .. }
+            | Lane::UfBump { old: dst, .. }
+            | Lane::SymBump { old: dst, .. } => f(dst),
+            _ => {}
+        }
+    }
+}
+
+/// Calls `f` on each op of `ops`, nested blocks included, in order.
+fn each_op(ops: &[Lane], f: &mut impl FnMut(&Lane)) {
+    for op in ops {
+        f(op);
+        for block in op.blocks() {
+            each_op(block, f);
+        }
+    }
+}
+
+/// A loop compiled to run a chunk of iterations at a time. Its body
+/// holds no cross-iteration hazard (see [`Compiler::chunk`]), so running
+/// each op over every lane of a chunk before the next op gives the
+/// iteration-order result.
+#[derive(Debug)]
+struct Chunked {
+    /// The outer loop of a perfect nest, whose iterations fill the same
+    /// chunks.
+    outer: Option<Outer>,
+    slot: Reg,
+    lo: Reg,
+    hi: Reg,
+    /// Statements per iteration, for [`ExecStats`].
+    stmts: u64,
+    body: Box<[Lane]>,
+    /// The register behind each column: the loop variable, the slots the
+    /// body writes (up to `keep`), the temporaries it writes (up to
+    /// `written`), then the registers it only reads.
+    regs: Box<[Reg]>,
+    /// Columns whose last value goes back to the register file, as the
+    /// op loop would leave it.
+    keep: usize,
+    written: usize,
+    /// Read-only columns set on every lane: a nest's outer variable and
+    /// what its head computes.
+    spread: Box<[usize]>,
+    /// Read-only columns broadcast once per loop.
+    invariant: Box<[usize]>,
+}
+
+/// The outer loop of a chunked perfect nest. `head` is its body up to the
+/// inner loop: reads and arithmetic that compute the inner bounds.
+#[derive(Debug)]
+struct Outer {
+    slot: Reg,
+    lo: Reg,
+    hi: Reg,
+    head: Block,
+}
+
+/// How a program's `For` loops run: chunked (a perfect nest counts as
+/// two loops) or on the op loop.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoopCounts {
+    /// Loops that run a chunk of iterations at a time.
+    pub chunked: usize,
+    /// Loops that run one iteration at a time.
+    pub op_loop: usize,
 }
 
 /// The value of `e` when it is built from literals alone, so the
@@ -276,6 +646,9 @@ struct Compiler {
     lists: Interner,
     regs: Vec<i64>,
     consts: HashMap<i64, Reg>,
+    /// Registers below this are variable slots; temporaries and
+    /// constants come after.
+    nslots: usize,
 }
 
 impl Compiler {
@@ -358,7 +731,8 @@ impl Compiler {
             Stmt::For { slot, lo, hi, body, .. } => {
                 let lo = self.expr(lo, ops, None);
                 let hi = self.expr(hi, ops, None);
-                Op::For { slot: slot.0, lo, hi, body: self.block(body) }
+                let body = self.block(body);
+                self.for_loop(slot.0, lo, hi, body)
             }
             Stmt::Let { slot, value, .. } => {
                 let src = self.expr(value, ops, Some(slot.0));
@@ -463,6 +837,303 @@ impl Compiler {
         };
         ops.push(op);
     }
+
+    /// `for slot in lo..hi { body }`: chunked when the body qualifies
+    /// (see [`Compiler::chunk`]) or closes a perfect nest around a
+    /// chunked loop (see [`Compiler::nest`]), else on the op loop.
+    fn for_loop(&mut self, slot: Reg, lo: Reg, hi: Reg, body: Block) -> Op {
+        let body = match self.nest(slot, lo, hi, body) {
+            Ok(c) => return Op::Chunked(c),
+            Err(body) => body,
+        };
+        match self.chunk(slot, lo, hi, &body) {
+            Some(c) => Op::Chunked(Box::new(c)),
+            None => Op::For { slot, lo, hi, body },
+        }
+    }
+
+    /// `r`'s value when it is a constant register.
+    fn literal(&self, r: Reg) -> Option<i64> {
+        let v = self.regs[r as usize];
+        (self.consts.get(&v) == Some(&r)).then_some(v)
+    }
+
+    /// Compiles the body of an innermost loop to lane ops, when it
+    /// qualifies: every op has a columnar form ([`Lane::from_ops`]), and
+    /// after value numbering and counter fusion
+    ///
+    /// * each array, list or symbol the body writes is touched by exactly
+    ///   one op;
+    /// * no register is read before the body writes it (in a scope that
+    ///   encloses the read), none is written twice, and the loop variable
+    ///   is never written.
+    ///
+    /// Then no op depends on another op's work in an earlier iteration,
+    /// so op-at-a-time order over a chunk gives iteration order.
+    fn chunk(&self, slot: Reg, lo: Reg, hi: Reg, body: &Block) -> Option<Chunked> {
+        let mut ops = Lane::from_ops(&body.ops)?;
+        let writes = writes(&ops);
+        self.number(&mut ops, &writes, &mut Vec::new(), &mut Vec::new());
+        if self.fuse(&mut ops) {
+            self.prune(&mut ops);
+        }
+
+        let exclusive = writes.iter().all(|&res| {
+            let mut touching = 0;
+            each_op(&ops, &mut |op| {
+                let mut hit = false;
+                op.effects(&mut |r, _| hit |= r == res);
+                touching += usize::from(hit);
+            });
+            touching == 1
+        });
+        if !exclusive {
+            return None;
+        }
+
+        let mut defs = Vec::new();
+        each_op(&ops, &mut |op| defs.extend(op.def()));
+        let twice = defs.iter().enumerate().any(|(k, r)| defs[..k].contains(r));
+        if twice || defs.contains(&slot) {
+            return None;
+        }
+        if !defined_before_use(&mut ops, &defs, &mut Vec::new()) {
+            return None;
+        }
+
+        // Columns: the loop variable, the slots written, the temporaries
+        // written, then what the body only reads.
+        let nslots = self.nslots as Reg;
+        let mut regs = vec![slot];
+        regs.extend(defs.iter().filter(|&&r| r < nslots));
+        let keep = regs.len();
+        regs.extend(defs.iter().filter(|&&r| r >= nslots));
+        let written = regs.len();
+        each_reg(&mut ops, &mut |r| {
+            let col = regs.iter().position(|x| x == r).unwrap_or_else(|| {
+                regs.push(*r);
+                regs.len() - 1
+            });
+            *r = col as Reg;
+        });
+        Some(Chunked {
+            outer: None,
+            slot,
+            lo,
+            hi,
+            stmts: body.stmts,
+            body: ops.into(),
+            invariant: (written..regs.len()).collect(),
+            spread: Box::new([]),
+            regs: regs.into(),
+            keep,
+            written,
+        })
+    }
+
+    /// Value numbering: drops an op whose key ([`Lane::key`]) an op in the
+    /// same or an enclosing scope already computed, and reads its result
+    /// from that op instead. Only temporaries are dropped; a slot the body
+    /// binds stays.
+    fn number(
+        &self,
+        ops: &mut Vec<Lane>,
+        writes: &[Res],
+        seen: &mut Vec<((u8, u32, u32), Reg)>,
+        renamed: &mut Vec<(Reg, Reg)>,
+    ) {
+        let scope = seen.len();
+        ops.retain_mut(|op| {
+            op.uses(&mut |r| {
+                if let Some(&(_, to)) = renamed.iter().find(|(from, _)| from == r) {
+                    *r = to;
+                }
+            });
+            for block in op.blocks_mut() {
+                self.number(block, writes, seen, renamed);
+            }
+            let (Some(key), Some(dst)) = (op.key(writes), op.def()) else { return true };
+            match seen.iter().find(|(k, _)| *k == key) {
+                Some(&(_, prev)) if dst as usize >= self.nslots => {
+                    renamed.push((dst, prev));
+                    false
+                }
+                Some(_) => true,
+                None => {
+                    seen.push((key, dst));
+                    true
+                }
+            }
+        });
+        seen.truncate(scope);
+    }
+
+    /// Fuses each counter `old = A[idx]; new = old + c; A[idx] = new`
+    /// (or the same on a symbol), where `c` is a literal and all three ops
+    /// share a scope, into one [`Lane::UfBump`] or [`Lane::SymBump`] at
+    /// the read, and returns whether it fused any. The add stays for any
+    /// other reader of `new`.
+    fn fuse(&self, ops: &mut Vec<Lane>) -> bool {
+        let mut fused = false;
+        for block in ops.iter_mut().flat_map(Lane::blocks_mut) {
+            fused |= self.fuse(block);
+        }
+        let mut w = 0;
+        while w < ops.len() {
+            match self.counter(ops, w) {
+                Some((r, bump)) => {
+                    ops[r] = bump;
+                    ops.remove(w);
+                    fused = true;
+                }
+                None => w += 1,
+            }
+        }
+        fused
+    }
+
+    /// The counter whose write is `ops[w]`, as its read's position and the
+    /// fused op.
+    fn counter(&self, ops: &[Lane], w: usize) -> Option<(usize, Lane)> {
+        let value = match ops[w] {
+            Lane::UfWrite { value, .. } | Lane::SymSet { value, .. } => value,
+            _ => return None,
+        };
+        let (a, b) = ops[..w].iter().find_map(|op| match *op {
+            Lane::Arith { op: Arith::Add, dst, a, b } if dst == value => Some((a, b)),
+            _ => None,
+        })?;
+        [(a, b), (b, a)].into_iter().find_map(|(old, inc)| {
+            let inc = self.literal(inc)?;
+            ops[..w].iter().enumerate().find_map(|(r, op)| match (op, &ops[w]) {
+                (&Lane::UfRead { dst, uf, idx }, &Lane::UfWrite { uf: u, idx: i, .. })
+                    if dst == old && uf == u && idx == i =>
+                {
+                    Some((r, Lane::UfBump { old, uf, idx, inc }))
+                }
+                (&Lane::Sym { dst, sym }, &Lane::SymSet { sym: s, .. })
+                    if dst == old && sym == s =>
+                {
+                    Some((r, Lane::SymBump { old, sym, inc }))
+                }
+                _ => None,
+            })
+        })
+    }
+
+    /// Drops arithmetic into temporaries nothing reads, such as a fused
+    /// counter's add.
+    fn prune(&self, ops: &mut Vec<Lane>) {
+        fn retain(ops: &mut Vec<Lane>, dead: &impl Fn(&Lane) -> bool) {
+            ops.retain(|op| !dead(op));
+            for block in ops.iter_mut().flat_map(Lane::blocks_mut) {
+                retain(block, dead);
+            }
+        }
+        fn reads(ops: &mut [Lane], out: &mut Vec<Reg>) {
+            for op in ops {
+                op.uses(&mut |r| out.push(*r));
+                if let Lane::Find(s) = op {
+                    out.push(s.key_reg);
+                }
+                for block in op.blocks_mut() {
+                    reads(block, out);
+                }
+            }
+        }
+        let nslots = self.nslots as Reg;
+        loop {
+            let mut read = Vec::new();
+            reads(ops, &mut read);
+            let dead = |op: &Lane| {
+                matches!(op, Lane::Arith { dst, .. } if *dst >= nslots && !read.contains(dst))
+            };
+            let mut any = false;
+            each_op(ops, &mut |op| any |= dead(op));
+            if !any {
+                return;
+            }
+            retain(ops, &dead);
+        }
+    }
+
+    /// Closes a perfect nest: `body` is a head of reads and arithmetic
+    /// computing the bounds of one chunked inner loop, which then takes
+    /// this loop as its outer loop, so outer iterations fill the same
+    /// chunks. The head may not write what the inner body reads or
+    /// writes, nor read what it writes: heads run ahead of pending lanes.
+    fn nest(&self, slot: Reg, lo: Reg, hi: Reg, body: Block) -> Result<Box<Chunked>, Block> {
+        let Some((Op::Chunked(inner), head)) = body.ops.split_last() else {
+            return Err(body);
+        };
+        let inner_writes = writes(&inner.body);
+        let inner_defs = &inner.regs[..inner.written];
+        let mut head_defs = Vec::new();
+        let fits = inner.outer.is_none()
+            && !inner_defs.contains(&slot)
+            && head.iter().all(|op| {
+                let (dst, reads, res) = match *op {
+                    Op::Mov { dst, src } => (dst, [src, src], None),
+                    Op::Sym { dst, sym } => (dst, [dst, dst], Some(Res::Sym(sym))),
+                    Op::UfRead { dst, uf, idx } => (dst, [idx, idx], Some(Res::Uf(uf))),
+                    Op::Add(d, a, b)
+                    | Op::Sub(d, a, b)
+                    | Op::Mul(d, a, b)
+                    | Op::Min(d, a, b)
+                    | Op::Max(d, a, b) => (d, [a, b], None),
+                    _ => return false,
+                };
+                head_defs.push(dst);
+                dst != slot
+                    && !inner_defs.contains(&dst)
+                    && !reads.iter().any(|r| inner_defs.contains(r))
+                    && res.is_none_or(|res| !inner_writes.contains(&res))
+            });
+        if !fits {
+            return Err(body);
+        }
+        let mut ops = body.ops.into_vec();
+        let Some(Op::Chunked(mut inner)) = ops.pop() else {
+            unreachable!("checked above")
+        };
+        let (spread, invariant): (Vec<usize>, Vec<usize>) = inner
+            .invariant
+            .iter()
+            .partition(|&&c| inner.regs[c] == slot || head_defs.contains(&inner.regs[c]));
+        inner.spread = spread.into();
+        inner.invariant = invariant.into();
+        let head = Block { ops: ops.into(), stmts: body.stmts };
+        inner.outer = Some(Outer { slot, lo, hi, head });
+        Ok(inner)
+    }
+}
+
+/// Whether every register `ops` read that the body writes (`defs`) was
+/// written by an earlier op of the same or an enclosing scope. A search
+/// defines its slot for its key and body, and its key's registers for
+/// its body.
+fn defined_before_use(ops: &mut [Lane], defs: &[Reg], defined: &mut Vec<Reg>) -> bool {
+    let scope = defined.len();
+    let ok = ops.iter_mut().all(|op| {
+        let mut ok = true;
+        op.uses(&mut |r| ok &= !defs.contains(r) || defined.contains(r));
+        defined.extend(op.def());
+        match op {
+            Lane::If { body, .. } => ok &= defined_before_use(body, defs, defined),
+            Lane::Find(s) => {
+                let inner = defined.len();
+                ok &= defined_before_use(&mut s.key, defs, defined);
+                defined.extend(s.key.iter().filter_map(Lane::def));
+                ok &= !defs.contains(&s.key_reg) || defined.contains(&s.key_reg);
+                ok &= defined_before_use(&mut s.body, defs, defined);
+                defined.truncate(inner);
+            }
+            _ => {}
+        }
+        ok
+    });
+    defined.truncate(scope);
+    ok
 }
 
 /// Pushes the factors of the product `e` onto `out`, so an allocation
@@ -479,7 +1150,8 @@ fn product_factors<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
 
 /// Compiles a statement list into an executable [`Program`].
 pub fn compile(stmts: &[Stmt], slots: &SlotAlloc) -> Program {
-    let mut c = Compiler { regs: vec![0; slots.len()], ..Compiler::default() };
+    let mut c =
+        Compiler { regs: vec![0; slots.len()], nslots: slots.len(), ..Compiler::default() };
     let main = c.block(stmts);
     Program {
         main,
@@ -498,8 +1170,8 @@ enum Fault {
 }
 
 #[inline(always)]
-fn at<'s, T: Clone>(arr: &'s Option<Cow<'_, [T]>>, idx: i64) -> Result<&'s T, Fault> {
-    let a = arr.as_deref().ok_or(Fault::Unbound)?;
+fn at<T>(arr: Option<&[T]>, idx: i64) -> Result<&T, Fault> {
+    let a = arr.ok_or(Fault::Unbound)?;
     usize::try_from(idx).ok().and_then(|i| a.get(i)).ok_or(Fault::Oob { idx, len: a.len() })
 }
 
@@ -548,6 +1220,179 @@ fn bad_alloc(names: &[String], arr: u32, size: i64) -> ExecError {
     ExecError::BadAlloc { name: names[arr as usize].clone(), size }
 }
 
+/// The lanes of a chunk an op runs on: the first `n`, or a guard's
+/// selection, ascending.
+#[derive(Clone, Copy)]
+enum Sel<'s> {
+    All(usize),
+    Some(&'s [u8]),
+}
+
+impl Sel<'_> {
+    /// The selected lanes below `limit`.
+    fn below(self, limit: usize) -> Self {
+        match self {
+            Sel::All(n) => Sel::All(n.min(limit)),
+            Sel::Some(s) if s.last().is_some_and(|&l| l as usize >= limit) => {
+                Sel::Some(&s[..s.partition_point(|&l| (l as usize) < limit)])
+            }
+            sel => sel,
+        }
+    }
+
+    fn first(self) -> Option<usize> {
+        match self {
+            Sel::All(n) => (n > 0).then_some(0),
+            Sel::Some(s) => s.first().map(|&l| l as usize),
+        }
+    }
+
+    fn last(self) -> Option<usize> {
+        match self {
+            Sel::All(n) => n.checked_sub(1),
+            Sel::Some(s) => s.last().map(|&l| l as usize),
+        }
+    }
+
+    /// Calls `f` on each lane, in order. Lane numbers are below
+    /// [`LANES`], so indexing a [`Column`] with one needs no check.
+    #[inline(always)]
+    fn each(self, mut f: impl FnMut(usize)) {
+        match self {
+            Sel::All(n) => (0..n.min(LANES)).for_each(f),
+            Sel::Some(s) => s.iter().for_each(|&l| f(l as usize)),
+        }
+    }
+
+    /// [`Sel::each`], stopping at the first lane that fails.
+    #[inline(always)]
+    fn try_each<E>(self, mut f: impl FnMut(usize) -> Result<(), E>) -> Result<(), (usize, E)> {
+        match self {
+            Sel::All(n) => (0..n.min(LANES)).try_for_each(|l| f(l).map_err(|e| (l, e))),
+            Sel::Some(s) => s.iter().try_for_each(|&l| f(l as usize).map_err(|e| (l as usize, e))),
+        }
+    }
+
+    /// The fault of an op that fails on every lane: it shows on the first.
+    fn fail(self, e: impl FnOnce() -> ExecError) -> Result<(), (usize, ExecError)> {
+        self.first().map_or(Ok(()), |l| Err((l, e())))
+    }
+}
+
+/// The columns of a chunk split around `dst`, which an op writes while it
+/// reads others: no op reads the column it writes.
+fn split(cols: &mut [Column], dst: Reg) -> (&mut Column, Cols<'_>) {
+    let (lo, rest) = cols.split_at_mut(dst as usize);
+    let Some((d, hi)) = rest.split_first_mut() else { unreachable!("column {dst} exists") };
+    (d, Cols { lo, hi })
+}
+
+/// Read access to every column but the one an op writes.
+struct Cols<'c> {
+    lo: &'c [Column],
+    hi: &'c [Column],
+}
+
+impl<'c> Cols<'c> {
+    fn get(&self, c: Reg) -> &'c Column {
+        let c = c as usize;
+        match c.checked_sub(self.lo.len() + 1) {
+            Some(h) => &self.hi[h],
+            None => &self.lo[c],
+        }
+    }
+}
+
+/// An array resolved once per chunk, and its length when bound. An
+/// unbound array reads as empty, so every access to it fails, as in the
+/// op loop; [`miss`] then names the fault.
+fn readable<'s, T: Clone>(arr: &'s Option<Cow<'_, [T]>>) -> (&'s [T], Option<usize>) {
+    let a = arr.as_deref();
+    (a.unwrap_or_default(), a.map(<[T]>::len))
+}
+
+/// [`readable`] for writing: an owned copy of a borrowed array is taken
+/// before the lanes run.
+fn writable<'s, T: Clone>(arr: &'s mut Option<Cow<'_, [T]>>) -> (&'s mut [T], Option<usize>) {
+    match arr {
+        Some(a) => {
+            let a = a.to_mut();
+            let len = a.len();
+            (a, Some(len))
+        }
+        None => (&mut [], None),
+    }
+}
+
+/// Why an access at `idx` into an array of length `len` (`None` when
+/// unbound) failed.
+#[cold]
+fn miss(len: Option<usize>, idx: i64) -> Fault {
+    len.map_or(Fault::Unbound, |len| Fault::Oob { idx, len })
+}
+
+/// The element at `idx`, negative indices included.
+#[inline(always)]
+fn get<T>(a: &[T], idx: i64) -> Option<&T> {
+    a.get(usize::try_from(idx).ok()?)
+}
+
+#[inline(always)]
+fn get_mut<T>(a: &mut [T], idx: i64) -> Option<&mut T> {
+    a.get_mut(usize::try_from(idx).ok()?)
+}
+
+/// Writes the selected lanes `i` of `dst` from `a` and `b`.
+#[inline(always)]
+fn zip(sel: Sel<'_>, dst: &mut Column, a: &Column, b: &Column, f: impl Fn(i64, i64) -> i64) {
+    sel.each(|l| dst[l] = f(a[l], b[l]));
+}
+
+/// Writes the selected lanes where `keep` holds to `out`, in order, and
+/// returns how many.
+#[inline(always)]
+fn select(sel: Sel<'_>, out: &mut [u8; LANES], keep: impl Fn(usize) -> bool) -> usize {
+    let mut m = 0;
+    sel.each(|l| {
+        out[m] = l as u8;
+        m += usize::from(keep(l));
+    });
+    m
+}
+
+/// The lanes of a chunk still to run, and the columns they fill.
+struct Pending {
+    cols: Vec<Column>,
+    n: usize,
+    /// Lanes of the invariant columns already broadcast.
+    broadcast: usize,
+}
+
+/// The earliest fault in a chunk so far: ops run only below its lane.
+struct Limit {
+    lanes: usize,
+    err: Option<ExecError>,
+}
+
+/// An empty vector with room for exactly `len` elements of the array
+/// `name` (`len` is `None` when the element count overflowed): the one
+/// place a run, or a native kernel, asks the allocator for an array. The
+/// byte size is checked and the allocator may refuse; each failure is a
+/// typed error naming the array, never a panic or an abort.
+///
+/// # Errors
+/// [`ExecError::AllocOverflow`] when the element or byte count
+/// overflows, [`ExecError::AllocFailed`] when the allocator refuses.
+pub fn reserve<T>(name: &str, len: Option<usize>) -> Result<Vec<T>, ExecError> {
+    let overflow = || ExecError::AllocOverflow { name: name.to_string() };
+    let n = len.ok_or_else(overflow)?;
+    let bytes = n.checked_mul(std::mem::size_of::<T>()).ok_or_else(overflow)?;
+    let mut v = Vec::new();
+    v.try_reserve_exact(n)
+        .map_err(|_| ExecError::AllocFailed { name: name.to_string(), bytes: bytes as u64 })?;
+    Ok(v)
+}
+
 /// The bytes a run's allocations have taken, and the most they may take.
 struct Budget {
     used: u64,
@@ -555,13 +1400,11 @@ struct Budget {
 }
 
 impl Budget {
-    /// The one place a run allocates an array: `len` elements of `fill`
-    /// (`None` when the element count overflowed) for array `names[id]`.
-    /// The byte size is checked, added to the run's total and held to
-    /// the limit before the allocator is asked, and the allocator may
-    /// refuse; each failure is a typed error naming the array. Kept out
-    /// of line: a run allocates a handful of times, and the op loop
-    /// stays as compact as before.
+    /// A run's allocation of `len` elements of `fill` (`None` when the
+    /// element count overflowed) for array `names[id]`: the byte size is
+    /// added to the run's total and held to the limit before [`reserve`]
+    /// asks the allocator. Kept out of line: a run allocates a handful of
+    /// times, and the op loop stays as compact as before.
     #[inline(never)]
     fn alloc<T: Clone>(
         &mut self,
@@ -570,22 +1413,18 @@ impl Budget {
         len: Option<usize>,
         fill: T,
     ) -> Result<Vec<T>, ExecError> {
+        let name = &names[id as usize];
         let bytes = len.and_then(|n| n.checked_mul(std::mem::size_of::<T>()));
         let total = bytes.and_then(|b| self.used.checked_add(b as u64));
-        let name = || names[id as usize].clone();
         if let Some(budget) = self.limit {
             let needed = total.unwrap_or(u64::MAX);
             if needed > budget {
-                return Err(ExecError::OverBudget { name: name(), needed, budget });
+                return Err(ExecError::OverBudget { name: name.clone(), needed, budget });
             }
         }
-        let (Some(n), Some(bytes), Some(total)) = (len, bytes, total) else {
-            return Err(ExecError::AllocOverflow { name: name() });
-        };
-        let mut v = Vec::new();
-        v.try_reserve_exact(n)
-            .map_err(|_| ExecError::AllocFailed { name: name(), bytes: bytes as u64 })?;
-        v.resize(n, fill);
+        let total = total.ok_or_else(|| ExecError::AllocOverflow { name: name.clone() })?;
+        let mut v = reserve(name, len)?;
+        v.resize(len.unwrap_or_default(), fill);
         self.used = total;
         Ok(v)
     }
@@ -602,6 +1441,8 @@ struct State<'a> {
     budget: Budget,
     stats: ExecStats,
     key: Vec<i64>,
+    /// The columns of chunked loops, reused from loop to loop.
+    cols: Vec<Column>,
 }
 
 impl State<'_> {
@@ -635,7 +1476,8 @@ impl State<'_> {
                 }
                 Op::UfRead { dst, uf, idx } => {
                     let i = self.reg(idx);
-                    let v = *at(&self.ufs[uf as usize], i).map_err(|f| uf_fault(prog, uf, f))?;
+                    let v = *at(self.ufs[uf as usize].as_deref(), i)
+                        .map_err(|f| uf_fault(prog, uf, f))?;
                     self.set(dst, v);
                 }
                 Op::ListRank { dst, list, ref args } => {
@@ -711,6 +1553,7 @@ impl State<'_> {
                         }
                     }
                 }
+                Op::Chunked(ref c) => self.chunked::<STATS>(prog, c)?,
                 Op::UfWrite { uf, idx, value } => {
                     let (i, v) = (self.reg(idx), self.reg(value));
                     *at_mut(&mut self.ufs[uf as usize], i).map_err(|f| uf_fault(prog, uf, f))? = v;
@@ -770,14 +1613,16 @@ impl State<'_> {
                 Op::SymSet { sym, value } => self.syms[sym as usize] = Some(self.reg(value)),
                 Op::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => {
                     let (yi, ai, xi) = (self.reg(y_idx), self.reg(a_idx), self.reg(x_idx));
-                    let av = *at(&self.data[a as usize], ai).map_err(|f| data_fault(prog, a, f))?;
-                    let xv = *at(&self.data[x as usize], xi).map_err(|f| data_fault(prog, x, f))?;
+                    let av = *at(self.data[a as usize].as_deref(), ai)
+                        .map_err(|f| data_fault(prog, a, f))?;
+                    let xv = *at(self.data[x as usize].as_deref(), xi)
+                        .map_err(|f| data_fault(prog, x, f))?;
                     *at_mut(&mut self.data[y as usize], yi).map_err(|f| data_fault(prog, y, f))? +=
                         av * xv;
                 }
                 Op::Copy { dst, dst_idx, src, src_idx } => {
                     let (di, si) = (self.reg(dst_idx), self.reg(src_idx));
-                    let v = *at(&self.data[src as usize], si)
+                    let v = *at(self.data[src as usize].as_deref(), si)
                         .map_err(|f| data_fault(prog, src, f))?;
                     *at_mut(&mut self.data[dst as usize], di)
                         .map_err(|f| data_fault(prog, dst, f))? = v;
@@ -785,6 +1630,384 @@ impl State<'_> {
             }
         }
         Ok(())
+    }
+
+    /// Runs a chunked loop: iterations fill the lanes of a chunk, and each
+    /// full chunk runs its body one op at a time over every lane. In a
+    /// nest, the outer loop runs one iteration at a time and its inner
+    /// iterations fill chunks across rows.
+    fn chunked<const STATS: bool>(&mut self, prog: &Program, c: &Chunked) -> Result<(), ExecError> {
+        let mut cols = std::mem::take(&mut self.cols);
+        if cols.len() < c.regs.len() {
+            cols.resize(c.regs.len(), [0; LANES]);
+        }
+        let mut p = Pending { cols, n: 0, broadcast: 0 };
+        let result = match &c.outer {
+            None => self.fill::<STATS>(prog, c, &mut p, self.reg(c.lo), self.reg(c.hi)),
+            Some(o) => self.nest::<STATS>(prog, c, o, &mut p),
+        };
+        let result = result.and_then(|()| self.flush::<STATS>(prog, c, &mut p));
+        self.cols = p.cols;
+        result
+    }
+
+    fn nest<const STATS: bool>(
+        &mut self,
+        prog: &Program,
+        c: &Chunked,
+        o: &Outer,
+        p: &mut Pending,
+    ) -> Result<(), ExecError> {
+        for v in self.reg(o.lo)..self.reg(o.hi) {
+            self.set(o.slot, v);
+            if STATS {
+                self.stats.loop_iterations += 1;
+            }
+            if let Err(e) = self.block::<STATS>(prog, &o.head) {
+                // The pending lanes come first in iteration order.
+                return self.flush::<STATS>(prog, c, p).and(Err(e));
+            }
+            self.fill::<STATS>(prog, c, p, self.reg(c.lo), self.reg(c.hi))?;
+        }
+        Ok(())
+    }
+
+    /// Appends iterations `lo..hi` to the pending chunk, running each
+    /// chunk as it fills.
+    fn fill<const STATS: bool>(
+        &mut self,
+        prog: &Program,
+        c: &Chunked,
+        p: &mut Pending,
+        lo: i64,
+        hi: i64,
+    ) -> Result<(), ExecError> {
+        let mut v = lo;
+        while v < hi {
+            let (start, m) = (p.n, hi.abs_diff(v).min((LANES - p.n) as u64) as usize);
+            let end = start + m;
+            for (l, x) in p.cols[0][start..end].iter_mut().enumerate() {
+                *x = v + l as i64;
+            }
+            for &col in c.spread.iter() {
+                p.cols[col][start..end].fill(self.reg(c.regs[col]));
+            }
+            p.n = end;
+            v += m as i64;
+            if p.n == LANES {
+                self.flush::<STATS>(prog, c, p)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the pending lanes through the body.
+    fn flush<const STATS: bool>(
+        &mut self,
+        prog: &Program,
+        c: &Chunked,
+        p: &mut Pending,
+    ) -> Result<(), ExecError> {
+        let n = std::mem::take(&mut p.n);
+        if n == 0 {
+            return Ok(());
+        }
+        if n > p.broadcast {
+            for &col in c.invariant.iter() {
+                p.cols[col][p.broadcast..n].fill(self.reg(c.regs[col]));
+            }
+            p.broadcast = n;
+        }
+        if STATS {
+            self.stats.loop_iterations += n as u64;
+            self.stats.statements += n as u64 * c.stmts;
+        }
+        let mut lim = Limit { lanes: n, err: None };
+        self.lanes::<STATS>(prog, c, &c.body, Sel::All(n), &mut p.cols, &mut lim);
+        match lim.err {
+            Some(e) => Err(e),
+            None => {
+                self.set(c.slot, p.cols[0][n - 1]);
+                Ok(())
+            }
+        }
+    }
+
+    /// Runs `ops` over the lanes `sel` selects. An op that faults lowers
+    /// `lim` to its lane, so the ops after it run only on earlier lanes and
+    /// the fault kept is the op loop's: the earliest iteration, then the
+    /// earliest op in it.
+    fn lanes<const STATS: bool>(
+        &mut self,
+        prog: &Program,
+        c: &Chunked,
+        ops: &[Lane],
+        sel: Sel<'_>,
+        cols: &mut [Column],
+        lim: &mut Limit,
+    ) {
+        for op in ops {
+            let sel = sel.below(lim.lanes);
+            let Some(last) = sel.last() else { return };
+            match self.lane::<STATS>(prog, c, op, sel, cols, lim) {
+                Err((l, e)) => *lim = Limit { lanes: l, err: Some(e) },
+                // A search keeps its slot itself: not every lane sets it.
+                Ok(()) if matches!(op, Lane::Find(_)) => {}
+                Ok(()) => {
+                    if let Some(d) = op.def().filter(|&d| (d as usize) < c.keep) {
+                        self.set(c.regs[d as usize], cols[d as usize][last]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs one op over the lanes `sel` selects. Each array it touches is
+    /// resolved once; each lane then checks its index, and the first lane
+    /// that fails is examined again for the op loop's error.
+    fn lane<const STATS: bool>(
+        &mut self,
+        prog: &Program,
+        c: &Chunked,
+        op: &Lane,
+        sel: Sel<'_>,
+        cols: &mut [Column],
+        lim: &mut Limit,
+    ) -> Result<(), (usize, ExecError)> {
+        match *op {
+            Lane::Mov { dst, src } => {
+                let (d, r) = split(cols, dst);
+                let s = r.get(src);
+                sel.each(|l| d[l] = s[l]);
+            }
+            Lane::Sym { dst, sym } => match self.syms[sym as usize] {
+                Some(v) => sel.each(|l| cols[dst as usize][l] = v),
+                None => return sel.fail(|| unbound_sym(prog, sym)),
+            },
+            Lane::UfRead { dst, uf, idx } => {
+                let (d, r) = split(cols, dst);
+                let (ix, (a, len)) = (r.get(idx), readable(&self.ufs[uf as usize]));
+                sel.try_each(|l| get(a, ix[l]).map(|&v| d[l] = v).ok_or(()))
+                    .map_err(|(l, ())| (l, uf_fault(prog, uf, miss(len, ix[l]))))?;
+            }
+            Lane::ListRank { dst, list, ref args } => {
+                let (d, r) = split(cols, dst);
+                let Some(lst) = self.lists[list as usize].as_mut() else {
+                    return sel.fail(|| unbound_list(prog, list));
+                };
+                let key = &mut self.key;
+                sel.try_each(|l| {
+                    key.clear();
+                    key.extend(args.iter().map(|&a| r.get(a)[l]));
+                    d[l] = lst.rank_next(key)?;
+                    Ok(())
+                })
+                .map_err(|(l, e)| (l, ExecError::List(e)))?;
+            }
+            Lane::ListLen { dst, list } => match &self.lists[list as usize] {
+                Some(lst) => sel.each(|l| cols[dst as usize][l] = lst.len() as i64),
+                None => return sel.fail(|| unbound_list(prog, list)),
+            },
+            Lane::Arith { op, dst, a, b } => {
+                let (d, r) = split(cols, dst);
+                let (a, b) = (r.get(a), r.get(b));
+                match op {
+                    Arith::Add => zip(sel, d, a, b, i64::wrapping_add),
+                    Arith::Sub => zip(sel, d, a, b, i64::wrapping_sub),
+                    Arith::Mul => zip(sel, d, a, b, i64::wrapping_mul),
+                    Arith::Min => zip(sel, d, a, b, i64::min),
+                    Arith::Max => zip(sel, d, a, b, i64::max),
+                }
+            }
+            Lane::If { a, op, b, ref body, stmts } => {
+                let (a, b, mut out) = (&cols[a as usize], &cols[b as usize], [0; LANES]);
+                let m = match op {
+                    CmpOp::Eq => select(sel, &mut out, |l| a[l] == b[l]),
+                    CmpOp::Ne => select(sel, &mut out, |l| a[l] != b[l]),
+                    CmpOp::Lt => select(sel, &mut out, |l| a[l] < b[l]),
+                    CmpOp::Le => select(sel, &mut out, |l| a[l] <= b[l]),
+                    CmpOp::Gt => select(sel, &mut out, |l| a[l] > b[l]),
+                    CmpOp::Ge => select(sel, &mut out, |l| a[l] >= b[l]),
+                };
+                if STATS {
+                    self.stats.statements += m as u64 * stmts;
+                }
+                self.lanes::<STATS>(prog, c, body, Sel::Some(&out[..m]), cols, lim);
+            }
+            Lane::Find(ref s) => self.find::<STATS>(prog, c, s, sel, cols, lim),
+            Lane::UfWrite { uf, idx, value } => {
+                let (ix, v) = (&cols[idx as usize], &cols[value as usize]);
+                let (a, len) = writable(&mut self.ufs[uf as usize]);
+                sel.try_each(|l| get_mut(a, ix[l]).map(|e| *e = v[l]).ok_or(()))
+                    .map_err(|(l, ())| (l, uf_fault(prog, uf, miss(len, ix[l]))))?;
+            }
+            Lane::UfMin { uf, idx, value } | Lane::UfMax { uf, idx, value } => {
+                let (ix, v) = (&cols[idx as usize], &cols[value as usize]);
+                let (a, len) = writable(&mut self.ufs[uf as usize]);
+                let pick = if matches!(op, Lane::UfMax { .. }) { i64::max } else { i64::min };
+                sel.try_each(|l| get_mut(a, ix[l]).map(|e| *e = pick(v[l], *e)).ok_or(()))
+                    .map_err(|(l, ())| (l, uf_fault(prog, uf, miss(len, ix[l]))))?;
+            }
+            Lane::UfBump { old, uf, idx, inc } => {
+                let (d, r) = split(cols, old);
+                let ix = r.get(idx);
+                let (a, len) = writable(&mut self.ufs[uf as usize]);
+                sel.try_each(|l| {
+                    let e = get_mut(a, ix[l]).ok_or(())?;
+                    d[l] = *e;
+                    *e = e.wrapping_add(inc);
+                    Ok(())
+                })
+                .map_err(|(l, ())| (l, uf_fault(prog, uf, miss(len, ix[l]))))?;
+            }
+            Lane::SymBump { old, sym, inc } => {
+                let Some(mut v) = self.syms[sym as usize] else {
+                    return sel.fail(|| unbound_sym(prog, sym));
+                };
+                let d = &mut cols[old as usize];
+                sel.each(|l| {
+                    d[l] = v;
+                    v = v.wrapping_add(inc);
+                });
+                self.syms[sym as usize] = Some(v);
+            }
+            Lane::ListInsert { list, ref args } => {
+                let Some(lst) = self.lists[list as usize].as_mut() else {
+                    return sel.fail(|| unbound_list(prog, list));
+                };
+                let key = &mut self.key;
+                sel.try_each(|l| {
+                    key.clear();
+                    key.extend(args.iter().map(|&a| cols[a as usize][l]));
+                    lst.insert(key)
+                })
+                .map_err(|(l, e)| (l, ExecError::List(e)))?;
+            }
+            Lane::SymSet { sym, value } => {
+                if let Some(l) = sel.last() {
+                    self.syms[sym as usize] = Some(cols[value as usize][l]);
+                }
+            }
+            Lane::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => {
+                let (yi, ai) = (&cols[y_idx as usize], &cols[a_idx as usize]);
+                let xi = &cols[x_idx as usize];
+                let mut ys = self.data[y as usize].take();
+                let ((av, alen), (xv, xlen)) =
+                    (readable(&self.data[a as usize]), readable(&self.data[x as usize]));
+                let (yv, ylen) = writable(&mut ys);
+                let r = sel
+                    .try_each(|l| match (get(av, ai[l]), get(xv, xi[l]), get_mut(yv, yi[l])) {
+                        (Some(&s), Some(&t), Some(e)) => {
+                            *e += s * t;
+                            Ok(())
+                        }
+                        _ => Err(()),
+                    })
+                    .map_err(|(l, ())| {
+                        let fault = if get(av, ai[l]).is_none() {
+                            data_fault(prog, a, miss(alen, ai[l]))
+                        } else if get(xv, xi[l]).is_none() {
+                            data_fault(prog, x, miss(xlen, xi[l]))
+                        } else {
+                            data_fault(prog, y, miss(ylen, yi[l]))
+                        };
+                        (l, fault)
+                    });
+                self.data[y as usize] = ys;
+                r?;
+            }
+            Lane::Copy { dst, dst_idx, src, src_idx } => {
+                let (di, si) = (&cols[dst_idx as usize], &cols[src_idx as usize]);
+                let mut ds = self.data[dst as usize].take();
+                let (sv, slen) = readable(&self.data[src as usize]);
+                let (dv, dlen) = writable(&mut ds);
+                let r = sel
+                    .try_each(|l| match (get(sv, si[l]), get_mut(dv, di[l])) {
+                        (Some(&v), Some(e)) => {
+                            *e = v;
+                            Ok(())
+                        }
+                        _ => Err(()),
+                    })
+                    .map_err(|(l, ())| {
+                        let fault = if get(sv, si[l]).is_none() {
+                            data_fault(prog, src, miss(slen, si[l]))
+                        } else {
+                            data_fault(prog, dst, miss(dlen, di[l]))
+                        };
+                        (l, fault)
+                    });
+                self.data[dst as usize] = ds;
+                r?;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Op::Find`] on every selected lane at once: each bisection step
+    /// runs the key on the lanes whose range is not yet empty, in lane
+    /// order, so a faulting key lowers `lim` as any op does; then the
+    /// key runs once more at each lane's final position, and the body on
+    /// the lanes whose key equals their target.
+    fn find<const STATS: bool>(
+        &mut self,
+        prog: &Program,
+        c: &Chunked,
+        s: &LaneFind,
+        sel: Sel<'_>,
+        cols: &mut [Column],
+        lim: &mut Limit,
+    ) {
+        let (slot, key, target) = (s.slot as usize, s.key_reg as usize, s.target as usize);
+        let (mut lo, mut hi, mut set) = ([0i64; LANES], [0i64; LANES], [false; LANES]);
+        sel.each(|l| {
+            lo[l] = cols[s.lo as usize][l];
+            hi[l] = cols[s.hi as usize][l];
+        });
+        let end = hi;
+        let mut act = [0u8; LANES];
+        loop {
+            let m = select(sel.below(lim.lanes), &mut act, |l| lo[l] < hi[l]);
+            if m == 0 {
+                break;
+            }
+            for &l in &act[..m] {
+                let l = l as usize;
+                cols[slot][l] = lo[l] + (hi[l] - lo[l]) / 2;
+                set[l] = true;
+            }
+            if STATS {
+                self.stats.loop_iterations += m as u64;
+            }
+            self.lanes::<STATS>(prog, c, &s.key, Sel::Some(&act[..m]), cols, lim);
+            Sel::Some(&act[..m]).below(lim.lanes).each(|l| {
+                let mid = cols[slot][l];
+                if cols[key][l] < cols[target][l] {
+                    lo[l] = mid + 1;
+                } else {
+                    hi[l] = mid;
+                }
+            });
+        }
+        let m = select(sel.below(lim.lanes), &mut act, |l| lo[l] < end[l]);
+        for &l in &act[..m] {
+            cols[slot][l as usize] = lo[l as usize];
+            set[l as usize] = true;
+        }
+        self.lanes::<STATS>(prog, c, &s.key, Sel::Some(&act[..m]), cols, lim);
+        let (checked, mut found) = (Sel::Some(&act[..m]).below(lim.lanes), [0; LANES]);
+        let n = select(checked, &mut found, |l| cols[key][l] == cols[target][l]);
+        if STATS {
+            self.stats.statements += n as u64 * s.stmts;
+        }
+        self.lanes::<STATS>(prog, c, &s.body, Sel::Some(&found[..n]), cols, lim);
+        if slot < c.keep && lim.err.is_none() {
+            let mut last = None;
+            sel.each(|l| last = if set[l] { Some(l) } else { last });
+            if let Some(l) = last {
+                self.set(c.regs[slot], cols[slot][l]);
+            }
+        }
     }
 }
 
@@ -798,6 +2021,7 @@ fn run<const STATS: bool>(prog: &Program, env: &mut RtEnv<'_>) -> Result<ExecSta
         budget: Budget { used: 0, limit: env.budget },
         stats: ExecStats::default(),
         key: Vec::with_capacity(4),
+        cols: Vec::new(),
     };
     let result = st.block::<STATS>(prog, &prog.main);
     // Move state back regardless of success so callers can inspect it.
@@ -818,7 +2042,12 @@ fn restore<T>(names: &[String], vals: Vec<Option<T>>, into: &mut BTreeMap<String
 /// On success the environment reflects all writes: new index arrays,
 /// data arrays, updated symbols, and finalized lists. On error the
 /// environment still contains everything moved back (partial state), so
-/// callers can inspect it.
+/// callers can inspect it. The error is the one running the program an
+/// iteration at a time would raise: its earliest faulting iteration,
+/// then the earliest op in it. A chunked loop runs each op over a chunk
+/// of iterations before the next op, so when it faults, the arrays,
+/// lists and symbols that loop writes may hold writes from iterations
+/// after the fault; everything else matches.
 ///
 /// # Errors
 /// Returns an [`ExecError`] on unbound names, out-of-bounds accesses, bad
@@ -1340,5 +2569,374 @@ mod tests {
         let stats = execute(&prog, &mut env).unwrap();
         assert_eq!(env.ufs["out"], vec![0]);
         assert_eq!(stats, ExecStats { loop_iterations: 0, statements: 1 });
+    }
+
+    fn c(x: i64) -> Expr {
+        Expr::Const(x)
+    }
+
+    fn rd(uf: &str, idx: Expr) -> Expr {
+        Expr::uf_read(uf, idx)
+    }
+
+    fn for_(s: Slot, lo: Expr, hi: Expr, body: Vec<Stmt>) -> Stmt {
+        Stmt::For { var: "v".into(), slot: s, lo, hi, body }
+    }
+
+    fn let_(s: Slot, value: Expr) -> Stmt {
+        Stmt::Let { var: "t".into(), slot: s, value }
+    }
+
+    fn put(uf: &str, idx: Expr, value: Expr) -> Stmt {
+        Stmt::UfWrite { uf: uf.into(), idx, value }
+    }
+
+    /// Compiles `stmts`, checks how many loops run chunked, runs them
+    /// counted and quiet on fresh environments, checks that both agree,
+    /// and returns the counted run's result and environment.
+    fn run_chunked(
+        stmts: &[Stmt],
+        slots: &SlotAlloc,
+        chunked: usize,
+        env: impl Fn() -> RtEnv<'static>,
+    ) -> (Result<ExecStats, ExecError>, RtEnv<'static>) {
+        let prog = compile(stmts, slots);
+        assert_eq!(prog.loop_counts().chunked, chunked, "{prog:#?}");
+        let (mut counted, mut quiet) = (env(), env());
+        let result = execute(&prog, &mut counted);
+        assert_eq!(execute_quiet(&prog, &mut quiet).err(), result.clone().err());
+        assert_eq!((&counted.ufs, &counted.syms), (&quiet.ufs, &quiet.syms));
+        (result, counted)
+    }
+
+    #[test]
+    fn chunked_fault_in_second_chunk_names_index_and_length() {
+        let mut slots = SlotAlloc::new();
+        let n = slots.alloc("n");
+        let stmts = [for_(n, c(0), c(600), vec![put("out", var("n", n), rd("a", var("n", n)))])];
+        let env = || {
+            RtEnv::new().with_uf("a", (0..300).collect::<Vec<_>>()).with_uf("out", vec![-1; 600])
+        };
+        let (result, env) = run_chunked(&stmts, &slots, 1, env);
+        assert_eq!(result, Err(ExecError::OobUf { name: "a".into(), idx: 300, len: 300 }));
+        // Iterations 0..300 ran; the write of iteration 300 did not.
+        let out = &env.ufs["out"];
+        assert!(out[..300].iter().copied().eq(0..300));
+        assert!(out[300..].iter().all(|&x| x == -1));
+    }
+
+    #[test]
+    fn chunked_later_op_faulting_at_an_earlier_iteration_wins() {
+        let mut slots = SlotAlloc::new();
+        let (n, x, y) = (slots.alloc("n"), slots.alloc("x"), slots.alloc("y"));
+        let stmts = [for_(
+            n,
+            c(0),
+            c(400),
+            vec![
+                let_(x, rd("a", var("n", n))),
+                let_(y, rd("b", var("n", n))),
+                put("out", var("n", n), Expr::add(var("x", x), var("y", y))),
+            ],
+        )];
+        // `a` fails at 200 and `b` at 100: iteration 100 fails first, in
+        // its second op.
+        let env = |la: i64, lb: i64| {
+            move || {
+                RtEnv::new()
+                    .with_uf("a", (0..la).collect::<Vec<_>>())
+                    .with_uf("b", (0..lb).collect::<Vec<_>>())
+                    .with_uf("out", vec![0; 400])
+            }
+        };
+        let (result, e) = run_chunked(&stmts, &slots, 1, env(200, 100));
+        assert_eq!(result, Err(ExecError::OobUf { name: "b".into(), idx: 100, len: 100 }));
+        assert_eq!(e.ufs["out"][99], 198);
+        assert_eq!(e.ufs["out"][100], 0);
+        // Both fail at iteration 300: the earlier op wins.
+        let (result, _) = run_chunked(&stmts, &slots, 1, env(300, 300));
+        assert_eq!(result, Err(ExecError::OobUf { name: "a".into(), idx: 300, len: 300 }));
+    }
+
+    #[test]
+    fn chunked_bucket_counters_repeat_within_a_chunk() {
+        let mut slots = SlotAlloc::new();
+        let (n, k, p) = (slots.alloc("n"), slots.alloc("k"), slots.alloc("p"));
+        let key = || rd("key", var("n", n));
+        let bucket = || Expr::add(c(1), var("k", k));
+        let stmts = [
+            // Histogram: P[k + 1] = 1 + P[k + 1].
+            for_(n, c(0), Expr::Sym("NNZ".into()), vec![
+                let_(k, key()),
+                put("P", bucket(), Expr::add(c(1), rd("P", bucket()))),
+            ]),
+            // Bucket starts, on the op loop: P[e + 1] = P[e] + P[e + 1].
+            for_(p, c(0), c(3), vec![put(
+                "P",
+                Expr::add(c(1), var("p", p)),
+                Expr::add(rd("P", var("p", p)), rd("P", Expr::add(c(1), var("p", p)))),
+            )]),
+            // Placement: p = P[k]; P[k] = p + 1; perm[p] = n.
+            for_(n, c(0), Expr::Sym("NNZ".into()), vec![
+                let_(k, key()),
+                let_(p, rd("P", var("k", k))),
+                put("P", var("k", k), Expr::add(var("p", p), c(1))),
+                put("perm", var("p", p), var("n", n)),
+            ]),
+        ];
+        // Keys 2, 0, 2, 1, 2, 0, ...: every bucket repeats in each chunk.
+        let keys: Vec<i64> = (0..600).map(|n| [2, 0, 2, 1, 2, 0][n % 6]).collect();
+        let env = || {
+            RtEnv::new()
+                .with_sym("NNZ", 600)
+                .with_uf("key", keys.clone())
+                .with_uf("P", vec![0, 0, 0, 0])
+                .with_uf("perm", vec![-1; 600])
+        };
+        let (result, e) = run_chunked(&stmts, &slots, 2, env);
+        assert_eq!(result.unwrap(), ExecStats { loop_iterations: 1203, statements: 3606 });
+        // The histogram counted 200, 100 and 300 into P[1..], the prefix
+        // sum made them the starts 0, 200, 300, and the placement advanced
+        // each start by its count.
+        assert_eq!(e.ufs["P"], vec![200, 300, 600, 600]);
+        let perm = &e.ufs["perm"];
+        let keys = &keys;
+        let in_bucket = |b| (0..600).filter(move |&n: &i64| keys[n as usize] == b);
+        let expect: Vec<i64> = (0..3).flat_map(in_bucket).collect();
+        assert_eq!(perm.to_vec(), expect);
+    }
+
+    #[test]
+    fn chunked_guards_all_false_all_true_alternating() {
+        let mut slots = SlotAlloc::new();
+        let (n, p) = (slots.alloc("n"), slots.alloc("p"));
+        // if (g[n] >= 1) { p = C; C = p + 1; out[p] = n }
+        let stmts = [
+            Stmt::SymSet { sym: "C".into(), value: c(0) },
+            for_(n, c(0), c(300), vec![Stmt::If {
+                cond: Cond::cmp(rd("g", var("n", n)), CmpOp::Ge, c(1)),
+                body: vec![
+                    let_(p, Expr::Sym("C".into())),
+                    Stmt::SymSet { sym: "C".into(), value: Expr::add(var("p", p), c(1)) },
+                    put("out", var("p", p), var("n", n)),
+                ],
+            }]),
+        ];
+        for (name, g) in [("all false", 0), ("all true", 1), ("alternating", 2)] {
+            let flags: Vec<i64> = (0..300).map(|n| if g == 2 { n % 2 } else { g }).collect();
+            let taken: Vec<i64> = (0..300).filter(|&n| flags[n as usize] == 1).collect();
+            let env = || RtEnv::new().with_uf("g", flags.clone()).with_uf("out", vec![-1; 300]);
+            let (result, e) = run_chunked(&stmts, &slots, 1, env);
+            let stats = result.unwrap();
+            let hits = taken.len() as u64;
+            assert_eq!(stats, ExecStats { loop_iterations: 300, statements: 2 + 300 + 3 * hits });
+            assert_eq!(e.syms["C"], hits as i64, "{name}");
+            assert_eq!(&e.ufs["out"][..taken.len()], &taken[..], "{name}");
+            assert!(e.ufs["out"][taken.len()..].iter().all(|&x| x == -1), "{name}");
+        }
+    }
+
+    /// `for i in 0..NR { for k in rowptr[i]..rowptr[i + 1] { out[k] = col[k] + i } }`.
+    fn csr_nest(slots: &mut SlotAlloc) -> Vec<Stmt> {
+        let (i, k) = (slots.alloc("i"), slots.alloc("k"));
+        vec![for_(i, c(0), Expr::Sym("NR".into()), vec![for_(
+            k,
+            rd("rowptr", var("i", i)),
+            rd("rowptr", Expr::add(c(1), var("i", i))),
+            vec![put("out", var("k", k), Expr::add(rd("col", var("k", k)), var("i", i)))],
+        )])]
+    }
+
+    #[test]
+    fn chunked_nest_fills_chunks_across_rows() {
+        let mut slots = SlotAlloc::new();
+        let stmts = csr_nest(&mut slots);
+        // 100 rows of 3 entries: chunks span rows.
+        let env = || {
+            RtEnv::new()
+                .with_sym("NR", 100)
+                .with_uf("rowptr", (0..=100).map(|i| 3 * i).collect::<Vec<_>>())
+                .with_uf("col", vec![7; 300])
+                .with_uf("out", vec![0; 300])
+        };
+        let (result, e) = run_chunked(&stmts, &slots, 2, env);
+        assert_eq!(result.unwrap(), ExecStats { loop_iterations: 400, statements: 1 + 100 + 300 });
+        assert!(e.ufs["out"].iter().enumerate().all(|(k, &x)| x == 7 + k as i64 / 3));
+    }
+
+    #[test]
+    fn chunked_nest_head_fault_runs_pending_lanes_first() {
+        let mut slots = SlotAlloc::new();
+        let stmts = csr_nest(&mut slots);
+        // `rowptr` lacks its last entry: row 99's head reads rowptr[100].
+        let env = |col_len: usize| {
+            move || {
+                RtEnv::new()
+                    .with_sym("NR", 100)
+                    .with_uf("rowptr", (0..100).map(|i| 3 * i).collect::<Vec<_>>())
+                    .with_uf("col", vec![7; col_len])
+                    .with_uf("out", vec![0; 300])
+            }
+        };
+        let (result, e) = run_chunked(&stmts, &slots, 2, env(300));
+        assert_eq!(result, Err(ExecError::OobUf { name: "rowptr".into(), idx: 100, len: 100 }));
+        // Rows 0..99 (297 entries, some still pending) all ran.
+        assert!(e.ufs["out"][..297].iter().enumerate().all(|(k, &x)| x == 7 + k as i64 / 3));
+        assert_eq!(e.ufs["out"][297..], [0, 0, 0]);
+        // A pending lane that faults comes before the head.
+        let (result, _) = run_chunked(&stmts, &slots, 2, env(290));
+        assert_eq!(result, Err(ExecError::OobUf { name: "col".into(), idx: 290, len: 290 }));
+    }
+
+    #[test]
+    fn chunked_loop_bounds_near_the_i64_limits() {
+        let mut slots = SlotAlloc::new();
+        let n = slots.alloc("n");
+        let body = |base: i64| vec![put("out", Expr::sub(var("n", n), c(base)), var("n", n))];
+        let out300 = || RtEnv::new().with_uf("out", vec![0; 300]);
+        // Ranges that end at i64::MAX and start at i64::MIN.
+        for (lo, hi) in [(i64::MAX - 300, i64::MAX), (i64::MIN, i64::MIN + 300)] {
+            let stmts = [for_(n, c(lo), c(hi), body(lo))];
+            let (result, e) = run_chunked(&stmts, &slots, 1, out300);
+            assert_eq!(result.unwrap().loop_iterations, 300);
+            assert!(e.ufs["out"].iter().copied().eq(lo..hi));
+        }
+        // The whole i64 range, whose trip count overflows i64: the run
+        // stops at the first write past `out`.
+        let stmts = [for_(n, c(i64::MIN), c(i64::MAX), body(i64::MIN))];
+        let (result, e) = run_chunked(&stmts, &slots, 1, out300);
+        assert_eq!(result, Err(ExecError::OobUf { name: "out".into(), idx: 300, len: 300 }));
+        assert!(e.ufs["out"].iter().copied().eq(i64::MIN..i64::MIN + 300));
+    }
+
+    /// A loop whose body searches runs chunked: each lane bisects its own
+    /// range. `for n { find d in 0..ND with off[d] == tgt[n] { out[n] = d } }`.
+    #[test]
+    fn chunked_binary_search_per_lane() {
+        let mut slots = SlotAlloc::new();
+        let (n, d) = (slots.alloc("n"), slots.alloc("d"));
+        let stmts = [for_(n, c(0), c(300), vec![Stmt::FindBinary {
+            var: "d".into(),
+            slot: d,
+            lo: c(0),
+            hi: Expr::Sym("ND".into()),
+            key: Box::new(rd("off", var("d", d))),
+            target: Box::new(rd("tgt", var("n", n))),
+            body: vec![put("out", var("n", n), var("d", d))],
+        }])];
+        // Targets 0, 10, …, 60 repeat: 0 and 60 are missing.
+        let tgt: Vec<i64> = (0..300).map(|n| n * 10 % 70).collect();
+        let env = |off: Vec<i64>| {
+            let tgt = tgt.clone();
+            move || {
+                RtEnv::new()
+                    .with_sym("ND", 5)
+                    .with_uf("off", off.clone())
+                    .with_uf("tgt", tgt.clone())
+                    .with_uf("out", vec![-1; 300])
+            }
+        };
+        // The op loop's probes per search, bisecting [0, 5) over
+        // off = [10, 20, 30, 40, 50].
+        let probes = |t: i64| {
+            let (mut lo, mut hi, mut k) = (0, 5, 0);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                k += 1;
+                if (mid + 1) * 10 < t {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            k
+        };
+        let (result, e) = run_chunked(&stmts, &slots, 1, env(vec![10, 20, 30, 40, 50]));
+        let found = tgt.iter().filter(|&&t| (10..=50).contains(&t)).count() as u64;
+        let iterations = 300 + tgt.iter().map(|&t| probes(t)).sum::<u64>();
+        let stats = ExecStats { loop_iterations: iterations, statements: 1 + 300 + found };
+        assert_eq!(result.unwrap(), stats);
+        let at = |t: i64| if (10..=50).contains(&t) { t / 10 - 1 } else { -1 };
+        assert_eq!(e.ufs["out"].to_vec(), tgt.iter().map(|&t| at(t)).collect::<Vec<_>>());
+        // `off` holds 3 entries: the first target above 30 (iteration 4)
+        // probes off[4] and faults; iterations 0..4 ran.
+        let (result, e) = run_chunked(&stmts, &slots, 1, env(vec![10, 20, 30]));
+        assert_eq!(result, Err(ExecError::OobUf { name: "off".into(), idx: 4, len: 3 }));
+        assert_eq!(e.ufs["out"][..5], [-1, 0, 1, 2, -1]);
+        assert!(e.ufs["out"][5..].iter().all(|&x| x == -1));
+    }
+
+    /// Each exclusion of the eligibility rule keeps its loop on the op
+    /// loop, with the op loop's result.
+    #[test]
+    fn loops_with_a_hazard_stay_on_the_op_loop() {
+        let mut slots = SlotAlloc::new();
+        let (n, s, t) = (slots.alloc("n"), slots.alloc("s"), slots.alloc("t"));
+        let (vn, vs) = (|| var("n", n), || var("s", s));
+        let env = || {
+            RtEnv::new()
+                .with_sym("S", 0)
+                .with_uf("a", vec![1, 2, 3, 4])
+                .with_uf("b", vec![0; 4])
+                .with_list("L", OrderedList::new(1, ListOrder::Lexicographic, false))
+        };
+        let cases: Vec<(&str, Stmt, &str, Vec<i64>)> = vec![
+            // A loop-carried register: `s` is read before it is written.
+            ("carried register", for_(n, c(0), c(4), vec![
+                let_(s, Expr::add(vs(), rd("a", vn()))),
+                put("b", vn(), vs()),
+            ]), "b", vec![1, 3, 6, 10]),
+            // A register written twice.
+            ("register written twice", for_(n, c(0), c(4), vec![
+                let_(s, rd("a", vn())),
+                let_(s, Expr::add(vs(), vs())),
+                put("b", vn(), vs()),
+            ]), "b", vec![2, 4, 6, 8]),
+            // The loop variable written.
+            ("loop variable written", for_(n, c(0), c(4), vec![
+                put("b", vn(), c(9)),
+                let_(n, Expr::add(vn(), c(1))),
+            ]), "b", vec![9, 9, 9, 9]),
+            // An array written by one op and read by another: a prefix sum.
+            ("array read and written", for_(n, c(1), c(4), vec![
+                put("a", vn(), Expr::add(rd("a", Expr::sub(vn(), c(1))), rd("a", vn()))),
+            ]), "a", vec![1, 3, 6, 10]),
+            // An array written by two ops.
+            ("array written twice", for_(n, c(0), c(4), vec![
+                put("b", vn(), c(1)),
+                put("b", Expr::sub(c(3), vn()), vn()),
+            ]), "b", vec![3, 2, 1, 1]),
+            // A symbol written by one op and read by another.
+            ("symbol read and written", for_(n, c(0), c(4), vec![
+                Stmt::SymSet { sym: "S".into(), value: rd("a", vn()) },
+                let_(t, Expr::Sym("S".into())),
+                put("b", vn(), var("t", t)),
+            ]), "b", vec![1, 2, 3, 4]),
+            // A list written by one op and read by another.
+            ("list inserted and read", for_(n, c(0), c(4), vec![
+                Stmt::ListInsert { list: "L".into(), args: vec![rd("a", vn())] },
+                put("b", vn(), Expr::ListLen("L".into())),
+            ]), "b", vec![1, 2, 3, 4]),
+            // A register written under a guard and read after it.
+            ("register read outside its guard", for_(n, c(0), c(4), vec![
+                Stmt::If {
+                    cond: Cond::cmp(rd("a", vn()), CmpOp::Ge, c(3)),
+                    body: vec![let_(t, rd("a", vn()))],
+                },
+                put("b", vn(), var("t", t)),
+            ]), "b", vec![0, 0, 3, 4]),
+            // An op with no columnar form.
+            ("division", for_(n, c(0), c(4), vec![
+                put("b", vn(), Expr::div(rd("a", vn()), c(2))),
+            ]), "b", vec![0, 1, 1, 2]),
+        ];
+        for (name, stmt, arr, expect) in cases {
+            let stmts = [stmt];
+            let prog = compile(&stmts, &slots);
+            assert_eq!(prog.loop_counts(), LoopCounts { chunked: 0, op_loop: 1 }, "{name}");
+            let (result, e) = run_chunked(&stmts, &slots, 0, env);
+            result.unwrap();
+            assert_eq!(e.ufs[arr], expect, "{name}");
+        }
     }
 }

@@ -23,24 +23,49 @@
 //! engine requires before selecting a kernel). Out-of-range coordinates
 //! panic via slice indexing rather than corrupt memory; callers that
 //! cannot guarantee validation must not call these.
+//!
+//! # Allocation
+//!
+//! The conversion kernels allocate through [`reserve`], the interpreter's
+//! checked helper, so an array too large to allocate is a typed
+//! [`ExecError`] naming it (a 2^61-row CSR's `rowptr`), never a
+//! capacity-overflow panic. Each takes the names of the arrays it builds.
+//! The sort permutations, sized by an input array that is already
+//! allocated, allocate directly.
 
+use crate::interp::{reserve, ExecError};
 use crate::runtime::{sort_keys, KeyOrder};
 
+/// Compressed parts `(ptr, idx, val)`, or the error of the array that
+/// could not be allocated.
+pub type Parts = Result<(Vec<i64>, Vec<i64>, Vec<f64>), ExecError>;
+
+/// `n` copies of `fill`, allocated through [`reserve`] as array `name`.
+fn filled<T: Clone>(name: &str, n: Option<usize>, fill: T) -> Result<Vec<T>, ExecError> {
+    let mut v = reserve(name, n)?;
+    v.resize(n.unwrap_or_default(), fill);
+    Ok(v)
+}
+
 /// Counting-sort a COO triplet stream into CSR parts
-/// `(rowptr, col, val)` for an `nr`-row matrix.
+/// `(rowptr, col, val)` for an `nr`-row matrix, named `names`.
 ///
 /// Single pass to histogram rows, prefix sum, scatter, then a per-row sort
 /// by `(col, source position)` — skipped for rows whose columns already
 /// arrive ascending (the common row-major-sorted input), so sorted inputs
 /// convert in pure O(nnz).
+///
+/// # Errors
+/// An [`ExecError`] naming the array that cannot be allocated.
 pub fn coo_to_csr_parts(
+    names: [&str; 3],
     nr: usize,
     row: &[i64],
     col: &[i64],
     val: &[f64],
-) -> (Vec<i64>, Vec<i64>, Vec<f64>) {
+) -> Parts {
     let nnz = row.len();
-    let mut rowptr = vec![0i64; nr + 1];
+    let mut rowptr = filled(names[0], nr.checked_add(1), 0i64)?;
     for &r in row {
         rowptr[r as usize + 1] += 1;
     }
@@ -49,8 +74,9 @@ pub fn coo_to_csr_parts(
     }
     // Scatter source positions into row segments, preserving input order
     // within each row (the counting sort is stable).
-    let mut next: Vec<i64> = rowptr[..nr].to_vec();
-    let mut perm = vec![0usize; nnz];
+    let mut next = reserve("P", Some(nr))?;
+    next.extend_from_slice(&rowptr[..nr]);
+    let mut perm = filled("perm", Some(nnz), 0usize)?;
     for (p, &r) in row.iter().enumerate() {
         let slot = &mut next[r as usize];
         perm[*slot as usize] = p;
@@ -65,35 +91,39 @@ pub fn coo_to_csr_parts(
             seg.sort_unstable_by_key(|&p| (col[p], p));
         }
     }
-    let out_col = perm.iter().map(|&p| col[p]).collect();
-    let out_val = perm.iter().map(|&p| val[p]).collect();
-    (rowptr, out_col, out_val)
+    let (out_col, out_val) = (permute(names[1], col, &perm)?, permute(names[2], val, &perm)?);
+    Ok((rowptr, out_col, out_val))
 }
 
-/// Transposes CSR parts into CSC parts `(colptr, row, val)` — or, by role
-/// symmetry, CSC parts into CSR parts.
+/// Transposes CSR parts into CSC parts `(colptr, row, val)`, named
+/// `names` — or, by role symmetry, CSC parts into CSR parts.
 ///
 /// The row-major scan scatters entries into column buckets in row order,
 /// so each output column's rows arrive already ascending: no secondary
 /// sort is needed, giving O(nnz + nr + nc) with perfect output order.
+///
+/// # Errors
+/// An [`ExecError`] naming the array that cannot be allocated.
 pub fn csr_to_csc_parts(
+    names: [&str; 3],
     nr: usize,
     nc: usize,
     rowptr: &[i64],
     col: &[i64],
     val: &[f64],
-) -> (Vec<i64>, Vec<i64>, Vec<f64>) {
+) -> Parts {
     let nnz = col.len();
-    let mut colptr = vec![0i64; nc + 1];
+    let mut colptr = filled(names[0], nc.checked_add(1), 0i64)?;
     for &c in col {
         colptr[c as usize + 1] += 1;
     }
     for j in 0..nc {
         colptr[j + 1] += colptr[j];
     }
-    let mut next: Vec<i64> = colptr[..nc].to_vec();
-    let mut out_row = vec![0i64; nnz];
-    let mut out_val = vec![0f64; nnz];
+    let mut next = reserve("P", Some(nc))?;
+    next.extend_from_slice(&colptr[..nc]);
+    let mut out_row = filled(names[1], Some(nnz), 0i64)?;
+    let mut out_val = filled(names[2], Some(nnz), 0f64)?;
     for r in 0..nr {
         let (lo, hi) = (rowptr[r] as usize, rowptr[r + 1] as usize);
         for p in lo..hi {
@@ -103,21 +133,34 @@ pub fn csr_to_csc_parts(
             *slot += 1;
         }
     }
-    (colptr, out_row, out_val)
+    Ok((colptr, out_row, out_val))
 }
 
 /// Expands a compressed pointer array (`rowptr`/`colptr`) into the
-/// per-entry major coordinate — the only work in CSR→COO / CSC→COO since
-/// the minor coordinate and values carry over verbatim.
-pub fn expand_ptr(ptr: &[i64]) -> Vec<i64> {
+/// per-entry major coordinate, named `name` — the only work in CSR→COO /
+/// CSC→COO since the minor coordinate and values carry over verbatim.
+///
+/// # Errors
+/// An [`ExecError`] naming `name` when it cannot be allocated.
+pub fn expand_ptr(name: &str, ptr: &[i64]) -> Result<Vec<i64>, ExecError> {
     let n = ptr.len().saturating_sub(1);
     let nnz = ptr.last().copied().unwrap_or(0).max(0) as usize;
-    let mut out = Vec::with_capacity(nnz);
+    let mut out = reserve(name, Some(nnz))?;
     for i in 0..n {
         let (lo, hi) = (ptr[i], ptr[i + 1]);
         out.resize(out.len() + (hi - lo).max(0) as usize, i as i64);
     }
-    out
+    Ok(out)
+}
+
+/// `src` gathered through `perm` into a new array named `name`.
+///
+/// # Errors
+/// An [`ExecError`] naming `name` when it cannot be allocated.
+pub fn permute<T: Copy>(name: &str, src: &[T], perm: &[usize]) -> Result<Vec<T>, ExecError> {
+    let mut out = reserve(name, Some(perm.len()))?;
+    out.extend(perm.iter().map(|&p| src[p]));
+    Ok(out)
 }
 
 /// Returns the permutation sorting entries lexicographically by
@@ -146,20 +189,22 @@ pub fn morton_sort_perm(dims: &[&[i64]]) -> Vec<usize> {
     perm
 }
 
-/// Applies a permutation to an index column.
-pub fn permute_i64(src: &[i64], perm: &[usize]) -> Vec<i64> {
-    perm.iter().map(|&p| src[p]).collect()
-}
-
-/// Applies a permutation to a value column.
-pub fn permute_f64(src: &[f64], perm: &[usize]) -> Vec<f64> {
-    perm.iter().map(|&p| src[p]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::morton::morton_cmp;
+
+    const NAMES: [&str; 3] = ["ptr", "idx", "val"];
+
+    /// A pointer array too large to allocate is a typed error naming it.
+    #[test]
+    fn oversized_pointer_arrays_are_typed_errors() {
+        let overflow = |name: &str| Err(ExecError::AllocOverflow { name: name.into() });
+        let (idx, val) = ([0i64], [1.0]);
+        assert_eq!(coo_to_csr_parts(NAMES, 1 << 61, &idx, &idx, &val), overflow("ptr"));
+        assert_eq!(coo_to_csr_parts(NAMES, usize::MAX, &idx, &idx, &val), overflow("ptr"));
+        assert_eq!(csr_to_csc_parts(NAMES, 1, 1 << 61, &[0, 1], &idx, &val), overflow("ptr"));
+    }
 
     #[test]
     fn coo_to_csr_sorts_within_rows() {
@@ -167,7 +212,7 @@ mod tests {
         let row = [2i64, 0, 2, 0, 3];
         let col = [3i64, 1, 0, 0, 2];
         let val = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let (rowptr, c, v) = coo_to_csr_parts(4, &row, &col, &val);
+        let (rowptr, c, v) = coo_to_csr_parts(NAMES, 4, &row, &col, &val).unwrap();
         assert_eq!(rowptr, vec![0, 2, 2, 4, 5]);
         assert_eq!(c, vec![0, 1, 0, 3, 2]);
         assert_eq!(v, vec![4.0, 2.0, 3.0, 1.0, 5.0]);
@@ -178,7 +223,7 @@ mod tests {
         let row = [0i64, 0, 1, 2];
         let col = [0i64, 2, 1, 0];
         let val = [1.0, 2.0, 3.0, 4.0];
-        let (rowptr, c, v) = coo_to_csr_parts(3, &row, &col, &val);
+        let (rowptr, c, v) = coo_to_csr_parts(NAMES, 3, &row, &col, &val).unwrap();
         assert_eq!(rowptr, vec![0, 2, 3, 4]);
         assert_eq!(c, col.to_vec());
         assert_eq!(v, val.to_vec());
@@ -190,12 +235,12 @@ mod tests {
         let rowptr = [0i64, 2, 3, 5];
         let col = [1i64, 3, 0, 1, 2];
         let val = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let (colptr, r, v) = csr_to_csc_parts(3, 4, &rowptr, &col, &val);
+        let (colptr, r, v) = csr_to_csc_parts(NAMES, 3, 4, &rowptr, &col, &val).unwrap();
         assert_eq!(colptr, vec![0, 1, 3, 4, 5]);
         assert_eq!(r, vec![1, 0, 2, 2, 0]);
         assert_eq!(v, vec![3.0, 1.0, 4.0, 5.0, 2.0]);
         // Transposing back recovers the original.
-        let (rp2, c2, v2) = csr_to_csc_parts(4, 3, &colptr, &r, &v);
+        let (rp2, c2, v2) = csr_to_csc_parts(NAMES, 4, 3, &colptr, &r, &v).unwrap();
         assert_eq!(rp2, rowptr.to_vec());
         assert_eq!(c2, col.to_vec());
         assert_eq!(v2, val.to_vec());
@@ -203,9 +248,9 @@ mod tests {
 
     #[test]
     fn expand_ptr_repeats_majors() {
-        assert_eq!(expand_ptr(&[0, 2, 2, 5]), vec![0, 0, 2, 2, 2]);
-        assert_eq!(expand_ptr(&[0]), Vec::<i64>::new());
-        assert_eq!(expand_ptr(&[]), Vec::<i64>::new());
+        assert_eq!(expand_ptr("row", &[0, 2, 2, 5]).unwrap(), vec![0, 0, 2, 2, 2]);
+        assert_eq!(expand_ptr("row", &[0]).unwrap(), Vec::<i64>::new());
+        assert_eq!(expand_ptr("row", &[]).unwrap(), Vec::<i64>::new());
     }
 
     #[test]

@@ -62,7 +62,9 @@ pub mod scan;
 pub use ast::{CmpOp, Cond, Expr, Slot, SlotAlloc, Stmt};
 pub use cemit::{emit_c99_block, emit_c_block, emit_c_function, Dialect, C_PRELUDE};
 pub use cruntime::C_ORDERED_LIST_RUNTIME;
-pub use interp::{compile, execute, execute_quiet, ExecError, ExecStats, Program};
+pub use interp::{
+    compile, execute, execute_quiet, reserve, ExecError, ExecStats, LoopCounts, Program,
+};
 pub use morton::{morton_cmp, morton_decode, morton_encode};
 pub use runtime::{ListError, ListOrder, OrderedList, RtEnv};
 pub use scan::{lower_set, LoweredVars, ScanError};

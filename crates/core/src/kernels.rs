@@ -29,8 +29,7 @@ use sparse_formats::{
     FormatDescriptor, MatrixRef, MortonCoo3Tensor, MortonCooMatrix, TensorRef,
 };
 use spf_codegen::kernels::{
-    coo_to_csr_parts, csr_to_csc_parts, expand_ptr, lex_sort_perm, morton_sort_perm,
-    permute_f64, permute_i64,
+    coo_to_csr_parts, csr_to_csc_parts, expand_ptr, lex_sort_perm, morton_sort_perm, permute,
 };
 
 use crate::run::RunError;
@@ -122,6 +121,11 @@ fn decline(kernel: &str, why: &str) -> RunError {
     ))
 }
 
+/// The catalog names of the arrays a CSR and a CSC destination build,
+/// which a kernel's allocation error names.
+const CSR: [&str; 3] = ["rowptr", "col2", "Acsr"];
+const CSC: [&str; 3] = ["colptr", "row", "Acsc"];
+
 /// Coordinate-kind sources accept either a bare COO or a Morton COO — the
 /// triplet storage is identical (mirrors `bind_matrix` dispatch).
 fn coo_ref<'a>(m: MatrixRef<'a>) -> Option<&'a CooMatrix> {
@@ -134,14 +138,14 @@ fn coo_ref<'a>(m: MatrixRef<'a>) -> Option<&'a CooMatrix> {
 
 fn k_coo_to_csr(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     let c = coo_ref(m).ok_or_else(|| wrong_container("coo->csr", m.label()))?;
-    let (rowptr, col, val) = coo_to_csr_parts(c.nr, &c.row, &c.col, &c.val);
+    let (rowptr, col, val) = coo_to_csr_parts(CSR, c.nr, &c.row, &c.col, &c.val)?;
     Ok(AnyMatrix::Csr(CsrMatrix::new(c.nr, c.nc, rowptr, col, val).map_err(RunError::Format)?))
 }
 
 fn k_coo_to_csc(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     let c = coo_ref(m).ok_or_else(|| wrong_container("coo->csc", m.label()))?;
     // Role-swapped counting sort: histogram columns, order rows inside.
-    let (colptr, row, val) = coo_to_csr_parts(c.nc, &c.col, &c.row, &c.val);
+    let (colptr, row, val) = coo_to_csr_parts(CSC, c.nc, &c.col, &c.row, &c.val)?;
     Ok(AnyMatrix::Csc(CscMatrix::new(c.nr, c.nc, colptr, row, val).map_err(RunError::Format)?))
 }
 
@@ -157,9 +161,9 @@ fn k_coo_to_scoo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     let out = CooMatrix::from_triplets(
         c.nr,
         c.nc,
-        permute_i64(&c.row, &perm),
-        permute_i64(&c.col, &perm),
-        permute_f64(&c.val, &perm),
+        permute("row1", &c.row, &perm)?,
+        permute("col1", &c.col, &perm)?,
+        permute("Acoo", &c.val, &perm)?,
     )
     .map_err(RunError::Format)?;
     Ok(AnyMatrix::Coo(out))
@@ -175,9 +179,9 @@ fn k_coo_to_mcoo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     let out = CooMatrix {
         nr: c.nr,
         nc: c.nc,
-        row: permute_i64(&c.row, &perm),
-        col: permute_i64(&c.col, &perm),
-        val: permute_f64(&c.val, &perm),
+        row: permute("rowm", &c.row, &perm)?,
+        col: permute("colm", &c.col, &perm)?,
+        val: permute("Amcoo", &c.val, &perm)?,
     };
     Ok(AnyMatrix::MortonCoo(MortonCooMatrix::new(out).map_err(RunError::Format)?))
 }
@@ -186,7 +190,7 @@ fn k_csr_to_csc(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     let MatrixRef::Csr(c) = m else {
         return Err(wrong_container("csr->csc", m.label()));
     };
-    let (colptr, row, val) = csr_to_csc_parts(c.nr, c.nc, &c.rowptr, &c.col, &c.val);
+    let (colptr, row, val) = csr_to_csc_parts(CSC, c.nr, c.nc, &c.rowptr, &c.col, &c.val)?;
     Ok(AnyMatrix::Csc(CscMatrix::new(c.nr, c.nc, colptr, row, val).map_err(RunError::Format)?))
 }
 
@@ -196,7 +200,7 @@ fn k_csc_to_csr(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     };
     // A CSC is the CSR of the transpose; transposing it back is the same
     // scatter with the roles swapped.
-    let (rowptr, col, val) = csr_to_csc_parts(c.nc, c.nr, &c.colptr, &c.row, &c.val);
+    let (rowptr, col, val) = csr_to_csc_parts(CSR, c.nc, c.nr, &c.colptr, &c.row, &c.val)?;
     Ok(AnyMatrix::Csr(CsrMatrix::new(c.nr, c.nc, rowptr, col, val).map_err(RunError::Format)?))
 }
 
@@ -204,7 +208,7 @@ fn k_csr_to_coo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     let MatrixRef::Csr(c) = m else {
         return Err(wrong_container("csr->coo", m.label()));
     };
-    let row = expand_ptr(&c.rowptr);
+    let row = expand_ptr("row1", &c.rowptr)?;
     Ok(AnyMatrix::Coo(
         CooMatrix::from_triplets(c.nr, c.nc, row, c.col.clone(), c.val.clone())
             .map_err(RunError::Format)?,
@@ -215,7 +219,7 @@ fn k_csc_to_coo(m: MatrixRef<'_>) -> Result<AnyMatrix, RunError> {
     let MatrixRef::Csc(c) = m else {
         return Err(wrong_container("csc->coo", m.label()));
     };
-    let col = expand_ptr(&c.colptr);
+    let col = expand_ptr("col1", &c.colptr)?;
     Ok(AnyMatrix::Coo(
         CooMatrix::from_triplets(c.nr, c.nc, c.row.clone(), col, c.val.clone())
             .map_err(RunError::Format)?,
@@ -237,10 +241,10 @@ fn k_coo3_to_mcoo3(t: TensorRef<'_>) -> Result<AnyTensor, RunError> {
         nr: c.nr,
         nc: c.nc,
         nz: c.nz,
-        i0: permute_i64(&c.i0, &perm),
-        i1: permute_i64(&c.i1, &perm),
-        i2: permute_i64(&c.i2, &perm),
-        val: permute_f64(&c.val, &perm),
+        i0: permute("rowm", &c.i0, &perm)?,
+        i1: permute("colm", &c.i1, &perm)?,
+        i2: permute("zm", &c.i2, &perm)?,
+        val: permute("Amcoo3", &c.val, &perm)?,
     };
     Ok(AnyTensor::MortonCoo3(MortonCoo3Tensor::new(out).map_err(RunError::Format)?))
 }

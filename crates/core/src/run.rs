@@ -756,7 +756,9 @@ fn take_coo(
     Ok(CooMatrix { nr, nc, row, col, val })
 }
 
-/// Extracts a (validated) COO matrix.
+/// Extracts a COO matrix, checked against the destination descriptor's
+/// obligations in one pass: lengths, bounds, values and, for a sorted
+/// destination, its strict order.
 ///
 /// # Errors
 /// Fails on missing outputs or invariant violations.
@@ -766,8 +768,9 @@ pub fn extract_coo(
     nr: usize,
     nc: usize,
 ) -> Result<CooMatrix, RunError> {
-    let CooMatrix { row, col, val, .. } = take_coo(env, desc, nr, nc)?;
-    CooMatrix::from_triplets(nr, nc, row, col, val).map_err(RunError::Format)
+    let coo = take_coo(env, desc, nr, nc)?;
+    sparse_formats::validate_matrix(desc, MatrixRef::Coo(&coo)).map_err(RunError::Format)?;
+    Ok(coo)
 }
 
 /// Order-3 analogue of [`take_coo`].
@@ -783,7 +786,7 @@ fn take_coo3(
     Ok(Coo3Tensor { nr, nc, nz, i0, i1, i2, val })
 }
 
-/// Extracts a (validated) order-3 COO tensor.
+/// Order-3 analogue of [`extract_coo`].
 ///
 /// # Errors
 /// Fails on missing outputs or invariant violations.
@@ -792,8 +795,9 @@ pub fn extract_coo3(
     desc: &FormatDescriptor,
     dims: (usize, usize, usize),
 ) -> Result<Coo3Tensor, RunError> {
-    let Coo3Tensor { i0, i1, i2, val, .. } = take_coo3(env, desc, dims)?;
-    Coo3Tensor::from_coords(dims, i0, i1, i2, val).map_err(RunError::Format)
+    let coo = take_coo3(env, desc, dims)?;
+    sparse_formats::validate_tensor(desc, TensorRef::Coo3(&coo)).map_err(RunError::Format)?;
+    Ok(coo)
 }
 
 /// Extracts a (validated) DIA matrix.

@@ -57,6 +57,63 @@ fn optimized_plan_labels_per_pair() {
     );
 }
 
+/// How each pair's loops run on the interpreter: chunked (a perfect
+/// nest counts as two loops) or one iteration at a time on the op loop.
+/// A plan change that takes a loop off the chunked path shows here.
+#[test]
+fn loops_run_chunked_per_pair() {
+    let mut got = String::new();
+    for (src, dst) in pairs() {
+        let plan = synthesize(&src, &dst, SynthesisOptions::default()).unwrap();
+        let n = plan.computation.lower().unwrap().program().loop_counts();
+        got.push_str(&format!(
+            "{} -> {}: {} chunked, {} op loop\n",
+            src.name, dst.name, n.chunked, n.op_loop
+        ));
+    }
+    assert!(got == LOOPS, "loop shapes changed; they now read:\n{got}");
+}
+
+const LOOPS: &str = "\
+COO -> SCOO_v: 2 chunked, 0 op loop
+COO -> CSR: 2 chunked, 1 op loop
+COO -> CSC: 2 chunked, 1 op loop
+COO -> DIA: 4 chunked, 0 op loop
+COO -> MCOO: 2 chunked, 0 op loop
+SCOO -> COO_v: 1 chunked, 0 op loop
+SCOO -> CSR: 1 chunked, 1 op loop
+SCOO -> CSC: 3 chunked, 1 op loop
+SCOO -> DIA: 4 chunked, 0 op loop
+SCOO -> MCOO: 2 chunked, 0 op loop
+CSR -> COO: 2 chunked, 0 op loop
+CSR -> SCOO: 2 chunked, 0 op loop
+CSR -> CSC: 5 chunked, 1 op loop
+CSR -> DIA: 6 chunked, 0 op loop
+CSR -> MCOO: 4 chunked, 0 op loop
+CSC -> COO: 2 chunked, 0 op loop
+CSC -> SCOO: 4 chunked, 1 op loop
+CSC -> CSR: 5 chunked, 1 op loop
+CSC -> DIA: 6 chunked, 0 op loop
+CSC -> MCOO: 4 chunked, 0 op loop
+MCOO -> COO: 1 chunked, 0 op loop
+MCOO -> SCOO: 2 chunked, 1 op loop
+MCOO -> CSR: 3 chunked, 1 op loop
+MCOO -> CSC: 3 chunked, 1 op loop
+MCOO -> DIA: 4 chunked, 0 op loop
+ELL -> COO: 2 chunked, 0 op loop
+ELL -> SCOO: 2 chunked, 0 op loop
+ELL -> CSR: 2 chunked, 1 op loop
+ELL -> CSC: 5 chunked, 1 op loop
+ELL -> DIA: 6 chunked, 0 op loop
+ELL -> MCOO: 4 chunked, 0 op loop
+COO3D -> SCOO3_v: 2 chunked, 0 op loop
+COO3D -> MCOO3: 2 chunked, 0 op loop
+SCOO3 -> COO3D_v: 1 chunked, 0 op loop
+SCOO3 -> MCOO3: 2 chunked, 0 op loop
+MCOO3 -> COO3D: 1 chunked, 0 op loop
+MCOO3 -> SCOO3: 2 chunked, 0 op loop
+";
+
 const GOLDEN: &str = "\
 COO -> SCOO_v
   alloc row1_v

@@ -3,9 +3,10 @@
 //! invariant `kernels_hit + interp_fallbacks == conversions` holds
 //! unconditionally.
 
-use sparse_engine::{Engine, EngineConfig, EngineStats};
+use sparse_engine::{Engine, EngineConfig, EngineError, EngineStats};
 use sparse_formats::descriptors;
 use sparse_formats::{AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CsrMatrix, MortonCoo3Tensor};
+use sparse_synthesis::RunError;
 
 fn sample_scoo(nr: usize, nc: usize, per_row: usize) -> CooMatrix {
     let mut row = Vec::new();
@@ -140,13 +141,18 @@ fn kernel_decline_falls_back_transparently() {
     .unwrap();
     let dst = descriptors::scoo().with_suffix("_d");
     let res = engine.convert(&descriptors::coo(), &dst, &AnyMatrix::Coo(dup));
-    // Whatever the interpreter decides about duplicate collapse, the
-    // accounting must show a fallback, not a kernel hit.
+    // The interpreter collapses the duplicates into one slot, leaving an
+    // unfilled `(0, 0)` after it, and the sorted output's check refuses
+    // the result: the error is the output check's, never the decline, and
+    // the accounting shows a fallback, not a kernel hit.
+    match res {
+        Err(EngineError::Run(RunError::Format(e))) => assert_eq!(e.check.as_str(), "ordering"),
+        other => panic!("expected the output check's error, got {other:?}"),
+    }
     let stats = engine.stats();
     assert_eq!(stats.kernels_hit, 0, "declined kernels are not hits");
-    assert_eq!(stats.interp_fallbacks, 1);
+    assert_eq!((stats.kernel_declines, stats.conversions_failed), (1, 1));
     assert_invariant(&stats);
-    drop(res);
 
     // A duplicate-free input through the same (cached) plan hits the
     // kernel again.

@@ -104,9 +104,9 @@ fn every_corruption_class_yields_typed_error_or_exact_result() {
 /// `sparse_matgen::corrupt`'s container/input agreement test covers,
 /// through `Engine::convert`: a class the source descriptor's input check
 /// rejects comes back as `InvalidInput` naming that same check, and a
-/// class it accepts converts. The unordered COO source converts to SCOO
-/// (the sort): its accepted repeated coordinates would fail the output
-/// check into CSR, CSC or MCOO, where the plan collapses duplicates.
+/// class it accepts converts. The one exception is the repeated
+/// coordinate an unordered COO source admits: the plan collapses it, and
+/// the SCOO output check rejects the result as a duplicate.
 #[test]
 fn corruptions_through_convert_name_the_input_check() {
     let coo = sample_coo();
@@ -124,7 +124,7 @@ fn corruptions_through_convert_name_the_input_check() {
         ("ell", AnyMatrix::Ell(EllMatrix::from_coo(&coo)), descriptors::ell(), descriptors::csr()),
     ];
     let engine = Engine::new();
-    let (mut rejected, mut accepted) = (0, 0);
+    let (mut rejected, mut accepted, mut output_rejected) = (0, 0, 0);
     for (label, input, src, dst) in cases {
         for class in Corruption::ALL {
             let Some(mutant) = corrupt_matrix(&input, class) else { continue };
@@ -138,15 +138,21 @@ fn corruptions_through_convert_name_the_input_check() {
                     assert_eq!(check, want, "{label}/{class}");
                     rejected += 1;
                 }
+                (None, Err(EngineError::Run(RunError::Format(e))))
+                    if (label, class) == ("coo", Corruption::DuplicateCoordinate) =>
+                {
+                    assert_eq!(e.check.as_str(), "duplicate-coordinate", "{label}/{class}");
+                    output_rejected += 1;
+                }
                 (expect, got) => {
                     panic!("{label}/{class}: input check {expect:?}, engine returned {got:?}")
                 }
             }
         }
     }
-    // Six sources: 36 realized corruptions, and `Empty` on each plus the
+    // Six sources: 36 realized corruptions, `Empty` on each, and the
     // repeat an unordered COO admits.
-    assert_eq!((rejected, accepted), (36, 7));
+    assert_eq!((rejected, accepted, output_rejected), (36, 6, 1));
     assert_eq!(engine.stats().panics_caught, 0);
     assert_eq!(engine.stats().inputs_rejected, rejected);
 }
@@ -408,7 +414,10 @@ fn memory_budget_is_exact_for_the_plan_allocations() {
 /// output, but an MCOO source places by counting, with one cursor per
 /// row: `P` takes `N + 1` words and the budget refuses it there. An
 /// unordered COO source sorts instead and allocates no cursors, so the
-/// same budget admits it.
+/// same budget admits it. Its destination is renamed, as the oracle's
+/// is: under the shared names `row1`/`col1`/`Acoo` the plan allocates
+/// its outputs over its own inputs, and the SCOO output check refuses
+/// the result.
 #[test]
 fn memory_budget_counts_the_counting_cursors_on_tall_inputs() {
     let n = 1usize << 16;
@@ -423,7 +432,8 @@ fn memory_budget_counts_the_counting_cursors_on_tall_inputs() {
         }
         other => panic!("expected ResourceExhausted, got: {other:?}"),
     }
-    engine.convert(&descriptors::coo(), &descriptors::scoo(), &AnyMatrix::Coo(tall)).unwrap();
+    let scoo = descriptors::scoo().with_suffix("_v");
+    engine.convert(&descriptors::coo(), &scoo, &AnyMatrix::Coo(tall)).unwrap();
 }
 
 /// Regression: SCOO→CSR on a valid 2^61-row input sized `rowptr` with an
@@ -441,6 +451,39 @@ fn pointer_array_size_overflow_is_a_typed_error() {
         other => panic!("expected a typed allocation overflow, got: {other:?}"),
     }
     assert_eq!(engine.stats().panics_caught, 0);
+}
+
+/// The native kernels allocate through the interpreter's checked helper:
+/// on a kernel-backed engine, the oversized pointer array of a valid
+/// one-entry input is a typed error naming it, not a capacity-overflow
+/// panic inside the kernel. The kernel declines with that error and the
+/// interpreter, which refuses the same array, answers.
+#[test]
+fn kernel_pointer_array_overflow_is_a_typed_error() {
+    let huge = 1usize << 61;
+    let tall = CooMatrix::from_triplets(huge, 1, vec![0], vec![0], vec![1.0]).unwrap();
+    let wide = CooMatrix::from_triplets(1, huge, vec![0], vec![0], vec![1.0]).unwrap();
+    let wide_csr = AnyMatrix::Csr(CsrMatrix::from_coo(&wide));
+    let cases = [
+        (descriptors::scoo(), descriptors::csr(), AnyMatrix::Coo(tall.clone()), "rowptr"),
+        (descriptors::coo(), descriptors::csr(), AnyMatrix::Coo(tall), "rowptr"),
+        (descriptors::coo(), descriptors::csc(), AnyMatrix::Coo(wide), "colptr"),
+        (descriptors::csr(), descriptors::csc(), wide_csr, "colptr"),
+    ];
+    let engine = Engine::with_config(EngineConfig { verify_plans: true, ..Default::default() });
+    for (src, dst, input, want) in cases {
+        let pair = format!("{} -> {}", src.name, dst.name);
+        assert!(engine.plan(&src, &dst).unwrap().has_kernel(), "{pair}");
+        match engine.convert(&src, &dst, &input) {
+            Err(EngineError::Run(RunError::Exec(ExecError::AllocOverflow { name }))) => {
+                assert_eq!(name, want, "{pair}");
+            }
+            other => panic!("{pair}: expected a typed overflow, got {other:?}"),
+        }
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.panics_caught, stats.kernel_panics), (0, 0));
+    assert_eq!(stats.kernel_declines, 4);
 }
 
 /// Regression: `Adia`'s size `ND × NR` was multiplied with wrapping

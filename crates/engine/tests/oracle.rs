@@ -12,6 +12,12 @@
 //! kernel differential suite uses: empty, `0×N`, `N×0`, all-empty rows
 //! and dense rows, non-square shapes holding both corner diagonals (the
 //! ends of DIA's direct map), and an ELL input that is all padding.
+//!
+//! The interpreter runs loops a chunk of [`CHUNK`] iterations at a time,
+//! so each family also gets inputs that span several chunks: more than
+//! three chunks of entries, a row longer than a chunk, rows and ELL
+//! padding whose ends straddle chunk boundaries, a banded DIA case and a
+//! skewed tensor of the same size.
 
 use sparse_engine::Engine;
 use sparse_formats::descriptors as d;
@@ -73,6 +79,39 @@ fn matrix_edge_cases() -> Vec<CooMatrix> {
     ]
 }
 
+/// Iterations per chunk of the interpreter's chunked loops.
+const CHUNK: usize = 256;
+
+/// Inputs that span several chunks (see the module docs).
+fn matrix_multi_chunk(dst: &FormatDescriptor) -> Vec<CooMatrix> {
+    let many = random_uniform(150, 120, 900, 11);
+    assert!(many.nnz() > 3 * CHUNK, "{} entries", many.nnz());
+    // Row 2 holds 300 entries; the rows around it hold a few.
+    let (mut row, mut col) = (vec![2; 300], (0..300).collect::<Vec<i64>>());
+    for i in [0, 1, 3, 5] {
+        row.extend([i, i]);
+        col.extend([7 * i, 299 - i]);
+    }
+    let long_row = matrix(6, 320, row, col);
+    // Rows of 7, 3, 0, 5 and 1 entries: 256 is no multiple of any row
+    // length or of the ELL width 7, so row ends and padding straddle
+    // every chunk boundary, and the columns' lengths vary as well.
+    let (mut row, mut col) = (Vec::new(), Vec::new());
+    for i in 0..170i64 {
+        let len = [7, 3, 0, 5, 1][i as usize % 5];
+        row.extend(std::iter::repeat_n(i, len));
+        col.extend((0..len as i64).map(|k| (i * 3 + k * 11) % 40));
+    }
+    let ragged = matrix(170, 40, row, col);
+    let mut out = vec![many, long_row, ragged];
+    if dst.kind() == FormatKind::Dia {
+        let band = banded(200, &[-7, -1, 0, 2, 9], 0.9, 11);
+        assert!(band.nnz() > 3 * CHUNK, "{} entries", band.nnz());
+        out.push(band);
+    }
+    out
+}
+
 fn matrix_inputs(dst: &FormatDescriptor) -> Vec<CooMatrix> {
     let mut out = matrix_edge_cases();
     for seed in 0..3 {
@@ -82,6 +121,7 @@ fn matrix_inputs(dst: &FormatDescriptor) -> Vec<CooMatrix> {
             out.push(banded(40, &[-7, -1, 0, 2, 9], 0.8, seed));
         }
     }
+    out.extend(matrix_multi_chunk(dst));
     out
 }
 
@@ -109,6 +149,9 @@ fn tensor_inputs() -> Vec<Coo3Tensor> {
     for seed in 0..3 {
         out.push(skewed_tensor((16, 12, 10), 200, seed));
     }
+    let many = skewed_tensor((40, 30, 20), 900, 11);
+    assert!(many.nnz() > 3 * CHUNK, "{} entries", many.nnz());
+    out.push(many);
     out
 }
 

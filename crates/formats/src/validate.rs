@@ -499,6 +499,38 @@ pub(crate) fn validate_coo3(
     values: Values,
 ) -> Result<(), ValidationError> {
     check_lengths("COO3 i0/i1/i2/val", &[t.i0.len(), t.i1.len(), t.i2.len(), t.val.len()])?;
+    // The fused sweep of `validate_coo`, for unordered storage and keys
+    // that order all three coordinates lexicographically.
+    let fast: Option<Option<[usize; 3]>> = match order {
+        Order::Unordered => Some(None),
+        Order::Key(k) if matches!(k.comparator, Comparator::Lexicographic) => {
+            match identity_dims(k, 3) {
+                Some((pos, 3)) if pos.contains(&0) && pos.contains(&1) && pos.contains(&2) => {
+                    Some(Some(pos))
+                }
+                _ => None,
+            }
+        }
+        _ => None,
+    };
+    if let Some(order3) = fast {
+        let finite = values == Values::Finite;
+        let mut ok = true;
+        for (((&a, &b), &c), &v) in t.i0.iter().zip(&t.i1).zip(&t.i2).zip(&t.val) {
+            ok &= in_bounds(a, t.nr) & in_bounds(b, t.nc) & in_bounds(c, t.nz);
+            ok &= !finite | v.is_finite();
+        }
+        if let Some([p0, p1, p2]) = order3 {
+            let pairs = t.i0.windows(2).zip(t.i1.windows(2)).zip(t.i2.windows(2));
+            for ((w0, w1), w2) in pairs {
+                let (a, b) = ([w0[0], w1[0], w2[0]], [w0[1], w1[1], w2[1]]);
+                ok &= (a[p0], a[p1], a[p2]) < (b[p0], b[p1], b[p2]);
+            }
+        }
+        if ok {
+            return Ok(());
+        }
+    }
     for (n, ((&a, &b), &c)) in t.i0.iter().zip(&t.i1).zip(&t.i2).enumerate() {
         if !in_bounds(a, t.nr) || !in_bounds(b, t.nc) || !in_bounds(c, t.nz) {
             return Err(ValidationError::new(

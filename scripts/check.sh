@@ -13,11 +13,16 @@ echo "==> cargo test -q"
 # included.
 cargo test -q
 
-echo "==> oracle, differential, fault-injection and tensor suites on the optimized build"
+echo "==> oracle, differential, fault-injection, tensor, interpreter and ExecStats suites on the optimized build"
 # The engine serves release builds: check the optimized interpreter and
 # kernels against the 37-pair oracle and the kernel differential suite,
 # and the memory-budget and allocation-failure tests, which hold in
-# fault_injection and tensor_path.
+# fault_injection and tensor_path. The interpreter's own tests and the
+# exact ExecStats golden run here too: chunked loops compute lanes and
+# trip counts with arithmetic that panics on overflow in debug builds and
+# wraps in release, so both builds must pass them.
+cargo test --release -q -p spf-codegen --lib
+cargo test --release -q -p sparse-synthesis --test conversions
 cargo test --release -q -p sparse-engine --test oracle
 cargo test --release -q -p sparse-synthesis --test differential
 cargo test --release -q -p sparse-engine --test fault_injection
