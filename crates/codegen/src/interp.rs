@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::ast::{CmpOp, Expr, SlotAlloc, Stmt};
-use crate::runtime::{ListError, OrderedList, RtEnv};
+use crate::runtime::{ListError, OrderedList, RtEnv, MAX_KEY_WIDTH};
 
 /// Errors raised during execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1273,6 +1273,14 @@ impl Sel<'_> {
         }
     }
 
+    /// Appends the selected lanes of `col` to `out`, in order.
+    fn append(self, col: &Column, out: &mut Vec<i64>) {
+        match self {
+            Sel::All(n) => out.extend_from_slice(&col[..n.min(LANES)]),
+            Sel::Some(s) => out.extend(s.iter().map(|&l| col[l as usize])),
+        }
+    }
+
     /// The fault of an op that fails on every lane: it shows on the first.
     fn fail(self, e: impl FnOnce() -> ExecError) -> Result<(), (usize, ExecError)> {
         self.first().map_or(Ok(()), |l| Err((l, e())))
@@ -1440,8 +1448,8 @@ struct State<'a> {
     lists: Vec<Option<OrderedList>>,
     budget: Budget,
     stats: ExecStats,
-    key: Vec<i64>,
-    /// The columns of chunked loops, reused from loop to loop.
+    /// The columns of chunked loops, reused from loop to loop and, through
+    /// [`COLS`], from run to run.
     cols: Vec<Column>,
 }
 
@@ -1481,12 +1489,12 @@ impl State<'_> {
                     self.set(dst, v);
                 }
                 Op::ListRank { dst, list, ref args } => {
-                    self.key.clear();
-                    self.key.extend(args.iter().map(|&a| self.regs[a as usize]));
                     let l = self.lists[list as usize]
                         .as_mut()
                         .ok_or_else(|| unbound_list(prog, list))?;
-                    let rank = l.rank_next(&self.key)?;
+                    l.rank_check(args.len())?;
+                    let regs = &self.regs;
+                    let rank = l.rank_next(|d| regs[args[d] as usize])?;
                     self.set(dst, rank);
                 }
                 Op::ListLen { dst, list } => {
@@ -1587,12 +1595,12 @@ impl State<'_> {
                     self.data[arr as usize] = Some(Cow::Owned(v));
                 }
                 Op::ListInsert { list, ref args } => {
-                    self.key.clear();
-                    self.key.extend(args.iter().map(|&a| self.regs[a as usize]));
                     let l = self.lists[list as usize]
                         .as_mut()
                         .ok_or_else(|| unbound_list(prog, list))?;
-                    l.insert(&self.key)?;
+                    for (key, &a) in l.key_columns(args.len())?.iter_mut().zip(args.iter()) {
+                        key.push(self.regs[a as usize]);
+                    }
                 }
                 Op::ListFinalize { list } => {
                     let l = self.lists[list as usize]
@@ -1795,11 +1803,22 @@ impl State<'_> {
                 let Some(lst) = self.lists[list as usize].as_mut() else {
                     return sel.fail(|| unbound_list(prog, list));
                 };
-                let key = &mut self.key;
+                // Every lane makes the same checks: they fail on the first.
+                if let Err(e) = lst.rank_check(args.len()) {
+                    return sel.fail(|| ExecError::List(e));
+                }
+                // Keys queried in insertion order, as every synthesized
+                // plan queries them, are answered a chunk at a time.
+                if let Sel::All(n) = sel {
+                    let n = n.min(LANES);
+                    let keys: [&[i64]; MAX_KEY_WIDTH] =
+                        std::array::from_fn(|k| args.get(k).map_or(&[][..], |&a| &r.get(a)[..n]));
+                    if lst.rank_run(&keys[..args.len()], &mut d[..n]) {
+                        return Ok(());
+                    }
+                }
                 sel.try_each(|l| {
-                    key.clear();
-                    key.extend(args.iter().map(|&a| r.get(a)[l]));
-                    d[l] = lst.rank_next(key)?;
+                    d[l] = lst.rank_next(|k| r.get(args[k])[l])?;
                     Ok(())
                 })
                 .map_err(|(l, e)| (l, ExecError::List(e)))?;
@@ -1875,13 +1894,14 @@ impl State<'_> {
                 let Some(lst) = self.lists[list as usize].as_mut() else {
                     return sel.fail(|| unbound_list(prog, list));
                 };
-                let key = &mut self.key;
-                sel.try_each(|l| {
-                    key.clear();
-                    key.extend(args.iter().map(|&a| cols[a as usize][l]));
-                    lst.insert(key)
-                })
-                .map_err(|(l, e)| (l, ExecError::List(e)))?;
+                // Every lane makes the same checks: they fail on the first.
+                let keys = match lst.key_columns(args.len()) {
+                    Ok(keys) => keys,
+                    Err(e) => return sel.fail(|| ExecError::List(e)),
+                };
+                for (key, &a) in keys.iter_mut().zip(args.iter()) {
+                    sel.append(&cols[a as usize], key);
+                }
             }
             Lane::SymSet { sym, value } => {
                 if let Some(l) = sel.last() {
@@ -2011,6 +2031,13 @@ impl State<'_> {
     }
 }
 
+thread_local! {
+    /// Each thread's chunk columns, kept from run to run, so a run
+    /// allocates and fills them only when it needs more than an earlier
+    /// run on the thread did.
+    static COLS: std::cell::Cell<Vec<Column>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
 fn run<const STATS: bool>(prog: &Program, env: &mut RtEnv<'_>) -> Result<ExecStats, ExecError> {
     let mut st = State {
         regs: prog.regs.clone(),
@@ -2020,10 +2047,10 @@ fn run<const STATS: bool>(prog: &Program, env: &mut RtEnv<'_>) -> Result<ExecSta
         lists: prog.lists.iter().map(|n| env.lists.remove(n)).collect(),
         budget: Budget { used: 0, limit: env.budget },
         stats: ExecStats::default(),
-        key: Vec::with_capacity(4),
-        cols: Vec::new(),
+        cols: COLS.take(),
     };
     let result = st.block::<STATS>(prog, &prog.main);
+    COLS.set(st.cols);
     // Move state back regardless of success so callers can inspect it.
     restore(&prog.syms, st.syms, &mut env.syms);
     restore(&prog.ufs, st.ufs, &mut env.ufs);
@@ -2864,6 +2891,112 @@ mod tests {
         assert_eq!(result, Err(ExecError::OobUf { name: "off".into(), idx: 4, len: 3 }));
         assert_eq!(e.ufs["out"][..5], [-1, 0, 1, 2, -1]);
         assert!(e.ufs["out"][5..].iter().all(|&x| x == -1));
+    }
+
+    /// `for n in 0..600 { if n >= 256 { L.insert(args(n)) }; out[n] = n }`:
+    /// the guard keeps the first chunk's lanes off the list.
+    fn insert_from_second_chunk(slots: &mut SlotAlloc, args: usize) -> Vec<Stmt> {
+        let n = slots.alloc("n");
+        let key = (0..args).map(|d| Expr::add(var("n", n), c(d as i64))).collect();
+        vec![for_(n, c(0), c(600), vec![
+            Stmt::If {
+                cond: Cond::cmp(var("n", n), CmpOp::Ge, c(256)),
+                body: vec![Stmt::ListInsert { list: "L".into(), args: key }],
+            },
+            put("out", var("n", n), var("n", n)),
+        ])]
+    }
+
+    /// On the op loop, iteration 256's insert is the first to fail and its
+    /// write does not run: `out[..256]` is written and the rest is not.
+    #[test]
+    fn chunked_insert_fails_at_the_first_lane_of_the_second_chunk() {
+        let mut slots = SlotAlloc::new();
+        let finalized = || {
+            let mut l = OrderedList::new(1, ListOrder::Lexicographic, false);
+            l.finalize();
+            l
+        };
+        let cases = [
+            (1, finalized(), ListError::AlreadyFinalized),
+            (
+                1,
+                OrderedList::new(2, ListOrder::Lexicographic, false),
+                ListError::WidthMismatch { expect: 2, got: 1 },
+            ),
+        ];
+        for (args, list, err) in cases {
+            let stmts = insert_from_second_chunk(&mut slots, args);
+            let env = || RtEnv::new().with_uf("out", vec![-1; 600]).with_list("L", list.clone());
+            let (result, e) = run_chunked(&stmts, &slots, 1, env);
+            assert_eq!(result, Err(ExecError::List(err.clone())));
+            assert!(e.ufs["out"][..256].iter().copied().eq(0..256), "{err:?}");
+            assert!(e.ufs["out"][256..].iter().all(|&x| x == -1), "{err:?}");
+            assert_eq!(e.lists["L"].len(), list.len(), "{err:?}");
+        }
+        // A list that takes the inserts gets iterations 256..600's keys.
+        let stmts = insert_from_second_chunk(&mut slots, 2);
+        let env = || {
+            RtEnv::new()
+                .with_uf("out", vec![-1; 600])
+                .with_list("L", OrderedList::new(2, ListOrder::Lexicographic, false))
+        };
+        let (result, mut e) = run_chunked(&stmts, &slots, 1, env);
+        result.unwrap();
+        let l = e.lists.get_mut("L").unwrap();
+        l.finalize();
+        assert_eq!(l.len(), 344);
+        assert_eq!((l.key_col(0, 0), l.key_col(0, 1)), (Ok(256), Ok(257)));
+        assert_eq!((l.key_col(343, 0), l.key_col(343, 1)), (Ok(599), Ok(600)));
+    }
+
+    /// `L` holds the keys `299, 298, …, 0` in that insertion order, so the
+    /// rank of key `v` is `v`; `out[n] = rank(q[n])` over 300 queries.
+    fn rank_queries(q: Vec<i64>) -> (Result<ExecStats, ExecError>, RtEnv<'static>) {
+        let mut slots = SlotAlloc::new();
+        let n = slots.alloc("n");
+        let stmts = [for_(n, c(0), c(300), vec![put(
+            "out",
+            var("n", n),
+            Expr::ListRank { list: "L".into(), args: vec![rd("q", var("n", n))] },
+        )])];
+        let env = || {
+            let mut l = OrderedList::new(1, ListOrder::Lexicographic, false);
+            for v in (0..300).rev() {
+                l.insert(&[v]).unwrap();
+            }
+            l.finalize();
+            RtEnv::new().with_uf("q", q.clone()).with_uf("out", vec![-1; 300]).with_list("L", l)
+        };
+        run_chunked(&stmts, &slots, 1, env)
+    }
+
+    #[test]
+    fn chunked_out_of_order_ranks_fall_back_to_the_index() {
+        let in_order: Vec<i64> = (0..300).rev().collect();
+        // Swaps mid-chunk and across the chunk boundary: each rank is
+        // still the key's, `out == q`.
+        for (a, b) in [(100, 101), (255, 256), (0, 299)] {
+            let mut q = in_order.clone();
+            q.swap(a, b);
+            let (result, e) = rank_queries(q.clone());
+            assert_eq!(result.unwrap(), ExecStats { loop_iterations: 300, statements: 301 });
+            assert_eq!(e.ufs["out"], q, "swap {a}, {b}");
+        }
+        let (result, e) = rank_queries(in_order.clone());
+        result.unwrap();
+        assert_eq!(e.ufs["out"], in_order);
+    }
+
+    #[test]
+    fn chunked_unknown_key_fails_at_its_own_lane() {
+        let mut q: Vec<i64> = (0..300).rev().collect();
+        q[270] = 1000;
+        let (result, e) = rank_queries(q.clone());
+        assert_eq!(result, Err(ExecError::List(ListError::UnknownKey(vec![1000]))));
+        // Iterations 0..270 wrote their ranks; 270 and later did not.
+        assert_eq!(e.ufs["out"][..270], q[..270]);
+        assert!(e.ufs["out"][270..].iter().all(|&x| x == -1));
     }
 
     /// Each exclusion of the eligibility rule keeps its loop on the op

@@ -169,8 +169,7 @@ pub fn permute<T: Copy>(name: &str, src: &[T], perm: &[usize]) -> Result<Vec<T>,
 /// the order is the interpreter's by construction.
 pub fn lex_sort_perm(row: &[i64], col: &[i64]) -> Vec<usize> {
     let mut perm = Vec::with_capacity(row.len());
-    let cols = [row, col];
-    sort_keys(row.len(), 2, KeyOrder::Lexicographic, |p, d| cols[d][p], |p, _| perm.push(p));
+    sort_keys(&[row, col], KeyOrder::Lexicographic, |p, _| perm.push(p));
     perm
 }
 
@@ -185,7 +184,7 @@ pub fn lex_sort_perm(row: &[i64], col: &[i64]) -> Vec<usize> {
 pub fn morton_sort_perm(dims: &[&[i64]]) -> Vec<usize> {
     let n = dims.first().map_or(0, |d| d.len());
     let mut perm = Vec::with_capacity(n);
-    sort_keys(n, dims.len(), KeyOrder::Morton, |p, d| dims[d][p], |p, _| perm.push(p));
+    sort_keys(dims, KeyOrder::Morton, |p, _| perm.push(p));
     perm
 }
 

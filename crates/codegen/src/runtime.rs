@@ -16,12 +16,14 @@
 //! order breaks ties, as in a stable sort), and `rank` retrieves the
 //! re-ordered position of a nonzero — the permutation `P`.
 //!
-//! The paper notes that rank retrieval "incurs overhead". Here `finalize`
-//! sorts each key once as a packed integer (`sort_keys`) and records the
-//! rank of every insertion position. Synthesized inspectors query `P` with
-//! the keys they inserted, in the order they inserted them, so the
-//! interpreter answers from that array by position; only other queries
-//! build a hash index.
+//! The paper notes that rank retrieval "incurs overhead". Here keys are
+//! stored a column per dimension, `finalize` packs each key once into an
+//! integer and radix-sorts the packed words (`sort_keys`), and it records
+//! the rank of every insertion position. Synthesized inspectors query `P`
+//! with the keys they inserted, in the order they inserted them, so the
+//! interpreter compares each query in place with the key at a cursor and
+//! answers from that array by position; only other queries build a hash
+//! index.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -31,7 +33,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
-use crate::morton::{bits_for_extent, morton_cmp, morton_encode};
+use crate::morton::{morton_cmp, morton_encode};
 
 /// A fast non-cryptographic hasher (Fx-style multiply-xor) for the rank
 /// index that answers out-of-order `rank` queries.
@@ -92,150 +94,238 @@ pub(crate) enum KeyOrder {
     Morton,
 }
 
-/// Visits positions `0..n` in the order of their `w`-column keys (`key(p,
-/// d)` is column `d` of position `p`), breaking ties by position — the
-/// order a stable sort gives. `visit(p, new_key)` is called once per
-/// position, in that order; `new_key` is `false` exactly when `p`'s key
-/// equals the previously visited one.
+/// Visits positions `0..n` in the order of their keys, breaking ties by
+/// position — the order a stable sort gives. Column `d` of position `p`'s
+/// key is `cols[d][p]`; every column holds `n` entries. `visit(p,
+/// new_key)` is called once per position, in that order; `new_key` is
+/// `false` exactly when `p`'s key equals the previously visited one.
 ///
-/// Each key is encoded once as an integer whose order is the key order:
-/// lexicographic columns as offsets from the column minimum (so negative
-/// keys work), concatenated; Morton keys as their interleaved code. The
-/// position goes in the low bits and the packed words are sorted with
-/// `sort_unstable`, as `u64` when they fit and `u128` otherwise. Keys too
-/// wide for 128 bits fall back to a comparator sort with the same
-/// tie-break. Equal keys get equal codes, so duplicates are neighbours.
-/// Lexicographic keys already in order skip the sort.
+/// A few linear passes over the columns do the work. The first finds each
+/// column's range. The second encodes each key as one integer whose order
+/// is the key order, with the position in the low bits: lexicographic
+/// columns as offsets from the column minimum (so negative keys work),
+/// concatenated; Morton keys as their interleaved code. When the packed
+/// words fit a `u64` and are not already increasing, a stable LSD radix
+/// sort over the code bits orders them ([`radix_sort`]). Wider words sort
+/// as `u128` with `sort_unstable`, and keys too wide for 128 bits fall
+/// back to a comparator sort with the same tie-break. Equal keys get equal
+/// codes, so duplicates are neighbours.
 ///
 /// # Panics
-/// Panics when `w` is not in `1..=MAX_KEY_WIDTH`, and on negative Morton
-/// coordinates.
-pub(crate) fn sort_keys(
-    n: usize,
-    w: usize,
-    order: KeyOrder,
-    key: impl Fn(usize, usize) -> i64,
-    mut visit: impl FnMut(usize, bool),
-) {
+/// Panics when the number of columns is not in `1..=MAX_KEY_WIDTH` or
+/// their lengths differ, and on negative Morton coordinates.
+pub(crate) fn sort_keys(cols: &[&[i64]], order: KeyOrder, mut visit: impl FnMut(usize, bool)) {
+    let w = cols.len();
     assert!((1..=MAX_KEY_WIDTH).contains(&w), "key width must be in 1..={MAX_KEY_WIDTH}");
-    if n == 0 {
+    let n = cols[0].len();
+    assert!(cols.iter().all(|c| c.len() == n), "key columns must have equal lengths");
+    if n < 2 {
+        if n == 1 {
+            visit(0, true);
+        }
         return;
     }
     let pos_bits = u64::BITS - (n as u64 - 1).leading_zeros();
+    // Each column's range: lexicographic columns are coded as offsets from
+    // their minimum, Morton coordinates as they are, in `bits[d]` bits.
+    let (mut lo, mut bits) = ([0i64; MAX_KEY_WIDTH], [0u32; MAX_KEY_WIDTH]);
+    for (d, col) in cols.iter().enumerate() {
+        let (min, max) = col.iter().fold((i64::MAX, i64::MIN), |(a, b), &k| (a.min(k), b.max(k)));
+        let span = match order {
+            KeyOrder::Lexicographic => {
+                lo[d] = min;
+                max.wrapping_sub(min) as u64
+            }
+            KeyOrder::Morton => {
+                assert!(min >= 0, "morton coordinates must be non-negative");
+                max as u64
+            }
+        };
+        bits[d] = u64::BITS - span.leading_zeros();
+    }
+    if order == KeyOrder::Morton {
+        // Interleaving gives every coordinate the widest one's bits.
+        let b = bits[..w].iter().copied().max().unwrap_or(0);
+        bits[..w].fill(b);
+    }
+    let code_bits: u32 = bits[..w].iter().sum();
     let tuple = |p: usize| -> KeyBuf {
         let mut t = [0; MAX_KEY_WIDTH];
-        for (d, slot) in t[..w].iter_mut().enumerate() {
-            *slot = key(p, d);
+        for (slot, col) in t.iter_mut().zip(cols) {
+            *slot = col[p];
         }
         t
     };
+    match code_bits + pos_bits {
+        0..=64 => {
+            let mut words = pack_u64(cols, order, &lo, &bits, pos_bits);
+            if !words.is_sorted() {
+                radix_sort(&mut words, pos_bits, code_bits);
+            }
+            visit_packed(&words, pos_bits, &mut visit);
+        }
+        65..=128 => {
+            let code = |p: usize| match order {
+                KeyOrder::Lexicographic => (0..w).fold(0u128, |c, d| {
+                    c << bits[d] | cols[d][p].wrapping_sub(lo[d]) as u64 as u128
+                }),
+                KeyOrder::Morton => morton_encode(&tuple(p)[..w], bits[0]),
+            };
+            let mut words: Vec<u128> = (0..n).map(|p| code(p) << pos_bits | p as u128).collect();
+            if !words.is_sorted() {
+                words.sort_unstable();
+            }
+            visit_packed(&words, pos_bits, &mut visit);
+        }
+        _ => {
+            let cmp: fn(&[i64], &[i64]) -> Ordering = match order {
+                KeyOrder::Lexicographic => <[i64]>::cmp,
+                KeyOrder::Morton => morton_cmp,
+            };
+            comparator_sort(n, w, tuple, cmp, &mut visit);
+        }
+    }
+}
+
+/// The packed `u64` words of [`sort_keys`]: each key's code above its
+/// position, built one column at a time. `bits` gives each column's code
+/// width; `code_bits + pos_bits` is at most 64, and a zero-width column
+/// contributes nothing (so no shift reaches 64).
+fn pack_u64(
+    cols: &[&[i64]],
+    order: KeyOrder,
+    lo: &KeyBuf,
+    bits: &[u32; MAX_KEY_WIDTH],
+    pos_bits: u32,
+) -> Vec<u64> {
+    /// `words[p] |= f(col[p])`, a loop the compiler can vectorize.
+    fn or_each(words: &mut [u64], col: &[i64], f: impl Fn(i64) -> u64) {
+        for (x, &k) in words.iter_mut().zip(col) {
+            *x |= f(k);
+        }
+    }
+    let mut words: Vec<u64> = (0..cols[0].len() as u64).collect();
     match order {
         KeyOrder::Lexicographic => {
-            // Keys that arrive in order (row-major sources, ELL slots) need
-            // no sort.
-            if (1..n).all(|p| tuple(p - 1) <= tuple(p)) {
-                return visit_runs(0..n, tuple, &mut visit);
-            }
-            let (mut lo, mut hi) = ([i64::MAX; MAX_KEY_WIDTH], [i64::MIN; MAX_KEY_WIDTH]);
-            for p in 0..n {
-                for d in 0..w {
-                    let k = key(p, d);
-                    lo[d] = lo[d].min(k);
-                    hi[d] = hi[d].max(k);
-                }
-            }
-            let mut bits = [0u32; MAX_KEY_WIDTH];
-            for d in 0..w {
-                bits[d] = u64::BITS - (hi[d].wrapping_sub(lo[d]) as u64).leading_zeros();
-            }
-            let code = |p: usize| {
-                (0..w).fold(0u128, |c, d| {
-                    c << bits[d] | key(p, d).wrapping_sub(lo[d]) as u64 as u128
-                })
-            };
-            let code_bits = bits[..w].iter().sum();
-            if !packed_sort(n, code_bits, pos_bits, code, &mut visit) {
-                comparator_sort(n, w, tuple, <[i64]>::cmp, &mut visit);
+            // The last column is the least significant.
+            let mut shift = pos_bits;
+            for (d, col) in cols.iter().enumerate().rev().filter(|&(d, _)| bits[d] > 0) {
+                let base = lo[d];
+                or_each(&mut words, col, |k| (k.wrapping_sub(base) as u64) << shift);
+                shift += bits[d];
             }
         }
-        KeyOrder::Morton => {
-            let mut max = 0;
-            for p in 0..n {
-                for d in 0..w {
-                    max = max.max(key(p, d));
+        KeyOrder::Morton if bits[0] > 0 => {
+            // Dimension `d` takes bit `b * w + d` of the code for its bit `b`.
+            for (d, col) in cols.iter().enumerate() {
+                let s = pos_bits + d as u32;
+                match cols.len() {
+                    1 => or_each(&mut words, col, |k| (k as u64) << s),
+                    2 => or_each(&mut words, col, |k| spread2(k as u64) << s),
+                    3 => or_each(&mut words, col, |k| spread3(k as u64) << s),
+                    _ => or_each(&mut words, col, |k| spread4(k as u64) << s),
                 }
             }
-            let bits = bits_for_extent(max as usize + 1);
-            let code_bits = w as u32 * bits;
-            let code = |p: usize| morton_encode(&tuple(p)[..w], bits);
-            if code_bits > 128 || !packed_sort(n, code_bits, pos_bits, code, &mut visit) {
-                comparator_sort(n, w, tuple, morton_cmp, &mut visit);
-            }
         }
+        KeyOrder::Morton => {}
+    }
+    words
+}
+
+/// Bit `i` of `x` (below 2^32) moved to bit `2i`.
+#[inline(always)]
+fn spread2(mut x: u64) -> u64 {
+    x = (x | x << 16) & 0x0000_ffff_0000_ffff;
+    x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & 0x5555_5555_5555_5555
+}
+
+/// Bit `i` of `x` (below 2^21) moved to bit `3i`.
+#[inline(always)]
+fn spread3(mut x: u64) -> u64 {
+    x = (x | x << 32) & 0x001f_0000_0000_ffff;
+    x = (x | x << 16) & 0x001f_0000_ff00_00ff;
+    x = (x | x << 8) & 0x100f_00f0_0f00_f00f;
+    x = (x | x << 4) & 0x10c3_0c30_c30c_30c3;
+    (x | x << 2) & 0x1249_2492_4924_9249
+}
+
+/// Bit `i` of `x` (below 2^16) moved to bit `4i`.
+#[inline(always)]
+fn spread4(mut x: u64) -> u64 {
+    x = (x | x << 24) & 0x0000_00ff_0000_00ff;
+    x = (x | x << 12) & 0x000f_000f_000f_000f;
+    x = (x | x << 6) & 0x0303_0303_0303_0303;
+    (x | x << 3) & 0x1111_1111_1111_1111
+}
+
+/// Sorts `words` stably by their bits `lo..lo + bits` (`bits >= 1`,
+/// `lo + bits <= 64`): a least-significant-digit radix sort. Digits are
+/// at most `log2(n)` bits (and at most 11), so a pass's histogram never
+/// outgrows the input, and the code's bits are split evenly among the
+/// passes. One read pass counts every digit; a digit that all words share
+/// costs no pass. The scratch buffer is as long as `words`.
+fn radix_sort(words: &mut Vec<u64>, lo: u32, bits: u32) {
+    let n = words.len();
+    let widest = n.ilog2().clamp(1, 11);
+    let digit = bits.div_ceil(bits.div_ceil(widest));
+    let (buckets, mask) = (1usize << digit, (1u64 << digit) - 1);
+    let shifts: Vec<u32> = (lo..lo + bits).step_by(digit as usize).collect();
+    let mut counts = vec![0usize; shifts.len() * buckets];
+    for &x in words.iter() {
+        for (c, &s) in counts.chunks_exact_mut(buckets).zip(&shifts) {
+            c[(x >> s & mask) as usize] += 1;
+        }
+    }
+    let mut scratch = vec![0u64; n];
+    for (c, &s) in counts.chunks_exact_mut(buckets).zip(&shifts) {
+        if c[(words[0] >> s & mask) as usize] == n {
+            continue;
+        }
+        let mut start = 0;
+        for c in c.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        for &x in words.iter() {
+            let b = &mut c[(x >> s & mask) as usize];
+            scratch[*b] = x;
+            *b += 1;
+        }
+        std::mem::swap(words, &mut scratch);
     }
 }
 
 /// An unsigned word holding a key code above a `pos_bits`-bit position.
-trait PackedWord: Copy + Ord {
-    fn pack(code: u128, pos: usize, pos_bits: u32) -> Self;
-    /// The `(code, position)` pair packed into `self`.
-    fn unpack(self, pos_bits: u32) -> (u128, usize);
+trait PackedWord: Copy + Eq {
+    /// The code and the position packed into `self`.
+    fn split(self, pos_bits: u32) -> (Self, usize);
 }
 
 impl PackedWord for u64 {
-    #[inline]
-    fn pack(code: u128, pos: usize, pos_bits: u32) -> Self {
-        (code as u64) << pos_bits | pos as u64
-    }
-
-    #[inline]
-    fn unpack(self, pos_bits: u32) -> (u128, usize) {
-        ((self >> pos_bits) as u128, (self & ((1 << pos_bits) - 1)) as usize)
-    }
-}
-
-impl PackedWord for u128 {
-    #[inline]
-    fn pack(code: u128, pos: usize, pos_bits: u32) -> Self {
-        code << pos_bits | pos as u128
-    }
-
-    #[inline]
-    fn unpack(self, pos_bits: u32) -> (u128, usize) {
+    #[inline(always)]
+    fn split(self, pos_bits: u32) -> (Self, usize) {
         (self >> pos_bits, (self & ((1 << pos_bits) - 1)) as usize)
     }
 }
 
-/// The packed-key sort of [`sort_keys`] in the narrowest word that holds
-/// `code_bits + pos_bits`; `false` (nothing visited) when none does.
-fn packed_sort(
-    n: usize,
-    code_bits: u32,
-    pos_bits: u32,
-    code: impl Fn(usize) -> u128,
-    visit: &mut impl FnMut(usize, bool),
-) -> bool {
-    fn run<K: PackedWord>(
-        n: usize,
-        pos_bits: u32,
-        code: impl Fn(usize) -> u128,
-        visit: &mut impl FnMut(usize, bool),
-    ) {
-        let mut keys: Vec<K> = (0..n).map(|p| K::pack(code(p), p, pos_bits)).collect();
-        keys.sort_unstable();
-        let mut prev = None;
-        for k in keys {
-            let (c, p) = k.unpack(pos_bits);
-            visit(p, prev != Some(c));
-            prev = Some(c);
-        }
+impl PackedWord for u128 {
+    #[inline(always)]
+    fn split(self, pos_bits: u32) -> (Self, usize) {
+        (self >> pos_bits, (self & ((1 << pos_bits) - 1)) as usize)
     }
-    match code_bits + pos_bits {
-        0..=64 => run::<u64>(n, pos_bits, code, visit),
-        65..=128 => run::<u128>(n, pos_bits, code, visit),
-        _ => return false,
+}
+
+/// Visits the positions of sorted packed words, flagging each whose code
+/// differs from the previous one's.
+fn visit_packed<K: PackedWord>(words: &[K], pos_bits: u32, visit: &mut impl FnMut(usize, bool)) {
+    let mut prev = None;
+    for &k in words {
+        let (c, p) = k.split(pos_bits);
+        visit(p, prev != Some(c));
+        prev = Some(c);
     }
-    true
 }
 
 /// The fallback of [`sort_keys`]: a comparator sort of the positions.
@@ -248,16 +338,6 @@ fn comparator_sort(
 ) {
     let mut perm: Vec<usize> = (0..n).collect();
     perm.sort_unstable_by(|&a, &b| cmp(&tuple(a)[..w], &tuple(b)[..w]).then(a.cmp(&b)));
-    visit_runs(perm, tuple, visit);
-}
-
-/// Visits the positions of `perm` in order, flagging each whose key
-/// differs from the previous one's.
-fn visit_runs(
-    perm: impl IntoIterator<Item = usize>,
-    tuple: impl Fn(usize) -> KeyBuf,
-    visit: &mut impl FnMut(usize, bool),
-) {
     let mut prev = None;
     for p in perm {
         let t = tuple(p);
@@ -337,8 +417,9 @@ pub struct OrderedList {
     width: usize,
     unique: bool,
     order: ListOrder,
-    /// Keys in insertion order, `width` columns each.
-    rows: Vec<i64>,
+    /// Keys in insertion order, one column per key dimension (the first
+    /// `width` are used).
+    cols: [Vec<i64>; MAX_KEY_WIDTH],
     finalized: bool,
     /// After finalize: the insertion position holding each rank's key.
     sorted: Vec<usize>,
@@ -366,7 +447,7 @@ impl OrderedList {
             width,
             unique,
             order,
-            rows: Vec::new(),
+            cols: Default::default(),
             finalized: false,
             sorted: Vec::new(),
             pos_rank: Vec::new(),
@@ -391,14 +472,40 @@ impl OrderedList {
     /// Fails when the width differs from the declaration or the list is
     /// already finalized.
     pub fn insert(&mut self, key: &[i64]) -> Result<(), ListError> {
+        for (col, &k) in self.key_columns(key.len())?.iter_mut().zip(key) {
+            col.push(k);
+        }
+        Ok(())
+    }
+
+    /// The key columns, for a caller about to append keys of `width`
+    /// columns, one to each: the checks of [`OrderedList::insert`], made
+    /// once for any number of keys.
+    ///
+    /// # Errors
+    /// Same as [`OrderedList::insert`].
+    pub(crate) fn key_columns(&mut self, width: usize) -> Result<&mut [Vec<i64>], ListError> {
         if self.finalized {
             return Err(ListError::AlreadyFinalized);
         }
-        if key.len() != self.width {
-            return Err(ListError::WidthMismatch { expect: self.width, got: key.len() });
+        if width != self.width {
+            return Err(ListError::WidthMismatch { expect: self.width, got: width });
         }
-        self.rows.extend_from_slice(key);
-        Ok(())
+        Ok(&mut self.cols[..width])
+    }
+
+    /// The key columns, as slices; the first `width` hold the keys.
+    fn columns(&self) -> [&[i64]; MAX_KEY_WIDTH] {
+        std::array::from_fn(|d| self.cols[d].as_slice())
+    }
+
+    /// The key inserted at position `p`.
+    fn key_at(&self, p: usize) -> KeyBuf {
+        let mut buf = [i64::MIN; MAX_KEY_WIDTH];
+        for (slot, col) in buf.iter_mut().zip(&self.cols[..self.width]) {
+            *slot = col[p];
+        }
+        buf
     }
 
     /// Sorts the keys by the declared comparator (insertion order breaks
@@ -417,8 +524,8 @@ impl OrderedList {
             return;
         }
         let (w, n, unique) = (self.width, self.len(), self.unique);
-        let rows = &self.rows;
-        let key = |p: usize, d: usize| rows[p * w + d];
+        let cols = self.columns();
+        let cols = &cols[..w];
         let mut sorted = Vec::with_capacity(n);
         let mut pos_rank = vec![0i64; n];
         match &self.order {
@@ -428,7 +535,7 @@ impl OrderedList {
                     _ => KeyOrder::Lexicographic,
                 };
                 let mut run_rank = 0;
-                sort_keys(n, w, order, key, |p, new_key| {
+                sort_keys(cols, order, |p, new_key| {
                     if new_key {
                         run_rank = sorted.len() as i64;
                     }
@@ -442,7 +549,7 @@ impl OrderedList {
                 // First pass: each position's first occurrence, which is the
                 // first of its run because ties break by position.
                 let mut first = 0;
-                sort_keys(n, w, KeyOrder::Lexicographic, key, |p, new_key| {
+                sort_keys(cols, KeyOrder::Lexicographic, |p, new_key| {
                     if new_key {
                         first = p;
                     }
@@ -466,13 +573,12 @@ impl OrderedList {
                 }
             }
             ListOrder::Custom(cmp) => {
-                let row = |p: usize| &rows[p * w..p * w + w];
                 let mut idx: Vec<usize> = (0..n).collect();
-                idx.sort_by(|&a, &b| cmp(row(a), row(b)));
+                idx.sort_by(|&a, &b| cmp(&self.key_at(a)[..w], &self.key_at(b)[..w]));
                 let mut index = RankIndex::with_capacity_and_hasher(n, FxBuild::default());
                 for (i, &p) in idx.iter().enumerate() {
                     let next = if unique { sorted.len() } else { i } as i64;
-                    let entry = index.entry(key_buf(row(p)));
+                    let entry = index.entry(self.key_at(p));
                     if matches!(entry, Entry::Vacant(_)) || !unique {
                         sorted.push(p);
                     }
@@ -491,7 +597,7 @@ impl OrderedList {
         if self.finalized {
             self.sorted.len()
         } else {
-            self.rows.len() / self.width
+            self.cols[0].len()
         }
     }
 
@@ -506,39 +612,74 @@ impl OrderedList {
     /// # Errors
     /// Fails before finalize or for unknown keys.
     pub fn rank(&self, key: &[i64]) -> Result<i64, ListError> {
-        if !self.finalized {
-            return Err(ListError::NotFinalized);
-        }
-        if key.len() != self.width {
-            return Err(ListError::WidthMismatch { expect: self.width, got: key.len() });
-        }
+        self.rank_check(key.len())?;
         let index = self.index.get_or_init(|| {
-            let w = self.width;
             let mut index = RankIndex::with_capacity_and_hasher(self.len(), FxBuild::default());
             for (p, &r) in self.pos_rank.iter().enumerate() {
-                index.entry(key_buf(&self.rows[p * w..p * w + w])).or_insert(r);
+                index.entry(self.key_at(p)).or_insert(r);
             }
             index
         });
         index.get(&key_buf(key)).copied().ok_or_else(|| ListError::UnknownKey(key.to_vec()))
     }
 
-    /// [`OrderedList::rank`] for a caller that queries the keys it
-    /// inserted, in insertion order: when `key` is the key inserted at the
-    /// cursor, returns that position's rank and advances the cursor
-    /// (wrapping to the first position after the last), without touching
-    /// the rank index. Any other query falls back to
-    /// [`OrderedList::rank`]. The result is the same either way.
+    /// The checks every rank query of `width` columns makes first, in
+    /// [`OrderedList::rank`]'s order; a caller ranking many keys of one
+    /// width makes them once.
     ///
     /// # Errors
-    /// Same as [`OrderedList::rank`].
-    pub(crate) fn rank_next(&mut self, key: &[i64]) -> Result<i64, ListError> {
-        let (w, p) = (self.width, self.cursor);
-        if self.finalized && self.rows.get(p * w..p * w + w) == Some(key) {
-            self.cursor = if p + 1 == self.pos_rank.len() { 0 } else { p + 1 };
+    /// [`ListError::NotFinalized`], then [`ListError::WidthMismatch`].
+    pub(crate) fn rank_check(&self, width: usize) -> Result<(), ListError> {
+        if !self.finalized {
+            return Err(ListError::NotFinalized);
+        }
+        if width != self.width {
+            return Err(ListError::WidthMismatch { expect: self.width, got: width });
+        }
+        Ok(())
+    }
+
+    /// [`OrderedList::rank`] for a caller that queries the keys it
+    /// inserted, in insertion order, after [`OrderedList::rank_check`]
+    /// passed for the list's width; column `d` of the key is `key(d)`.
+    /// When the key equals, in place, the key inserted at the cursor,
+    /// returns that position's rank and advances the cursor (wrapping to
+    /// the first position after the last), without touching the rank
+    /// index. Any other query falls back to [`OrderedList::rank`]. The
+    /// result is the same either way.
+    ///
+    /// # Errors
+    /// [`ListError::UnknownKey`] for a key never inserted.
+    #[inline]
+    pub(crate) fn rank_next(&mut self, key: impl Fn(usize) -> i64) -> Result<i64, ListError> {
+        let p = self.cursor;
+        let n = self.pos_rank.len();
+        if p < n && self.cols[..self.width].iter().enumerate().all(|(d, c)| c[p] == key(d)) {
+            self.cursor = if p + 1 == n { 0 } else { p + 1 };
             return Ok(self.pos_rank[p]);
         }
-        self.rank(key)
+        let mut buf = [0; MAX_KEY_WIDTH];
+        for (d, slot) in buf[..self.width].iter_mut().enumerate() {
+            *slot = key(d);
+        }
+        self.rank(&buf[..self.width])
+    }
+
+    /// The ranks of `keys.len()` consecutive cursor queries at once, when
+    /// the keys are exactly the ones inserted at the cursor onwards
+    /// (`keys[d]` is column `d`, after [`OrderedList::rank_check`] passed):
+    /// writes them to `out`, advances the cursor past them, and returns
+    /// `true`. Otherwise changes nothing and returns `false`; the caller
+    /// then asks one key at a time.
+    pub(crate) fn rank_run(&mut self, keys: &[&[i64]], out: &mut [i64]) -> bool {
+        let (p, m, n) = (self.cursor, out.len(), self.pos_rank.len());
+        let Some(ranks) = self.pos_rank.get(p..p + m) else { return false };
+        if !keys.iter().zip(&self.cols).all(|(k, c)| k[..m] == c[p..p + m]) {
+            return false;
+        }
+        out.copy_from_slice(ranks);
+        self.cursor = if p + m == n { 0 } else { p + m };
+        true
     }
 
     /// Value of key column `dim` at sorted position `pos`.
@@ -552,7 +693,7 @@ impl OrderedList {
         if dim >= self.width {
             return Err(ListError::BadColumn(dim));
         }
-        Ok(self.rows[self.sorted[pos] * self.width + dim])
+        Ok(self.cols[dim][self.sorted[pos]])
     }
 }
 
@@ -634,6 +775,12 @@ impl<'a> RtEnv<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cursor query, as the interpreter makes it.
+    fn cursor_rank(l: &mut OrderedList, key: &[i64]) -> Result<i64, ListError> {
+        l.rank_check(key.len())?;
+        l.rank_next(|d| key[d])
+    }
 
     #[test]
     fn insertion_order_list_keeps_order() {
@@ -725,12 +872,12 @@ mod tests {
         }
         l.finalize();
         for _ in 0..2 {
-            let ranks: Vec<i64> = keys.iter().map(|k| l.rank_next(k).unwrap()).collect();
+            let ranks: Vec<i64> = keys.iter().map(|k| cursor_rank(&mut l, k).unwrap()).collect();
             assert_eq!(ranks, vec![3, 2, 3, 0, 1]);
         }
         assert!(l.index.get().is_none());
         // Out of order: the cursor expects keys[0], so the index is built.
-        assert_eq!(l.rank_next(&keys[1]), Ok(2));
+        assert_eq!(cursor_rank(&mut l, &keys[1]), Ok(2));
         assert!(l.index.get().is_some());
     }
 
@@ -738,8 +885,132 @@ mod tests {
     fn sort_keys_packs_negative_and_wide_keys() {
         let cols: [&[i64]; 2] = [&[5, -7, 5, i64::MIN, -7], &[0, 3, -1, i64::MAX, 3]];
         let mut seen = Vec::new();
-        sort_keys(5, 2, KeyOrder::Lexicographic, |p, d| cols[d][p], |p, new| seen.push((p, new)));
+        sort_keys(&cols, KeyOrder::Lexicographic, |p, new| seen.push((p, new)));
         assert_eq!(seen, vec![(3, true), (1, true), (4, false), (2, true), (0, true)]);
+    }
+
+    /// `sort_keys`'s visits, and the comparator sort's (ties by position),
+    /// over the same key columns.
+    fn visits_and_reference(cols: &[Vec<i64>], order: KeyOrder) -> [Vec<(usize, bool)>; 2] {
+        let cols: Vec<&[i64]> = cols.iter().map(Vec::as_slice).collect();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        sort_keys(&cols, order, |p, new| got.push((p, new)));
+        let tuple = |p: usize| {
+            let mut t = [0; MAX_KEY_WIDTH];
+            for (slot, col) in t.iter_mut().zip(&cols) {
+                *slot = col[p];
+            }
+            t
+        };
+        let cmp: fn(&[i64], &[i64]) -> Ordering = match order {
+            KeyOrder::Lexicographic => <[i64]>::cmp,
+            KeyOrder::Morton => morton_cmp,
+        };
+        comparator_sort(cols[0].len(), cols.len(), tuple, cmp, &mut |p, new| want.push((p, new)));
+        [got, want]
+    }
+
+    /// `n` rows of `w` columns, drawn from `0..span` (shifted to straddle
+    /// zero for lexicographic keys), then left as drawn, sorted, reversed
+    /// or made all equal.
+    fn shaped_keys(w: usize, n: usize, span: i64, shape: usize, order: KeyOrder) -> Vec<Vec<i64>> {
+        let mut x = (w * 7919 + n) as u64 | 1;
+        let shift = if order == KeyOrder::Lexicographic { span / 2 } else { 0 };
+        let mut rows: Vec<Vec<i64>> = (0..n)
+            .map(|_| {
+                (0..w)
+                    .map(|_| {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        ((x >> 33) as i64).rem_euclid(span) - shift
+                    })
+                    .collect()
+            })
+            .collect();
+        match shape {
+            0 => {}
+            1 | 2 => {
+                match order {
+                    KeyOrder::Lexicographic => rows.sort(),
+                    KeyOrder::Morton => rows.sort_by(|a, b| morton_cmp(a, b)),
+                }
+                if shape == 2 {
+                    rows.reverse();
+                }
+            }
+            _ => {
+                let first = rows[0].clone();
+                rows.iter_mut().for_each(|r| r.clone_from(&first));
+            }
+        }
+        (0..w).map(|d| rows.iter().map(|r| r[d]).collect()).collect()
+    }
+
+    /// The packed code and radix sort against the comparator sort: every
+    /// width, both orders, `n` on both sides of the digit-width (`2^k`)
+    /// and position-bit (`2^k + 1`) boundaries, and drawn, sorted,
+    /// reversed and all-equal keys with many, some and few repeats.
+    #[test]
+    fn sort_keys_matches_the_comparator_sort() {
+        for w in 1..=MAX_KEY_WIDTH {
+            for n in [1, 2, 3, 4, 5, 255, 256, 257, 1024, 1025, 2048, 2049, 4097] {
+                for order in [KeyOrder::Lexicographic, KeyOrder::Morton] {
+                    for span in [1, 5, 1000, 1 << 40] {
+                        for shape in 0..4 {
+                            let cols = shaped_keys(w, n, span, shape, order);
+                            let [got, want] = visits_and_reference(&cols, order);
+                            let case = format!("w {w}, n {n}, {order:?}, span {span}");
+                            assert_eq!(got, want, "{case}, shape {shape}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Keys whose packed words need exactly 64 bits take the `u64` path and
+    /// one bit more the `u128` path; extreme keys the comparator sort.
+    /// Each column's range is pinned by planting its ends.
+    #[test]
+    fn sort_keys_at_the_word_boundaries() {
+        // (width, order, bits per column, n): `n = 1024` packs positions in
+        // 10 bits and `n = 2048` in 11.
+        let cases = [
+            (2, KeyOrder::Lexicographic, 27, 1024),
+            (2, KeyOrder::Lexicographic, 27, 2048),
+            (1, KeyOrder::Lexicographic, 54, 1024),
+            (1, KeyOrder::Lexicographic, 54, 2048),
+            (4, KeyOrder::Lexicographic, 13, 4096),
+            (4, KeyOrder::Lexicographic, 13, 4097),
+            (2, KeyOrder::Morton, 27, 1024),
+            (2, KeyOrder::Morton, 27, 2048),
+            (3, KeyOrder::Morton, 18, 1024),
+            (3, KeyOrder::Morton, 18, 2048),
+            (4, KeyOrder::Morton, 13, 4096),
+            (4, KeyOrder::Morton, 13, 4097),
+        ];
+        for (w, order, bits, n) in cases {
+            let mut cols = shaped_keys(w, n, 1 << bits, 0, order);
+            for col in &mut cols {
+                let base = col.iter().min().copied().unwrap_or(0).min(0);
+                col[0] = base;
+                col[n - 1] = base + (1 << bits) - 1;
+            }
+            let [got, want] = visits_and_reference(&cols, order);
+            assert_eq!(got, want, "w {w}, {order:?}, {bits} bits, n {n}");
+        }
+        // Negative and extreme lexicographic keys, and Morton coordinates
+        // up to `i64::MAX`.
+        let extremes = [i64::MIN, -1, 0, 1, i64::MAX];
+        for w in 1..=MAX_KEY_WIDTH {
+            let lex: Vec<Vec<i64>> =
+                (0..w).map(|d| (0..257).map(|p| extremes[(p * (d + 2)) % 5]).collect()).collect();
+            let [got, want] = visits_and_reference(&lex, KeyOrder::Lexicographic);
+            assert_eq!(got, want, "lexicographic, w {w}");
+            let z: Vec<Vec<i64>> =
+                lex.iter().map(|c| c.iter().map(|&k| k.max(0)).collect()).collect();
+            let [got, want] = visits_and_reference(&z, KeyOrder::Morton);
+            assert_eq!(got, want, "Morton, w {w}");
+        }
     }
 
     type Model = (Vec<Vec<i64>>, HashMap<Vec<i64>, i64>);
@@ -823,12 +1094,13 @@ mod tests {
             let want: Vec<i64> = keys.iter().map(|k| want_rank[k]).collect();
             let mut forward = l.clone();
             for pass in 0..2 {
-                let got: Vec<i64> = keys.iter().map(|k| forward.rank_next(k).unwrap()).collect();
+                let got: Vec<i64> =
+                    keys.iter().map(|k| cursor_rank(&mut forward, k).unwrap()).collect();
                 proptest::prop_assert_eq!(&got, &want, "pass {}", pass);
             }
             let mut reversed = l.clone();
             for (k, r) in keys.iter().zip(&want).rev() {
-                proptest::prop_assert_eq!(reversed.rank_next(k), Ok(*r));
+                proptest::prop_assert_eq!(cursor_rank(&mut reversed, k), Ok(*r));
             }
             for (k, r) in keys.iter().zip(&want) {
                 proptest::prop_assert_eq!(l.rank(k), Ok(*r));
@@ -838,7 +1110,7 @@ mod tests {
             if !want_rank.contains_key(&unknown) {
                 let err = Err(ListError::UnknownKey(unknown.clone()));
                 proptest::prop_assert_eq!(l.rank(&unknown), err.clone());
-                proptest::prop_assert_eq!(forward.rank_next(&unknown), err);
+                proptest::prop_assert_eq!(cursor_rank(&mut forward, &unknown), err);
             }
         }
     }

@@ -77,6 +77,7 @@
 pub mod cache;
 mod stats;
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -376,7 +377,7 @@ impl Engine {
         pair: u64,
     ) -> Result<Plan, String> {
         let t0 = Instant::now();
-        let built = Conversion::new(src, dst, options).map_err(|e| e.to_string());
+        let built = Conversion::new(src, &apart(src, dst), options).map_err(|e| e.to_string());
         StatsInner::add(&self.stats.synth_time, t0.elapsed().as_nanos() as u64);
         match &built {
             Ok(_) => StatsInner::add(&self.stats.plans_synthesized, 1),
@@ -782,6 +783,24 @@ impl Engine {
     fn kernel_eligible(&self, plan: &Plan) -> bool {
         self.config.memory_budget.is_none() && plan.verification.is_some() && plan.has_kernel()
     }
+}
+
+/// `dst`, alpha-renamed when it shares an index-array, data or symbol
+/// name with `src` (COO and SCOO share all of theirs): a plan over shared
+/// names would allocate its outputs over its inputs.
+fn apart<'d>(src: &FormatDescriptor, dst: &'d FormatDescriptor) -> Cow<'d, FormatDescriptor> {
+    let names = |d: &FormatDescriptor| {
+        let mut names = d.uf_names();
+        names.push(d.data_name.clone());
+        names.extend(d.extra_syms.iter().cloned());
+        names
+    };
+    let taken = names(src);
+    let mut dst = Cow::Borrowed(dst);
+    while names(&dst).iter().any(|n| taken.contains(n)) {
+        dst = Cow::Owned(dst.with_suffix("_d"));
+    }
+    dst
 }
 
 /// A container [`Engine::execute`] converts: the rank-specific step

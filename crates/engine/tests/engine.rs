@@ -312,3 +312,35 @@ fn verified_batch_stays_correct_without_a_parallelism_proof() {
     assert!(report.is_clean());
     assert!(!report.has_parallel_loop(), "min/max interleaving is not proved parallel");
 }
+
+/// COO and SCOO (COO3D and SCOO3) share every array name. The engine
+/// renames such a destination apart from its source, so the plan does
+/// not allocate its outputs over its inputs: the entries come back,
+/// sorted.
+#[test]
+fn destinations_sharing_the_sources_names_are_renamed_apart() {
+    let engine = Engine::new();
+    let cases: [(Vec<i64>, Vec<i64>); 2] = [(vec![1], vec![2]), (vec![2, 0, 1], vec![0, 3, 2])];
+    for (row, col) in cases {
+        let val: Vec<f64> = (0..row.len()).map(|k| 3.5 + k as f64).collect();
+        let coo = CooMatrix::from_triplets(3, 4, row, col, val).unwrap();
+        let mut want = coo.clone();
+        want.sort_row_major();
+        let out = engine
+            .convert(&descriptors::coo(), &descriptors::scoo(), &AnyMatrix::Coo(coo))
+            .unwrap();
+        assert_eq!(out, AnyMatrix::Coo(want));
+    }
+    let cases: [[Vec<i64>; 3]; 2] =
+        [[vec![1], vec![2], vec![0]], [vec![1, 0, 1], vec![0, 2, 0], vec![1, 1, 0]]];
+    for [i0, i1, i2] in cases {
+        let val: Vec<f64> = (0..i0.len()).map(|k| 3.5 + k as f64).collect();
+        let t = Coo3Tensor::from_coords((2, 3, 2), i0, i1, i2, val).unwrap();
+        let mut want = t.clone();
+        want.sort_by(|a, b| a.cmp(b));
+        let out = engine
+            .convert_tensor(&descriptors::coo3(), &descriptors::scoo3(), &AnyTensor::Coo3(t))
+            .unwrap();
+        assert_eq!(out, AnyTensor::Coo3(want));
+    }
+}

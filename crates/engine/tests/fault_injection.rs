@@ -105,8 +105,10 @@ fn every_corruption_class_yields_typed_error_or_exact_result() {
 /// through `Engine::convert`: a class the source descriptor's input check
 /// rejects comes back as `InvalidInput` naming that same check, and a
 /// class it accepts converts. The one exception is the repeated
-/// coordinate an unordered COO source admits: the plan collapses it, and
-/// the SCOO output check rejects the result as a duplicate.
+/// coordinate an unordered COO source admits: the plan gives both copies
+/// one rank and leaves the next slot unwritten, and the SCOO output check
+/// rejects the result as out of order, as it does for CSR, CSC and MCOO
+/// destinations.
 #[test]
 fn corruptions_through_convert_name_the_input_check() {
     let coo = sample_coo();
@@ -141,7 +143,7 @@ fn corruptions_through_convert_name_the_input_check() {
                 (None, Err(EngineError::Run(RunError::Format(e))))
                     if (label, class) == ("coo", Corruption::DuplicateCoordinate) =>
                 {
-                    assert_eq!(e.check.as_str(), "duplicate-coordinate", "{label}/{class}");
+                    assert_eq!(e.check.as_str(), "ordering", "{label}/{class}");
                     output_rejected += 1;
                 }
                 (expect, got) => {

@@ -34,9 +34,10 @@ impl MortonCooMatrix {
 
     /// Reference conversion: sorts a COO matrix into Morton order.
     ///
-    /// Uses the precomputed-key Morton sort (codes packed into `u128`
-    /// where they fit, position tiebreak), so the result is identical to
-    /// a stable comparison sort by `spf_codegen::morton::morton_cmp`.
+    /// Uses the packed-key Morton sort of the interpreter's ordered lists
+    /// (a radix sort of `u64` codes where they fit, position tie-break),
+    /// so the result is identical to a stable comparison sort by
+    /// `spf_codegen::morton::morton_cmp`.
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let mut sorted = coo.clone();
         let idx = morton_sort_perm(&[&coo.row, &coo.col]);

@@ -424,6 +424,63 @@ fn sweep<const R: usize>(
     Ok(())
 }
 
+/// The orders the fused sweep of [`validate_coo`] and [`validate_coo3`]
+/// checks over `R` coordinates.
+#[derive(Debug, Clone, Copy)]
+enum Fused<const R: usize> {
+    /// No order: unordered storage.
+    None,
+    /// Strictly increasing lexicographic keys over all `R` coordinates,
+    /// the most significant first. Equal keys then mean identical
+    /// coordinates, a duplicate, so strictness is the key's own.
+    Lex([usize; R]),
+    /// Z-order over the coordinates in order: strictly increasing for a
+    /// descriptor's key, non-decreasing for the Morton containers' own.
+    Morton { strict: bool },
+}
+
+impl<const R: usize> Fused<R> {
+    /// The fused form of `order`, or `None` when only the per-pair
+    /// comparison can check it.
+    fn of(order: Order<'_>) -> Option<Self> {
+        match order {
+            Order::Unordered => Some(Fused::None),
+            Order::MortonRepeats => Some(Fused::Morton { strict: false }),
+            Order::Key(k) => match (&k.comparator, identity_dims(k, R)) {
+                (Comparator::Lexicographic, Some((pos, len)))
+                    if len == R && (0..R).all(|d| pos[..R].contains(&d)) =>
+                {
+                    Some(Fused::Lex(std::array::from_fn(|t| pos[t])))
+                }
+                (Comparator::Morton, Some((pos, len))) if pos[..len].iter().copied().eq(0..R) => {
+                    Some(Fused::Morton { strict: true })
+                }
+                _ => None,
+            },
+        }
+    }
+}
+
+/// `a` before `b` in Z-order (`strict`), or not after it, without
+/// branches: the dimension whose coordinates differ in the highest bit
+/// decides, and on a tie the later dimension wins, as in `morton_cmp` and
+/// `morton_encode`. Coordinates are non-negative once bounds-checked; on
+/// others the answer is meaningless but well defined.
+#[inline(always)]
+fn z_before<const R: usize>(a: [i64; R], b: [i64; R], strict: bool) -> bool {
+    let (mut top, mut x, mut y) = ((a[0] ^ b[0]) as u64, a[0], b[0]);
+    for d in 1..R {
+        let xor = (a[d] ^ b[d]) as u64;
+        // Unless `xor`'s highest bit lies below `top`'s, which is then
+        // set in `top & !xor` and makes it the larger.
+        let take = xor >= (top & !xor);
+        top = if take { xor } else { top };
+        x = if take { a[d] } else { x };
+        y = if take { b[d] } else { y };
+    }
+    (x < y) | (!strict & (x == y))
+}
+
 /// COO storage (also MCOO's): array lengths, coordinate bounds, the
 /// given `order`, and `values`.
 pub(crate) fn validate_coo(
@@ -432,28 +489,12 @@ pub(crate) fn validate_coo(
     values: Values,
 ) -> Result<(), ValidationError> {
     check_lengths("COO row/col/val", &[m.row.len(), m.col.len(), m.val.len()])?;
-    // Fast path for unordered storage and the catalog's row- and
-    // column-major keys (an identity lexicographic key over both
-    // coordinates). One fused, branch-light sweep accumulates a single
-    // validity flag (`&`, not `&&`, so the loop vectorizes) and reads the
-    // values only when they must be finite; the precise per-check loops
-    // below run only when something failed, to locate and describe it.
-    let fast: Option<Option<(usize, usize)>> = match order {
-        Order::Unordered => Some(None),
-        Order::Key(k) if matches!(k.comparator, Comparator::Lexicographic) => {
-            match identity_dims(k, 2) {
-                // Both coordinates must appear in the key: equal keys then
-                // imply identical coordinates, i.e. a duplicate, so the
-                // sweep can demand strictly increasing keys.
-                Some(([p0, p1, _], 2)) if (p0, p1) == (0, 1) || (p0, p1) == (1, 0) => {
-                    Some(Some((p0, p1)))
-                }
-                _ => None,
-            }
-        }
-        _ => None,
-    };
-    if let Some(order2) = fast {
+    // Fast path for unordered storage and the catalog's orders. One
+    // fused, branch-light sweep accumulates a single validity flag (`&`,
+    // not `&&`, so the loop vectorizes) and reads the values only when
+    // they must be finite; the precise per-check loops below run only when
+    // something failed, to locate and describe it.
+    if let Some(order2) = Fused::<2>::of(order) {
         let (row, col, val) = (&m.row[..], &m.col[..], &m.val[..]);
         let mut ok = true;
         if values == Values::Finite {
@@ -465,11 +506,19 @@ pub(crate) fn validate_coo(
                 ok &= in_bounds(i, m.nr) & in_bounds(j, m.nc);
             }
         }
-        if let Some((p0, p1)) = order2 {
-            for (rw, cw) in row.windows(2).zip(col.windows(2)) {
-                let a = [rw[0], cw[0]];
-                let b = [rw[1], cw[1]];
-                ok &= (a[p0], a[p1]) < (b[p0], b[p1]);
+        let pairs = row.windows(2).zip(col.windows(2));
+        let pairs = pairs.map(|(rw, cw)| ([rw[0], cw[0]], [rw[1], cw[1]]));
+        match order2 {
+            Fused::None => {}
+            Fused::Lex([p0, p1]) => {
+                for (a, b) in pairs {
+                    ok &= (a[p0], a[p1]) < (b[p0], b[p1]);
+                }
+            }
+            Fused::Morton { strict } => {
+                for (a, b) in pairs {
+                    ok &= z_before(a, b, strict);
+                }
             }
         }
         if ok {
@@ -499,32 +548,27 @@ pub(crate) fn validate_coo3(
     values: Values,
 ) -> Result<(), ValidationError> {
     check_lengths("COO3 i0/i1/i2/val", &[t.i0.len(), t.i1.len(), t.i2.len(), t.val.len()])?;
-    // The fused sweep of `validate_coo`, for unordered storage and keys
-    // that order all three coordinates lexicographically.
-    let fast: Option<Option<[usize; 3]>> = match order {
-        Order::Unordered => Some(None),
-        Order::Key(k) if matches!(k.comparator, Comparator::Lexicographic) => {
-            match identity_dims(k, 3) {
-                Some((pos, 3)) if pos.contains(&0) && pos.contains(&1) && pos.contains(&2) => {
-                    Some(Some(pos))
-                }
-                _ => None,
-            }
-        }
-        _ => None,
-    };
-    if let Some(order3) = fast {
+    // The fused sweep of `validate_coo`.
+    if let Some(order3) = Fused::<3>::of(order) {
         let finite = values == Values::Finite;
         let mut ok = true;
         for (((&a, &b), &c), &v) in t.i0.iter().zip(&t.i1).zip(&t.i2).zip(&t.val) {
             ok &= in_bounds(a, t.nr) & in_bounds(b, t.nc) & in_bounds(c, t.nz);
             ok &= !finite | v.is_finite();
         }
-        if let Some([p0, p1, p2]) = order3 {
-            let pairs = t.i0.windows(2).zip(t.i1.windows(2)).zip(t.i2.windows(2));
-            for ((w0, w1), w2) in pairs {
-                let (a, b) = ([w0[0], w1[0], w2[0]], [w0[1], w1[1], w2[1]]);
-                ok &= (a[p0], a[p1], a[p2]) < (b[p0], b[p1], b[p2]);
+        let pairs = t.i0.windows(2).zip(t.i1.windows(2)).zip(t.i2.windows(2));
+        let pairs = pairs.map(|((w0, w1), w2)| ([w0[0], w1[0], w2[0]], [w0[1], w1[1], w2[1]]));
+        match order3 {
+            Fused::None => {}
+            Fused::Lex([p0, p1, p2]) => {
+                for (a, b) in pairs {
+                    ok &= (a[p0], a[p1], a[p2]) < (b[p0], b[p1], b[p2]);
+                }
+            }
+            Fused::Morton { strict } => {
+                for (a, b) in pairs {
+                    ok &= z_before(a, b, strict);
+                }
             }
         }
         if ok {

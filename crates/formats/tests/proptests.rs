@@ -145,3 +145,114 @@ proptest! {
         prop_assert_eq!(csf.ttv_mode2(&x), t.ttv_mode2(&x));
     }
 }
+
+/// One Morton coordinate: `kind` picks a shape the Z-order comparison
+/// must get right — an arbitrary value, bit 62 set, zero, a repeat of the
+/// previous coordinate, or the previous one with only low bits changed
+/// (equal top bits).
+fn z_coord(kind: u8, x: u64, prev: i64) -> i64 {
+    let low = (x % 8) as i64;
+    match kind % 5 {
+        0 => (x >> 1) as i64,
+        1 => (1 << 62) | (x >> 2) as i64,
+        2 => 0,
+        3 => prev,
+        _ => (prev & !7) | low,
+    }
+}
+
+/// Entries whose coordinates follow [`z_coord`], each dimension against
+/// the previous entry's.
+fn z_entries<const R: usize>(draws: &[(u8, [u64; R])]) -> Vec<[i64; R]> {
+    let mut out: Vec<[i64; R]> = Vec::with_capacity(draws.len());
+    for (k, &(kind, xs)) in draws.iter().enumerate() {
+        let prev = out.last().copied().unwrap_or([0; R]);
+        // A whole-entry repeat now and then, so strict orders see duplicates.
+        let entry = if kind >= 240 && k > 0 {
+            prev
+        } else {
+            std::array::from_fn(|d| z_coord(kind.rotate_right(d as u32), xs[d], prev[d]))
+        };
+        out.push(entry);
+    }
+    out
+}
+
+/// What the adjacent-pair `morton_cmp` sweep decides for `entries`: the
+/// failing check and the later entry of the first failing pair.
+fn morton_cmp_sweep<const R: usize>(
+    entries: &[[i64; R]],
+    strict: bool,
+) -> Result<(), (sparse_formats::InputCheck, usize)> {
+    use sparse_formats::InputCheck;
+    use spf_codegen::morton::morton_cmp;
+    use std::cmp::Ordering;
+    for n in 1..entries.len() {
+        match morton_cmp(&entries[n - 1], &entries[n]) {
+            Ordering::Greater => return Err((InputCheck::Ordering, n)),
+            Ordering::Equal if strict => return Err((InputCheck::DuplicateCoordinate, n)),
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// The failing check, and the later entry of the pair the error names.
+fn located(e: sparse_formats::ValidationError) -> (sparse_formats::InputCheck, usize) {
+    let at = e.detail.split(" and ").nth(1).and_then(|s| s.split(' ').next());
+    (e.check, at.and_then(|s| s.parse().ok()).unwrap_or(usize::MAX))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The fused validation sweep's Z-order compare agrees with a
+    /// `morton_cmp` sweep, strict (the MCOO descriptor) and non-strict
+    /// (the Morton container's own check), and the error names the pair.
+    #[test]
+    fn fused_morton_sweep_agrees_with_morton_cmp(
+        draws in proptest::collection::vec(
+            (any::<u8>(), any::<u64>(), any::<u64>()).prop_map(|(k, a, b)| (k, [a, b])),
+            0..24,
+        ),
+    ) {
+        use sparse_formats::{descriptors, validate_matrix, MatrixRef};
+        let entries = z_entries(&draws);
+        let coo = CooMatrix {
+            nr: 1 << 63,
+            nc: 1 << 63,
+            row: entries.iter().map(|e| e[0]).collect(),
+            col: entries.iter().map(|e| e[1]).collect(),
+            val: vec![1.0; entries.len()],
+        };
+        let strict = validate_matrix(&descriptors::mcoo(), MatrixRef::Coo(&coo));
+        prop_assert_eq!(strict.map_err(located), morton_cmp_sweep(&entries, true));
+        let repeats = MortonCooMatrix::new(coo).map(|_| ());
+        prop_assert_eq!(repeats.map_err(located), morton_cmp_sweep(&entries, false));
+    }
+
+    #[test]
+    fn fused_morton3_sweep_agrees_with_morton_cmp(
+        draws in proptest::collection::vec(
+            (any::<u8>(), any::<u64>(), any::<u64>(), any::<u64>())
+                .prop_map(|(k, a, b, c)| (k, [a, b, c])),
+            0..24,
+        ),
+    ) {
+        use sparse_formats::{descriptors, validate_tensor, Coo3Tensor, MortonCoo3Tensor, TensorRef};
+        let entries = z_entries(&draws);
+        let t = Coo3Tensor {
+            nr: 1 << 63,
+            nc: 1 << 63,
+            nz: 1 << 63,
+            i0: entries.iter().map(|e| e[0]).collect(),
+            i1: entries.iter().map(|e| e[1]).collect(),
+            i2: entries.iter().map(|e| e[2]).collect(),
+            val: vec![1.0; entries.len()],
+        };
+        let strict = validate_tensor(&descriptors::mcoo3(), TensorRef::Coo3(&t));
+        prop_assert_eq!(strict.map_err(located), morton_cmp_sweep(&entries, true));
+        let repeats = MortonCoo3Tensor::new(t).map(|_| ());
+        prop_assert_eq!(repeats.map_err(located), morton_cmp_sweep(&entries, false));
+    }
+}

@@ -20,8 +20,12 @@ echo "==> oracle, differential, fault-injection, tensor, interpreter and ExecSta
 # fault_injection and tensor_path. The interpreter's own tests and the
 # exact ExecStats golden run here too: chunked loops compute lanes and
 # trip counts with arithmetic that panics on overflow in debug builds and
-# wraps in release, so both builds must pass them.
+# wraps in release, so both builds must pass them. So do the packed-key
+# sort, whose shifts reach 63 bits, the Z-order validation sweep in
+# sparse-formats, and the rank golden that pins the list lanes' ranks.
 cargo test --release -q -p spf-codegen --lib
+cargo test --release -q -p sparse-formats
+cargo test --release -q -p sparse-synthesis --test rank_golden
 cargo test --release -q -p sparse-synthesis --test conversions
 cargo test --release -q -p sparse-engine --test oracle
 cargo test --release -q -p sparse-synthesis --test differential
