@@ -32,7 +32,7 @@ fn ablation_csr(c: &mut Criterion) {
             let conv =
                 Conversion::new(&descriptors::scoo(), &descriptors::csr(), opts).unwrap();
             let mut env = RtEnv::new();
-            synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+            synth_run::bind_matrix(&mut env, &conv.synth.src, (&coo).into()).unwrap();
             group.bench_with_input(BenchmarkId::new(label, spec.name), &(), |b, ()| {
                 b.iter(|| conv.execute_env(&mut env).unwrap())
             });
@@ -56,7 +56,7 @@ fn ablation_dia_search(c: &mut Criterion) {
             let conv =
                 Conversion::new(&descriptors::scoo(), &descriptors::dia(), opts).unwrap();
             let mut env = RtEnv::new();
-            synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+            synth_run::bind_matrix(&mut env, &conv.synth.src, (&coo).into()).unwrap();
             group.bench_with_input(BenchmarkId::new(label, spec.name), &(), |b, ()| {
                 b.iter(|| conv.execute_env(&mut env).unwrap())
             });
@@ -80,7 +80,7 @@ fn ablation_executor(c: &mut Criterion) {
     let comp = executor::spmv(&descriptors::csr()).unwrap();
     let compiled = comp.lower().unwrap();
     let mut env = RtEnv::new();
-    synth_run::bind_csr(&mut env, &descriptors::csr(), &csr).unwrap();
+    synth_run::bind_matrix(&mut env, &descriptors::csr(), (&csr).into()).unwrap();
     env.data.insert(executor::names::X.to_string(), x.clone().into());
 
     let mut group = c.benchmark_group("ablation_executor_spmv");

@@ -43,8 +43,10 @@ fn bench_kind(c: &mut Criterion, kind: Fig2Kind, group_name: &str) {
         // Synthesized.
         let mut env = RtEnv::new();
         match (&csr, kind) {
-            (Some(m), Fig2Kind::CsrToCsc) => synth_run::bind_csr(&mut env, &conv.synth.src, m).unwrap(),
-            _ => synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap(),
+            (Some(m), Fig2Kind::CsrToCsc) => {
+                synth_run::bind_matrix(&mut env, &conv.synth.src, m.into()).unwrap()
+            }
+            _ => synth_run::bind_matrix(&mut env, &conv.synth.src, (&coo).into()).unwrap(),
         }
         group.bench_with_input(
             BenchmarkId::new("synthesized", spec.name),

@@ -23,7 +23,7 @@ fn fig3(c: &mut Criterion) {
         let coo = spec.generate(SCALE);
         for (label, conv) in [("linear", &linear), ("binary", &binary), ("direct", &direct)] {
             let mut env = RtEnv::new();
-            synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+            synth_run::bind_matrix(&mut env, &conv.synth.src, (&coo).into()).unwrap();
             group.bench_with_input(
                 BenchmarkId::new(label, spec.name),
                 &(),

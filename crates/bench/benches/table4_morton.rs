@@ -24,7 +24,7 @@ fn table4(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(hicoo_morton_sort3(&t, 7).nnz()))
         });
         let mut env = RtEnv::new();
-        synth_run::bind_coo3(&mut env, &conv.synth.src, &t).unwrap();
+        synth_run::bind_tensor(&mut env, &conv.synth.src, (&t).into()).unwrap();
         group.bench_with_input(BenchmarkId::new("synthesized", spec.name), &(), |b, ()| {
             b.iter(|| conv.execute_env(&mut env).unwrap())
         });

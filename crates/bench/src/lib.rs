@@ -184,9 +184,9 @@ pub fn run_fig2(kind: Fig2Kind, scale: usize, reps: usize) -> Vec<Fig2Row> {
         let mut env = RtEnv::new();
         match (&csr, kind) {
             (Some(c), Fig2Kind::CsrToCsc) => {
-                synth_run::bind_csr(&mut env, &conv.synth.src, c).unwrap()
+                synth_run::bind_matrix(&mut env, &conv.synth.src, c.into()).unwrap()
             }
-            _ => synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap(),
+            _ => synth_run::bind_matrix(&mut env, &conv.synth.src, (&coo).into()).unwrap(),
         }
         let ours = time_min(reps, || {
             conv.execute_env(&mut env).expect("synthesized conversion runs");
@@ -241,7 +241,7 @@ pub fn run_table4(scale: usize, reps: usize) -> Vec<Table4Row> {
             std::hint::black_box(out.nnz());
         });
         let mut env = RtEnv::new();
-        synth_run::bind_coo3(&mut env, &conv.synth.src, &t).unwrap();
+        synth_run::bind_tensor(&mut env, &conv.synth.src, (&t).into()).unwrap();
         let ours = time_min(reps, || {
             conv.execute_env(&mut env).expect("synthesized reorder runs");
         });

@@ -155,7 +155,7 @@ mod tests {
         let coo = sample();
         let comp = spmv(&descriptors::scoo()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_coo(&mut env, &descriptors::scoo(), &coo).unwrap();
+        crate::run::bind_matrix(&mut env, &descriptors::scoo(), (&coo).into()).unwrap();
         let x = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(run_spmv(&comp, &mut env, &x), coo.spmv(&x));
     }
@@ -165,7 +165,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&sample());
         let comp = spmv(&descriptors::csr()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_csr(&mut env, &descriptors::csr(), &csr).unwrap();
+        crate::run::bind_matrix(&mut env, &descriptors::csr(), (&csr).into()).unwrap();
         let x = [1.0, -1.0, 0.5, 2.0];
         assert_eq!(run_spmv(&comp, &mut env, &x), csr.spmv(&x));
     }
@@ -175,7 +175,7 @@ mod tests {
         let csc = CscMatrix::from_coo(&sample());
         let comp = spmv(&descriptors::csc()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_csc(&mut env, &descriptors::csc(), &csc).unwrap();
+        crate::run::bind_matrix(&mut env, &descriptors::csc(), (&csc).into()).unwrap();
         let x = [2.0, 0.0, 1.0, -1.0];
         assert_eq!(run_spmv(&comp, &mut env, &x), csc.spmv(&x));
     }
@@ -187,7 +187,7 @@ mod tests {
         let m = MortonCooMatrix::from_coo(&sample());
         let comp = spmv(&descriptors::mcoo()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_coo(&mut env, &descriptors::mcoo(), &m.coo).unwrap();
+        crate::run::bind_matrix(&mut env, &descriptors::mcoo(), (&m.coo).into()).unwrap();
         let x = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(run_spmv(&comp, &mut env, &x), m.coo.spmv(&x));
     }
@@ -204,7 +204,7 @@ mod tests {
         .unwrap();
         let comp = ttv_mode2(&descriptors::scoo3()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_coo3(&mut env, &descriptors::scoo3(), &t).unwrap();
+        crate::run::bind_tensor(&mut env, &descriptors::scoo3(), (&t).into()).unwrap();
         env.data.insert(names::X.into(), vec![1.0, 10.0, 100.0, 1000.0].into());
         let compiled = comp.lower().unwrap();
         compiled.execute(&mut env, &ComparatorRegistry::new()).unwrap();
@@ -229,7 +229,7 @@ mod tests {
         let desc = descriptors::dia_executable();
         let comp = spmv(&desc).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_dia(&mut env, &desc, &dia).unwrap();
+        crate::run::bind_matrix(&mut env, &desc, (&dia).into()).unwrap();
         let x = [1.0, -2.0, 3.0, 0.5];
         let got = run_spmv(&comp, &mut env, &x);
         let want = dia.spmv(&x);

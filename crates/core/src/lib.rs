@@ -52,7 +52,7 @@ pub use analysis::{analyze_destination, AnalysisError, DstAnalysis, DstVarKind};
 pub use executor::{spmv, ttv_mode2};
 pub use kernels::{KernelRegistry, MatrixKernelFn, TensorKernelFn};
 pub use run::{
-    bind_matrix, bind_tensor, extract_matrix, extract_tensor, Conversion, RunError,
+    bind_matrix, bind_tensor, extract_matrix, extract_tensor, Conversion, Operand, RunError,
 };
 pub use synthesize::{
     synthesize, Membership, PermutationKind, SynthesisError, SynthesisOptions,

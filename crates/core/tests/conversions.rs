@@ -263,11 +263,11 @@ fn mcoo_to_csr_round_trips() {
     let coo = random_coo(24, 24, 100, 3, true);
     let m = MortonCooMatrix::from_coo(&coo);
     let mut env = spf_codegen::runtime::RtEnv::new();
-    sparse_synthesis::run::bind_coo(&mut env, &conv.synth.src, &m.coo).unwrap();
+    sparse_synthesis::run::bind_matrix(&mut env, &conv.synth.src, (&m.coo).into()).unwrap();
     conv.execute_env(&mut env).unwrap();
     let got =
-        sparse_synthesis::run::extract_csr(&mut env, &conv.synth.dst, coo.nr, coo.nc).unwrap();
-    assert_eq!(got, CsrMatrix::from_coo(&coo));
+        sparse_synthesis::run::extract_matrix(&mut env, &conv.synth.dst, coo.nr, coo.nc).unwrap();
+    assert_eq!(got, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)));
 }
 
 #[test]
@@ -302,6 +302,45 @@ fn coo_to_scoo_sorts() {
     let mut want = coo.clone();
     want.sort_row_major();
     assert_eq!(got, want);
+}
+
+/// `Conversion::new` renames a destination that shares names with its
+/// source, so COO -> SCOO and COO3 -> SCOO3 work under the catalog's own
+/// descriptors: one and three entries come back sorted, not overwritten.
+#[test]
+fn shared_name_destinations_are_renamed_by_conversion_new() {
+    let coo = |row: Vec<i64>, col: Vec<i64>, val: Vec<f64>| {
+        CooMatrix::from_triplets(3, 4, row, col, val).unwrap()
+    };
+    let conv =
+        Conversion::new(&descriptors::coo(), &descriptors::scoo(), SynthesisOptions::default())
+            .unwrap();
+    for input in [
+        coo(vec![1], vec![2], vec![3.5]),
+        coo(vec![2, 0, 1], vec![1, 3, 2], vec![1.0, 2.0, 3.0]),
+    ] {
+        let (got, _) = conv.run_matrix(&input).unwrap();
+        let mut want = input.clone();
+        want.sort_row_major();
+        assert_eq!(got, AnyMatrix::Coo(want));
+    }
+
+    let coo3 = |i0: Vec<i64>, i1: Vec<i64>, i2: Vec<i64>, val: Vec<f64>| {
+        Coo3Tensor::from_coords((3, 3, 3), i0, i1, i2, val).unwrap()
+    };
+    let conv =
+        Conversion::new(&descriptors::coo3(), &descriptors::scoo3(), SynthesisOptions::default())
+            .unwrap();
+    for (input, sorted) in [
+        (coo3(vec![1], vec![2], vec![0], vec![3.5]), coo3(vec![1], vec![2], vec![0], vec![3.5])),
+        (
+            coo3(vec![2, 0, 2], vec![0, 1, 0], vec![1, 2, 0], vec![1.0, 2.0, 3.0]),
+            coo3(vec![0, 2, 2], vec![1, 0, 0], vec![2, 0, 1], vec![2.0, 3.0, 1.0]),
+        ),
+    ] {
+        let (got, _) = conv.run_tensor(&input).unwrap();
+        assert_eq!(got, AnyTensor::Coo3(sorted));
+    }
 }
 
 #[test]
@@ -564,7 +603,7 @@ fn missing_custom_comparator_surfaces_as_error() {
         Conversion::new(&descriptors::scoo(), &dst, SynthesisOptions::default()).unwrap();
     let coo = random_coo(5, 5, 10, 1, true);
     let mut env = spf_codegen::runtime::RtEnv::new();
-    sparse_synthesis::run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+    sparse_synthesis::run::bind_matrix(&mut env, &conv.synth.src, (&coo).into()).unwrap();
     let err = conv.execute_env(&mut env).unwrap_err();
     assert!(err.to_string().contains("comparator NOT_REGISTERED"), "{err}");
 }

@@ -34,27 +34,13 @@ pub enum AnyMatrix {
 impl AnyMatrix {
     /// `(rows, cols)`.
     pub fn dims(&self) -> (usize, usize) {
-        match self {
-            AnyMatrix::Coo(m) => (m.nr, m.nc),
-            AnyMatrix::Csr(m) => (m.nr, m.nc),
-            AnyMatrix::Csc(m) => (m.nr, m.nc),
-            AnyMatrix::Dia(m) => (m.nr, m.nc),
-            AnyMatrix::Ell(m) => (m.nr, m.nc),
-            AnyMatrix::MortonCoo(m) => (m.coo.nr, m.coo.nc),
-        }
+        self.as_ref().dims()
     }
 
     /// Stored-entry count. For DIA and ELL this counts occupied slots
     /// (structural nonzeros), not padding.
     pub fn nnz(&self) -> usize {
-        match self {
-            AnyMatrix::Coo(m) => m.val.len(),
-            AnyMatrix::Csr(m) => m.val.len(),
-            AnyMatrix::Csc(m) => m.val.len(),
-            AnyMatrix::Dia(m) => m.stored_nnz(),
-            AnyMatrix::Ell(m) => m.stored_nnz(),
-            AnyMatrix::MortonCoo(m) => m.coo.val.len(),
-        }
+        self.as_ref().nnz()
     }
 
     /// A borrowed view for dispatch without cloning.
@@ -92,16 +78,38 @@ pub enum MatrixRef<'a> {
     MortonCoo(&'a MortonCooMatrix),
 }
 
-impl MatrixRef<'_> {
+impl<'a> MatrixRef<'a> {
+    /// The coordinate storage of a COO or Morton COO container (the two
+    /// share it; ordering is the descriptor's claim), `None` for the
+    /// other containers.
+    pub fn coo(self) -> Option<&'a CooMatrix> {
+        match self {
+            MatrixRef::Coo(m) => Some(m),
+            MatrixRef::MortonCoo(m) => Some(&m.coo),
+            _ => None,
+        }
+    }
+
     /// `(rows, cols)`.
     pub fn dims(&self) -> (usize, usize) {
-        match self {
-            MatrixRef::Coo(m) => (m.nr, m.nc),
+        match *self {
+            MatrixRef::Coo(m) | MatrixRef::MortonCoo(MortonCooMatrix { coo: m }) => (m.nr, m.nc),
             MatrixRef::Csr(m) => (m.nr, m.nc),
             MatrixRef::Csc(m) => (m.nr, m.nc),
             MatrixRef::Dia(m) => (m.nr, m.nc),
             MatrixRef::Ell(m) => (m.nr, m.nc),
-            MatrixRef::MortonCoo(m) => (m.coo.nr, m.coo.nc),
+        }
+    }
+
+    /// Stored-entry count. For DIA and ELL this counts occupied slots
+    /// (structural nonzeros), not padding.
+    pub fn nnz(&self) -> usize {
+        match *self {
+            MatrixRef::Coo(m) | MatrixRef::MortonCoo(MortonCooMatrix { coo: m }) => m.val.len(),
+            MatrixRef::Csr(m) => m.val.len(),
+            MatrixRef::Csc(m) => m.val.len(),
+            MatrixRef::Dia(m) => m.stored_nnz(),
+            MatrixRef::Ell(m) => m.stored_nnz(),
         }
     }
 
@@ -130,18 +138,12 @@ pub enum AnyTensor {
 impl AnyTensor {
     /// `(mode0, mode1, mode2)` extents.
     pub fn dims(&self) -> (usize, usize, usize) {
-        match self {
-            AnyTensor::Coo3(t) => (t.nr, t.nc, t.nz),
-            AnyTensor::MortonCoo3(t) => (t.coo.nr, t.coo.nc, t.coo.nz),
-        }
+        self.as_ref().dims()
     }
 
     /// Stored-entry count.
     pub fn nnz(&self) -> usize {
-        match self {
-            AnyTensor::Coo3(t) => t.val.len(),
-            AnyTensor::MortonCoo3(t) => t.coo.val.len(),
-        }
+        self.as_ref().nnz()
     }
 
     /// A borrowed view for dispatch without cloning.
@@ -167,13 +169,23 @@ pub enum TensorRef<'a> {
     MortonCoo3(&'a MortonCoo3Tensor),
 }
 
-impl TensorRef<'_> {
+impl<'a> TensorRef<'a> {
+    /// The coordinate storage, which both containers share.
+    pub fn coo3(self) -> &'a Coo3Tensor {
+        match self {
+            TensorRef::Coo3(t) | TensorRef::MortonCoo3(MortonCoo3Tensor { coo: t }) => t,
+        }
+    }
+
     /// `(mode0, mode1, mode2)` extents.
     pub fn dims(&self) -> (usize, usize, usize) {
-        match self {
-            TensorRef::Coo3(t) => (t.nr, t.nc, t.nz),
-            TensorRef::MortonCoo3(t) => (t.coo.nr, t.coo.nc, t.coo.nz),
-        }
+        let t = self.coo3();
+        (t.nr, t.nc, t.nz)
+    }
+
+    /// Stored-entry count.
+    pub fn nnz(&self) -> usize {
+        self.coo3().val.len()
     }
 
     /// Short container label for error messages.

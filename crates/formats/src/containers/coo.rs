@@ -9,7 +9,60 @@
 use std::cmp::Ordering;
 
 use super::dense::DenseMatrix;
-use crate::validate::{validate_coo, validate_coo3, Order, ValidationError, Values};
+use crate::validate::{validate_coo, Order, ValidationError, Values};
+
+/// Coordinate storage over `R` dimensions: one index column per
+/// dimension and a value column. [`CooMatrix`] is the rank-2 form and
+/// [`Coo3Tensor`] the order-3 one; the Morton containers wrap them.
+/// Validation, binding and extraction are written once over this view.
+pub trait Coords<const R: usize>: Sized {
+    /// The arrays' names, `/`-separated, for error messages.
+    const ARRAYS: &'static str;
+    /// The dense extent of each dimension.
+    fn extents(&self) -> [usize; R];
+    /// The index column of each dimension.
+    fn coords(&self) -> [&[i64]; R];
+    /// The value column.
+    fn values(&self) -> &[f64];
+    /// Storage from its parts, unchecked.
+    fn from_parts(extents: [usize; R], coords: [Vec<i64>; R], val: Vec<f64>) -> Self;
+}
+
+impl Coords<2> for CooMatrix {
+    const ARRAYS: &'static str = "COO row/col/val";
+    fn extents(&self) -> [usize; 2] {
+        [self.nr, self.nc]
+    }
+    fn coords(&self) -> [&[i64]; 2] {
+        [&self.row, &self.col]
+    }
+    fn values(&self) -> &[f64] {
+        &self.val
+    }
+    fn from_parts([nr, nc]: [usize; 2], [row, col]: [Vec<i64>; 2], val: Vec<f64>) -> Self {
+        CooMatrix { nr, nc, row, col, val }
+    }
+}
+
+impl Coords<3> for Coo3Tensor {
+    const ARRAYS: &'static str = "COO3 i0/i1/i2/val";
+    fn extents(&self) -> [usize; 3] {
+        [self.nr, self.nc, self.nz]
+    }
+    fn coords(&self) -> [&[i64]; 3] {
+        [&self.i0, &self.i1, &self.i2]
+    }
+    fn values(&self) -> &[f64] {
+        &self.val
+    }
+    fn from_parts(
+        [nr, nc, nz]: [usize; 3],
+        [i0, i1, i2]: [Vec<i64>; 3],
+        val: Vec<f64>,
+    ) -> Self {
+        Coo3Tensor { nr, nc, nz, i0, i1, i2, val }
+    }
+}
 
 /// A COO matrix: parallel `row`/`col`/`val` arrays.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,7 +211,7 @@ impl Coo3Tensor {
     ) -> Result<Self, ValidationError> {
         let (nr, nc, nz) = dims;
         let t = Coo3Tensor { nr, nc, nz, i0, i1, i2, val };
-        validate_coo3(&t, Order::Unordered, Values::Any)?;
+        validate_coo(&t, Order::Unordered, Values::Any)?;
         Ok(t)
     }
 

@@ -9,7 +9,7 @@
 use spf_codegen::kernels::morton_sort_perm;
 
 use super::coo::{Coo3Tensor, CooMatrix};
-use crate::validate::{validate_coo, validate_coo3, Order, ValidationError, Values};
+use crate::validate::{validate_coo, Order, ValidationError, Values};
 
 /// A Morton-ordered COO matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +96,7 @@ impl MortonCoo3Tensor {
     /// # Errors
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), ValidationError> {
-        validate_coo3(&self.coo, Order::MortonRepeats, Values::Any)
+        validate_coo(&self.coo, Order::MortonRepeats, Values::Any)
     }
 
     /// Number of stored nonzeros.

@@ -17,7 +17,7 @@ pub mod mcoo;
 
 pub use any::{AnyMatrix, AnyTensor, MatrixRef, TensorRef};
 pub use bcsr::BcsrMatrix;
-pub use coo::{Coo3Tensor, CooMatrix};
+pub use coo::{Coo3Tensor, CooMatrix, Coords};
 pub use csc::CscMatrix;
 pub use csf::CsfTensor;
 pub use csr::CsrMatrix;

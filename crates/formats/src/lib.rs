@@ -44,12 +44,12 @@ pub mod descriptors;
 pub mod validate;
 
 pub use containers::{
-    AnyMatrix, AnyTensor, BcsrMatrix, Coo3Tensor, CooMatrix, CscMatrix, CsfTensor, CsrMatrix,
-    DenseMatrix, DiaMatrix, EllMatrix, HicooTensor, MatrixRef, MortonCoo3Tensor,
+    AnyMatrix, AnyTensor, BcsrMatrix, Coo3Tensor, CooMatrix, Coords, CscMatrix, CsfTensor,
+    CsrMatrix, DenseMatrix, DiaMatrix, EllMatrix, HicooTensor, MatrixRef, MortonCoo3Tensor,
     MortonCooMatrix, TensorRef,
 };
 pub use descriptors::{
     domain_alloc_size, range_max, FormatDescriptor, FormatKind, FormatSpec, ScanInfo,
     StructuralHasher,
 };
-pub use validate::{validate_matrix, validate_tensor, InputCheck, ValidationError};
+pub use validate::{validate_coords, validate_matrix, validate_tensor, InputCheck, ValidationError};

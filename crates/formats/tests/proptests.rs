@@ -256,3 +256,182 @@ proptest! {
         prop_assert_eq!(repeats.map_err(located), morton_cmp_sweep(&entries, false));
     }
 }
+
+/// The order a coordinate descriptor claims, as the naive reference
+/// reads it.
+#[derive(Clone, Copy, Debug)]
+enum RefOrder {
+    /// Unordered storage.
+    None,
+    /// Lexicographic over these coordinates, the most significant first.
+    Lex(&'static [usize]),
+    /// Z-order over every coordinate.
+    Morton,
+}
+
+/// The naive reference for validating coordinate storage: lengths, then
+/// bounds, then finiteness, then each adjacent pair under `order`,
+/// strictly (an equal key is a duplicate).
+fn reference<const R: usize>(
+    cols: &[Vec<i64>; R],
+    extents: [usize; R],
+    val: &[f64],
+    order: RefOrder,
+) -> Result<(), sparse_formats::InputCheck> {
+    use sparse_formats::InputCheck;
+    use spf_codegen::morton::morton_cmp;
+    use std::cmp::Ordering;
+    if cols.iter().any(|c| c.len() != val.len()) {
+        return Err(InputCheck::ArrayLengths);
+    }
+    let at = |n: usize| -> [i64; R] { std::array::from_fn(|d| cols[d][n]) };
+    for n in 0..val.len() {
+        if (0..R).any(|d| at(n)[d] < 0 || at(n)[d] >= extents[d] as i64) {
+            return Err(InputCheck::IndexBounds);
+        }
+    }
+    if val.iter().any(|v| !v.is_finite()) {
+        return Err(InputCheck::ValueFinite);
+    }
+    for n in 1..val.len() {
+        let (a, b) = (at(n - 1), at(n));
+        let cmp = match order {
+            RefOrder::None => continue,
+            RefOrder::Lex(pos) => {
+                let key = |x: [i64; R]| pos.iter().map(|&p| x[p]).collect::<Vec<i64>>();
+                key(a).cmp(&key(b))
+            }
+            RefOrder::Morton => morton_cmp(&a, &b),
+        };
+        match cmp {
+            Ordering::Greater => return Err(InputCheck::Ordering),
+            Ordering::Equal => return Err(InputCheck::DuplicateCoordinate),
+            Ordering::Less => {}
+        }
+    }
+    Ok(())
+}
+
+/// Small random coordinate storage over `extents`, arranged by `arrange`
+/// (0: as drawn, 1: row-major, 2: the reverse lexicographic order, 3:
+/// Z-order), optionally deduplicated, then corrupted by `corrupt` (0-1:
+/// clean, 2: a column one short, 3: a coordinate out of bounds, 4: a
+/// non-finite value, 5: two entries swapped).
+fn ref_input<const R: usize>(
+    extents: [usize; R],
+    draws: &[(u8, u8, u8, u8)],
+    (arrange, dedup, corrupt): (u8, bool, u8),
+) -> ([Vec<i64>; R], Vec<f64>) {
+    use spf_codegen::morton::morton_cmp;
+    let mut entries: Vec<([i64; R], f64)> = draws
+        .iter()
+        .map(|&(a, b, c, v)| {
+            let bytes = [a, b, c];
+            (std::array::from_fn(|d| i64::from(bytes[d]) % extents[d] as i64), f64::from(v))
+        })
+        .collect();
+    match arrange {
+        1 => entries.sort_by_key(|x| x.0),
+        2 => entries.sort_by(|x, y| x.0.iter().rev().cmp(y.0.iter().rev())),
+        3 => entries.sort_by(|x, y| morton_cmp(&x.0, &y.0)),
+        _ => {}
+    }
+    if dedup {
+        entries.dedup_by(|x, y| x.0 == y.0);
+    }
+    let mut cols: [Vec<i64>; R] =
+        std::array::from_fn(|d| entries.iter().map(|e| e.0[d]).collect());
+    let mut val: Vec<f64> = entries.iter().map(|e| e.1).collect();
+    let n = val.len();
+    let pick = draws.first().map_or(0, |d| usize::from(d.3));
+    match corrupt {
+        2 => {
+            cols[pick % R].pop();
+        }
+        3 if n > 0 => {
+            let d = pick % R;
+            cols[d][pick % n] = if pick.is_multiple_of(2) { -1 } else { extents[d] as i64 };
+        }
+        4 if n > 0 => val[pick % n] = if pick.is_multiple_of(2) { f64::NAN } else { f64::INFINITY },
+        5 if n > 1 => {
+            for col in &mut cols {
+                col.swap(pick % n, (pick + 1) % n);
+            }
+        }
+        _ => {}
+    }
+    (cols, val)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// `validate_matrix` over every coordinate descriptor, on both the
+    /// COO and the Morton container, gives the naive reference's answer.
+    #[test]
+    fn matrix_coordinate_validation_matches_the_reference(
+        extents in (1usize..6, 1usize..6),
+        draws in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            0..12,
+        ),
+        shape in (0u8..4, proptest::bool::ANY, 0u8..6),
+    ) {
+        use sparse_formats::{descriptors, validate_matrix, MatrixRef};
+        use spf_ir::order::{Comparator, KeyDim, OrderKey};
+        let col_major = descriptors::scoo().edit(|s| {
+            s.order = Some(OrderKey {
+                comparator: Comparator::Lexicographic,
+                dims: vec![KeyDim::coord(2, 1), KeyDim::coord(2, 0)],
+            });
+        });
+        let extents = [extents.0, extents.1];
+        let ([row, col], val) = ref_input(extents, &draws, shape);
+        let coo = CooMatrix { nr: extents[0], nc: extents[1], row, col, val };
+        let mcoo = MortonCooMatrix { coo: coo.clone() };
+        for (desc, order) in [
+            (descriptors::coo(), RefOrder::None),
+            (descriptors::scoo(), RefOrder::Lex(&[0, 1])),
+            (col_major, RefOrder::Lex(&[1, 0])),
+            (descriptors::mcoo(), RefOrder::Morton),
+        ] {
+            let want = reference(&[coo.row.clone(), coo.col.clone()], extents, &coo.val, order);
+            for m in [MatrixRef::Coo(&coo), MatrixRef::MortonCoo(&mcoo)] {
+                let got = validate_matrix(&desc, m).map_err(|e| e.check);
+                prop_assert_eq!(got, want, "{} on {:?}", desc.name, coo);
+            }
+        }
+    }
+
+    /// `validate_tensor` over every order-3 coordinate descriptor, on
+    /// both containers, gives the naive reference's answer.
+    #[test]
+    fn tensor_coordinate_validation_matches_the_reference(
+        extents in (1usize..5, 1usize..5, 1usize..5),
+        draws in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            0..12,
+        ),
+        shape in (0u8..4, proptest::bool::ANY, 0u8..6),
+    ) {
+        use sparse_formats::{descriptors, validate_tensor, Coo3Tensor, MortonCoo3Tensor};
+        use sparse_formats::TensorRef;
+        let extents = [extents.0, extents.1, extents.2];
+        let ([i0, i1, i2], val) = ref_input(extents, &draws, shape);
+        let [nr, nc, nz] = extents;
+        let t = Coo3Tensor { nr, nc, nz, i0, i1, i2, val };
+        let mt = MortonCoo3Tensor { coo: t.clone() };
+        for (desc, order) in [
+            (descriptors::coo3(), RefOrder::None),
+            (descriptors::scoo3(), RefOrder::Lex(&[0, 1, 2])),
+            (descriptors::mcoo3(), RefOrder::Morton),
+        ] {
+            let cols = [t.i0.clone(), t.i1.clone(), t.i2.clone()];
+            let want = reference(&cols, extents, &t.val, order);
+            for x in [TensorRef::Coo3(&t), TensorRef::MortonCoo3(&mt)] {
+                let got = validate_tensor(&desc, x).map_err(|e| e.check);
+                prop_assert_eq!(got, want, "{} on {:?}", desc.name, t);
+            }
+        }
+    }
+}

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use sparse_synth::formats::descriptors::ScanInfo;
-use sparse_synth::formats::{descriptors, CooMatrix, FormatDescriptor, FormatSpec};
+use sparse_synth::formats::{descriptors, AnyMatrix, CooMatrix, FormatDescriptor, FormatSpec};
 use sparse_synth::ir::order::{Comparator, KeyDim, OrderKey};
 use sparse_synth::ir::{parse_relation, parse_set, LinExpr, UfSignature, VarId};
 use sparse_synth::synthesis::{run as synth_run, Conversion, SynthesisOptions};
@@ -118,10 +118,11 @@ fn main() {
         m
     };
     let mut env = RtEnv::new();
-    synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+    synth_run::bind_matrix(&mut env, &conv.synth.src, (&coo).into()).unwrap();
     conv.execute_env(&mut env).expect("conversion runs");
-    let out = synth_run::extract_coo(&mut env, &conv.synth.dst, coo.nr, coo.nc)
+    let out = synth_run::extract_matrix(&mut env, &conv.synth.dst, coo.nr, coo.nc)
         .expect("valid output");
+    let AnyMatrix::Coo(out) = out else { panic!("a wavefront COO destination gives a COO") };
 
     println!("wavefront order (i, j, i+j):");
     let mut prev_key = (i64::MIN, i64::MIN);

@@ -44,7 +44,7 @@ fn main() {
     let x: Vec<f64> = (0..coo.nc).map(|k| ((k % 10) as f64) / 2.0).collect();
 
     let mut env = RtEnv::new();
-    synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+    synth_run::bind_matrix(&mut env, &conv.synth.src, (&coo).into()).unwrap();
     conv.execute_env(&mut env).expect("inspector runs");
     env.data.insert(executor::names::X.to_string(), x.clone().into());
     spmv_compiled
