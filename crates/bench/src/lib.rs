@@ -11,6 +11,9 @@
 //!   the direct diagonal map that replaces the search
 //! * Table 4   — COO3D→MCOO3 vs the hand-written HiCOO z-Morton sort
 //! * Table 5   — the qualitative feature matrix
+//! * Ablation  — COO→CSR without and with the §3.3 optimizations, the
+//!   cost of `ExecStats` counting, and the generated SpMV against the
+//!   native container kernel
 //!
 //! All Figure-2 comparators run on the same interpreter VM as the
 //! synthesized inspectors (see `sparse-baselines`); the Table-4
@@ -25,10 +28,11 @@
 use std::time::Instant;
 
 use sparse_baselines::{fig2, hicoo_morton_sort3, Library};
-use sparse_formats::{descriptors, Coo3Tensor, CooMatrix, CsrMatrix};
+use sparse_formats::{descriptors, CsrMatrix};
 use sparse_matgen::suite::{table3_suite, table4_suite, MatrixSpec};
-use sparse_synthesis::{run as synth_run, Conversion, Membership, SynthesisOptions};
+use sparse_synthesis::{executor, run as synth_run, Conversion, Membership, SynthesisOptions};
 use spf_codegen::runtime::RtEnv;
+use spf_computation::ComparatorRegistry;
 
 /// One matrix row of a Figure-2 style experiment (times in seconds).
 #[derive(Debug, Clone)]
@@ -54,6 +58,37 @@ pub struct Table4Row {
     pub hicoo: f64,
     /// Synthesized conversion time.
     pub ours: f64,
+}
+
+/// One matrix row of the ablation series (times in seconds): SCOO→CSR
+/// synthesized without and with the §3.3 optimizations, and the optimized
+/// plan again with `ExecStats` counting compiled out.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// Matrix name (synthetic twin of the Table-3 entry).
+    pub matrix: String,
+    /// Nonzeros of the generated instance.
+    pub nnz: usize,
+    /// Unoptimized plan (`optimize: false`), `execute_env`.
+    pub naive: f64,
+    /// Optimized plan, `execute_env`.
+    pub optimized: f64,
+    /// Optimized plan, `execute_env_quiet`.
+    pub quiet: f64,
+}
+
+/// The generated SpMV against the native container kernel on one matrix
+/// (times in seconds).
+#[derive(Debug, Clone)]
+pub struct SpmvRow {
+    /// Matrix name (synthetic twin of the Table-3 entry).
+    pub matrix: String,
+    /// Nonzeros of the generated instance.
+    pub nnz: usize,
+    /// SPF-generated SpMV over the CSR descriptor, interpreted.
+    pub generated: f64,
+    /// `CsrMatrix::spmv`.
+    pub native: f64,
 }
 
 /// Times `f` as the minimum over `reps` runs.
@@ -255,6 +290,77 @@ pub fn run_table4(scale: usize, reps: usize) -> Vec<Table4Row> {
     rows
 }
 
+/// The matrices the COO→CSR ablation runs on.
+pub const ABLATION_MATRICES: [&str; 3] = ["jnlbrng1", "scircuit", "ecology1"];
+
+/// Runs the §3.3 ablation: SCOO→CSR synthesized naive and optimized, and
+/// the optimized plan with and without `ExecStats` counting, on
+/// [`ABLATION_MATRICES`].
+pub fn run_ablation(scale: usize, reps: usize) -> Vec<AblationRow> {
+    let synth = |optimize| {
+        let opts = SynthesisOptions { optimize, ..SynthesisOptions::default() };
+        Conversion::new(&descriptors::scoo(), &descriptors::csr(), opts)
+            .expect("static descriptors synthesize")
+    };
+    let (naive, optimized) = (synth(false), synth(true));
+    let mut rows = Vec::new();
+    for spec in table3_suite() {
+        if !ABLATION_MATRICES.contains(&spec.name) {
+            continue;
+        }
+        let coo = spec.generate(scale);
+        let time = |conv: &Conversion, quiet: bool| {
+            let mut env = RtEnv::new();
+            synth_run::bind_matrix(&mut env, &conv.synth.src, (&coo).into()).unwrap();
+            time_min(reps, || {
+                if quiet {
+                    conv.execute_env_quiet(&mut env).expect("synthesized conversion runs");
+                } else {
+                    conv.execute_env(&mut env).expect("synthesized conversion runs");
+                }
+            })
+        };
+        rows.push(AblationRow {
+            matrix: spec.name.to_string(),
+            nnz: coo.nnz(),
+            naive: time(&naive, false),
+            optimized: time(&optimized, false),
+            quiet: time(&optimized, true),
+        });
+    }
+    rows
+}
+
+/// Times the SPF-generated SpMV over the CSR descriptor against
+/// `CsrMatrix::spmv` on consph, the substrate tax behind the Table-4
+/// ratio (EXPERIMENTS.md note 2).
+pub fn run_spmv_overhead(scale: usize, reps: usize) -> SpmvRow {
+    let spec = table3_suite()
+        .into_iter()
+        .find(|s| s.name == "consph")
+        .expect("consph is in Table 3");
+    let csr = CsrMatrix::from_coo(&spec.generate(scale));
+    let x: Vec<f64> = (0..csr.nc).map(|k| (k % 9) as f64).collect();
+    let compiled = executor::spmv(&descriptors::csr())
+        .expect("CSR SpMV synthesizes")
+        .lower()
+        .expect("CSR SpMV lowers");
+    let mut env = RtEnv::new();
+    synth_run::bind_matrix(&mut env, &descriptors::csr(), (&csr).into()).unwrap();
+    env.data.insert(executor::names::X.to_string(), x.clone().into());
+    let comparators = ComparatorRegistry::new();
+    SpmvRow {
+        matrix: spec.name.to_string(),
+        nnz: csr.nnz(),
+        generated: time_min(reps, || {
+            compiled.execute(&mut env, &comparators).expect("generated SpMV runs");
+        }),
+        native: time_min(reps, || {
+            std::hint::black_box(csr.spmv(&x));
+        }),
+    }
+}
+
 /// Renders Table 5 of the paper — which descriptor features each tool
 /// supports — with this implementation's row derived from the descriptor
 /// API itself.
@@ -290,17 +396,6 @@ pub fn table5() -> String {
         if quantifiers { "yes" } else { "no" }
     ));
     s
-}
-
-/// A small sorted COO fixture for bench smoke tests.
-pub fn small_fixture() -> CooMatrix {
-    let spec = &table3_suite()[1]; // jnlbrng1 (stencil5)
-    spec.generate(512)
-}
-
-/// A small sorted COO3 fixture.
-pub fn small_tensor_fixture() -> Coo3Tensor {
-    table4_suite()[0].generate(8192)
 }
 
 #[cfg(test)]
@@ -345,6 +440,16 @@ mod tests {
         let rows = run_table4(16384, 1);
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.ours > 0.0 && r.hicoo > 0.0));
+    }
+
+    #[test]
+    fn ablation_runs_on_its_three_matrices() {
+        let rows = run_ablation(1024, 1);
+        let names: Vec<&str> = rows.iter().map(|r| r.matrix.as_str()).collect();
+        assert_eq!(names, ABLATION_MATRICES);
+        assert!(rows.iter().all(|r| r.naive > 0.0 && r.optimized > 0.0 && r.quiet > 0.0));
+        let spmv = run_spmv_overhead(1024, 1);
+        assert!(spmv.generated > 0.0 && spmv.native > 0.0);
     }
 
     #[test]

@@ -80,37 +80,35 @@ pub enum MatrixRef<'a> {
 
 impl<'a> MatrixRef<'a> {
     /// The coordinate storage of a COO or Morton COO container (the two
-    /// share it; ordering is the descriptor's claim), `None` for the
-    /// other containers.
-    pub fn coo(self) -> Option<&'a CooMatrix> {
+    /// share it; ordering is the descriptor's claim), or `(rows, cols)`
+    /// and the stored-entry count of any other container. The one place
+    /// that knows the Morton container is COO storage.
+    fn coo_or_shape(self) -> Result<&'a CooMatrix, ((usize, usize), usize)> {
         match self {
-            MatrixRef::Coo(m) => Some(m),
-            MatrixRef::MortonCoo(m) => Some(&m.coo),
-            _ => None,
+            MatrixRef::Coo(m) => Ok(m),
+            MatrixRef::MortonCoo(m) => Ok(&m.coo),
+            MatrixRef::Csr(m) => Err(((m.nr, m.nc), m.val.len())),
+            MatrixRef::Csc(m) => Err(((m.nr, m.nc), m.val.len())),
+            MatrixRef::Dia(m) => Err(((m.nr, m.nc), m.stored_nnz())),
+            MatrixRef::Ell(m) => Err(((m.nr, m.nc), m.stored_nnz())),
         }
+    }
+
+    /// The coordinate storage of a COO or Morton COO container, `None`
+    /// for the other containers.
+    pub fn coo(self) -> Option<&'a CooMatrix> {
+        self.coo_or_shape().ok()
     }
 
     /// `(rows, cols)`.
     pub fn dims(&self) -> (usize, usize) {
-        match *self {
-            MatrixRef::Coo(m) | MatrixRef::MortonCoo(MortonCooMatrix { coo: m }) => (m.nr, m.nc),
-            MatrixRef::Csr(m) => (m.nr, m.nc),
-            MatrixRef::Csc(m) => (m.nr, m.nc),
-            MatrixRef::Dia(m) => (m.nr, m.nc),
-            MatrixRef::Ell(m) => (m.nr, m.nc),
-        }
+        self.coo_or_shape().map_or_else(|(dims, _)| dims, |m| (m.nr, m.nc))
     }
 
     /// Stored-entry count. For DIA and ELL this counts occupied slots
     /// (structural nonzeros), not padding.
     pub fn nnz(&self) -> usize {
-        match *self {
-            MatrixRef::Coo(m) | MatrixRef::MortonCoo(MortonCooMatrix { coo: m }) => m.val.len(),
-            MatrixRef::Csr(m) => m.val.len(),
-            MatrixRef::Csc(m) => m.val.len(),
-            MatrixRef::Dia(m) => m.stored_nnz(),
-            MatrixRef::Ell(m) => m.stored_nnz(),
-        }
+        self.coo_or_shape().map_or_else(|(_, nnz)| nnz, |m| m.val.len())
     }
 
     /// Short container label (`"coo"`, `"csr"`, …) for error messages.

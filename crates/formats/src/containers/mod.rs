@@ -4,25 +4,19 @@
 //! code), and per-format SpMV/TTV kernels.
 
 pub mod any;
-pub mod bcsr;
 pub mod coo;
 pub mod csc;
-pub mod csf;
 pub mod csr;
 pub mod dense;
 pub mod dia;
 pub mod ell;
-pub mod hicoo;
 pub mod mcoo;
 
 pub use any::{AnyMatrix, AnyTensor, MatrixRef, TensorRef};
-pub use bcsr::BcsrMatrix;
 pub use coo::{Coo3Tensor, CooMatrix, Coords};
 pub use csc::CscMatrix;
-pub use csf::CsfTensor;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use dia::DiaMatrix;
 pub use ell::EllMatrix;
-pub use hicoo::HicooTensor;
 pub use mcoo::{MortonCoo3Tensor, MortonCooMatrix};

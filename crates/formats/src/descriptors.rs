@@ -933,7 +933,8 @@ pub fn ell() -> FormatDescriptor {
 /// The BCSR descriptor (Figure 1's blocked format) — display-only: the
 /// blocked sparse-to-dense map needs integer division (`bi = i / BH`),
 /// which is outside the affine-with-UFs fragment, so BCSR participates in
-/// Table-1 rendering and runtime validation but not (yet) synthesis.
+/// Table-1 rendering, the descriptor lint and the static verifier, but
+/// not (yet) synthesis or execution.
 pub fn bcsr(bh: i64, bw: i64) -> FormatDescriptor {
     let mut ufs = UfEnvironment::new();
     ufs.insert(sig(

@@ -44,9 +44,8 @@ pub mod descriptors;
 pub mod validate;
 
 pub use containers::{
-    AnyMatrix, AnyTensor, BcsrMatrix, Coo3Tensor, CooMatrix, Coords, CscMatrix, CsfTensor,
-    CsrMatrix, DenseMatrix, DiaMatrix, EllMatrix, HicooTensor, MatrixRef, MortonCoo3Tensor,
-    MortonCooMatrix, TensorRef,
+    AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, Coords, CscMatrix, CsrMatrix, DenseMatrix,
+    DiaMatrix, EllMatrix, MatrixRef, MortonCoo3Tensor, MortonCooMatrix, TensorRef,
 };
 pub use descriptors::{
     domain_alloc_size, range_max, FormatDescriptor, FormatKind, FormatSpec, ScanInfo,

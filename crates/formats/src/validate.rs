@@ -24,18 +24,15 @@
 //! A violation is a [`ValidationError`] naming the failed [`InputCheck`],
 //! for an input and an output alike (the engine reports the latter as
 //! `RunError::Format`). Validation is `O(nnz)` with small constants
-//! (single pass per array, no allocation) — measured under 5% of the
-//! cost of the conversions it guards (see EXPERIMENTS.md).
+//! (single pass per array, no allocation); ROADMAP item 8 records its
+//! measured share of the conversions it guards.
 
 use std::sync::OnceLock;
 
 use spf_codegen::morton::morton_cmp;
 use spf_ir::order::{Comparator, OrderKey};
 
-use crate::containers::{
-    BcsrMatrix, Coords, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, EllMatrix, HicooTensor,
-    MatrixRef, TensorRef,
-};
+use crate::containers::{Coords, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix, MatrixRef, TensorRef};
 use crate::descriptors::FormatDescriptor;
 use crate::FormatKind;
 
@@ -608,14 +605,12 @@ pub(crate) fn validate_coo<const R: usize, C: Coords<R>>(
 }
 
 /// Shared pointer-array obligations: length `n_major + 1`, ends `0..=nnz`,
-/// non-decreasing — or strictly increasing when every segment must be
-/// `nonempty`. Afterwards slicing by adjacent entries is safe.
+/// non-decreasing. Afterwards slicing by adjacent entries is safe.
 fn validate_pointer(
     ptr: &[i64],
     n_major: usize,
     nnz: usize,
     what: &str,
-    nonempty: bool,
 ) -> Result<(), ValidationError> {
     // `len - 1` rather than `n_major + 1`, so an absurd `n_major` cannot
     // overflow.
@@ -633,11 +628,10 @@ fn validate_pointer(
             format!("{what} spans {first}..={last}, expected 0..={nnz}"),
         ));
     }
-    if let Some(p) = ptr.windows(2).position(|w| w[0] > w[1] || (nonempty && w[0] == w[1])) {
-        let rule = if nonempty { "is not below" } else { "exceeds" };
+    if let Some(p) = ptr.windows(2).position(|w| w[0] > w[1]) {
         return Err(ValidationError::new(
             InputCheck::PointerMonotone,
-            format!("{what}[{p}] = {} {rule} {what}[{}] = {}", ptr[p], p + 1, ptr[p + 1]),
+            format!("{what}[{p}] = {} exceeds {what}[{}] = {}", ptr[p], p + 1, ptr[p + 1]),
         ));
     }
     Ok(())
@@ -671,7 +665,7 @@ fn validate_compressed_minor(
 /// increasing columns within a row.
 pub(crate) fn validate_csr(m: &CsrMatrix, values: Values) -> Result<(), ValidationError> {
     check_lengths("CSR col/val", &[m.col.len(), m.val.len()])?;
-    validate_pointer(&m.rowptr, m.nr, m.val.len(), "CSR rowptr", false)?;
+    validate_pointer(&m.rowptr, m.nr, m.val.len(), "CSR rowptr")?;
     validate_compressed_minor(&m.rowptr, &m.col, m.nc, "CSR col")?;
     check_finite(values, &m.val, "val")
 }
@@ -679,7 +673,7 @@ pub(crate) fn validate_csr(m: &CsrMatrix, values: Values) -> Result<(), Validati
 /// CSC: the transpose-ordered twin of [`validate_csr`].
 pub(crate) fn validate_csc(m: &CscMatrix, values: Values) -> Result<(), ValidationError> {
     check_lengths("CSC row/val", &[m.row.len(), m.val.len()])?;
-    validate_pointer(&m.colptr, m.nc, m.val.len(), "CSC colptr", false)?;
+    validate_pointer(&m.colptr, m.nc, m.val.len(), "CSC colptr")?;
     validate_compressed_minor(&m.colptr, &m.row, m.nr, "CSC row")?;
     check_finite(values, &m.val, "val")
 }
@@ -753,86 +747,6 @@ pub(crate) fn validate_ell(m: &EllMatrix, values: Values) -> Result<(), Validati
         }
     }
     Ok(())
-}
-
-/// BCSR: positive block dims, CSR obligations over block rows and block
-/// columns, `bh * bw` values per stored block, and zero padding outside
-/// the logical matrix.
-pub(crate) fn validate_bcsr(m: &BcsrMatrix) -> Result<(), ValidationError> {
-    if m.bh == 0 || m.bw == 0 {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("BCSR blocks are {}x{}, both dims must be positive", m.bh, m.bw),
-        ));
-    }
-    let nblocks = m.nblocks();
-    validate_pointer(&m.browptr, m.block_rows(), nblocks, "BCSR browptr", false)?;
-    let tiles = nblocks.saturating_mul(m.bh).saturating_mul(m.bw);
-    check_lengths("BCSR nblocks * bh * bw/data", &[tiles, m.data.len()])?;
-    validate_compressed_minor(&m.browptr, &m.bcol, m.block_cols(), "BCSR bcol")?;
-    for bi in 0..m.block_rows() {
-        for blk in m.browptr[bi] as usize..m.browptr[bi + 1] as usize {
-            let bj = m.bcol[blk] as usize;
-            for r in 0..m.bh {
-                for c in 0..m.bw {
-                    let (gi, gj) = (bi * m.bh + r, bj * m.bw + c);
-                    if (gi >= m.nr || gj >= m.nc) && m.data[(blk * m.bh + r) * m.bw + c] != 0.0 {
-                        return Err(ValidationError::new(
-                            InputCheck::PaddingZero,
-                            format!("BCSR out-of-matrix slot ({gi}, {gj}) holds a nonzero"),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// HiCOO: block and nonzero array lengths, non-empty blocks, in-block
-/// offsets inside the block edge, block coordinates inside the tensor,
-/// and strictly increasing Z-order of blocks.
-pub(crate) fn validate_hicoo(t: &HicooTensor) -> Result<(), ValidationError> {
-    let (nblocks, nnz) = (t.nblocks(), t.nnz());
-    check_lengths("HiCOO bi/bj/bk", &[nblocks, t.bj.len(), t.bk.len()])?;
-    check_lengths("HiCOO ei/ej/ek/val", &[t.ei.len(), t.ej.len(), t.ek.len(), nnz])?;
-    validate_pointer(&t.bptr, nblocks, nnz, "HiCOO bptr", true)?;
-    // The block edge `2^block_bits`; from 64 bits on it exceeds any
-    // coordinate, so saturating is exact.
-    let edge = 1u64.checked_shl(t.block_bits).unwrap_or(u64::MAX);
-    let (d0, d1, d2) = t.dims;
-    for (what, offs, blocks, d) in
-        [("i", &t.ei, &t.bi, d0), ("j", &t.ej, &t.bj, d1), ("k", &t.ek, &t.bk, d2)]
-    {
-        if let Some(n) = offs.iter().position(|&e| u64::from(e) >= edge) {
-            return Err(ValidationError::new(
-                InputCheck::IndexBounds,
-                format!("HiCOO e{what}[{n}] = {} outside the block edge {edge}", offs[n]),
-            ));
-        }
-        let extent = (d as u64).div_ceil(edge) as usize;
-        if let Some(b) = blocks.iter().position(|&v| !in_bounds(v, extent)) {
-            return Err(ValidationError::new(
-                InputCheck::IndexBounds,
-                format!("HiCOO b{what}[{b}] = {} outside 0..{extent}", blocks[b]),
-            ));
-        }
-    }
-    check_order(morton_key(3), true, nblocks, |b| [t.bi[b], t.bj[b], t.bk[b]])
-}
-
-/// CSF: strictly increasing (non-empty) fiber pointers at both levels,
-/// coordinate bounds, and strictly increasing coordinates within each
-/// level-0 list, level-0 slice, and fiber.
-pub(crate) fn validate_csf(t: &CsfTensor) -> Result<(), ValidationError> {
-    check_lengths("CSF idx2/val", &[t.idx2.len(), t.val.len()])?;
-    validate_pointer(&t.ptr1, t.idx0.len(), t.idx1.len(), "CSF ptr1", true)?;
-    validate_pointer(&t.ptr2, t.idx1.len(), t.nnz(), "CSF ptr2", true)?;
-    let (d0, d1, d2) = t.dims;
-    // Level 0 is one segment spanning all of `idx0`.
-    validate_compressed_minor(&[0, t.idx0.len() as i64], &t.idx0, d0, "CSF idx0")?;
-    validate_compressed_minor(&t.ptr1, &t.idx1, d1, "CSF idx1")?;
-    validate_compressed_minor(&t.ptr2, &t.idx2, d2, "CSF idx2")
 }
 
 #[cfg(test)]

@@ -3,9 +3,7 @@
 //! invariants, and computes the same SpMV.
 
 use proptest::prelude::*;
-use sparse_formats::{
-    BcsrMatrix, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix, MortonCooMatrix,
-};
+use sparse_formats::{CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix, MortonCooMatrix};
 
 fn arb_coo() -> impl Strategy<Value = CooMatrix> {
     (1usize..20, 1usize..20)
@@ -60,13 +58,6 @@ proptest! {
     }
 
     #[test]
-    fn bcsr_round_trip_and_validate(coo in arb_coo(), bh in 1usize..4, bw in 1usize..4) {
-        let b = BcsrMatrix::from_coo(&coo, bh, bw);
-        b.validate().unwrap();
-        prop_assert_eq!(b.to_dense(), coo.to_dense());
-    }
-
-    #[test]
     fn mcoo_is_a_permutation(coo in arb_coo()) {
         let m = MortonCooMatrix::from_coo(&coo);
         m.validate().unwrap();
@@ -86,7 +77,6 @@ proptest! {
         prop_assert!(close(CscMatrix::from_coo(&coo).spmv(&x)));
         prop_assert!(close(DiaMatrix::from_coo(&coo).spmv(&x)));
         prop_assert!(close(EllMatrix::from_coo(&coo).spmv(&x)));
-        prop_assert!(close(BcsrMatrix::from_coo(&coo, 2, 2).spmv(&x)));
     }
 
     /// Morton comparison is a strict weak ordering consistent with the
@@ -101,48 +91,6 @@ proptest! {
         let ca = morton_encode(&[a.0, a.1], 21);
         let cb = morton_encode(&[b.0, b.1], 21);
         prop_assert_eq!(morton_cmp(&[a.0, a.1], &[b.0, b.1]), ca.cmp(&cb));
-    }
-}
-
-/// Arbitrary small order-3 tensor with unique coordinates.
-fn arb_coo3() -> impl Strategy<Value = sparse_formats::Coo3Tensor> {
-    (2usize..12, 2usize..12, 2usize..12)
-        .prop_flat_map(|(d0, d1, d2)| {
-            let coords = proptest::collection::btree_set((0..d0, 0..d1, 0..d2), 0..40);
-            (Just((d0, d1, d2)), coords)
-        })
-        .prop_map(|(dims, coords)| {
-            let i0: Vec<i64> = coords.iter().map(|&(a, _, _)| a as i64).collect();
-            let i1: Vec<i64> = coords.iter().map(|&(_, b, _)| b as i64).collect();
-            let i2: Vec<i64> = coords.iter().map(|&(_, _, c)| c as i64).collect();
-            let val: Vec<f64> = (0..coords.len()).map(|k| k as f64 + 1.0).collect();
-            sparse_formats::Coo3Tensor::from_coords(dims, i0, i1, i2, val).expect("valid")
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn hicoo_round_trip_and_ttv(t in arb_coo3(), bits in 1u32..4) {
-        use sparse_formats::{HicooTensor, MortonCoo3Tensor};
-        let h = HicooTensor::from_coo3(&t, bits);
-        h.validate().unwrap();
-        prop_assert_eq!(h.to_coo3(), MortonCoo3Tensor::from_coo3(&t).coo);
-        let x: Vec<f64> = (0..t.nz).map(|k| (k % 3) as f64).collect();
-        prop_assert_eq!(h.ttv_mode2(&x), t.ttv_mode2(&x));
-    }
-
-    #[test]
-    fn csf_round_trip_and_ttv(t in arb_coo3()) {
-        use sparse_formats::CsfTensor;
-        let csf = CsfTensor::from_coo3(&t);
-        csf.validate().unwrap();
-        let mut want = t.clone();
-        want.sort_by(|a, b| a.cmp(b));
-        prop_assert_eq!(csf.to_coo3(), want);
-        let x: Vec<f64> = (0..t.nz).map(|k| (k % 4) as f64 - 1.0).collect();
-        prop_assert_eq!(csf.ttv_mode2(&x), t.ttv_mode2(&x));
     }
 }
 

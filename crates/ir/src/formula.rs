@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use crate::constraint::{constraint_order, normalize_all, Constraint};
+use crate::constraint::{normalize_all, Constraint};
 use crate::expr::{LinExpr, VarId, VarNames};
 
 /// One conjunction of constraints over `arity` tuple variables plus a list
@@ -48,12 +48,6 @@ impl Conjunction {
     /// Total number of variables (tuple + existential).
     pub fn n_vars(&self) -> u32 {
         self.arity + self.exists.len() as u32
-    }
-
-    /// Returns `true` if `v` is an existential variable of this
-    /// conjunction.
-    pub fn is_existential(&self, v: VarId) -> bool {
-        v.0 >= self.arity && v.0 < self.n_vars()
     }
 
     /// Adds a constraint.
@@ -185,11 +179,6 @@ impl Conjunction {
     /// emit `let` bindings such as `j = col(k)`).
     pub fn defining_equality(&self, v: VarId) -> Option<LinExpr> {
         self.solvable_equality(v).map(|(_, e)| e)
-    }
-
-    /// Sorts constraints deterministically without further rewriting.
-    pub fn sort_constraints(&mut self) {
-        self.constraints.sort_by(constraint_order);
     }
 }
 
@@ -410,18 +399,6 @@ impl Relation {
         &mut self.conjs
     }
 
-    /// Id of the `k`-th input tuple variable.
-    pub fn in_var(&self, k: usize) -> VarId {
-        debug_assert!(k < self.in_tuple.len());
-        VarId(k as u32)
-    }
-
-    /// Id of the `k`-th output tuple variable.
-    pub fn out_var(&self, k: usize) -> VarId {
-        debug_assert!(k < self.out_tuple.len());
-        VarId((self.in_tuple.len() + k) as u32)
-    }
-
     /// Simplifies every conjunction, dropping unsatisfiable ones.
     pub fn simplify(&mut self) {
         self.conjs.retain_mut(|c| c.simplify());
@@ -590,15 +567,6 @@ impl Relation {
     /// input.
     pub fn range(&self) -> Set {
         self.inverse().domain()
-    }
-
-    /// Views the relation as a set over the concatenated
-    /// `[input, output]` tuple — the paper uses this as the domain of the
-    /// generated copy code ("the composed relation as a set").
-    pub fn as_combined_set(&self) -> Set {
-        let mut tuple = self.in_tuple.clone();
-        tuple.extend(self.out_tuple.iter().cloned());
-        Set { tuple, conjs: self.conjs.clone() }
     }
 
     /// Heuristic functionality test used to order synthesis: every output

@@ -84,7 +84,6 @@ pub struct Computation {
 /// declarations the runtime environment needs.
 pub struct Compiled {
     program: Program,
-    slots: SlotAlloc,
     ast: Vec<AStmt>,
     list_decls: Vec<(String, usize, ListOrderSpec, bool)>,
 }
@@ -207,11 +206,6 @@ impl Compiled {
     ) -> Result<(), ExecError> {
         self.declare_lists(env, comparators)?;
         execute_quiet(&self.program, env)
-    }
-
-    /// Extra slots used (diagnostics).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -402,7 +396,7 @@ impl Computation {
             i = j;
         }
         let program = compile(&ast, &slots);
-        Ok(Compiled { program, slots, ast, list_decls })
+        Ok(Compiled { program, ast, list_decls })
     }
 
     /// Convenience: lower and emit C.

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Benchmark driver: runs the criterion benches in quick mode (the
-# vendored criterion shim is already sample-bounded) and then the
-# engine-level benchmark (perfbench, the command BENCHMARK.json names)
-# on its three workloads. Each workload runs twice: with `--trace 0` for
-# the end-to-end metrics and with `--trace 1` for the per-layer metrics
-# and the per-pair layer table perfbench prints on stderr. The result is
+# Benchmark driver: runs the engine-level benchmark (perfbench, the
+# command BENCHMARK.json names) on its three workloads; the paper's
+# figures come from `cargo run --release -p sparse-bench --bin figures`.
+# Each workload runs twice: with `--trace 0` for the end-to-end metrics
+# and with `--trace 1` for the per-layer metrics and the per-pair layer
+# table perfbench prints on stderr. The result is
 # one JSON object per workload in target/perfbench/<workload>.json:
 #
 #   {"workload": ..., "end_to_end": <trace-0 line>, "layers": <trace-1 line>,
@@ -17,10 +17,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SECONDS_PER_RUN="${1:-20}"
-
-echo "==> criterion benches (quick mode)"
-cargo bench -q -p sparse-bench --bench fig2_conversions
-cargo bench -q -p sparse-bench --bench table4_morton
 
 echo "==> perfbench (BENCHMARK.json workloads)"
 mkdir -p target/perfbench

@@ -48,6 +48,12 @@ echo "==> cargo run --release --example lint_descriptor (static-analysis gate)"
 # synthesizable conversion plan; exits nonzero on any error or warning.
 cargo run --release --example lint_descriptor
 
+echo "==> figures at a tiny scale (the one figure harness stays runnable)"
+# Every series the paper's evaluation and EXPERIMENTS.md cite (Table 3,
+# Fig. 2a-d, Fig. 3, Table 4, Table 5 and the ablation), at a scale small
+# enough to take well under a second; any panic exits nonzero.
+cargo run --release -q -p sparse-bench --bin figures -- --scale 4096 --reps 1 > /dev/null
+
 echo "==> perfbench stream-small (engine-level correctness and layer-shape gate)"
 # Converts every executable catalog pair (31 matrix, 6 tensor) through
 # Engine::convert / convert_tensor and checks each output bit-exactly;

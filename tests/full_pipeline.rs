@@ -207,32 +207,6 @@ fn emitted_c_is_stable_for_the_papers_running_example() {
 }
 
 #[test]
-fn synthesized_reorder_feeds_hicoo_construction() {
-    // The Table-4 story end-to-end: the synthesized COO3D -> MCOO3
-    // conversion is exactly the sorting step HiCOO construction needs;
-    // building HiCOO from the synthesized output equals building it from
-    // scratch.
-    use sparse_synth::formats::HicooTensor;
-    use sparse_synth::synthesis::SynthesisOptions;
-    let t = table4_suite()[0].generate(SCALE * 64);
-    let conv = Conversion::new(
-        &descriptors::scoo3(),
-        &descriptors::mcoo3(),
-        SynthesisOptions::default(),
-    )
-    .unwrap();
-    let (mcoo3, _) = conv.run_tensor(&t).unwrap();
-    let AnyTensor::MortonCoo3(mcoo3) = mcoo3 else { panic!("expected MCOO3, got {}", mcoo3.label()) };
-    let via_synthesis = HicooTensor::from_mcoo3(&mcoo3, 4);
-    let from_scratch = HicooTensor::from_coo3(&t, 4);
-    assert_eq!(via_synthesis, from_scratch);
-    via_synthesis.validate().unwrap();
-    // And the blocked tensor computes the same TTV as the source.
-    let x: Vec<f64> = (0..t.nz).map(|k| (k % 3) as f64).collect();
-    assert_eq!(via_synthesis.ttv_mode2(&x), t.ttv_mode2(&x));
-}
-
-#[test]
 fn descriptor_quantifiers_round_trip_through_the_parser() {
     // Every quantifier a descriptor prints parses back to its semantic
     // form (spec fidelity: the Table-1 notation is not just display).
