@@ -79,16 +79,6 @@ pub fn emit_c99_block(stmts: &[Stmt], depth: usize) -> String {
     out
 }
 
-/// Emits a bare statement list (no function wrapper), e.g. for embedding
-/// in documentation.
-pub fn emit_c_block(stmts: &[Stmt]) -> String {
-    let mut out = String::new();
-    for s in stmts {
-        emit_stmt(&mut out, s, 0, Dialect::PaperListing);
-    }
-    out
-}
-
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
@@ -328,7 +318,7 @@ mod tests {
                 src_idx: Expr::Const(0),
             }],
         }];
-        let c = emit_c_block(&stmts);
+        let c = emit_c_function("f", &stmts);
         assert!(c.contains("if (off[d] == 2) {"));
         assert!(c.contains("A_dia[d] = A_coo[0];"));
     }
@@ -343,7 +333,7 @@ mod tests {
             Stmt::ListFinalize { list: "P".into() },
             Stmt::ListToUf { list: "P".into(), dim: 0, uf: "off".into() },
         ];
-        let c = emit_c_block(&stmts);
+        let c = emit_c_function("f", &stmts);
         assert!(c.contains("P.insert(1, 2);"));
         assert!(c.contains("P.finalize();"));
         assert!(c.contains("off[p_] = P.key(p_, 0);"));
@@ -362,7 +352,7 @@ mod tests {
             target: Box::new(Expr::Const(5)),
             body: vec![Stmt::Comment("hit".into())],
         }];
-        let c = emit_c_block(&stmts);
+        let c = emit_c_function("f", &stmts);
         assert!(c.contains("while (lo_ < hi_)"));
         assert!(c.contains("if (off[d] < 5) lo_ = d + 1; else hi_ = d;"));
     }

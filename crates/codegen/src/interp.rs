@@ -11,9 +11,9 @@
 //! as op slices, and one `match` loop runs a slice.
 //!
 //! An innermost loop whose body is straight-line and free of
-//! cross-iteration hazards compiles to one [`Op::Chunked`] instead: its
-//! body runs one columnar [`Lane`] op at a time over a chunk of
-//! [`LANES`] iterations, so each op is dispatched, and each array it
+//! cross-iteration hazards compiles to one `Op::Chunked` instead: its
+//! body runs one columnar `Lane` op at a time over a chunk of `LANES`
+//! (256) iterations, so each op is dispatched, and each array it
 //! touches resolved, once per chunk rather than once per iteration.
 
 use std::borrow::Cow;

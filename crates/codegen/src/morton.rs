@@ -112,20 +112,6 @@ static SPREAD: [[u32; 256]; 4] = {
     t
 };
 
-/// Decodes a Morton code produced by [`morton_encode`] back into
-/// coordinates.
-pub fn morton_decode(code: u128, rank: usize, bits: u32) -> Vec<i64> {
-    let mut out = vec![0i64; rank];
-    for (d, slot) in out.iter_mut().enumerate() {
-        let mut c: i64 = 0;
-        for b in 0..bits {
-            c |= (((code >> (b * rank as u32 + d as u32)) & 1) as i64) << b;
-        }
-        *slot = c;
-    }
-    out
-}
-
 /// Number of bits needed to Morton-encode coordinates below `extent`.
 pub fn bits_for_extent(extent: usize) -> u32 {
     usize::BITS - extent.saturating_sub(1).leading_zeros()
@@ -136,10 +122,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn encode_decode_round_trip() {
-        for &(i, j) in &[(0i64, 0i64), (1, 0), (0, 1), (5, 9), (1023, 511)] {
-            let code = morton_encode(&[i, j], 10);
-            assert_eq!(morton_decode(code, 2, 10), vec![i, j]);
+    fn encode_interleaves_known_codes() {
+        // Dim 0 takes the even bits: (5, 9) = (0b0101, 0b1001) interleaves
+        // to 0b1001_0011, and (1023, 511) sets the low 19 bits.
+        for &(i, j, code) in
+            &[(0i64, 0i64, 0u128), (1, 0, 1), (0, 1, 2), (5, 9, 147), (1023, 511, (1 << 19) - 1)]
+        {
+            assert_eq!(morton_encode(&[i, j], 10), code, "({i}, {j})");
         }
     }
 

@@ -461,11 +461,6 @@ impl OrderedList {
         self.width
     }
 
-    /// Returns `true` once [`OrderedList::finalize`] has run.
-    pub fn is_finalized(&self) -> bool {
-        self.finalized
-    }
-
     /// Inserts a key in source order.
     ///
     /// # Errors

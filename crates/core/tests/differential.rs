@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use sparse_formats::descriptors;
 use sparse_formats::{AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix,
-    FormatDescriptor, MortonCooMatrix};
+    FormatDescriptor};
 use sparse_matgen::generators::{power_law, random_uniform};
 use sparse_obs::NoopSubscriber;
 use sparse_synthesis::{Conversion, SynthesisOptions};
@@ -26,31 +26,27 @@ enum Src {
     Unsorted,
     /// Row-major sorted triplets (`SCOO`).
     Sorted,
-    /// Morton-ordered triplets (`MCOO`).
-    Morton,
     /// Compressed rows.
     Csr,
     /// Compressed columns.
     Csc,
 }
 
-/// Every kernel-backed matrix pair in the conversion catalog, with the
-/// source container each needs. Covers all eight distinct rank-2 kernel
-/// implementations.
+/// Every matrix row of the kernel registry, with the source container
+/// each needs.
 fn kernel_pairs() -> Vec<(Src, FormatDescriptor, FormatDescriptor)> {
     use descriptors as d;
     vec![
-        (Src::Sorted, d::scoo(), d::csr()),
         (Src::Unsorted, d::coo(), d::csr()),
-        (Src::Sorted, d::scoo(), d::csc()),
+        (Src::Unsorted, d::coo(), d::csc()),
+        (Src::Unsorted, d::coo(), d::mcoo()),
+        (Src::Unsorted, d::coo(), d::scoo().with_suffix("_d")),
+        (Src::Sorted, d::scoo(), d::csr()),
+        (Src::Sorted, d::scoo(), d::mcoo()),
         (Src::Csr, d::csr(), d::csc()),
         (Src::Csc, d::csc(), d::csr()),
         (Src::Csr, d::csr(), d::coo()),
         (Src::Csc, d::csc(), d::coo()),
-        (Src::Sorted, d::scoo(), d::mcoo()),
-        (Src::Morton, d::mcoo(), d::csr()),
-        (Src::Morton, d::mcoo(), d::mcoo()),
-        (Src::Unsorted, d::coo(), d::scoo().with_suffix("_d")),
     ]
 }
 
@@ -77,7 +73,6 @@ fn make_input(kind: Src, base: &CooMatrix, seed: u64) -> AnyMatrix {
             m.sort_row_major();
             AnyMatrix::Coo(m)
         }
-        Src::Morton => AnyMatrix::MortonCoo(MortonCooMatrix::from_coo(base)),
         Src::Csr => AnyMatrix::Csr(CsrMatrix::from_coo(base)),
         Src::Csc => AnyMatrix::Csc(CscMatrix::from_coo(base)),
     }

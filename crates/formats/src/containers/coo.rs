@@ -304,7 +304,7 @@ mod tests {
         let d = m.to_dense();
         assert_eq!(d.get(0, 2), 2.0);
         assert_eq!(d.get(2, 0), 4.0);
-        assert_eq!(d.count_nonzeros(), 4);
+        assert_eq!(d.vals.iter().filter(|v| **v != 0.0).count(), 4);
     }
 
     #[test]

@@ -19,15 +19,6 @@ impl DenseMatrix {
         DenseMatrix { nr, nc, vals: vec![0.0; nr * nc] }
     }
 
-    /// Builds from row-major values.
-    ///
-    /// # Panics
-    /// Panics when `vals.len() != nr * nc`.
-    pub fn from_rows(nr: usize, nc: usize, vals: Vec<f64>) -> Self {
-        assert_eq!(vals.len(), nr * nc, "dense value count mismatch");
-        DenseMatrix { nr, nc, vals }
-    }
-
     /// Value at `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -38,11 +29,6 @@ impl DenseMatrix {
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         self.vals[i * self.nc + j] = v;
-    }
-
-    /// Number of structurally nonzero entries (exact zero test).
-    pub fn count_nonzeros(&self) -> usize {
-        self.vals.iter().filter(|v| **v != 0.0).count()
     }
 
     /// Dense matrix–vector product `y = A x`.
@@ -89,12 +75,12 @@ mod tests {
         m.set(1, 2, 5.0);
         assert_eq!(m.get(1, 2), 5.0);
         assert_eq!(m.get(0, 0), 0.0);
-        assert_eq!(m.count_nonzeros(), 1);
+        assert_eq!(m.vals.iter().filter(|v| **v != 0.0).count(), 1);
     }
 
     #[test]
     fn spmv_matches_hand_computation() {
-        let m = DenseMatrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let m = DenseMatrix { nr: 2, nc: 2, vals: vec![1.0, 2.0, 3.0, 4.0] };
         assert_eq!(m.spmv(&[1.0, 1.0]), vec![3.0, 7.0]);
     }
 }

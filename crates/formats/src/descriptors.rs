@@ -989,6 +989,37 @@ mod tests {
     }
 
     #[test]
+    fn quantifier_texts_state_the_descriptor_fields() {
+        // A monotonic quantifier names a UF declared with that
+        // monotonicity; a reordering one appears only on an ordered
+        // descriptor, over its `rank` coordinate UFs.
+        for d in [scoo(), csr(), csc(), dia(), mcoo(), mcoo3()] {
+            for text in d.quantifier_texts() {
+                if let Some(keys) = text.strip_prefix("forall n1, n2 : n1 < n2 <=> ") {
+                    assert!(d.order.is_some(), "{}: `{text}`", d.name);
+                    let (key, _) = keys.split_once(" < ").expect("two keys");
+                    assert_eq!(key.matches("(n1)").count(), d.rank, "{}: `{text}`", d.name);
+                    for uf in d.coord_ufs.iter().flatten() {
+                        assert!(key.contains(&format!("{uf}(n1)")), "{}: `{text}`", d.name);
+                    }
+                    continue;
+                }
+                let rest = text.strip_prefix("forall e1, e2 : e1 ").expect(&text);
+                let (m, rest) = match rest.strip_prefix("< e2 <=> ") {
+                    Some(r) => (Monotonicity::Increasing, r),
+                    None => {
+                        let r = rest.strip_prefix("<= e2 <=> ").expect(&text);
+                        (Monotonicity::NonDecreasing, r)
+                    }
+                };
+                let (uf, _) = rest.split_once("(e1)").expect(&text);
+                let sig = d.ufs.get(uf).expect("quantified UF is declared");
+                assert_eq!(sig.monotonicity, Some(m), "{}: `{text}`", d.name);
+            }
+        }
+    }
+
+    #[test]
     fn scan_sets_are_existential_free() {
         for d in [coo(), scoo(), csr(), csc(), mcoo(), coo3(), scoo3(), mcoo3()] {
             let scan = d.scan.as_ref().expect("scan info");

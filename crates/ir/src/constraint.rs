@@ -71,11 +71,6 @@ impl Constraint {
         }
     }
 
-    /// Returns `true` for equality constraints.
-    pub fn is_eq(&self) -> bool {
-        matches!(self, Constraint::Eq(_))
-    }
-
     /// Returns `true` if variable `v` occurs anywhere in the constraint.
     pub fn uses_var(&self, v: VarId) -> bool {
         self.expr().uses_var(v)
@@ -247,35 +242,6 @@ fn cmp_expr(a: &LinExpr, b: &LinExpr) -> std::cmp::Ordering {
     ka.cmp(&kb).then(a.constant.cmp(&b.constant))
 }
 
-/// Returns constraints that mention variable `v` partitioned as
-/// `(lower, upper, equalities, opaque)` bounds, interpreting each
-/// inequality `e >= 0` with top-level coefficient `c` of `v`:
-/// `c > 0` gives a lower bound, `c < 0` an upper bound. Constraints where
-/// `v` appears only inside UF arguments are `opaque`.
-pub fn classify_for_var(
-    constraints: &[Constraint],
-    v: VarId,
-) -> (Vec<Constraint>, Vec<Constraint>, Vec<Constraint>, Vec<Constraint>) {
-    let mut lower = Vec::new();
-    let mut upper = Vec::new();
-    let mut eqs = Vec::new();
-    let mut opaque = Vec::new();
-    for c in constraints {
-        if !c.uses_var(v) {
-            continue;
-        }
-        let coeff = c.expr().coeff_of_var(v);
-        let inside = c.expr().var_inside_uf(v);
-        match c {
-            Constraint::Eq(_) if coeff != 0 && !inside => eqs.push(c.clone()),
-            Constraint::Geq(_) if coeff > 0 && !inside => lower.push(c.clone()),
-            Constraint::Geq(_) if coeff < 0 && !inside => upper.push(c.clone()),
-            _ => opaque.push(c.clone()),
-        }
-    }
-    (lower, upper, eqs, opaque)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,20 +307,6 @@ mod tests {
         assert_eq!(bad.normalize(), Normalized::Contradiction);
         let mut z = Constraint::Eq(LinExpr::zero());
         assert_eq!(z.normalize(), Normalized::Tautology);
-    }
-
-    #[test]
-    fn classify_for_var_partitions_bounds() {
-        let lo = Constraint::ge(LinExpr::var(v(0)), LinExpr::zero());
-        let hi = Constraint::lt(LinExpr::var(v(0)), LinExpr::sym("N"));
-        let eq = Constraint::eq(LinExpr::var(v(0)), LinExpr::sym("K"));
-        let op = Constraint::eq(
-            LinExpr::uf(crate::expr::UfCall::new("f", vec![LinExpr::var(v(0))])),
-            LinExpr::zero(),
-        );
-        let all = vec![lo, hi, eq, op];
-        let (l, u, e, o) = classify_for_var(&all, v(0));
-        assert_eq!((l.len(), u.len(), e.len(), o.len()), (1, 1, 1, 1));
     }
 
     #[test]

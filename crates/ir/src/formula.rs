@@ -6,14 +6,14 @@
 //! polyhedral framework from the classic affine one.
 //!
 //! The operations implemented here mirror the IEGenLib surface the paper
-//! relies on: [`Relation::inverse`], [`Relation::compose`],
-//! [`Relation::apply`], plus simplification (constraint normalization and
-//! existential-variable elimination through equalities).
+//! relies on: [`Relation::inverse`], [`Relation::compose`], plus
+//! simplification (constraint normalization and existential-variable
+//! elimination through equalities).
 
 use std::fmt;
 
 use crate::constraint::{normalize_all, Constraint};
-use crate::expr::{LinExpr, VarId, VarNames};
+use crate::expr::{LinExpr, VarId};
 
 /// One conjunction of constraints over `arity` tuple variables plus a list
 /// of existential variables.
@@ -203,11 +203,6 @@ impl Set {
         Set { tuple, conjs }
     }
 
-    /// An empty set (no conjunctions) over the given tuple.
-    pub fn empty(tuple: Vec<String>) -> Self {
-        Set { tuple, conjs: Vec::new() }
-    }
-
     /// Tuple variable names.
     pub fn tuple(&self) -> &[String] {
         &self.tuple
@@ -244,37 +239,6 @@ impl Set {
     /// Simplifies every conjunction, dropping unsatisfiable ones.
     pub fn simplify(&mut self) {
         self.conjs.retain_mut(|c| c.simplify());
-    }
-
-    /// Intersection with another set of the same arity: the cross product
-    /// of conjunction pairs, each simplified (unsatisfiable pairs drop).
-    ///
-    /// # Panics
-    /// Panics on arity mismatch.
-    pub fn intersect(&self, other: &Set) -> Set {
-        assert_eq!(self.arity(), other.arity(), "intersect arity mismatch");
-        let arity = self.arity();
-        let mut conjs = Vec::new();
-        for a in &self.conjs {
-            for b in &other.conjs {
-                let mut nc = Conjunction::new(arity);
-                let a_ex = a.exists.len() as u32;
-                nc.exists.extend(a.exists.iter().cloned());
-                nc.exists.extend(b.exists.iter().cloned());
-                nc.constraints.extend(a.remapped_constraints(&|v: VarId| v));
-                nc.constraints.extend(b.remapped_constraints(&|v: VarId| {
-                    if v.0 < arity {
-                        v
-                    } else {
-                        VarId(v.0 + a_ex)
-                    }
-                }));
-                if nc.simplify() {
-                    conjs.push(nc);
-                }
-            }
-        }
-        Set { tuple: self.tuple.clone(), conjs }
     }
 
     /// Variable names (tuple followed by a conjunction's existentials) for
@@ -351,12 +315,6 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Creates a relation with a single unconstrained conjunction.
-    pub fn universe(in_tuple: Vec<String>, out_tuple: Vec<String>) -> Self {
-        let arity = (in_tuple.len() + out_tuple.len()) as u32;
-        Relation { in_tuple, out_tuple, conjs: vec![Conjunction::new(arity)] }
-    }
-
     /// Creates a relation from explicit conjunctions.
     pub fn from_conjunctions(
         in_tuple: Vec<String>,
@@ -499,97 +457,6 @@ impl Relation {
         }
     }
 
-    /// Applies the relation to a set: with `self : A → B` and `s ⊆ A`,
-    /// returns `{y ∈ B : ∃x ∈ s, x → y}`.
-    pub fn apply(&self, s: &Set) -> Set {
-        let a = self.in_arity();
-        assert_eq!(a, s.arity(), "apply arity mismatch");
-        let b = self.out_arity();
-        let mut out_conjs = Vec::new();
-        for rc in &self.conjs {
-            for sc in s.conjunctions() {
-                let r_ex = rc.exists.len() as u32;
-                let mut nc = Conjunction::new(b);
-                for name in &self.in_tuple {
-                    nc.exists.push(format!("{name}_in"));
-                }
-                nc.exists.extend(rc.exists.iter().cloned());
-                nc.exists.extend(sc.exists().iter().cloned());
-                // relation: A -> B
-                nc.constraints.extend(rc.remapped_constraints(&|v: VarId| {
-                    if v.0 < a {
-                        VarId(b + v.0)
-                    } else if v.0 < a + b {
-                        VarId(v.0 - a)
-                    } else {
-                        VarId(b + a + (v.0 - a - b))
-                    }
-                }));
-                // set over A
-                nc.constraints.extend(sc.remapped_constraints(&|v: VarId| {
-                    if v.0 < a {
-                        VarId(b + v.0)
-                    } else {
-                        VarId(b + a + r_ex + (v.0 - a))
-                    }
-                }));
-                if nc.simplify() {
-                    out_conjs.push(nc);
-                }
-            }
-        }
-        Set { tuple: self.out_tuple.clone(), conjs: out_conjs }
-    }
-
-    /// The domain of the relation: input tuples for which some output
-    /// exists (output variables become existentials, eliminated where
-    /// equalities allow).
-    pub fn domain(&self) -> Set {
-        let a = self.in_arity();
-        let _b = self.out_arity();
-        let conjs = self
-            .conjs
-            .iter()
-            .filter_map(|c| {
-                let mut nc = Conjunction::new(a);
-                for name in &self.out_tuple {
-                    nc.exists.push(format!("{name}_out"));
-                }
-                nc.exists.extend(c.exists.iter().cloned());
-                nc.constraints = c.remapped_constraints(&|v: VarId| v);
-                nc.simplify().then_some(nc)
-            })
-            .collect();
-        Set { tuple: self.in_tuple.clone(), conjs }
-    }
-
-    /// The range of the relation: output tuples reachable from some
-    /// input.
-    pub fn range(&self) -> Set {
-        self.inverse().domain()
-    }
-
-    /// Heuristic functionality test used to order synthesis: every output
-    /// tuple variable must be defined by an equality over input variables,
-    /// symbolic constants, and UFs of those (per conjunction).
-    pub fn is_function(&self) -> bool {
-        let a = self.in_arity();
-        let b = self.out_arity();
-        self.conjs.iter().all(|c| {
-            (0..b).all(|k| {
-                let v = VarId(a + k);
-                match c.defining_equality(v) {
-                    Some(e) => {
-                        let mut vars = Vec::new();
-                        e.collect_vars(&mut vars);
-                        vars.iter().all(|w| w.0 < a)
-                    }
-                    None => false,
-                }
-            })
-        })
-    }
-
     /// Variable names (input ++ output ++ conjunction `k`'s existentials)
     /// for display purposes.
     pub fn names_for(&self, k: usize) -> Vec<String> {
@@ -613,28 +480,6 @@ impl TupleDeclFmt for Relation {
 
 impl fmt::Display for Relation {
     fmt_union_body!();
-}
-
-/// Variable-name resolution inside a specific conjunction of a set or
-/// relation.
-pub struct ConjNames {
-    names: Vec<String>,
-}
-
-impl ConjNames {
-    /// Builds a resolver from a full name list (tuple ++ existentials).
-    pub fn new(names: Vec<String>) -> Self {
-        ConjNames { names }
-    }
-}
-
-impl VarNames for ConjNames {
-    fn var_name(&self, v: VarId) -> String {
-        self.names
-            .get(v.index())
-            .cloned()
-            .unwrap_or_else(|| format!("v{}", v.0))
-    }
 }
 
 #[cfg(test)]
@@ -697,29 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_interchange_to_rectangle() {
-        let s = rect_set();
-        let r = swap_ij();
-        let mut out = r.apply(&s);
-        out.simplify();
-        assert_eq!(out.tuple(), &["jo", "io"]);
-        assert_eq!(out.conjunctions().len(), 1);
-        let c = &out.conjunctions()[0];
-        // All existentials should have been eliminated by equalities.
-        assert!(c.exists().is_empty(), "exists left: {:?}", c.exists());
-        // Constraints: 0 <= jo < M, 0 <= io < N.
-        assert_eq!(c.constraints.len(), 4);
-        let names = out.names_for(0);
-        let strs: Vec<String> = c
-            .constraints
-            .iter()
-            .map(|x| x.display_with(&names).to_string())
-            .collect();
-        assert!(strs.iter().any(|s| s.contains("jo")));
-        assert!(strs.iter().any(|s| s.contains("io")));
-    }
-
-    #[test]
     fn compose_interchange_twice_is_identity_map() {
         let r = swap_ij();
         let mut id = r.compose(&r);
@@ -764,7 +586,7 @@ mod tests {
         assert!(c.exists().is_empty(), "mid tuple should be eliminated");
         // p = row(n) + 1 must survive.
         let has_uf_eq = c.constraints.iter().any(|x| {
-            x.is_eq() && x.mentions_uf("row") && x.uses_var(v(1))
+            matches!(x, Constraint::Eq(_)) && x.mentions_uf("row") && x.uses_var(v(1))
         });
         assert!(has_uf_eq, "constraints: {:?}", c.constraints);
     }
@@ -807,16 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn is_function_detects_affine_maps() {
-        assert!(swap_ij().is_function());
-        // {[i] -> [p] : p >= i} is not a function.
-        let mut c = Conjunction::new(2);
-        c.add(Constraint::ge(E::var(v(1)), E::var(v(0))));
-        let r = Relation::from_conjunctions(vec!["i".into()], vec!["p".into()], vec![c]);
-        assert!(!r.is_function());
-    }
-
-    #[test]
     fn compose_distributes_over_unions() {
         use crate::parser::parse_relation;
         // other: A -> B with two branches; self: B -> C single.
@@ -846,67 +658,6 @@ mod tests {
             texts.iter().any(|t| t.contains("200")),
             "shifted branch doubled: {texts:?}"
         );
-    }
-
-    #[test]
-    fn apply_distributes_over_unions() {
-        use crate::parser::{parse_relation, parse_set};
-        let r = parse_relation("{ [i] -> [o] : o = i + 1 }").unwrap();
-        let s = parse_set("{ [i] : i = 0 } union { [i] : i = 10 }").unwrap();
-        let mut out = r.apply(&s);
-        out.simplify();
-        assert_eq!(out.conjunctions().len(), 2);
-    }
-
-    #[test]
-    fn intersect_conjoins_constraints() {
-        use crate::parser::parse_set;
-        let a = parse_set("{ [i] : 0 <= i < 10 }").unwrap();
-        let b = parse_set("{ [i] : 5 <= i < 20 }").unwrap();
-        let mut both = a.intersect(&b);
-        both.simplify();
-        let names = both.names_for(0);
-        let strs: Vec<String> = both.conjunctions()[0]
-            .constraints
-            .iter()
-            .map(|c| c.display_with(&names).to_string())
-            .collect();
-        assert!(strs.contains(&"i >= 5".to_string()), "{strs:?}");
-        assert!(strs.contains(&"9 >= i".to_string()) || strs.iter().any(|s| s.contains("9")), "{strs:?}");
-        // Disjoint intersection: the conjunction survives syntactically
-        // (simplification is conservative about tuple-variable
-        // infeasibility), but projecting the variable out exposes the
-        // contradiction via Fourier-Motzkin.
-        let c = parse_set("{ [i] : i >= 30 }").unwrap();
-        let d = parse_set("{ [i] : i < 5 }").unwrap();
-        let disjoint = c.intersect(&d);
-        let mut proj = crate::project::project_out(&disjoint, 0);
-        proj.simplify();
-        assert!(proj.is_empty());
-    }
-
-    #[test]
-    fn domain_and_range_of_function_relation() {
-        // {[n] -> [i] : i = row(n) && 0 <= n < NNZ}
-        let mut c = Conjunction::new(2);
-        c.add(Constraint::eq(
-            E::var(v(1)),
-            E::uf(UfCall::new("row", vec![E::var(v(0))])),
-        ));
-        c.add(Constraint::ge(E::var(v(0)), E::zero()));
-        c.add(Constraint::lt(E::var(v(0)), E::sym("NNZ")));
-        let r = Relation::from_conjunctions(vec!["n".into()], vec!["i".into()], vec![c]);
-        let dom = r.domain();
-        assert_eq!(dom.tuple(), &["n"]);
-        // The output var is defined by an equality, so it vanishes; the
-        // bounds on n remain.
-        let dc = &dom.conjunctions()[0];
-        assert!(dc.exists().is_empty(), "{dc:?}");
-        assert_eq!(dc.constraints.len(), 2);
-        let rng = r.range();
-        assert_eq!(rng.tuple(), &["i"]);
-        // The range keeps `n` existential (i = row(n) can't eliminate n).
-        assert_eq!(rng.conjunctions()[0].exists().len(), 1);
     }
 
     #[test]

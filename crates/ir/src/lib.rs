@@ -13,11 +13,10 @@
 //! * [`constraint`] — (in)equality constraints in homogeneous form with
 //!   integer-exact normalization.
 //! * [`formula`] — [`Set`] and [`Relation`] as unions of conjunctions, with
-//!   [`Relation::inverse`], [`Relation::compose`], [`Relation::apply`], and
-//!   simplification (existential elimination through equalities).
+//!   [`Relation::inverse`], [`Relation::compose`] and simplification
+//!   (existential elimination through equalities).
 //! * [`parser`] — the IEGenLib-style surface syntax,
 //!   e.g. `{[n,ii,jj] -> [i,j] : row1(n) = i && col1(n) = j}`.
-//! * [`project`] — projection via substitution and exact Fourier–Motzkin.
 //! * [`uf`] — UF signatures: domain, range, monotonicity.
 //! * [`order`] — order keys: the semantics of reordering universal
 //!   quantifiers (lexicographic / Morton / user-defined comparators).
@@ -51,8 +50,6 @@ pub mod expr;
 pub mod formula;
 pub mod order;
 pub mod parser;
-pub mod project;
-pub mod quantifier;
 pub mod uf;
 
 pub use constraint::Constraint;
@@ -60,6 +57,4 @@ pub use expr::{Atom, LinExpr, UfCall, VarId};
 pub use formula::{Conjunction, Relation, Set};
 pub use order::{Comparator, KeyDim, OrderKey};
 pub use parser::{parse_relation, parse_set, ParseError};
-pub use project::{project_onto, project_out};
-pub use quantifier::{parse_quantifier, ParsedQuantifier, QuantifierParseError};
 pub use uf::{Monotonicity, UfEnvironment, UfSignature};

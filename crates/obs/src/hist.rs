@@ -125,19 +125,6 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// `(inclusive upper bound, count)` for every non-empty bucket,
-    /// ascending.
-    pub fn nonempty_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n != 0).then_some((bucket_upper(i), n))
-            })
-            .collect()
-    }
 }
 
 /// One `(src, dst)` pair's histograms: conversion latency and input nnz.
@@ -299,9 +286,11 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 5);
         assert_eq!(a.sum(), 6 + 3000);
+        // Both sides' buckets: 1 | 2, 3 | 1000 | 2000.
+        assert_eq!(a.quantile(0.2), 1);
+        assert_eq!(a.p50(), 3);
+        assert_eq!(a.quantile(0.8), 1023);
         assert_eq!(a.p99(), 2047);
-        let buckets = a.nonempty_buckets();
-        assert_eq!(buckets.iter().map(|(_, n)| n).sum::<u64>(), 5);
     }
 
     #[test]

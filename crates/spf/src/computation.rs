@@ -689,7 +689,8 @@ mod tests {
             .with_uf("col", vec![0, 5]);
         compiled.execute(&mut env, &ComparatorRegistry::new()).unwrap();
         assert_eq!(env.syms["NP"], 2);
-        assert!(env.lists["P"].is_finalized());
+        // key_col reads only a finalized list: (0, 5) sorts first.
+        assert_eq!(env.lists["P"].key_col(0, 1).unwrap(), 5);
         assert_eq!(env.lists["P"].rank(&[0, 5]).unwrap(), 0);
         let c = compiled.emit_c("mcoo_inspector");
         assert!(c.contains("new OrderedList(2, LEX, unique=false)"));

@@ -43,6 +43,10 @@ echo "==> no-panic gate: hardened crates deny unwrap/expect in non-test code"
 # because trailing clippy flags leak into workspace-internal deps.)
 cargo clippy -q -p sparse-engine -p sparse-formats --lib
 
+echo "==> rustdoc with warnings denied"
+# A doc link to a deleted or private item, or an ambiguous one, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo run --release --example lint_descriptor (static-analysis gate)"
 # Lints every catalog descriptor and statically verifies every
 # synthesizable conversion plan; exits nonzero on any error or warning.

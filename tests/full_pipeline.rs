@@ -205,34 +205,3 @@ fn emitted_c_is_stable_for_the_papers_running_example() {
         assert!(c.contains(line), "missing `{line}` in:\n{c}");
     }
 }
-
-#[test]
-fn descriptor_quantifiers_round_trip_through_the_parser() {
-    // Every quantifier a descriptor prints parses back to its semantic
-    // form (spec fidelity: the Table-1 notation is not just display).
-    use sparse_synth::ir::{parse_quantifier, ParsedQuantifier};
-    for d in [
-        descriptors::scoo(),
-        descriptors::csr(),
-        descriptors::csc(),
-        descriptors::dia(),
-        descriptors::mcoo(),
-        descriptors::mcoo3(),
-    ] {
-        for text in d.quantifier_texts() {
-            let parsed = parse_quantifier(&text)
-                .unwrap_or_else(|e| panic!("{}: `{text}`: {e}", d.name));
-            match parsed {
-                ParsedQuantifier::Monotonic { uf, monotonicity } => {
-                    let sig = d.ufs.get(&uf).expect("quantified UF is declared");
-                    assert_eq!(sig.monotonicity, Some(monotonicity), "{}", d.name);
-                }
-                ParsedQuantifier::Reordering { comparator, coord_ufs } => {
-                    assert!(d.order.is_some(), "{}", d.name);
-                    assert!(comparator.is_some(), "{}", d.name);
-                    assert_eq!(coord_ufs.len(), d.rank, "{}", d.name);
-                }
-            }
-        }
-    }
-}
