@@ -33,7 +33,7 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Stable diagnostic codes emitted by the four verifier passes.
+/// Stable diagnostic codes emitted by the three verifier passes and the descriptor lint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// Statement reads a name before any statement defines it.
@@ -53,8 +53,6 @@ pub enum Code {
     /// Destination order key is not established by the synthesized
     /// permutation chain.
     Sa007,
-    /// Loop-carried dependence forces sequential execution (informational).
-    Sa008,
     /// UF used without a registered signature.
     Sa009,
 }
@@ -70,7 +68,6 @@ impl Code {
             Code::Sa005 => "SA005",
             Code::Sa006 => "SA006",
             Code::Sa007 => "SA007",
-            Code::Sa008 => "SA008",
             Code::Sa009 => "SA009",
         }
     }
@@ -80,7 +77,7 @@ impl Code {
         match self {
             Code::Sa001 | Code::Sa002 | Code::Sa006 | Code::Sa007 => Severity::Error,
             Code::Sa003 | Code::Sa004 | Code::Sa005 => Severity::Warning,
-            Code::Sa008 | Code::Sa009 => Severity::Note,
+            Code::Sa009 => Severity::Note,
         }
     }
 }
@@ -169,7 +166,7 @@ mod tests {
     fn default_severities() {
         assert_eq!(Code::Sa001.default_severity(), Severity::Error);
         assert_eq!(Code::Sa003.default_severity(), Severity::Warning);
-        assert_eq!(Code::Sa008.default_severity(), Severity::Note);
+        assert_eq!(Code::Sa009.default_severity(), Severity::Note);
         assert!(Severity::Error > Severity::Warning);
     }
 

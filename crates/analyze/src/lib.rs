@@ -7,7 +7,7 @@
 //! (UF signatures: domain, range, monotonicity) and a sound refutation
 //! engine over Presburger constraints with uninterpreted functions.
 //!
-//! Four passes run over a lowered [`Computation`]:
+//! Three passes run over a lowered [`Computation`]:
 //!
 //! 1. **Dataflow** ([`Code::Sa001`], [`Code::Sa002`], `dataflow`) — every
 //!    name read by a statement must be defined earlier (by synthesis setup
@@ -23,10 +23,6 @@
 //!    quantifiers and the plan must enforce them (bound + sweep, or a
 //!    sorted unique list); a destination order key must be established by
 //!    the permutation chain or implied by the source order.
-//! 4. **Dependence** ([`Code::Sa008`], `dependence`) — each loop nest is
-//!    classified [`Parallelism::Parallel`] / [`Parallelism::Reduction`] /
-//!    [`Parallelism::Sequential`] by refuting loop-carried conflicts on a
-//!    doubled iteration system, which the engine's batch executor consults.
 //!
 //! [`lint_descriptor`] runs the descriptor-level subset of these checks on
 //! a [`FormatDescriptor`] alone, with no plan required.
@@ -39,7 +35,6 @@ pub mod refute;
 
 mod bounds;
 mod dataflow;
-mod dependence;
 mod ordering;
 
 use std::collections::BTreeSet;
@@ -53,44 +48,6 @@ use spf_ir::{Constraint, LinExpr, UfCall, UfEnvironment, UfSignature, VarId};
 pub use diag::{Code, Diagnostic, Severity};
 pub use refute::Prover;
 
-/// Parallelism verdict for one lowered loop nest, ordered from best to
-/// worst: a nest's verdict is the worst conflict found among its accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Parallelism {
-    /// No loop-carried dependence: iterations may run in any order, in
-    /// parallel.
-    Parallel,
-    /// Only commutative conflicts (min/min, max/max, accumulate, inserts
-    /// into a sorted list): parallelizable with a reduction strategy.
-    Reduction,
-    /// A loop-carried flow/output dependence (or an unproven one): the
-    /// nest must run in program order.
-    Sequential,
-}
-
-impl fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Parallelism::Parallel => write!(f, "parallel"),
-            Parallelism::Reduction => write!(f, "reduction"),
-            Parallelism::Sequential => write!(f, "sequential"),
-        }
-    }
-}
-
-/// Dependence verdict for one loop nest of the plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NestReport {
-    /// Label of the nest (the member statement labels joined with `" + "`).
-    pub label: String,
-    /// Indices into `Computation::stmts` of the fused member statements.
-    pub stmt_indices: Vec<usize>,
-    /// The classification.
-    pub parallelism: Parallelism,
-    /// Why: the surviving conflicts, or a note that none were found.
-    pub reason: String,
-}
-
 /// The result of verifying one synthesized conversion plan.
 #[derive(Debug, Clone)]
 pub struct AnalysisReport {
@@ -98,8 +55,6 @@ pub struct AnalysisReport {
     pub pair: String,
     /// All findings, in pass order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Per-nest dependence verdicts, in statement order.
-    pub nests: Vec<NestReport>,
 }
 
 impl AnalysisReport {
@@ -119,15 +74,7 @@ impl AnalysisReport {
         self.error_count() == 0
     }
 
-    /// `true` when at least one loop nest was proved free of loop-carried
-    /// dependences. The engine's batch executor uses this as its license
-    /// to fan conversions out across worker threads.
-    pub fn has_parallel_loop(&self) -> bool {
-        self.nests.iter().any(|n| n.parallelism == Parallelism::Parallel)
-    }
-
-    /// Renders the report: a header, every diagnostic in rustc style, and
-    /// one line per loop nest with its verdict.
+    /// Renders the report: a header and every diagnostic in rustc style.
     pub fn render(&self) -> String {
         let mut out = format!(
             "verification of {}: {} error(s), {} warning(s)\n",
@@ -138,9 +85,6 @@ impl AnalysisReport {
         for d in &self.diagnostics {
             out.push_str(&d.render());
             out.push('\n');
-        }
-        for n in &self.nests {
-            out.push_str(&format!("nest `{}`: {} ({})\n", n.label, n.parallelism, n.reason));
         }
         out
     }
@@ -164,7 +108,7 @@ impl fmt::Display for AnalysisReport {
 }
 
 /// Verifies a synthesized conversion: descriptor lints on both endpoints
-/// plus the four plan passes over the (optimized) computation.
+/// plus the three plan passes over the (optimized) computation.
 pub fn verify(conv: &SynthesizedConversion) -> AnalysisReport {
     verify_computation(&conv.computation, &conv.src, &conv.dst, &conv.synth_ufs)
 }
@@ -186,12 +130,7 @@ pub fn verify_computation(
     dataflow::check(comp, &cx, &mut diagnostics);
     bounds::check(comp, &cx, &mut diagnostics);
     ordering::check(comp, &cx, &mut diagnostics);
-    let nests = dependence::classify(comp, &cx, &mut diagnostics);
-    AnalysisReport {
-        pair: format!("{} -> {}", src.name, dst.name),
-        diagnostics,
-        nests,
-    }
+    AnalysisReport { pair: format!("{} -> {}", src.name, dst.name), diagnostics }
 }
 
 /// Lints a format descriptor in isolation: shape consistency, signature
@@ -413,13 +352,10 @@ impl<'a> Ctx<'a> {
 ///
 /// Variable layout: tuple variables `0..arity`, then (if the statement has
 /// a find) the find variable at position `arity`, then the existentials
-/// shifted up by one. `tuple_len` counts the *iteration order* positions
-/// (tuple + find), which is what the dependence pass case-splits over.
+/// shifted up by one.
 pub(crate) struct StmtSystem {
     pub constraints: Vec<Constraint>,
     pub names: Vec<String>,
-    pub tuple_len: usize,
-    pub n_vars: usize,
 }
 
 /// Flattens each conjunction of `stmt`'s iteration space (plus the find
@@ -431,15 +367,8 @@ pub(crate) fn stmt_systems(stmt: &Stmt, axioms: &[Constraint]) -> Vec<StmtSystem
         .iter()
         .map(|conj| {
             let mut names: Vec<String> = stmt.iter_space.tuple().to_vec();
-            let mut constraints: Vec<Constraint>;
-            let tuple_len;
-            let n_vars;
-            match &stmt.find {
-                None => {
-                    constraints = conj.constraints.clone();
-                    tuple_len = arity as usize;
-                    n_vars = conj.n_vars() as usize;
-                }
+            let mut constraints = match &stmt.find {
+                None => conj.constraints.clone(),
                 Some(f) => {
                     // Make room for the find variable at position `arity`.
                     let mut sh = |v: VarId| {
@@ -449,23 +378,22 @@ pub(crate) fn stmt_systems(stmt: &Stmt, axioms: &[Constraint]) -> Vec<StmtSystem
                             LinExpr::var(v)
                         }
                     };
-                    constraints =
+                    let mut cs: Vec<Constraint> =
                         conj.constraints.iter().map(|c| c.map_vars(&mut sh)).collect();
                     let d = LinExpr::var(VarId(arity));
-                    constraints.push(Constraint::ge(d.clone(), f.lo.map_vars(&mut sh)));
-                    constraints.push(Constraint::lt(d.clone(), f.hi.map_vars(&mut sh)));
-                    constraints.push(Constraint::eq(
+                    cs.push(Constraint::ge(d.clone(), f.lo.map_vars(&mut sh)));
+                    cs.push(Constraint::lt(d.clone(), f.hi.map_vars(&mut sh)));
+                    cs.push(Constraint::eq(
                         LinExpr::uf(UfCall::new(f.uf.clone(), vec![d])),
                         f.target.map_vars(&mut sh),
                     ));
                     names.push(f.var.clone());
-                    tuple_len = arity as usize + 1;
-                    n_vars = conj.n_vars() as usize + 1;
+                    cs
                 }
-            }
+            };
             names.extend(conj.exists().iter().cloned());
             constraints.extend_from_slice(axioms);
-            StmtSystem { constraints, names, tuple_len, n_vars }
+            StmtSystem { constraints, names }
         })
         .collect()
 }

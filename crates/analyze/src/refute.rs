@@ -2,8 +2,7 @@
 //! linear constraints over opaque atoms.
 //!
 //! The verifier's proof obligations all reduce to "this constraint system
-//! is unsatisfiable": subset checks (`S ⊨ g` iff `S ∧ ¬g` is UNSAT) and
-//! dependence tests (no conflict iff the intersection system is UNSAT).
+//! is unsatisfiable": subset checks (`S ⊨ g` iff `S ∧ ¬g` is UNSAT).
 //! We prove UNSAT by *saturation*: starting from the system, we repeatedly
 //! derive consequences — equality rewrites, Fourier–Motzkin resolvents on
 //! unit-coefficient atoms — until a constraint normalizes to a

@@ -6,8 +6,6 @@
 //! * descriptor lints are clean for the whole catalog;
 //! * a deliberately broken CSR (rowptr monotonicity dropped) is rejected
 //!   at synthesis time with a specific SA006 diagnostic;
-//! * the optimized `csr -> coo` populate nest is statically proved
-//!   parallelizable;
 //! * optimization preserves the verifier verdict: every pair whose naive
 //!   plan verifies clean keeps verifying clean after optimization;
 //! * the sort- and search-free plan shapes are checked, not trusted: a
@@ -15,14 +13,12 @@
 //!   destination key fails SA007, so does counting placement where the
 //!   source order among entries of one bucket does not imply the rest of
 //!   the key (an unordered source, 3-D Morton ties), and a DIA `off`
-//!   written without the counted ascending sweep fails SA006;
-//! * stores of one constant commute, stores of different constants to
-//!   the same entries in one nest do not.
+//!   written without the counted ascending sweep fails SA006.
 
-use sparse_analyze::{lint_descriptor, verify, verify_computation, Code, Parallelism};
+use sparse_analyze::{lint_descriptor, verify, verify_computation, Code};
 use sparse_formats::{descriptors, FormatDescriptor};
 use sparse_synthesis::{
-    synthesize, Membership, PermutationKind, SynthesisOptions, SynthesizedConversion, PERM_NAME,
+    synthesize, Membership, SynthesisOptions, SynthesizedConversion, PERM_NAME,
 };
 use spf_computation::{Kernel, Stmt};
 use spf_ir::{parse_set, Constraint, LinExpr, UfCall, UfSignature, VarId};
@@ -275,36 +271,6 @@ fn off_without_the_ascending_sweep_is_rejected_with_sa006() {
     );
 }
 
-/// Stores of one constant commute, so the presence-mark nest of the
-/// direct COO -> DIA plan is parallel. A second store of a different
-/// constant to the same entries in the same nest conflicts with it (the
-/// last writer wins), so that nest must not be proved parallel.
-#[test]
-fn stores_of_different_constants_in_one_nest_are_not_parallel() {
-    let mut conv =
-        synthesize(&descriptors::coo(), &descriptors::dia(), SynthesisOptions::default()).unwrap();
-    let verdict = |conv: &SynthesizedConversion, label: &str| {
-        let report = verify(conv);
-        let nest = report.nests.iter().find(|n| n.label.contains(label));
-        nest.unwrap_or_else(|| panic!("no nest `{label}`:\n{}", report.render())).parallelism
-    };
-    assert_eq!(verdict(&conv, "mark values of off"), Parallelism::Parallel);
-
-    let stmts = &mut conv.computation.stmts;
-    let mark = stmts
-        .iter()
-        .position(|s| s.label == "mark values of off")
-        .expect("direct plan marks the present offsets");
-    let group = stmts.iter().map(|s| s.fuse_group).filter(|&g| g != usize::MAX).max();
-    stmts[mark].fuse_group = group.map_or(0, |g| g + 1);
-    let mut clear = stmts[mark].clone();
-    let Kernel::UfWrite { value, .. } = &mut clear.kernel else { panic!("mark is a UF write") };
-    *value = LinExpr::constant(0);
-    clear.label = "clear values of off".into();
-    stmts.insert(mark + 1, clear);
-    assert_eq!(verdict(&conv, "clear values of off"), Parallelism::Sequential);
-}
-
 /// Dropping rowptr's monotonic quantifier must be caught statically: the
 /// windows `rowptr(i) <= k < rowptr(i+1)` could then overlap, and no plan
 /// that populates rowptr by min/max bounds can establish anything.
@@ -334,56 +300,6 @@ fn broken_csr_is_rejected_with_sa006() {
         "expected SA006 in:\n{}",
         report.render()
     );
-}
-
-/// The optimized `csr -> coo` plan copies through the identity
-/// permutation (`p = k`); proving its populate nest parallel takes the
-/// full prover: rowptr window chaining across rows (monotonicity),
-/// `col2` congruence, and the identity equalities.
-#[test]
-fn csr_to_coo_populate_nest_is_parallel() {
-    let conv = synthesize(&descriptors::csr(), &descriptors::coo(), SynthesisOptions::default())
-        .unwrap();
-    assert!(
-        matches!(conv.permutation, PermutationKind::Identity),
-        "csr -> coo needs no permutation (unordered destination, contiguous source)"
-    );
-    let report = verify(&conv);
-    assert!(report.is_clean(), "{}", report.render());
-    let parallel: Vec<_> = report
-        .nests
-        .iter()
-        .filter(|n| n.parallelism == Parallelism::Parallel)
-        .collect();
-    assert!(
-        !parallel.is_empty(),
-        "expected a statically parallel nest:\n{}",
-        report.render()
-    );
-    assert!(
-        parallel.iter().any(|n| n.label.contains("populate")),
-        "the populate nest should be the parallel one:\n{}",
-        report.render()
-    );
-    assert!(report.has_parallel_loop());
-}
-
-/// The rowptr enforcement sweep reads the entry its previous iteration
-/// wrote: a genuine loop-carried flow dependence the verifier must keep
-/// sequential.
-#[test]
-fn monotonicity_sweep_is_sequential() {
-    let conv = synthesize(&descriptors::scoo(), &descriptors::csr(), SynthesisOptions::default())
-        .unwrap();
-    let report = verify(&conv);
-    let sweep = report
-        .nests
-        .iter()
-        .find(|n| n.label.contains("monotonic quantifier"))
-        .expect("scoo -> csr has a rowptr sweep nest");
-    assert_eq!(sweep.parallelism, Parallelism::Sequential, "{}", report.render());
-    // ... and the verdict is surfaced as an SA008 note.
-    assert!(report.diagnostics.iter().any(|d| d.code == Code::Sa008));
 }
 
 /// Satellite: `optimize` must preserve the verifier verdict — every

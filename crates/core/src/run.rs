@@ -65,11 +65,6 @@ pub enum RunError {
         /// The configured budget in bytes.
         budget: u64,
     },
-    /// A batch deadline expired before this item started executing.
-    DeadlineExceeded {
-        /// The configured per-batch deadline.
-        deadline: std::time::Duration,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -88,9 +83,6 @@ impl fmt::Display for RunError {
                 f,
                 "resource exhausted: allocating `{what}` needs {needed} bytes, budget is {budget}"
             ),
-            RunError::DeadlineExceeded { deadline } => {
-                write!(f, "deadline exceeded: batch budget {deadline:?} expired before start")
-            }
         }
     }
 }

@@ -5,7 +5,7 @@
 //! untouched.
 
 use sparse_formats::{descriptors as d, FormatDescriptor};
-use sparse_synthesis::{synthesize, SynthesisOptions};
+use sparse_synthesis::{synthesize, PermutationKind, SynthesisOptions};
 
 /// The 31 matrix and 6 tensor pairs, enumerated and alpha-renamed as the
 /// engine benchmark does.
@@ -55,6 +55,10 @@ fn optimized_plan_labels_per_pair() {
         got == GOLDEN,
         "plan shapes changed; the labels now read:\n{got}"
     );
+    // CSR -> COO copies through the identity permutation (`p = k`): an
+    // unordered destination over a contiguous source needs no `P`.
+    let csr_coo = synthesize(&d::csr(), &d::coo(), SynthesisOptions::default()).unwrap();
+    assert!(matches!(csr_coo.permutation, PermutationKind::Identity));
 }
 
 /// How each pair's loops run on the interpreter: chunked (a perfect

@@ -23,8 +23,7 @@
 //! * **Plan verification** — with [`EngineConfig::verify_plans`], every
 //!   freshly synthesized plan runs through the `sparse-analyze` static
 //!   verifier at synthesis time: plans with error-severity findings are
-//!   refused (and never cached), and batch fan-out is gated on the
-//!   verifier's dependence verdict.
+//!   refused (and never cached).
 //! * **Native kernel backend** — conversions whose plan is *statically
 //!   verified* may be served by a fused hand-optimized kernel from the
 //!   [`sparse_synthesis::KernelRegistry`] instead of the SPF-IR
@@ -81,7 +80,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sparse_analyze::AnalysisReport;
 use sparse_formats::descriptors::StructuralHasher;
@@ -181,10 +180,9 @@ pub struct EngineConfig {
     /// a fingerprint).
     pub options: SynthesisOptions,
     /// Run the static verifier on every freshly synthesized plan. Plans
-    /// with error-severity findings are refused (and never cached), and
-    /// [`Engine::convert_batch`] only fans work across threads when the
-    /// verifier proved a parallel loop; unverified engines keep the
-    /// historical trust-the-synthesizer behavior.
+    /// with error-severity findings are refused (and never cached);
+    /// unverified engines keep the historical trust-the-synthesizer
+    /// behavior.
     pub verify_plans: bool,
     /// Budget in bytes for the arrays each conversion's plan allocates
     /// (default `None` = unlimited): destination arrays and scratch such
@@ -196,11 +194,6 @@ pub struct EngineConfig {
     /// conversion never takes a native kernel, which allocates outside
     /// the interpreter.
     pub memory_budget: Option<u64>,
-    /// Per-batch wall-clock deadline (default `None` = unlimited). Items
-    /// not yet *started* when it expires fail with
-    /// [`RunError::DeadlineExceeded`]; items already executing run to
-    /// completion.
-    pub batch_deadline: Option<Duration>,
 }
 
 impl Default for EngineConfig {
@@ -211,7 +204,6 @@ impl Default for EngineConfig {
             options: SynthesisOptions::default(),
             verify_plans: false,
             memory_budget: None,
-            batch_deadline: None,
         }
     }
 }
@@ -345,7 +337,7 @@ impl Engine {
         });
         // Hits and misses each have their own counter, incremented here
         // at the site where the outcome is known — never derived from
-        // `lookups - misses`, which reported transient garbage whenever
+        // `lookups - misses`, which reported garbage whenever
         // a snapshot raced an in-flight lookup.
         let out = match lookup {
             Lookup::Hit(plan) => {
@@ -403,9 +395,6 @@ impl Engine {
                     report.render_errors()
                 ));
             }
-            if report.has_parallel_loop() {
-                StatsInner::add(&self.stats.parallel_plans, 1);
-            }
             Ok(Plan { conversion, verification: Some(report), pair })
         })
     }
@@ -461,23 +450,6 @@ impl Engine {
     /// panics are contained at the item boundary and surface as
     /// [`EngineError::Panicked`] for that item alone.
     ///
-    /// Items whose parallel-path attempt fails with a *transient* error
-    /// (execution fault or contained panic — not a validation, budget,
-    /// dispatch, or deadline rejection) are retried **once** on the
-    /// sequential reference path; each retry counts as a
-    /// `degraded_conversions` stat.
-    ///
-    /// With [`EngineConfig::batch_deadline`] set, items not yet started
-    /// when the deadline expires fail with [`RunError::DeadlineExceeded`]
-    /// (already-running items complete); expired items are not retried.
-    ///
-    /// Under [`EngineConfig::verify_plans`], fan-out is gated on the
-    /// verifier's dependence verdict: only plans with a statically proved
-    /// parallel loop run across multiple workers, everything else falls
-    /// back to one worker. (Batch elements are independent either way;
-    /// the verdict is the engine's evidence that the plan's inspector
-    /// behaves deterministically enough to be worth scheduling freely.)
-    ///
     /// # Errors
     /// The outer `Err` is reserved for planning failures (there is no
     /// per-item work to preserve without a plan). Everything after
@@ -492,78 +464,36 @@ impl Engine {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        let deadline = self.config.batch_deadline.map(|d| (d, Instant::now() + d));
-        let proved_parallel = match &plan.verification {
-            Some(report) => report.has_parallel_loop(),
-            None => !self.config.verify_plans,
-        };
-        let max_workers = if proved_parallel { self.config.effective_threads() } else { 1 };
-        let workers = max_workers.clamp(1, inputs.len());
-
-        let mut results: Vec<Result<AnyMatrix, EngineError>> = if workers == 1 {
-            inputs.iter().map(|m| self.execute_deadlined(&plan, m, deadline)).collect()
-        } else {
-            let chunk = inputs.len().div_ceil(workers);
-            let mut slots: Vec<Option<Result<AnyMatrix, EngineError>>> = Vec::new();
-            slots.resize_with(inputs.len(), || None);
-            std::thread::scope(|scope| {
-                for (in_chunk, out_chunk) in inputs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                    let plan = &plan;
-                    scope.spawn(move || {
-                        for (input, out) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                            *out = Some(self.execute_deadlined(plan, input, deadline));
-                        }
+        let workers = self.config.effective_threads().clamp(1, inputs.len());
+        let chunk = inputs.len().div_ceil(workers);
+        let plan = &plan;
+        let results: Vec<Result<AnyMatrix, EngineError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = inputs
+                .chunks(chunk)
+                .map(|items| {
+                    let handle = scope.spawn(move || {
+                        items.iter().map(|m| self.execute(plan, m.as_ref())).collect::<Vec<_>>()
                     });
-                }
-            });
-            // Per-item catch_unwind means workers always write their
-            // slots; an empty slot would indicate a harness bug, reported
-            // as a typed per-item error rather than a panic.
-            let filled: Vec<_> = slots
-                .into_iter()
-                .map(|r| {
-                    r.unwrap_or_else(|| {
-                        Err(EngineError::Panicked("batch slot never written".to_string()))
-                    })
+                    (items.len(), handle)
                 })
                 .collect();
-            filled
-        };
-
-        // Degraded retry: transient parallel-path failures get one
-        // sequential attempt. Deterministic rejections (invalid input,
-        // budget, dispatch, deadline) would fail identically and are
-        // not retried.
-        if workers > 1 {
-            for (input, slot) in inputs.iter().zip(results.iter_mut()) {
-                if slot.as_ref().is_err_and(transient) {
-                    StatsInner::add(&self.stats.degraded_conversions, 1);
-                    *slot = self.execute(&plan, input.as_ref());
-                }
-            }
-        }
-
+            // `execute` contains panics per item, so a worker only dies on
+            // a panic outside it; its chunk then fails as a whole, with a
+            // typed error per item.
+            handles
+                .into_iter()
+                .flat_map(|(len, handle)| {
+                    handle.join().unwrap_or_else(|payload| {
+                        StatsInner::add(&self.stats.panics_caught, 1);
+                        let msg = panic_message(&*payload);
+                        (0..len).map(|_| Err(EngineError::Panicked(msg.clone()))).collect()
+                    })
+                })
+                .collect()
+        });
         let failed = results.iter().filter(|r| r.is_err()).count();
         StatsInner::add(&self.stats.items_failed, failed as u64);
         Ok(results)
-    }
-
-    /// One batch item: fail fast with [`RunError::DeadlineExceeded`] when
-    /// the batch deadline has already expired, execute otherwise.
-    fn execute_deadlined(
-        &self,
-        plan: &Plan,
-        input: &AnyMatrix,
-        deadline: Option<(Duration, Instant)>,
-    ) -> Result<AnyMatrix, EngineError> {
-        if let Some((budget, at)) = deadline {
-            if Instant::now() >= at {
-                StatsInner::add(&self.stats.deadline_expired, 1);
-                self.note(EventKind::DeadlineExpired, plan.pair, 0, input.nnz() as u64);
-                return Err(EngineError::Run(RunError::DeadlineExceeded { deadline: budget }));
-            }
-        }
-        self.execute(plan, input.as_ref())
     }
 
     /// A point-in-time snapshot of this engine's counters.
@@ -783,24 +713,10 @@ impl Engine {
     }
 }
 
-/// Whether a per-item failure is worth one sequential retry: execution
-/// faults and contained panics may be scheduling artifacts; validation,
-/// budget, dispatch, and deadline rejections are deterministic
-/// functions of the input and would fail identically.
-fn transient(e: &EngineError) -> bool {
-    match e {
-        EngineError::Panicked(_) => true,
-        EngineError::Plan(_) => false,
-        EngineError::Run(run) => matches!(
-            run,
-            RunError::Exec(_) | RunError::Format(_) | RunError::MissingOutput(_)
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use sparse_formats::descriptors::{self, ScanInfo};
     use sparse_formats::CooMatrix;
     use sparse_formats::FormatSpec;

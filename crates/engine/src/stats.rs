@@ -12,7 +12,7 @@
 //! Every counter increments at exactly one site, at the moment the thing
 //! it counts actually happens — no counter is ever *derived* from other
 //! counters (an earlier `cache_hits = lookups - misses` formula reported
-//! transient garbage whenever a snapshot raced an in-flight lookup).
+//! garbage whenever a snapshot raced an in-flight lookup).
 //! The README's stats-semantics table documents each counter's trigger
 //! condition; tests assert the cross-counter invariants.
 
@@ -168,10 +168,6 @@ engine_stats! {
         /// rejected plans are never cached.
         plans_rejected: u64 => counter("engine_plans_rejected_total",
             "Plans the verifier refused."),
-        /// Verified plans with at least one loop nest statically proved free
-        /// of loop-carried dependences.
-        parallel_plans: u64 => counter("engine_parallel_plans_total",
-            "Verified plans with a proved parallel loop."),
         /// Conversions that **completed successfully** (each batch element
         /// counts once). Failed or panicked executions count under
         /// `conversions_failed` instead, and pre-execution refusals under
@@ -181,8 +177,8 @@ engine_stats! {
         conversions: u64 => counter("engine_conversions_total",
             "Conversions that completed successfully."),
         /// Executions that started and then failed: a typed interpreter
-        /// error or a contained panic. Refusals (validation, memory budget,
-        /// deadline) are *not* counted here.
+        /// error or a contained panic. Refusals (validation, memory budget)
+        /// are *not* counted here.
         conversions_failed: u64 => counter("engine_conversions_failed_total",
             "Executions that started and then failed or panicked."),
         /// Total stored entries moved across all successful conversions
@@ -218,24 +214,17 @@ engine_stats! {
         /// `conversions` nor as `conversions_failed`.
         inputs_rejected: u64 => counter("engine_inputs_rejected_total",
             "Inputs refused before execution (validation or admission)."),
-        /// Batch items whose final (post-degradation) result was an error.
-        /// Includes rejected, failed, panicked, and deadline-expired items;
-        /// single `convert` calls are not counted here.
+        /// Batch items whose result was an error. Includes rejected,
+        /// failed, and panicked items; single `convert` calls are not
+        /// counted here.
         items_failed: u64 => counter("engine_items_failed_total",
             "Batch items whose final result was an error."),
         /// Worker panics contained at an isolation boundary: per-item
         /// `catch_unwind` around the interpreter, the kernel attempt guard
-        /// (also counted under `kernel_panics`), or the plan builder.
+        /// (also counted under `kernel_panics`), the plan builder, or the
+        /// join of a batch worker thread.
         panics_caught: u64 => counter("engine_panics_caught_total",
             "Panics contained at an isolation boundary."),
-        /// Batch items retried on the sequential path after their
-        /// parallel-path attempt failed with a transient error.
-        degraded_conversions: u64 => counter("engine_degraded_conversions_total",
-            "Batch items retried on the sequential path."),
-        /// Batch items that never started because the per-batch deadline
-        /// expired first (`RunError::DeadlineExceeded`).
-        deadline_expired: u64 => counter("engine_deadline_expired_total",
-            "Batch items that never started before the deadline."),
         /// Cumulative wall time spent in synthesis + lowering.
         synth_time: Duration => counter("engine_synth_nanoseconds_total",
             "Wall time in synthesis and lowering."),

@@ -2,9 +2,14 @@
 //! shared plan exactly once, and `convert_batch` agrees element-for-
 //! element with sequential `convert`.
 
-use sparse_engine::{Engine, EngineConfig};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+
+use sparse_engine::{Engine, EngineConfig, Subscriber};
 use sparse_formats::descriptors;
 use sparse_formats::{AnyMatrix, CooMatrix};
+use sparse_obs::{Event, Span, Stage};
 
 fn sample_scoo(nr: usize, nc: usize, stride: usize, salt: u64) -> CooMatrix {
     let mut row = Vec::new();
@@ -137,22 +142,47 @@ fn batch_matches_sequential_element_for_element() {
         .map(|m| sequential.convert(&src, &dst, m).unwrap())
         .collect();
 
+    // Verified engines fan out too: batch items are independent, so the
+    // verifier's report plays no part in scheduling.
     for threads in [1, 2, 4, 32] {
-        let parallel =
-            Engine::with_config(EngineConfig { threads, ..Default::default() });
-        let got: Vec<AnyMatrix> = parallel
-            .convert_batch(&src, &dst, &inputs)
-            .unwrap()
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(got, expected, "threads={threads}: order or content diverged");
-        let stats = parallel.stats();
-        assert_eq!(stats.plans_synthesized, 1, "threads={threads}");
-        assert_eq!(stats.conversions, inputs.len() as u64, "threads={threads}");
-        assert_eq!(stats.items_failed, 0, "threads={threads}");
-        assert_eq!(stats.panics_caught, 0, "threads={threads}");
+        for verify_plans in [false, true] {
+            let workers = Arc::new(WorkerThreads::default());
+            let parallel = Engine::with_subscriber(
+                EngineConfig { threads, verify_plans, ..Default::default() },
+                workers.clone(),
+            );
+            let got: Vec<AnyMatrix> = parallel
+                .convert_batch(&src, &dst, &inputs)
+                .unwrap()
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect();
+            let case = format!("threads={threads} verify_plans={verify_plans}");
+            assert_eq!(got, expected, "{case}: order or content diverged");
+            let stats = parallel.stats();
+            assert_eq!(stats.plans_synthesized, 1, "{case}");
+            assert_eq!(stats.plans_verified, verify_plans as u64, "{case}");
+            assert_eq!(stats.conversions, inputs.len() as u64, "{case}");
+            assert_eq!(stats.items_failed, 0, "{case}");
+            assert_eq!(stats.panics_caught, 0, "{case}");
+            let used = workers.0.lock().unwrap().len();
+            assert_eq!(used, threads.min(inputs.len()), "{case}: one thread per chunk");
+        }
     }
+}
+
+/// Records every thread that ran a conversion's validation stage.
+#[derive(Default)]
+struct WorkerThreads(Mutex<HashSet<ThreadId>>);
+
+impl Subscriber for WorkerThreads {
+    fn span(&self, span: Span) {
+        if span.stage == Stage::Validate {
+            self.0.lock().unwrap().insert(std::thread::current().id());
+        }
+    }
+
+    fn event(&self, _event: Event) {}
 }
 
 #[test]

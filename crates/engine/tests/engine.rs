@@ -266,53 +266,6 @@ fn verifying_engine_rejects_broken_descriptor_and_does_not_cache() {
     assert!(trusting.plan(&descriptors::scoo(), &broken).is_ok());
 }
 
-#[test]
-fn verified_batch_fans_out_on_proved_parallel_plan() {
-    // csr -> coo is the catalog pair whose populate nest the verifier
-    // proves parallel (identity permutation + rowptr window chaining).
-    let engine =
-        Engine::with_config(EngineConfig { verify_plans: true, ..Default::default() });
-    let coo = sample_scoo(12, 15, 3);
-    let csr = CsrMatrix::from_coo(&coo);
-    let inputs: Vec<AnyMatrix> = (0..4).map(|_| AnyMatrix::Csr(csr.clone())).collect();
-    let outs = engine
-        .convert_batch(&descriptors::csr(), &descriptors::coo(), &inputs)
-        .unwrap();
-    assert_eq!(outs.len(), 4);
-    for out in outs {
-        assert_eq!(out.unwrap(), AnyMatrix::Coo(coo.clone()));
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.plans_verified, 1);
-    assert_eq!(stats.plans_rejected, 0);
-    assert_eq!(stats.parallel_plans, 1, "csr -> coo must be proved parallel");
-    let plan = engine.plan(&descriptors::csr(), &descriptors::coo()).unwrap();
-    let report = plan.verification.as_ref().expect("verified engines attach reports");
-    assert!(report.has_parallel_loop());
-    assert!(report.is_clean());
-}
-
-#[test]
-fn verified_batch_stays_correct_without_a_parallelism_proof() {
-    // scoo -> csr interleaves min and max bounds on rowptr, which the
-    // verifier conservatively keeps sequential; the batch must fall back
-    // to one worker and still produce correct outputs.
-    let engine =
-        Engine::with_config(EngineConfig { verify_plans: true, ..Default::default() });
-    let coo = sample_scoo(9, 11, 2);
-    let inputs: Vec<AnyMatrix> = (0..3).map(|_| AnyMatrix::Coo(coo.clone())).collect();
-    let outs = engine
-        .convert_batch(&descriptors::scoo(), &descriptors::csr(), &inputs)
-        .unwrap();
-    for out in outs {
-        assert_eq!(out.unwrap(), AnyMatrix::Csr(CsrMatrix::from_coo(&coo)));
-    }
-    let plan = engine.plan(&descriptors::scoo(), &descriptors::csr()).unwrap();
-    let report = plan.verification.as_ref().unwrap();
-    assert!(report.is_clean());
-    assert!(!report.has_parallel_loop(), "min/max interleaving is not proved parallel");
-}
-
 /// COO and SCOO (COO3D and SCOO3) share every array name. The engine
 /// renames such a destination apart from its source, so the plan does
 /// not allocate its outputs over its inputs: the entries come back,

@@ -1,10 +1,8 @@
 //! Fault injection: every corruption class × every catalog source format
 //! must surface as a typed error naming the failed check — never a panic
 //! — while untouched inputs keep converting bit-exactly through the same
-//! engine. Also pins the memory-budget, allocation-overflow, batch
-//! deadline, and concurrent stats-exactness contracts.
-
-use std::time::Duration;
+//! engine. Also pins the memory-budget, allocation-overflow, and
+//! concurrent stats-exactness contracts.
 
 use sparse_engine::{Engine, EngineConfig, EngineError};
 use sparse_formats::descriptors;
@@ -187,36 +185,8 @@ fn batch_quarantines_corrupted_item_with_exact_stats() {
     assert_eq!(stats.items_failed, 1);
     assert_eq!(stats.inputs_rejected, 1);
     assert_eq!(stats.panics_caught, 0);
-    assert_eq!(stats.degraded_conversions, 0, "deterministic rejections are not retried");
     assert_eq!(stats.conversions, 7, "the rejected item never reaches execution");
     assert_eq!(stats.nnz_moved, 7 * good.nnz() as u64);
-}
-
-#[test]
-fn expired_deadline_fails_unstarted_items_with_typed_error() {
-    let engine = Engine::with_config(EngineConfig {
-        threads: 2,
-        batch_deadline: Some(Duration::ZERO),
-        ..Default::default()
-    });
-    let inputs = vec![AnyMatrix::Coo(sample_coo()); 4];
-    let results = engine
-        .convert_batch(&descriptors::scoo(), &descriptors::csr(), &inputs)
-        .unwrap();
-    assert_eq!(results.len(), 4, "expired items keep their slots");
-    for (i, item) in results.iter().enumerate() {
-        match item {
-            Err(EngineError::Run(RunError::DeadlineExceeded { deadline })) => {
-                assert_eq!(*deadline, Duration::ZERO, "item {i}");
-            }
-            other => panic!("item {i}: expected DeadlineExceeded, got {other:?}"),
-        }
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.deadline_expired, 4);
-    assert_eq!(stats.items_failed, 4);
-    assert_eq!(stats.conversions, 0, "no expired item reaches execution");
-    assert_eq!(stats.degraded_conversions, 0, "expired items are not retried");
 }
 
 #[test]
@@ -544,7 +514,6 @@ fn stats_stay_exact_under_concurrent_corrupted_batches() {
     assert_eq!(stats.items_failed, total_batches);
     assert_eq!(stats.inputs_rejected, total_batches);
     assert_eq!(stats.panics_caught, 0);
-    assert_eq!(stats.deadline_expired, 0);
     assert_eq!(stats.conversions, total_batches * VALID_PER_BATCH as u64);
     assert_eq!(stats.nnz_moved, stats.conversions * good.nnz() as u64);
     assert_eq!(stats.plans_synthesized, 1, "every batch shares one cached plan");

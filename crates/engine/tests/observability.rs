@@ -124,7 +124,6 @@ fn expected_samples(s: &EngineStats, recorded: u64, dropped: u64) -> BTreeMap<St
         ("engine_plan_failures_total", s.plan_failures),
         ("engine_plans_verified_total", s.plans_verified),
         ("engine_plans_rejected_total", s.plans_rejected),
-        ("engine_parallel_plans_total", s.parallel_plans),
         ("engine_conversions_total", s.conversions),
         ("engine_conversions_failed_total", s.conversions_failed),
         ("engine_nnz_moved_total", s.nnz_moved),
@@ -135,8 +134,6 @@ fn expected_samples(s: &EngineStats, recorded: u64, dropped: u64) -> BTreeMap<St
         ("engine_inputs_rejected_total", s.inputs_rejected),
         ("engine_items_failed_total", s.items_failed),
         ("engine_panics_caught_total", s.panics_caught),
-        ("engine_degraded_conversions_total", s.degraded_conversions),
-        ("engine_deadline_expired_total", s.deadline_expired),
         ("engine_synth_nanoseconds_total", nanos(s.synth_time)),
         ("engine_verify_nanoseconds_total", nanos(s.verify_time)),
         ("engine_validate_nanoseconds_total", nanos(s.validate_time)),
@@ -322,9 +319,6 @@ engine_plans_verified_total N
 # HELP engine_plans_rejected_total Plans the verifier refused.
 # TYPE engine_plans_rejected_total counter
 engine_plans_rejected_total N
-# HELP engine_parallel_plans_total Verified plans with a proved parallel loop.
-# TYPE engine_parallel_plans_total counter
-engine_parallel_plans_total N
 # HELP engine_conversions_total Conversions that completed successfully.
 # TYPE engine_conversions_total counter
 engine_conversions_total N
@@ -355,12 +349,6 @@ engine_items_failed_total N
 # HELP engine_panics_caught_total Panics contained at an isolation boundary.
 # TYPE engine_panics_caught_total counter
 engine_panics_caught_total N
-# HELP engine_degraded_conversions_total Batch items retried on the sequential path.
-# TYPE engine_degraded_conversions_total counter
-engine_degraded_conversions_total N
-# HELP engine_deadline_expired_total Batch items that never started before the deadline.
-# TYPE engine_deadline_expired_total counter
-engine_deadline_expired_total N
 # HELP engine_synth_nanoseconds_total Wall time in synthesis and lowering.
 # TYPE engine_synth_nanoseconds_total counter
 engine_synth_nanoseconds_total N

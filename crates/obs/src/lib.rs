@@ -134,13 +134,11 @@ pub enum EventKind {
     PlanFailed = 7,
     /// The static verifier rejected a freshly synthesized plan.
     PlanRejected = 8,
-    /// A batch item never started because the batch deadline expired.
-    DeadlineExpired = 9,
 }
 
 /// Every kind with its stable kebab-case name, in code order (checked
 /// at compile time below), so `KINDS[code - 1]` is the kind of `code`.
-const KINDS: [(EventKind, &str); 9] = [
+const KINDS: [(EventKind, &str); 8] = [
     (EventKind::KernelPanic, "kernel-panic"),
     (EventKind::KernelDecline, "kernel-decline"),
     (EventKind::InterpPanic, "interp-panic"),
@@ -149,7 +147,6 @@ const KINDS: [(EventKind, &str); 9] = [
     (EventKind::AdmissionRejected, "admission-rejected"),
     (EventKind::PlanFailed, "plan-failed"),
     (EventKind::PlanRejected, "plan-rejected"),
-    (EventKind::DeadlineExpired, "deadline-expired"),
 ];
 
 const _: () = {
@@ -294,7 +291,6 @@ mod tests {
             EventKind::AdmissionRejected,
             EventKind::PlanFailed,
             EventKind::PlanRejected,
-            EventKind::DeadlineExpired,
         ] {
             assert_eq!(EventKind::from_code(kind.code()), Some(kind));
         }

@@ -3,8 +3,8 @@
 //!
 //! `scripts/check.sh` runs this as a zero-diagnostics gate — the process
 //! exits nonzero if any descriptor lint or plan verification produces an
-//! error- or warning-severity diagnostic. Notes (e.g. SA008 sequential
-//! loop nests) are informational and printed but do not fail the gate.
+//! error- or warning-severity diagnostic. Notes (e.g. SA009 on a UF the
+//! prover has no signature for) are counted but do not fail the gate.
 //!
 //! ```text
 //! cargo run --release --example lint_descriptor
@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use sparse_analyze::{lint_descriptor, verify, Parallelism, Severity};
+use sparse_analyze::{lint_descriptor, verify, Severity};
 use sparse_formats::{descriptors, FormatDescriptor};
 use sparse_synthesis::{synthesize, SynthesisOptions};
 
@@ -58,7 +58,6 @@ fn main() {
 
     println!("\n== plan verification over synthesizable pairs ==");
     let mut pairs = 0usize;
-    let mut parallel_nests = 0usize;
     let mut synth_total = Duration::ZERO;
     let mut verify_total = Duration::ZERO;
     for src in catalog() {
@@ -87,14 +86,8 @@ fn main() {
             let dt = t1.elapsed();
             verify_total += dt;
             pairs += 1;
-            let par = report
-                .nests
-                .iter()
-                .filter(|n| n.parallelism == Parallelism::Parallel)
-                .count();
-            parallel_nests += par;
             println!(
-                "  {:24} {:9} {} error(s), {} warning(s), {}/{} nest(s) parallel, {:.1?}",
+                "  {:24} {:9} {} error(s), {} warning(s), {:.1?}",
                 report.pair,
                 if report.is_clean() && report.warning_count() == 0 {
                     "clean"
@@ -103,8 +96,6 @@ fn main() {
                 },
                 report.error_count(),
                 report.warning_count(),
-                par,
-                report.nests.len(),
                 dt,
             );
             for diag in &report.diagnostics {
@@ -117,8 +108,7 @@ fn main() {
     }
 
     println!(
-        "\n{pairs} pairs verified ({parallel_nests} loop nests proved parallel); \
-         synthesis {synth_total:.1?}, verification {verify_total:.1?}"
+        "\n{pairs} pairs verified; synthesis {synth_total:.1?}, verification {verify_total:.1?}"
     );
     println!("{errors} error(s), {warnings} warning(s), {notes} note(s)");
     if errors + warnings > 0 {

@@ -52,6 +52,15 @@ echo "==> cargo run --release --example lint_descriptor (static-analysis gate)"
 # synthesizable conversion plan; exits nonzero on any error or warning.
 cargo run --release --example lint_descriptor
 
+echo "==> every other example runs to a zero exit"
+# Examples are documentation that compiles; running them keeps them true.
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    [ "$name" = lint_descriptor ] && continue
+    echo "    $name"
+    cargo run --release -q --example "$name" > /dev/null
+done
+
 echo "==> figures at a tiny scale (the one figure harness stays runnable)"
 # Every series the paper's evaluation and EXPERIMENTS.md cite (Table 3,
 # Fig. 2a-d, Fig. 3, Table 4, Table 5 and the ablation), at a scale small
