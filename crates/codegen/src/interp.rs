@@ -6,15 +6,17 @@
 //! toolchain. Compilation resolves every name once: loop and `Let`
 //! variables keep their slot, each subexpression gets a temporary
 //! register above the slots, each literal a constant register, and
-//! UF/data/list/symbol names become dense table indices. Each expression
-//! op writes one register; loops, guards and searches hold their bodies
-//! as op slices, and one `match` loop runs a slice.
+//! UF/data/list/symbol names become dense table indices.
 //!
-//! An innermost loop whose body is straight-line and free of
-//! cross-iteration hazards compiles to one `Op::Chunked` instead: its
-//! body runs one columnar `Lane` op at a time over a chunk of `LANES`
-//! (256) iterations, so each op is dispatched, and each array it
-//! touches resolved, once per chunk rather than once per iteration.
+//! Each straight-line statement lowers to `Lane` ops, which one executor
+//! runs over a frame of columns, lane by lane: at a width of one lane on
+//! the register file itself, or over a chunk of `LANES` (256) iterations
+//! of an innermost loop free of cross-iteration hazards (`Op::Chunked`),
+//! so that each op is dispatched, and each array it touches resolved,
+//! once per chunk rather than once per iteration. The op loop, one
+//! `match` over `Op`, keeps only what has no lane form: loops,
+//! allocations, list finalization, division, and guards and searches
+//! around a body holding one of those.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -142,22 +144,14 @@ pub struct ExecStats {
 /// A register: a slot, a temporary or a constant.
 type Reg = u32;
 
-/// One instruction. Expression ops write `dst` from registers that
-/// earlier ops wrote; the others write arrays, lists or symbols.
+/// One instruction of the op loop: straight-line code as a run of lane
+/// ops, and what has no lane form.
 #[derive(Debug)]
 enum Op {
-    Mov { dst: Reg, src: Reg },
-    Sym { dst: Reg, sym: u32 },
-    UfRead { dst: Reg, uf: u32, idx: Reg },
-    ListRank { dst: Reg, list: u32, args: Box<[Reg]> },
-    ListLen { dst: Reg, list: u32 },
-    /// Arithmetic, as `(dst, a, b)`.
-    Add(Reg, Reg, Reg),
-    Sub(Reg, Reg, Reg),
-    Mul(Reg, Reg, Reg),
+    /// Straight-line ops, run as one lane on the register file.
+    Run(Vec<Lane>),
+    /// `dst = a / b`, rounding toward negative infinity; `b` was checked.
     Div(Reg, Reg, Reg),
-    Min(Reg, Reg, Reg),
-    Max(Reg, Reg, Reg),
     /// Fails with [`ExecError::DivByZero`] when `r` is zero, so a divisor
     /// is checked before its dividend is evaluated.
     NonZero { r: Reg },
@@ -165,20 +159,16 @@ enum Op {
     /// the initial value of `uf` is evaluated.
     NonNeg { uf: u32, size: Reg },
     For { slot: Reg, lo: Reg, hi: Reg, body: Block },
+    /// A guard whose body is not straight-line (else [`Lane::If`]).
     If { a: Reg, op: CmpOp, b: Reg, body: Block },
+    /// A search whose key or body is not straight-line (else
+    /// [`Lane::Find`]).
     Find(Box<Find>),
-    UfWrite { uf: u32, idx: Reg, value: Reg },
-    UfMin { uf: u32, idx: Reg, value: Reg },
-    UfMax { uf: u32, idx: Reg, value: Reg },
     UfAlloc { uf: u32, size: Reg, init: Reg },
     /// The element count is the product of `size`, checked.
     DataAlloc { arr: u32, size: Box<[Reg]> },
-    ListInsert { list: u32, args: Box<[Reg]> },
     ListFinalize { list: u32 },
     ListToUf { list: u32, dim: usize, uf: u32 },
-    SymSet { sym: u32, value: Reg },
-    DataAxpy { y: u32, y_idx: Reg, a: u32, a_idx: Reg, x: u32, x_idx: Reg },
-    Copy { dst: u32, dst_idx: Reg, src: u32, src_idx: Reg },
     /// A `For` run a chunk of iterations at a time.
     Chunked(Box<Chunked>),
 }
@@ -200,7 +190,7 @@ struct Find {
 /// [`ExecStats::statements`] counts each time the slice runs.
 #[derive(Debug, Default)]
 struct Block {
-    ops: Box<[Op]>,
+    ops: Vec<Op>,
     stmts: u64,
 }
 
@@ -229,7 +219,7 @@ pub struct Program {
     main: Block,
     /// The register file a run starts from: zero in slots and
     /// temporaries, the literal in each constant register.
-    regs: Vec<i64>,
+    regs: Vec<[i64; 1]>,
     syms: Vec<String>,
     ufs: Vec<String>,
     data: Vec<String>,
@@ -281,7 +271,8 @@ impl Program {
 }
 
 /// Iterations an [`Op::Chunked`] loop runs per chunk. A lane number fits
-/// a `u8`, so a selection vector indexes a column without bounds checks.
+/// a `u8`, so a selection vector indexes a chunk's column without bounds
+/// checks.
 const LANES: usize = 256;
 
 /// One register's value in each lane of a chunk.
@@ -306,11 +297,12 @@ enum Res {
     Sym(u32),
 }
 
-/// One op of a chunked loop body: the [`Op`] of the same name run over
-/// every selected lane of a chunk, lane by lane in iteration order. While
-/// a body is compiled the operands are registers; once it qualifies they
-/// are renumbered to columns.
-#[derive(Debug)]
+/// A straight-line op, run over the selected lanes of a frame of columns
+/// (one column per register, `W` lanes each), lane by lane in iteration
+/// order: the register file as one lane, or a chunk of a chunked loop's
+/// iterations. In a chunked loop the operands are renumbered to the
+/// chunk's columns.
+#[derive(Debug, Clone)]
 enum Lane {
     Mov { dst: Reg, src: Reg },
     Sym { dst: Reg, sym: u32 },
@@ -340,7 +332,7 @@ enum Lane {
 }
 
 /// [`Find`] over lanes, with `key` and `body` as lane ops.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LaneFind {
     slot: Reg,
     lo: Reg,
@@ -353,58 +345,6 @@ struct LaneFind {
 }
 
 impl Lane {
-    /// The straight-line body `ops` as lane ops, or `None` when an op has
-    /// no columnar form: loops, allocations, list finalization, division,
-    /// and a copy or multiply-add that reads the array it writes.
-    fn from_ops(ops: &[Op]) -> Option<Vec<Lane>> {
-        let arith = |op, dst, a, b| Lane::Arith { op, dst, a, b };
-        ops.iter()
-            .map(|op| {
-                Some(match *op {
-                    Op::Mov { dst, src } => Lane::Mov { dst, src },
-                    Op::Sym { dst, sym } => Lane::Sym { dst, sym },
-                    Op::UfRead { dst, uf, idx } => Lane::UfRead { dst, uf, idx },
-                    Op::ListRank { dst, list, ref args } => {
-                        Lane::ListRank { dst, list, args: args.clone() }
-                    }
-                    Op::ListLen { dst, list } => Lane::ListLen { dst, list },
-                    Op::Add(d, a, b) => arith(Arith::Add, d, a, b),
-                    Op::Sub(d, a, b) => arith(Arith::Sub, d, a, b),
-                    Op::Mul(d, a, b) => arith(Arith::Mul, d, a, b),
-                    Op::Min(d, a, b) => arith(Arith::Min, d, a, b),
-                    Op::Max(d, a, b) => arith(Arith::Max, d, a, b),
-                    Op::If { a, op, b, ref body } => {
-                        Lane::If { a, op, b, body: Lane::from_ops(&body.ops)?, stmts: body.stmts }
-                    }
-                    Op::Find(ref f) => Lane::Find(Box::new(LaneFind {
-                        slot: f.slot,
-                        lo: f.lo,
-                        hi: f.hi,
-                        target: f.target,
-                        key: Lane::from_ops(&f.key.ops)?,
-                        key_reg: f.key_reg,
-                        body: Lane::from_ops(&f.body.ops)?,
-                        stmts: f.body.stmts,
-                    })),
-                    Op::UfWrite { uf, idx, value } => Lane::UfWrite { uf, idx, value },
-                    Op::UfMin { uf, idx, value } => Lane::UfMin { uf, idx, value },
-                    Op::UfMax { uf, idx, value } => Lane::UfMax { uf, idx, value },
-                    Op::ListInsert { list, ref args } => {
-                        Lane::ListInsert { list, args: args.clone() }
-                    }
-                    Op::SymSet { sym, value } => Lane::SymSet { sym, value },
-                    Op::DataAxpy { y, y_idx, a, a_idx, x, x_idx } if y != a && y != x => {
-                        Lane::DataAxpy { y, y_idx, a, a_idx, x, x_idx }
-                    }
-                    Op::Copy { dst, dst_idx, src, src_idx } if dst != src => {
-                        Lane::Copy { dst, dst_idx, src, src_idx }
-                    }
-                    _ => return None,
-                })
-            })
-            .collect()
-    }
-
     /// The register this op writes.
     fn def(&self) -> Option<Reg> {
         match *self {
@@ -589,8 +529,8 @@ struct Chunked {
     /// body writes (up to `keep`), the temporaries it writes (up to
     /// `written`), then the registers it only reads.
     regs: Box<[Reg]>,
-    /// Columns whose last value goes back to the register file, as the
-    /// op loop would leave it.
+    /// Columns whose last value goes back to the register file, as
+    /// running one iteration at a time would leave it.
     keep: usize,
     written: usize,
     /// Read-only columns set on every lane: a nest's outer variable and
@@ -607,7 +547,9 @@ struct Outer {
     slot: Reg,
     lo: Reg,
     hi: Reg,
-    head: Block,
+    head: Vec<Lane>,
+    /// Statements per iteration, for [`ExecStats`].
+    stmts: u64,
 }
 
 /// How a program's `For` loops run: chunked (a perfect nest counts as
@@ -667,51 +609,48 @@ impl Compiler {
 
     /// Lowers `e` into `ops` and returns the register holding its value:
     /// a variable's slot, a literal's constant register, else `into` when
-    /// given or a fresh temporary. Operands are lowered left to right,
-    /// except that `Div` lowers and checks its divisor first.
+    /// given and not an operand ([`operand`]) or a fresh temporary.
+    /// Operands are lowered left to right, except that `Div` lowers and
+    /// checks its divisor first.
     fn expr(&mut self, e: &Expr, ops: &mut Vec<Op>, into: Option<Reg>) -> Reg {
-        let dst = match (e, fold(e)) {
-            (Expr::Var(_, slot), _) => return slot.0,
-            (_, Some(c)) => return self.constant(c),
-            _ => into.unwrap_or_else(|| self.temp()),
+        let dst = match (e, fold(e), into) {
+            (Expr::Var(_, slot), ..) => return slot.0,
+            (_, Some(c), _) => return self.constant(c),
+            (_, None, Some(r)) if !operand(e, r) => r,
+            _ => self.temp(),
         };
-        let op = match e {
+        let lane = match e {
             Expr::Const(_) | Expr::Var(..) => unreachable!("folded or a slot"),
-            Expr::Sym(s) => Op::Sym { dst, sym: self.syms.intern(s) },
+            Expr::Sym(s) => Lane::Sym { dst, sym: self.syms.intern(s) },
             Expr::UfRead { uf, idx } => {
-                Op::UfRead { dst, uf: self.ufs.intern(uf), idx: self.expr(idx, ops, None) }
+                Lane::UfRead { dst, uf: self.ufs.intern(uf), idx: self.expr(idx, ops, None) }
             }
             Expr::ListRank { list, args } => {
-                Op::ListRank { dst, list: self.lists.intern(list), args: self.args(args, ops) }
+                Lane::ListRank { dst, list: self.lists.intern(list), args: self.args(args, ops) }
             }
-            Expr::ListLen(l) => Op::ListLen { dst, list: self.lists.intern(l) },
-            Expr::Add(a, b) => self.binary(Op::Add, dst, a, b, ops),
-            Expr::Sub(a, b) => self.binary(Op::Sub, dst, a, b, ops),
-            Expr::Mul(a, b) => self.binary(Op::Mul, dst, a, b, ops),
-            Expr::Min(a, b) => self.binary(Op::Min, dst, a, b, ops),
-            Expr::Max(a, b) => self.binary(Op::Max, dst, a, b, ops),
+            Expr::ListLen(l) => Lane::ListLen { dst, list: self.lists.intern(l) },
+            Expr::Add(a, b) => self.arith(Arith::Add, dst, a, b, ops),
+            Expr::Sub(a, b) => self.arith(Arith::Sub, dst, a, b, ops),
+            Expr::Mul(a, b) => self.arith(Arith::Mul, dst, a, b, ops),
+            Expr::Min(a, b) => self.arith(Arith::Min, dst, a, b, ops),
+            Expr::Max(a, b) => self.arith(Arith::Max, dst, a, b, ops),
             Expr::Div(a, b) => {
                 let divisor = self.expr(b, ops, None);
                 if fold(b).is_none_or(|d| d == 0) {
                     ops.push(Op::NonZero { r: divisor });
                 }
-                Op::Div(dst, self.expr(a, ops, None), divisor)
+                let dividend = self.expr(a, ops, None);
+                ops.push(Op::Div(dst, dividend, divisor));
+                return dst;
             }
         };
-        ops.push(op);
+        emit(ops, lane);
         dst
     }
 
-    fn binary(
-        &mut self,
-        make: fn(Reg, Reg, Reg) -> Op,
-        dst: Reg,
-        a: &Expr,
-        b: &Expr,
-        ops: &mut Vec<Op>,
-    ) -> Op {
+    fn arith(&mut self, op: Arith, dst: Reg, a: &Expr, b: &Expr, ops: &mut Vec<Op>) -> Lane {
         let a = self.expr(a, ops, None);
-        make(dst, a, self.expr(b, ops, None))
+        Lane::Arith { op, dst, a, b: self.expr(b, ops, None) }
     }
 
     fn args(&mut self, args: &[Expr], ops: &mut Vec<Op>) -> Box<[Reg]> {
@@ -723,47 +662,52 @@ impl Compiler {
         for s in stmts {
             self.stmt(s, &mut ops);
         }
-        Block { ops: ops.into(), stmts: stmts.len() as u64 }
+        Block { ops, stmts: stmts.len() as u64 }
     }
 
     fn stmt(&mut self, s: &Stmt, ops: &mut Vec<Op>) {
-        let op = match s {
+        let lane = match s {
             Stmt::For { slot, lo, hi, body, .. } => {
                 let lo = self.expr(lo, ops, None);
                 let hi = self.expr(hi, ops, None);
                 let body = self.block(body);
-                self.for_loop(slot.0, lo, hi, body)
+                ops.push(self.for_loop(slot.0, lo, hi, body));
+                return;
             }
             Stmt::Let { slot, value, .. } => {
                 let src = self.expr(value, ops, Some(slot.0));
                 if src == slot.0 {
                     return;
                 }
-                Op::Mov { dst: slot.0, src }
+                Lane::Mov { dst: slot.0, src }
             }
             Stmt::If { cond, body } => {
                 // `if (c1 && c2 && …)` runs as nested one-clause ifs, so the
                 // clauses evaluate left to right and stop at the first false
                 // one. Only the innermost block counts the body's statements.
+                // The first clause evaluates in place, the others inside the
+                // guard of the one before.
                 let always = [(Expr::Const(0), CmpOp::Eq, Expr::Const(0))];
                 let clauses = if cond.clauses.is_empty() { &always[..] } else { &cond.clauses };
                 let mut lowered: Vec<_> = clauses
                     .iter()
-                    .map(|(a, op, b)| {
+                    .enumerate()
+                    .map(|(k, (a, op, b))| {
                         let mut pre = Vec::new();
-                        let a = self.expr(a, &mut pre, None);
-                        let b = self.expr(b, &mut pre, None);
+                        let at = if k == 0 { &mut *ops } else { &mut pre };
+                        let a = self.expr(a, at, None);
+                        let b = self.expr(b, at, None);
                         (pre, a, *op, b)
                     })
                     .collect();
                 let mut body = self.block(body);
-                let (outer, a, op, b) = lowered.remove(0);
+                let (_, a, op, b) = lowered.remove(0);
                 for (mut pre, a, op, b) in lowered.into_iter().rev() {
-                    pre.push(Op::If { a, op, b, body });
-                    body = Block { ops: pre.into(), stmts: 0 };
+                    guard(&mut pre, a, op, b, body);
+                    body = Block { ops: pre, stmts: 0 };
                 }
-                ops.extend(outer);
-                Op::If { a, op, b, body }
+                guard(ops, a, op, b, body);
+                return;
             }
             Stmt::FindBinary { slot, lo, hi, key, target, body, .. } => {
                 let lo = self.expr(lo, ops, None);
@@ -771,21 +715,35 @@ impl Compiler {
                 let mut key_ops = Vec::new();
                 let key_reg = self.expr(key, &mut key_ops, None);
                 let target = self.expr(target, ops, None);
-                let key = Block { ops: key_ops.into(), stmts: 0 };
                 let body = self.block(body);
-                Op::Find(Box::new(Find { slot: slot.0, lo, hi, target, key, key_reg, body }))
+                let slot = slot.0;
+                let (Some(key), Some(lanes)) = (run_of(&key_ops), run_of(&body.ops)) else {
+                    let key = Block { ops: key_ops, stmts: 0 };
+                    ops.push(Op::Find(Box::new(Find { slot, lo, hi, target, key, key_reg, body })));
+                    return;
+                };
+                Lane::Find(Box::new(LaneFind {
+                    slot,
+                    lo,
+                    hi,
+                    target,
+                    key: key.to_vec(),
+                    key_reg,
+                    body: lanes.to_vec(),
+                    stmts: body.stmts,
+                }))
             }
-            Stmt::UfWrite { uf, idx, value } => Op::UfWrite {
+            Stmt::UfWrite { uf, idx, value } => Lane::UfWrite {
                 uf: self.ufs.intern(uf),
                 idx: self.expr(idx, ops, None),
                 value: self.expr(value, ops, None),
             },
-            Stmt::UfMin { uf, idx, value } => Op::UfMin {
+            Stmt::UfMin { uf, idx, value } => Lane::UfMin {
                 uf: self.ufs.intern(uf),
                 idx: self.expr(idx, ops, None),
                 value: self.expr(value, ops, None),
             },
-            Stmt::UfMax { uf, idx, value } => Op::UfMax {
+            Stmt::UfMax { uf, idx, value } => Lane::UfMax {
                 uf: self.ufs.intern(uf),
                 idx: self.expr(idx, ops, None),
                 value: self.expr(value, ops, None),
@@ -799,27 +757,32 @@ impl Compiler {
                     ops.push(Op::NonNeg { uf, size });
                     ops.append(&mut init_ops);
                 }
-                Op::UfAlloc { uf, size, init }
+                ops.push(Op::UfAlloc { uf, size, init });
+                return;
             }
             Stmt::DataAlloc { arr, size } => {
                 let mut factors = Vec::new();
                 product_factors(size, &mut factors);
                 let size = factors.iter().map(|f| self.expr(f, ops, None)).collect();
-                Op::DataAlloc { arr: self.data.intern(arr), size }
+                ops.push(Op::DataAlloc { arr: self.data.intern(arr), size });
+                return;
             }
             Stmt::ListInsert { list, args } => {
-                Op::ListInsert { list: self.lists.intern(list), args: self.args(args, ops) }
+                Lane::ListInsert { list: self.lists.intern(list), args: self.args(args, ops) }
             }
-            Stmt::ListFinalize { list } => Op::ListFinalize { list: self.lists.intern(list) },
-            Stmt::ListToUf { list, dim, uf } => Op::ListToUf {
-                list: self.lists.intern(list),
-                dim: *dim,
-                uf: self.ufs.intern(uf),
-            },
+            Stmt::ListFinalize { list } => {
+                ops.push(Op::ListFinalize { list: self.lists.intern(list) });
+                return;
+            }
+            Stmt::ListToUf { list, dim, uf } => {
+                let (list, uf) = (self.lists.intern(list), self.ufs.intern(uf));
+                ops.push(Op::ListToUf { list, dim: *dim, uf });
+                return;
+            }
             Stmt::SymSet { sym, value } => {
-                Op::SymSet { sym: self.syms.intern(sym), value: self.expr(value, ops, None) }
+                Lane::SymSet { sym: self.syms.intern(sym), value: self.expr(value, ops, None) }
             }
-            Stmt::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => Op::DataAxpy {
+            Stmt::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => Lane::DataAxpy {
                 y: self.data.intern(y),
                 y_idx: self.expr(y_idx, ops, None),
                 a: self.data.intern(a),
@@ -827,7 +790,7 @@ impl Compiler {
                 x: self.data.intern(x),
                 x_idx: self.expr(x_idx, ops, None),
             },
-            Stmt::Copy { dst, dst_idx, src, src_idx } => Op::Copy {
+            Stmt::Copy { dst, dst_idx, src, src_idx } => Lane::Copy {
                 dst: self.data.intern(dst),
                 dst_idx: self.expr(dst_idx, ops, None),
                 src: self.data.intern(src),
@@ -835,7 +798,7 @@ impl Compiler {
             },
             Stmt::Comment(_) => return,
         };
-        ops.push(op);
+        emit(ops, lane);
     }
 
     /// `for slot in lo..hi { body }`: chunked when the body qualifies
@@ -858,12 +821,13 @@ impl Compiler {
         (self.consts.get(&v) == Some(&r)).then_some(v)
     }
 
-    /// Compiles the body of an innermost loop to lane ops, when it
-    /// qualifies: every op has a columnar form ([`Lane::from_ops`]), and
-    /// after value numbering and counter fusion
+    /// Compiles the body of an innermost loop to a chunked loop, when it
+    /// qualifies: the body is straight-line ([`run_of`]), and after value
+    /// numbering and counter fusion
     ///
-    /// * each array, list or symbol the body writes is touched by exactly
-    ///   one op;
+    /// * each array, list or symbol the body writes is touched exactly
+    ///   once, by one op (so a copy or multiply-add that reads the array
+    ///   it writes does not qualify);
     /// * no register is read before the body writes it (in a scope that
     ///   encloses the read), none is written twice, and the loop variable
     ///   is never written.
@@ -871,7 +835,7 @@ impl Compiler {
     /// Then no op depends on another op's work in an earlier iteration,
     /// so op-at-a-time order over a chunk gives iteration order.
     fn chunk(&self, slot: Reg, lo: Reg, hi: Reg, body: &Block) -> Option<Chunked> {
-        let mut ops = Lane::from_ops(&body.ops)?;
+        let mut ops = run_of(&body.ops)?.to_vec();
         let writes = writes(&ops);
         self.number(&mut ops, &writes, &mut Vec::new(), &mut Vec::new());
         if self.fuse(&mut ops) {
@@ -880,11 +844,7 @@ impl Compiler {
 
         let exclusive = writes.iter().all(|&res| {
             let mut touching = 0;
-            each_op(&ops, &mut |op| {
-                let mut hit = false;
-                op.effects(&mut |r, _| hit |= r == res);
-                touching += usize::from(hit);
-            });
+            each_op(&ops, &mut |op| op.effects(&mut |r, _| touching += usize::from(r == res)));
             touching == 1
         });
         if !exclusive {
@@ -1066,6 +1026,7 @@ impl Compiler {
         let Some((Op::Chunked(inner), head)) = body.ops.split_last() else {
             return Err(body);
         };
+        let Some(head) = run_of(head) else { return Err(body) };
         let inner_writes = writes(&inner.body);
         let inner_defs = &inner.regs[..inner.written];
         let mut head_defs = Vec::new();
@@ -1073,14 +1034,10 @@ impl Compiler {
             && !inner_defs.contains(&slot)
             && head.iter().all(|op| {
                 let (dst, reads, res) = match *op {
-                    Op::Mov { dst, src } => (dst, [src, src], None),
-                    Op::Sym { dst, sym } => (dst, [dst, dst], Some(Res::Sym(sym))),
-                    Op::UfRead { dst, uf, idx } => (dst, [idx, idx], Some(Res::Uf(uf))),
-                    Op::Add(d, a, b)
-                    | Op::Sub(d, a, b)
-                    | Op::Mul(d, a, b)
-                    | Op::Min(d, a, b)
-                    | Op::Max(d, a, b) => (d, [a, b], None),
+                    Lane::Mov { dst, src } => (dst, [src, src], None),
+                    Lane::Sym { dst, sym } => (dst, [dst, dst], Some(Res::Sym(sym))),
+                    Lane::UfRead { dst, uf, idx } => (dst, [idx, idx], Some(Res::Uf(uf))),
+                    Lane::Arith { dst, a, b, .. } => (dst, [a, b], None),
                     _ => return false,
                 };
                 head_defs.push(dst);
@@ -1092,7 +1049,7 @@ impl Compiler {
         if !fits {
             return Err(body);
         }
-        let mut ops = body.ops.into_vec();
+        let mut ops = body.ops;
         let Some(Op::Chunked(mut inner)) = ops.pop() else {
             unreachable!("checked above")
         };
@@ -1102,9 +1059,56 @@ impl Compiler {
             .partition(|&&c| inner.regs[c] == slot || head_defs.contains(&inner.regs[c]));
         inner.spread = spread.into();
         inner.invariant = invariant.into();
-        let head = Block { ops: ops.into(), stmts: body.stmts };
-        inner.outer = Some(Outer { slot, lo, hi, head });
+        let head = match ops.pop() {
+            Some(Op::Run(run)) => run,
+            _ => Vec::new(),
+        };
+        inner.outer = Some(Outer { slot, lo, hi, head, stmts: body.stmts });
         Ok(inner)
+    }
+}
+
+/// Whether the variable in register `r` is a direct operand of `e`. The
+/// op computing `e` then writes elsewhere: a lane op never writes a
+/// column it reads.
+fn operand(e: &Expr, r: Reg) -> bool {
+    let var = |x: &Expr| matches!(x, Expr::Var(_, s) if s.0 == r);
+    match e {
+        Expr::UfRead { idx, .. } => var(idx),
+        Expr::ListRank { args, .. } => args.iter().any(var),
+        Expr::Add(a, b)
+        | Expr::Sub(a, b)
+        | Expr::Mul(a, b)
+        | Expr::Div(a, b)
+        | Expr::Min(a, b)
+        | Expr::Max(a, b) => var(a) || var(b),
+        _ => false,
+    }
+}
+
+/// Appends `lane` to the run at the end of `ops`, or starts one.
+fn emit(ops: &mut Vec<Op>, lane: Lane) {
+    match ops.last_mut() {
+        Some(Op::Run(run)) => run.push(lane),
+        _ => ops.push(Op::Run(vec![lane])),
+    }
+}
+
+/// `ops` as lane ops, when they are straight-line: no op, or one run.
+fn run_of(ops: &[Op]) -> Option<&[Lane]> {
+    match ops {
+        [] => Some(&[]),
+        [Op::Run(run)] => Some(run),
+        _ => None,
+    }
+}
+
+/// Appends `if (a op b) { body }` to `ops`: a [`Lane::If`] when the body
+/// is straight-line, else an [`Op::If`].
+fn guard(ops: &mut Vec<Op>, a: Reg, op: CmpOp, b: Reg, body: Block) {
+    match run_of(&body.ops) {
+        Some(run) => emit(ops, Lane::If { a, op, b, body: run.to_vec(), stmts: body.stmts }),
+        None => ops.push(Op::If { a, op, b, body }),
     }
 }
 
@@ -1137,7 +1141,8 @@ fn defined_before_use(ops: &mut [Lane], defs: &[Reg], defined: &mut Vec<Reg>) ->
 }
 
 /// Pushes the factors of the product `e` onto `out`, so an allocation
-/// multiplies them with overflow checks rather than through `Op::Mul`.
+/// multiplies them with overflow checks rather than through a wrapping
+/// [`Arith::Mul`].
 fn product_factors<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     match e {
         Expr::Mul(a, b) => {
@@ -1155,7 +1160,7 @@ pub fn compile(stmts: &[Stmt], slots: &SlotAlloc) -> Program {
     let main = c.block(stmts);
     Program {
         main,
-        regs: c.regs,
+        regs: c.regs.iter().map(|&v| [v]).collect(),
         syms: c.syms.names,
         ufs: c.ufs.names,
         data: c.data.names,
@@ -1167,24 +1172,6 @@ pub fn compile(stmts: &[Stmt], slots: &SlotAlloc) -> Program {
 enum Fault {
     Unbound,
     Oob { idx: i64, len: usize },
-}
-
-#[inline(always)]
-fn at<T>(arr: Option<&[T]>, idx: i64) -> Result<&T, Fault> {
-    let a = arr.ok_or(Fault::Unbound)?;
-    usize::try_from(idx).ok().and_then(|i| a.get(i)).ok_or(Fault::Oob { idx, len: a.len() })
-}
-
-/// [`at`] for a write. Clone-on-first-write: an array bound as
-/// `Cow::Borrowed` is copied here exactly once, after the bounds check;
-/// an owned array mutates in place.
-#[inline(always)]
-fn at_mut<'s, T: Clone>(arr: &'s mut Option<Cow<'_, [T]>>, idx: i64) -> Result<&'s mut T, Fault> {
-    let a = arr.as_mut().ok_or(Fault::Unbound)?;
-    match usize::try_from(idx) {
-        Ok(i) if i < a.len() => Ok(&mut a.to_mut()[i]),
-        _ => Err(Fault::Oob { idx, len: a.len() }),
-    }
 }
 
 #[cold]
@@ -1220,15 +1207,15 @@ fn bad_alloc(names: &[String], arr: u32, size: i64) -> ExecError {
     ExecError::BadAlloc { name: names[arr as usize].clone(), size }
 }
 
-/// The lanes of a chunk an op runs on: the first `n`, or a guard's
+/// The lanes of a frame an op runs on: the first `n`, or a guard's
 /// selection, ascending.
 #[derive(Clone, Copy)]
-enum Sel<'s> {
+enum Sel<'s, const W: usize> {
     All(usize),
     Some(&'s [u8]),
 }
 
-impl Sel<'_> {
+impl<const W: usize> Sel<'_, W> {
     /// The selected lanes below `limit`.
     fn below(self, limit: usize) -> Self {
         match self {
@@ -1254,12 +1241,13 @@ impl Sel<'_> {
         }
     }
 
-    /// Calls `f` on each lane, in order. Lane numbers are below
-    /// [`LANES`], so indexing a [`Column`] with one needs no check.
+    /// Calls `f` on each lane, in order. Lane numbers are below `W`, and
+    /// below [`LANES`] in a chunk, so indexing a chunk's column with one
+    /// needs no check.
     #[inline(always)]
     fn each(self, mut f: impl FnMut(usize)) {
         match self {
-            Sel::All(n) => (0..n.min(LANES)).for_each(f),
+            Sel::All(n) => (0..n.min(W)).for_each(f),
             Sel::Some(s) => s.iter().for_each(|&l| f(l as usize)),
         }
     }
@@ -1268,15 +1256,15 @@ impl Sel<'_> {
     #[inline(always)]
     fn try_each<E>(self, mut f: impl FnMut(usize) -> Result<(), E>) -> Result<(), (usize, E)> {
         match self {
-            Sel::All(n) => (0..n.min(LANES)).try_for_each(|l| f(l).map_err(|e| (l, e))),
+            Sel::All(n) => (0..n.min(W)).try_for_each(|l| f(l).map_err(|e| (l, e))),
             Sel::Some(s) => s.iter().try_for_each(|&l| f(l as usize).map_err(|e| (l as usize, e))),
         }
     }
 
     /// Appends the selected lanes of `col` to `out`, in order.
-    fn append(self, col: &Column, out: &mut Vec<i64>) {
+    fn append(self, col: &[i64; W], out: &mut Vec<i64>) {
         match self {
-            Sel::All(n) => out.extend_from_slice(&col[..n.min(LANES)]),
+            Sel::All(n) => out.extend_from_slice(&col[..n.min(W)]),
             Sel::Some(s) => out.extend(s.iter().map(|&l| col[l as usize])),
         }
     }
@@ -1287,22 +1275,22 @@ impl Sel<'_> {
     }
 }
 
-/// The columns of a chunk split around `dst`, which an op writes while it
+/// The columns of a frame split around `dst`, which an op writes while it
 /// reads others: no op reads the column it writes.
-fn split(cols: &mut [Column], dst: Reg) -> (&mut Column, Cols<'_>) {
+fn split<const W: usize>(cols: &mut [[i64; W]], dst: Reg) -> (&mut [i64; W], Cols<'_, W>) {
     let (lo, rest) = cols.split_at_mut(dst as usize);
     let Some((d, hi)) = rest.split_first_mut() else { unreachable!("column {dst} exists") };
     (d, Cols { lo, hi })
 }
 
 /// Read access to every column but the one an op writes.
-struct Cols<'c> {
-    lo: &'c [Column],
-    hi: &'c [Column],
+struct Cols<'c, const W: usize> {
+    lo: &'c [[i64; W]],
+    hi: &'c [[i64; W]],
 }
 
-impl<'c> Cols<'c> {
-    fn get(&self, c: Reg) -> &'c Column {
+impl<'c, const W: usize> Cols<'c, W> {
+    fn get(&self, c: Reg) -> &'c [i64; W] {
         let c = c as usize;
         match c.checked_sub(self.lo.len() + 1) {
             Some(h) => &self.hi[h],
@@ -1311,9 +1299,9 @@ impl<'c> Cols<'c> {
     }
 }
 
-/// An array resolved once per chunk, and its length when bound. An
-/// unbound array reads as empty, so every access to it fails, as in the
-/// op loop; [`miss`] then names the fault.
+/// An array resolved once per op, and its length when bound. An unbound
+/// array reads as empty, so every access to it fails; [`miss`] then names
+/// the fault.
 fn readable<'s, T: Clone>(arr: &'s Option<Cow<'_, [T]>>) -> (&'s [T], Option<usize>) {
     let a = arr.as_deref();
     (a.unwrap_or_default(), a.map(<[T]>::len))
@@ -1350,16 +1338,26 @@ fn get_mut<T>(a: &mut [T], idx: i64) -> Option<&mut T> {
     a.get_mut(usize::try_from(idx).ok()?)
 }
 
-/// Writes the selected lanes `i` of `dst` from `a` and `b`.
+/// Writes the selected lanes `l` of `dst` from `a` and `b`.
 #[inline(always)]
-fn zip(sel: Sel<'_>, dst: &mut Column, a: &Column, b: &Column, f: impl Fn(i64, i64) -> i64) {
+fn zip<const W: usize>(
+    sel: Sel<'_, W>,
+    dst: &mut [i64; W],
+    a: &[i64; W],
+    b: &[i64; W],
+    f: impl Fn(i64, i64) -> i64,
+) {
     sel.each(|l| dst[l] = f(a[l], b[l]));
 }
 
 /// Writes the selected lanes where `keep` holds to `out`, in order, and
 /// returns how many.
 #[inline(always)]
-fn select(sel: Sel<'_>, out: &mut [u8; LANES], keep: impl Fn(usize) -> bool) -> usize {
+fn select<const W: usize>(
+    sel: Sel<'_, W>,
+    out: &mut [u8; W],
+    keep: impl Fn(usize) -> bool,
+) -> usize {
     let mut m = 0;
     sel.each(|l| {
         out[m] = l as u8;
@@ -1376,7 +1374,7 @@ struct Pending {
     broadcast: usize,
 }
 
-/// The earliest fault in a chunk so far: ops run only below its lane.
+/// The earliest fault in a frame so far: ops run only below its lane.
 struct Limit {
     lanes: usize,
     err: Option<ExecError>,
@@ -1412,7 +1410,7 @@ impl Budget {
     /// element count overflowed) for array `names[id]`: the byte size is
     /// added to the run's total and held to the limit before [`reserve`]
     /// asks the allocator. Kept out of line: a run allocates a handful of
-    /// times, and the op loop stays as compact as before.
+    /// times, and the op loop stays compact.
     #[inline(never)]
     fn alloc<T: Clone>(
         &mut self,
@@ -1441,7 +1439,9 @@ impl Budget {
 /// A run's state: the register file, and the symbols, arrays and lists
 /// moved out of the environment, indexed like the program's name tables.
 struct State<'a> {
-    regs: Vec<i64>,
+    /// One width-1 column per register: the frame straight-line code runs
+    /// on, moved out while it runs.
+    regs: Vec<[i64; 1]>,
     syms: Vec<Option<i64>>,
     ufs: Vec<Option<Cow<'a, [i64]>>>,
     data: Vec<Option<Cow<'a, [f64]>>>,
@@ -1456,12 +1456,12 @@ struct State<'a> {
 impl State<'_> {
     #[inline(always)]
     fn reg(&self, r: Reg) -> i64 {
-        self.regs[r as usize]
+        self.regs[r as usize][0]
     }
 
     #[inline(always)]
     fn set(&mut self, r: Reg, v: i64) {
-        self.regs[r as usize] = v;
+        self.regs[r as usize] = [v];
     }
 
     /// Runs `block`. `STATS` selects at monomorphization time whether
@@ -1477,38 +1477,8 @@ impl State<'_> {
         }
         for op in block.ops.iter() {
             match *op {
-                Op::Mov { dst, src } => self.set(dst, self.reg(src)),
-                Op::Sym { dst, sym } => {
-                    let v = self.syms[sym as usize].ok_or_else(|| unbound_sym(prog, sym))?;
-                    self.set(dst, v);
-                }
-                Op::UfRead { dst, uf, idx } => {
-                    let i = self.reg(idx);
-                    let v = *at(self.ufs[uf as usize].as_deref(), i)
-                        .map_err(|f| uf_fault(prog, uf, f))?;
-                    self.set(dst, v);
-                }
-                Op::ListRank { dst, list, ref args } => {
-                    let l = self.lists[list as usize]
-                        .as_mut()
-                        .ok_or_else(|| unbound_list(prog, list))?;
-                    l.rank_check(args.len())?;
-                    let regs = &self.regs;
-                    let rank = l.rank_next(|d| regs[args[d] as usize])?;
-                    self.set(dst, rank);
-                }
-                Op::ListLen { dst, list } => {
-                    let l = self.lists[list as usize]
-                        .as_ref()
-                        .ok_or_else(|| unbound_list(prog, list))?;
-                    self.set(dst, l.len() as i64);
-                }
-                Op::Add(dst, a, b) => self.set(dst, self.reg(a).wrapping_add(self.reg(b))),
-                Op::Sub(dst, a, b) => self.set(dst, self.reg(a).wrapping_sub(self.reg(b))),
-                Op::Mul(dst, a, b) => self.set(dst, self.reg(a).wrapping_mul(self.reg(b))),
+                Op::Run(ref run) => self.straight::<STATS>(prog, run, None, 0..1, 0)?,
                 Op::Div(dst, a, b) => self.set(dst, self.reg(a).div_euclid(self.reg(b))),
-                Op::Min(dst, a, b) => self.set(dst, self.reg(a).min(self.reg(b))),
-                Op::Max(dst, a, b) => self.set(dst, self.reg(a).max(self.reg(b))),
                 Op::NonZero { r } => {
                     if self.reg(r) == 0 {
                         return Err(ExecError::DivByZero);
@@ -1520,7 +1490,12 @@ impl State<'_> {
                     }
                 }
                 Op::For { slot, lo, hi, ref body } => {
-                    for v in self.reg(lo)..self.reg(hi) {
+                    let range = self.reg(lo)..self.reg(hi);
+                    if let [Op::Run(run)] = &body.ops[..] {
+                        self.straight::<STATS>(prog, run, Some(slot), range, body.stmts)?;
+                        continue;
+                    }
+                    for v in range {
                         self.set(slot, v);
                         if STATS {
                             self.stats.loop_iterations += 1;
@@ -1562,22 +1537,6 @@ impl State<'_> {
                     }
                 }
                 Op::Chunked(ref c) => self.chunked::<STATS>(prog, c)?,
-                Op::UfWrite { uf, idx, value } => {
-                    let (i, v) = (self.reg(idx), self.reg(value));
-                    *at_mut(&mut self.ufs[uf as usize], i).map_err(|f| uf_fault(prog, uf, f))? = v;
-                }
-                Op::UfMin { uf, idx, value } => {
-                    let (i, v) = (self.reg(idx), self.reg(value));
-                    let e = at_mut(&mut self.ufs[uf as usize], i);
-                    let e = e.map_err(|f| uf_fault(prog, uf, f))?;
-                    *e = v.min(*e);
-                }
-                Op::UfMax { uf, idx, value } => {
-                    let (i, v) = (self.reg(idx), self.reg(value));
-                    let e = at_mut(&mut self.ufs[uf as usize], i);
-                    let e = e.map_err(|f| uf_fault(prog, uf, f))?;
-                    *e = v.max(*e);
-                }
                 Op::UfAlloc { uf, size, init } => {
                     let n = self.reg(size);
                     let n = usize::try_from(n).map_err(|_| bad_alloc(&prog.ufs, uf, n))?;
@@ -1593,14 +1552,6 @@ impl State<'_> {
                     }
                     let v = self.budget.alloc(&prog.data, arr, n, 0.0)?;
                     self.data[arr as usize] = Some(Cow::Owned(v));
-                }
-                Op::ListInsert { list, ref args } => {
-                    let l = self.lists[list as usize]
-                        .as_mut()
-                        .ok_or_else(|| unbound_list(prog, list))?;
-                    for (key, &a) in l.key_columns(args.len())?.iter_mut().zip(args.iter()) {
-                        key.push(self.regs[a as usize]);
-                    }
                 }
                 Op::ListFinalize { list } => {
                     let l = self.lists[list as usize]
@@ -1618,26 +1569,45 @@ impl State<'_> {
                     }
                     self.ufs[uf as usize] = Some(Cow::Owned(col));
                 }
-                Op::SymSet { sym, value } => self.syms[sym as usize] = Some(self.reg(value)),
-                Op::DataAxpy { y, y_idx, a, a_idx, x, x_idx } => {
-                    let (yi, ai, xi) = (self.reg(y_idx), self.reg(a_idx), self.reg(x_idx));
-                    let av = *at(self.data[a as usize].as_deref(), ai)
-                        .map_err(|f| data_fault(prog, a, f))?;
-                    let xv = *at(self.data[x as usize].as_deref(), xi)
-                        .map_err(|f| data_fault(prog, x, f))?;
-                    *at_mut(&mut self.data[y as usize], yi).map_err(|f| data_fault(prog, y, f))? +=
-                        av * xv;
-                }
-                Op::Copy { dst, dst_idx, src, src_idx } => {
-                    let (di, si) = (self.reg(dst_idx), self.reg(src_idx));
-                    let v = *at(self.data[src as usize].as_deref(), si)
-                        .map_err(|f| data_fault(prog, src, f))?;
-                    *at_mut(&mut self.data[dst as usize], di)
-                        .map_err(|f| data_fault(prog, dst, f))? = v;
-                }
             }
         }
         Ok(())
+    }
+
+    /// Runs the straight-line `run` as one lane whose columns are the
+    /// register file: once, or as the body of a loop whose variable
+    /// `slot` takes each value of `range`, counting `stmts` per iteration.
+    fn straight<const STATS: bool>(
+        &mut self,
+        prog: &Program,
+        run: &[Lane],
+        slot: Option<Reg>,
+        range: std::ops::Range<i64>,
+        stmts: u64,
+    ) -> Result<(), ExecError> {
+        let mut regs = std::mem::take(&mut self.regs);
+        let mut lim = Limit { lanes: 1, err: None };
+        'iterations: for v in range {
+            if let Some(s) = slot {
+                regs[s as usize] = [v];
+                if STATS {
+                    self.stats.loop_iterations += 1;
+                    self.stats.statements += stmts;
+                }
+            }
+            for op in run {
+                // A guard or a search reports its body's fault in `lim`.
+                let r = self.lane::<STATS, 1>(prog, &[], op, Sel::All(1), &mut regs, &mut lim);
+                if let Err((_, e)) = r {
+                    lim.err = Some(e);
+                }
+                if lim.err.is_some() {
+                    break 'iterations;
+                }
+            }
+        }
+        self.regs = regs;
+        lim.err.map_or(Ok(()), Err)
     }
 
     /// Runs a chunked loop: iterations fill the lanes of a chunk, and each
@@ -1670,8 +1640,9 @@ impl State<'_> {
             self.set(o.slot, v);
             if STATS {
                 self.stats.loop_iterations += 1;
+                self.stats.statements += o.stmts;
             }
-            if let Err(e) = self.block::<STATS>(prog, &o.head) {
+            if let Err(e) = self.straight::<STATS>(prog, &o.head, None, 0..1, 0) {
                 // The pending lanes come first in iteration order.
                 return self.flush::<STATS>(prog, c, p).and(Err(e));
             }
@@ -1731,7 +1702,8 @@ impl State<'_> {
             self.stats.statements += n as u64 * c.stmts;
         }
         let mut lim = Limit { lanes: n, err: None };
-        self.lanes::<STATS>(prog, c, &c.body, Sel::All(n), &mut p.cols, &mut lim);
+        let keep = &c.regs[..c.keep];
+        self.lanes::<STATS, LANES>(prog, keep, &c.body, Sel::All(n), &mut p.cols, &mut lim);
         match lim.err {
             Some(e) => Err(e),
             None => {
@@ -1741,29 +1713,32 @@ impl State<'_> {
         }
     }
 
-    /// Runs `ops` over the lanes `sel` selects. An op that faults lowers
-    /// `lim` to its lane, so the ops after it run only on earlier lanes and
-    /// the fault kept is the op loop's: the earliest iteration, then the
-    /// earliest op in it.
-    fn lanes<const STATS: bool>(
+    /// Runs `ops` over the lanes `sel` selects of the frame `cols`, whose
+    /// first `keep.len()` columns go back to the registers `keep` names
+    /// (none when the frame is the register file). An op that faults
+    /// lowers `lim` to its lane, so the ops after it run only on earlier
+    /// lanes and the fault kept is the one running iteration by
+    /// iteration would raise: the earliest iteration, then the earliest
+    /// op in it.
+    fn lanes<const STATS: bool, const W: usize>(
         &mut self,
         prog: &Program,
-        c: &Chunked,
+        keep: &[Reg],
         ops: &[Lane],
-        sel: Sel<'_>,
-        cols: &mut [Column],
+        sel: Sel<'_, W>,
+        cols: &mut [[i64; W]],
         lim: &mut Limit,
     ) {
         for op in ops {
             let sel = sel.below(lim.lanes);
             let Some(last) = sel.last() else { return };
-            match self.lane::<STATS>(prog, c, op, sel, cols, lim) {
+            match self.lane::<STATS, W>(prog, keep, op, sel, cols, lim) {
                 Err((l, e)) => *lim = Limit { lanes: l, err: Some(e) },
                 // A search keeps its slot itself: not every lane sets it.
                 Ok(()) if matches!(op, Lane::Find(_)) => {}
                 Ok(()) => {
-                    if let Some(d) = op.def().filter(|&d| (d as usize) < c.keep) {
-                        self.set(c.regs[d as usize], cols[d as usize][last]);
+                    if let Some(d) = op.def().filter(|&d| (d as usize) < keep.len()) {
+                        self.set(keep[d as usize], cols[d as usize][last]);
                     }
                 }
             }
@@ -1772,14 +1747,17 @@ impl State<'_> {
 
     /// Runs one op over the lanes `sel` selects. Each array it touches is
     /// resolved once; each lane then checks its index, and the first lane
-    /// that fails is examined again for the op loop's error.
-    fn lane<const STATS: bool>(
+    /// that fails is examined again for its error. Inlined into both
+    /// drivers, [`State::lanes`] and [`State::straight`], so that a
+    /// one-lane run pays no call per op.
+    #[inline(always)]
+    fn lane<const STATS: bool, const W: usize>(
         &mut self,
         prog: &Program,
-        c: &Chunked,
+        keep: &[Reg],
         op: &Lane,
-        sel: Sel<'_>,
-        cols: &mut [Column],
+        sel: Sel<'_, W>,
+        cols: &mut [[i64; W]],
         lim: &mut Limit,
     ) -> Result<(), (usize, ExecError)> {
         match *op {
@@ -1810,7 +1788,7 @@ impl State<'_> {
                 // Keys queried in insertion order, as every synthesized
                 // plan queries them, are answered a chunk at a time.
                 if let Sel::All(n) = sel {
-                    let n = n.min(LANES);
+                    let n = n.min(W);
                     let keys: [&[i64]; MAX_KEY_WIDTH] =
                         std::array::from_fn(|k| args.get(k).map_or(&[][..], |&a| &r.get(a)[..n]));
                     if lst.rank_run(&keys[..args.len()], &mut d[..n]) {
@@ -1839,7 +1817,7 @@ impl State<'_> {
                 }
             }
             Lane::If { a, op, b, ref body, stmts } => {
-                let (a, b, mut out) = (&cols[a as usize], &cols[b as usize], [0; LANES]);
+                let (a, b, mut out) = (&cols[a as usize], &cols[b as usize], [0; W]);
                 let m = match op {
                     CmpOp::Eq => select(sel, &mut out, |l| a[l] == b[l]),
                     CmpOp::Ne => select(sel, &mut out, |l| a[l] != b[l]),
@@ -1851,9 +1829,9 @@ impl State<'_> {
                 if STATS {
                     self.stats.statements += m as u64 * stmts;
                 }
-                self.lanes::<STATS>(prog, c, body, Sel::Some(&out[..m]), cols, lim);
+                self.lanes::<STATS, W>(prog, keep, body, Sel::Some(&out[..m]), cols, lim);
             }
-            Lane::Find(ref s) => self.find::<STATS>(prog, c, s, sel, cols, lim),
+            Lane::Find(ref s) => self.find::<STATS, W>(prog, keep, s, sel, cols, lim),
             Lane::UfWrite { uf, idx, value } => {
                 let (ix, v) = (&cols[idx as usize], &cols[value as usize]);
                 let (a, len) = writable(&mut self.ufs[uf as usize]);
@@ -1863,7 +1841,8 @@ impl State<'_> {
             Lane::UfMin { uf, idx, value } | Lane::UfMax { uf, idx, value } => {
                 let (ix, v) = (&cols[idx as usize], &cols[value as usize]);
                 let (a, len) = writable(&mut self.ufs[uf as usize]);
-                let pick = if matches!(op, Lane::UfMax { .. }) { i64::max } else { i64::min };
+                let max = matches!(op, Lane::UfMax { .. });
+                let pick = |a: i64, b: i64| if max { a.max(b) } else { a.min(b) };
                 sel.try_each(|l| get_mut(a, ix[l]).map(|e| *e = pick(v[l], *e)).ok_or(()))
                     .map_err(|(l, ())| (l, uf_fault(prog, uf, miss(len, ix[l]))))?;
             }
@@ -1915,23 +1894,20 @@ impl State<'_> {
                 let ((av, alen), (xv, xlen)) =
                     (readable(&self.data[a as usize]), readable(&self.data[x as usize]));
                 let (yv, ylen) = writable(&mut ys);
+                // A factor that is `y` itself is read through `y`.
+                let alen = if a == y { ylen } else { alen };
+                let xlen = if x == y { ylen } else { xlen };
                 let r = sel
-                    .try_each(|l| match (get(av, ai[l]), get(xv, xi[l]), get_mut(yv, yi[l])) {
-                        (Some(&s), Some(&t), Some(e)) => {
-                            *e += s * t;
-                            Ok(())
-                        }
-                        _ => Err(()),
+                    .try_each::<usize>(|l| {
+                        let s = *get(if a == y { &*yv } else { av }, ai[l]).ok_or(0usize)?;
+                        let t = *get(if x == y { &*yv } else { xv }, xi[l]).ok_or(1usize)?;
+                        *get_mut(yv, yi[l]).ok_or(2usize)? += s * t;
+                        Ok(())
                     })
-                    .map_err(|(l, ())| {
-                        let fault = if get(av, ai[l]).is_none() {
-                            data_fault(prog, a, miss(alen, ai[l]))
-                        } else if get(xv, xi[l]).is_none() {
-                            data_fault(prog, x, miss(xlen, xi[l]))
-                        } else {
-                            data_fault(prog, y, miss(ylen, yi[l]))
-                        };
-                        (l, fault)
+                    .map_err(|(l, k)| {
+                        let at = [(a, alen, ai[l]), (x, xlen, xi[l]), (y, ylen, yi[l])];
+                        let (arr, len, idx) = at[k];
+                        (l, data_fault(prog, arr, miss(len, idx)))
                     });
                 self.data[y as usize] = ys;
                 r?;
@@ -1941,21 +1917,17 @@ impl State<'_> {
                 let mut ds = self.data[dst as usize].take();
                 let (sv, slen) = readable(&self.data[src as usize]);
                 let (dv, dlen) = writable(&mut ds);
+                // A copy within one array reads it through the destination.
+                let slen = if src == dst { dlen } else { slen };
                 let r = sel
-                    .try_each(|l| match (get(sv, si[l]), get_mut(dv, di[l])) {
-                        (Some(&v), Some(e)) => {
-                            *e = v;
-                            Ok(())
-                        }
-                        _ => Err(()),
+                    .try_each::<usize>(|l| {
+                        let v = *get(if src == dst { &*dv } else { sv }, si[l]).ok_or(0usize)?;
+                        *get_mut(dv, di[l]).ok_or(1usize)? = v;
+                        Ok(())
                     })
-                    .map_err(|(l, ())| {
-                        let fault = if get(sv, si[l]).is_none() {
-                            data_fault(prog, src, miss(slen, si[l]))
-                        } else {
-                            data_fault(prog, dst, miss(dlen, di[l]))
-                        };
-                        (l, fault)
+                    .map_err(|(l, k)| {
+                        let (arr, len, idx) = [(src, slen, si[l]), (dst, dlen, di[l])][k];
+                        (l, data_fault(prog, arr, miss(len, idx)))
                     });
                 self.data[dst as usize] = ds;
                 r?;
@@ -1964,28 +1936,28 @@ impl State<'_> {
         Ok(())
     }
 
-    /// [`Op::Find`] on every selected lane at once: each bisection step
+    /// [`Find`] on every selected lane at once: each bisection step
     /// runs the key on the lanes whose range is not yet empty, in lane
     /// order, so a faulting key lowers `lim` as any op does; then the
     /// key runs once more at each lane's final position, and the body on
     /// the lanes whose key equals their target.
-    fn find<const STATS: bool>(
+    fn find<const STATS: bool, const W: usize>(
         &mut self,
         prog: &Program,
-        c: &Chunked,
+        keep: &[Reg],
         s: &LaneFind,
-        sel: Sel<'_>,
-        cols: &mut [Column],
+        sel: Sel<'_, W>,
+        cols: &mut [[i64; W]],
         lim: &mut Limit,
     ) {
         let (slot, key, target) = (s.slot as usize, s.key_reg as usize, s.target as usize);
-        let (mut lo, mut hi, mut set) = ([0i64; LANES], [0i64; LANES], [false; LANES]);
+        let (mut lo, mut hi, mut set) = ([0i64; W], [0i64; W], [false; W]);
         sel.each(|l| {
             lo[l] = cols[s.lo as usize][l];
             hi[l] = cols[s.hi as usize][l];
         });
         let end = hi;
-        let mut act = [0u8; LANES];
+        let mut act = [0u8; W];
         loop {
             let m = select(sel.below(lim.lanes), &mut act, |l| lo[l] < hi[l]);
             if m == 0 {
@@ -1999,8 +1971,8 @@ impl State<'_> {
             if STATS {
                 self.stats.loop_iterations += m as u64;
             }
-            self.lanes::<STATS>(prog, c, &s.key, Sel::Some(&act[..m]), cols, lim);
-            Sel::Some(&act[..m]).below(lim.lanes).each(|l| {
+            self.lanes::<STATS, W>(prog, keep, &s.key, Sel::Some(&act[..m]), cols, lim);
+            Sel::<W>::Some(&act[..m]).below(lim.lanes).each(|l| {
                 let mid = cols[slot][l];
                 if cols[key][l] < cols[target][l] {
                     lo[l] = mid + 1;
@@ -2014,18 +1986,18 @@ impl State<'_> {
             cols[slot][l as usize] = lo[l as usize];
             set[l as usize] = true;
         }
-        self.lanes::<STATS>(prog, c, &s.key, Sel::Some(&act[..m]), cols, lim);
-        let (checked, mut found) = (Sel::Some(&act[..m]).below(lim.lanes), [0; LANES]);
+        self.lanes::<STATS, W>(prog, keep, &s.key, Sel::Some(&act[..m]), cols, lim);
+        let (checked, mut found) = (Sel::<W>::Some(&act[..m]).below(lim.lanes), [0; W]);
         let n = select(checked, &mut found, |l| cols[key][l] == cols[target][l]);
         if STATS {
             self.stats.statements += n as u64 * s.stmts;
         }
-        self.lanes::<STATS>(prog, c, &s.body, Sel::Some(&found[..n]), cols, lim);
-        if slot < c.keep && lim.err.is_none() {
+        self.lanes::<STATS, W>(prog, keep, &s.body, Sel::Some(&found[..n]), cols, lim);
+        if slot < keep.len() && lim.err.is_none() {
             let mut last = None;
             sel.each(|l| last = if set[l] { Some(l) } else { last });
             if let Some(l) = last {
-                self.set(c.regs[slot], cols[slot][l]);
+                self.set(keep[slot], cols[slot][l]);
             }
         }
     }
@@ -3011,7 +2983,19 @@ mod tests {
                 .with_sym("S", 0)
                 .with_uf("a", vec![1, 2, 3, 4])
                 .with_uf("b", vec![0; 4])
+                .with_data("x", vec![1.0, 2.0, 3.0, 4.0])
+                .with_data("w", vec![1.0; 4])
                 .with_list("L", OrderedList::new(1, ListOrder::Lexicographic, false))
+        };
+        let copy =
+            |dst_idx, src_idx| Stmt::Copy { dst: "x".into(), dst_idx, src: "x".into(), src_idx };
+        let axpy = |a: &str, x: &str| Stmt::DataAxpy {
+            y: "x".into(),
+            y_idx: vn(),
+            a: a.into(),
+            a_idx: if a == "x" { Expr::sub(vn(), c(1)) } else { vn() },
+            x: x.into(),
+            x_idx: if x == "x" { Expr::sub(vn(), c(1)) } else { vn() },
         };
         let cases: Vec<(&str, Stmt, &str, Vec<i64>)> = vec![
             // A loop-carried register: `s` is read before it is written.
@@ -3062,14 +3046,31 @@ mod tests {
             ("division", for_(n, c(0), c(4), vec![
                 put("b", vn(), Expr::div(rd("a", vn()), c(2))),
             ]), "b", vec![0, 1, 1, 2]),
+            // A copy whose destination is its source.
+            ("copy onto its source", for_(n, c(1), c(4), vec![
+                copy(vn(), Expr::sub(vn(), c(1))),
+            ]), "x", vec![1, 1, 1, 1]),
+            // A multiply-add whose destination is one of its factors.
+            ("multiply-add onto a", for_(n, c(1), c(4), vec![axpy("x", "w")]),
+                "x", vec![1, 3, 6, 10]),
+            ("multiply-add onto x", for_(n, c(1), c(4), vec![axpy("w", "x")]),
+                "x", vec![1, 3, 6, 10]),
         ];
+        let values = |e: &RtEnv<'_>, arr: &str| match e.ufs.get(arr) {
+            Some(v) => v.to_vec(),
+            None => e.data[arr].iter().map(|&v| v as i64).collect::<Vec<_>>(),
+        };
         for (name, stmt, arr, expect) in cases {
             let stmts = [stmt];
             let prog = compile(&stmts, &slots);
             assert_eq!(prog.loop_counts(), LoopCounts { chunked: 0, op_loop: 1 }, "{name}");
             let (result, e) = run_chunked(&stmts, &slots, 0, env);
             result.unwrap();
-            assert_eq!(e.ufs[arr], expect, "{name}");
+            assert_eq!(values(&e, arr), expect, "{name}");
         }
+        // The same copy outside any loop.
+        let (result, e) = run_chunked(&[copy(c(3), c(0))], &slots, 0, env);
+        result.unwrap();
+        assert_eq!(values(&e, "x"), vec![1, 2, 3, 1]);
     }
 }

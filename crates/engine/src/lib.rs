@@ -208,22 +208,15 @@ impl Default for EngineConfig {
     }
 }
 
-impl EngineConfig {
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
-}
-
 /// A thread-safe conversion service with a shared plan cache.
 ///
 /// Cheap to share by reference across threads (`&Engine` is all the batch
 /// workers use); every method takes `&self`.
 pub struct Engine {
     config: EngineConfig,
+    /// Worker threads for [`Engine::convert_batch`]: `config.threads`,
+    /// or the available parallelism, resolved once.
+    workers: usize,
     cache: PlanCache<Plan>,
     stats: StatsInner,
     subscriber: Arc<dyn Subscriber>,
@@ -263,7 +256,12 @@ impl Engine {
     /// path (concurrently from every batch worker), so implementations
     /// must be cheap and non-blocking.
     pub fn with_subscriber(config: EngineConfig, subscriber: Arc<dyn Subscriber>) -> Self {
+        let workers = match config.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         Engine {
+            workers,
             cache: PlanCache::new(config.capacity),
             events: EventRing::new(EVENT_CAPACITY),
             config,
@@ -464,7 +462,7 @@ impl Engine {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        let workers = self.config.effective_threads().clamp(1, inputs.len());
+        let workers = self.workers.clamp(1, inputs.len());
         let chunk = inputs.len().div_ceil(workers);
         let plan = &plan;
         let results: Vec<Result<AnyMatrix, EngineError>> = std::thread::scope(|scope| {

@@ -218,7 +218,7 @@ engine_stats! {
         /// failed, and panicked items; single `convert` calls are not
         /// counted here.
         items_failed: u64 => counter("engine_items_failed_total",
-            "Batch items whose final result was an error."),
+            "Batch items whose result was an error."),
         /// Worker panics contained at an isolation boundary: per-item
         /// `catch_unwind` around the interpreter, the kernel attempt guard
         /// (also counted under `kernel_panics`), the plan builder, or the

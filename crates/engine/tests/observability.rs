@@ -343,7 +343,7 @@ engine_interp_fallbacks_total N
 # HELP engine_inputs_rejected_total Inputs refused before execution (validation or admission).
 # TYPE engine_inputs_rejected_total counter
 engine_inputs_rejected_total N
-# HELP engine_items_failed_total Batch items whose final result was an error.
+# HELP engine_items_failed_total Batch items whose result was an error.
 # TYPE engine_items_failed_total counter
 engine_items_failed_total N
 # HELP engine_panics_caught_total Panics contained at an isolation boundary.

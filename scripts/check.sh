@@ -23,7 +23,10 @@ echo "==> oracle, differential, fault-injection, tensor, interpreter and ExecSta
 # wraps in release, so both builds must pass them. So do the packed-key
 # sort, whose shifts reach 63 bits, the Z-order validation sweep in
 # sparse-formats, and the rank golden that pins the list lanes' ranks.
+# The Fig. 2 baseline routines put 2-4 loops each on the op loop, which
+# runs them at a width of one lane.
 cargo test --release -q -p spf-codegen --lib
+cargo test --release -q -p sparse-baselines
 cargo test --release -q -p sparse-formats
 cargo test --release -q -p sparse-synthesis --test rank_golden
 cargo test --release -q -p sparse-synthesis --test conversions
